@@ -19,9 +19,7 @@ from .graphs import (
     SizeLimitError,
     graph_from_edges,
     is_connected,
-    is_tree,
-    is_unicyclic,
-    unique_cycle,
+    peel_to_cycle,
 )
 
 CanonicalCode = bytes
@@ -34,9 +32,10 @@ def canonical_code(g: Graph) -> CanonicalCode:
         raise SizeLimitError(f"canonical codes support at most {MAX_VERTICES} vertices")
     if not is_connected(g):
         raise NotConnectedError("canonical codes are defined for connected graphs only")
-    if is_tree(g):
+    # Connected, so the edge count alone tells trees and unicyclic graphs.
+    if g.m == g.n - 1:
         edges = _tree_canonical_edges(g)
-    elif is_unicyclic(g):
+    elif g.m == g.n:
         edges = _unicyclic_canonical_edges(g)
     else:
         edges = _generic_canonical_edges(g)
@@ -119,7 +118,7 @@ def _tree_canonical_edges(g: Graph) -> list[tuple[int, int]]:
 
 
 def _unicyclic_canonical_edges(g: Graph) -> list[tuple[int, int]]:
-    cycle = unique_cycle(g)
+    cycle = peel_to_cycle(g)
     on_cycle = set(cycle)
     # AHU code of the pendant tree rooted at each cycle vertex (cycle edges
     # masked out so the cycle neighbors do not count as children).

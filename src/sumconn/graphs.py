@@ -150,6 +150,11 @@ def unique_cycle(g: Graph) -> tuple[int, ...]:
     """
     if not is_unicyclic(g):
         raise NotUnicyclicError("graph is not unicyclic")
+    return peel_to_cycle(g)
+
+
+def peel_to_cycle(g: Graph) -> tuple[int, ...]:
+    """``unique_cycle`` for a graph already known to be unicyclic (unchecked)."""
     deg = list(g.degrees())
     leaves = [v for v in range(g.n) if deg[v] == 1]
     alive = [True] * g.n

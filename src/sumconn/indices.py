@@ -35,13 +35,11 @@ def connectivity_index(g: Graph, kind: IndexKind) -> RadicalValue:
     if g.m == 0:
         raise EdgelessGraphError("graph has no edges")
     deg = g.degrees()
-    counts: Counter[int] = Counter()
-    for u, v in g.edges:
-        counts[deg[u] + deg[v] if kind is IndexKind.SUM else deg[u] * deg[v]] += 1
-    total = RadicalValue.zero()
-    for s, k in counts.items():
-        total = total + RadicalValue.reciprocal_sqrt(s) * k
-    return total
+    if kind is IndexKind.SUM:
+        counts = Counter([deg[u] + deg[v] for u, v in g.edges])
+    else:
+        counts = Counter([deg[u] * deg[v] for u, v in g.edges])
+    return RadicalValue.reciprocal_sqrt_sum(counts)
 
 
 def sum_connectivity(g: Graph) -> RadicalValue:

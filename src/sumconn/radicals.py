@@ -7,14 +7,21 @@ canonical form: square roots of distinct squarefree integers are linearly
 independent over the rationals, so two values are equal exactly when
 their term maps coincide, and the sign of a nonzero value can always be
 pinned down by refining integer-square-root intervals.  That is what lets
-argmax ties and "equality iff" claims be decided without floating-point
-tolerances.
+argmax ties and "equality iff" claims be decided exactly, with no
+floating-point tolerance: ``sign()`` trusts a float sum only when it lies
+outside a proven error bound (see the soundness argument in
+``_float_sign``) and refines the rest with integer square roots.
+
+Values are normalized once, by the public constructor.  Arithmetic merges
+operands that are already canonical and builds its result through
+``_from_canonical``, which skips the squarefree factoring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import fsum, isqrt, sqrt
+from functools import lru_cache
+from math import fsum, isqrt, lcm, sqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -24,7 +31,20 @@ Rational = Union[int, Fraction]
 # rounds always suffice.  The cap only guards against misuse.
 _MAX_SIGN_BITS = 1 << 13
 
+# Radicands seen in practice are degree sums and products of graphs on at
+# most 16 vertices; the bound only keeps odd inputs from growing the memos.
+_MEMO_SIZE = 1 << 12
 
+# The float filter in ``_float_sign`` takes radicands that are exact
+# doubles, and terms whose magnitudes stay far from overflow and from the
+# subnormal range.
+_FILTER_MAX_RADICAND = 1 << 53
+_FILTER_TINY = 2.0**-900
+_FILTER_HUGE = 2.0**900
+_FILTER_MARGIN = 2.0**-48
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def squarefree_decompose(value: int) -> tuple[int, int]:
     """Split a positive integer as ``a*a*b`` with ``b`` squarefree.
 
@@ -58,7 +78,7 @@ class RadicalValue:
             a, b = squarefree_decompose(s)
             q = Fraction(q) * a
             if q:
-                total = acc.get(b, Fraction(0)) + q
+                total = acc.get(b, 0) + q
                 if total:
                     acc[b] = total
                 else:
@@ -73,18 +93,37 @@ class RadicalValue:
 
     @classmethod
     def from_rational(cls, q: Rational) -> "RadicalValue":
-        return cls(((1, q),))
+        q = Fraction(q)
+        return _from_canonical(((1, q),) if q else ())
 
     @classmethod
     def sqrt(cls, s: int) -> "RadicalValue":
         return cls(((s, 1),))
 
     @classmethod
+    @lru_cache(maxsize=_MEMO_SIZE)
     def reciprocal_sqrt(cls, s: int) -> "RadicalValue":
-        """Exact ``1/sqrt(s)``, stored as ``(1/s)*sqrt(s)``."""
-        if s <= 0:
-            raise ValueError(f"expected a positive integer, got {s}")
-        return cls(((s, Fraction(1, s)),))
+        """Exact ``1/sqrt(s)``, stored as ``(a/s)*sqrt(b)`` for ``s = a*a*b``."""
+        return cls.reciprocal_sqrt_sum({s: 1})
+
+    @classmethod
+    def reciprocal_sqrt_sum(cls, counts: Mapping[int, int]) -> "RadicalValue":
+        """Exact ``sum k/sqrt(s)`` over a histogram ``{s: k}``.
+
+        ``k/sqrt(a*a*b)`` is ``(k*a/s)*sqrt(b)``; the terms that share a
+        squarefree ``b`` are summed as one integer fraction, reduced once.
+        """
+        acc: dict[int, tuple[int, int]] = {}
+        for s, k in counts.items():
+            a, b = squarefree_decompose(s)
+            if b in acc:
+                num, den = acc[b]
+                acc[b] = (num * s + k * a * den, den * s)
+            else:
+                acc[b] = (k * a, s)
+        return _from_canonical(
+            tuple(sorted((b, Fraction(num, den)) for b, (num, den) in acc.items() if num))
+        )
 
     # -- views -------------------------------------------------------------
 
@@ -116,12 +155,19 @@ class RadicalValue:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return RadicalValue(tuple(self._terms) + tuple(rhs._terms))
+        acc = dict(self._terms)
+        for s, q in rhs._terms:
+            total = acc.get(s, 0) + q
+            if total:
+                acc[s] = total
+            else:
+                del acc[s]
+        return _from_canonical(tuple(sorted(acc.items())))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalValue":
-        return RadicalValue(tuple((s, -q) for s, q in self._terms))
+        return _from_canonical(tuple((s, -q) for s, q in self._terms))
 
     def __sub__(self, other: "RadicalValue" | Rational) -> "RadicalValue":
         rhs = self._coerce(other)
@@ -138,43 +184,25 @@ class RadicalValue:
     def __mul__(self, scalar: Rational) -> "RadicalValue":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return RadicalValue(tuple((s, q * scalar) for s, q in self._terms))
+        if not scalar:
+            return _from_canonical(())
+        return _from_canonical(tuple((s, q * scalar) for s, q in self._terms))
 
     __rmul__ = __mul__
 
     # -- exact comparison ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign (-1, 0, +1), decided without floating point."""
-        if not self._terms:
+        """Exact sign (-1, 0, +1).
+
+        A float evaluation decides the sign only when it lies outside a
+        proven error bound (see ``_float_sign`` for the argument); every
+        other value goes to exact interval refinement in scaled integers.
+        """
+        terms = self._terms
+        if not terms:
             return 0
-        if all(q > 0 for _, q in self._terms):
-            return 1
-        if all(q < 0 for _, q in self._terms):
-            return -1
-        bits = 32
-        while bits <= _MAX_SIGN_BITS:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            unit = 1 << bits
-            for s, q in self._terms:
-                root = isqrt(s << (2 * bits))
-                r_lo = Fraction(root, unit)
-                r_hi = Fraction(root + 1, unit)
-                if q >= 0:
-                    lo += q * r_lo
-                    hi += q * r_hi
-                else:
-                    lo += q * r_hi
-                    hi += q * r_lo
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            bits *= 2
-        # Unreachable for genuinely nonzero values: independence of the
-        # radicals guarantees only the empty sum is zero.
-        raise AssertionError("sign refinement did not converge")
+        return _float_sign(terms) or _exact_sign(terms)
 
     def _cmp(self, other: "RadicalValue" | Rational) -> int | None:
         rhs = self._coerce(other)
@@ -252,6 +280,76 @@ class RadicalValue:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RadicalValue":
         return cls(tuple((int(s), Fraction(q)) for s, q in data["terms"]))
+
+
+def _from_canonical(terms: tuple[tuple[int, Fraction], ...]) -> RadicalValue:
+    """A value from terms already in canonical form.
+
+    ``terms`` must be sorted by radicand, each radicand squarefree and each
+    coefficient a nonzero ``Fraction``; nothing is checked.
+    """
+    value = object.__new__(RadicalValue)
+    value._terms = terms
+    return value
+
+
+def _float_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
+    """Sign of a nonempty sum decided in doubles, or 0 when undecided.
+
+    Soundness.  Let x_i = q_i*sqrt(s_i) exactly, u = 2**-53 and
+    f_i = float(q_i) * sqrt(s_i) evaluated in doubles.  float(q_i) is int/int
+    true division and sqrt(s_i) is IEEE sqrt of s_i, an exact double since
+    s_i < 2**53; both are correctly rounded, and so is their product.  While
+    nothing is subnormal or overflows, f_i = x_i*(1+d1)*(1+d2)*(1+d3) with
+    every |d_j| <= u, so |f_i - x_i| <= ((1+u)**3 - 1)*|x_i| <= 3.01u*|f_i|.
+    math.fsum is correctly rounded too: S = fsum(f_i) is within
+    u*sum|f_i| of sum(f_i), and A = fsum(|f_i|) >= (1-u)*sum|f_i|.  Hence
+    |S - sum(x_i)| <= 4.1u*A, and |S| > 2**-48*A = 32u*A forces sum(x_i)
+    to have the sign of S.  Requiring every |f_i| in (2**-900, 2**900)
+    keeps float(q_i) (sqrt(s_i) lies in [1, 2**26.5]), each product and
+    each fsum normal and finite; a quotient too large for a double raises
+    OverflowError, which also leaves the decision to the exact path.
+    """
+    if terms[-1][0] >= _FILTER_MAX_RADICAND:
+        return 0
+    try:
+        f = [float(q) * sqrt(s) for s, q in terms]
+    except OverflowError:
+        return 0
+    a = [abs(x) for x in f]
+    if not (_FILTER_TINY < min(a) and max(a) < _FILTER_HUGE):
+        return 0
+    total = fsum(f)
+    if abs(total) <= _FILTER_MARGIN * fsum(a):
+        return 0
+    return 1 if total > 0 else -1
+
+
+def _exact_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
+    """Sign of a nonempty sum by interval refinement in integers.
+
+    Scaling by the lcm of the denominators gives integer coefficients p_i.
+    r_i = isqrt(s_i << 2b) satisfies r_i <= sqrt(s_i)*2**b < r_i + 1, so
+    2**b * sum(p_i*sqrt(s_i)) lies in [lo, lo + sum|p_i|], where lo takes
+    r_i for positive p_i and r_i + 1 for negative ones.
+    """
+    scale = lcm(*(q.denominator for _, q in terms))
+    coeffs = [(s, q.numerator * (scale // q.denominator)) for s, q in terms]
+    width = sum(abs(p) for _, p in coeffs)
+    bits = 32
+    while bits <= _MAX_SIGN_BITS:
+        lo = 0
+        for s, p in coeffs:
+            root = isqrt(s << (2 * bits))
+            lo += p * (root if p > 0 else root + 1)
+        if lo > 0:
+            return 1
+        if lo + width < 0:
+            return -1
+        bits *= 2
+    # Unreachable for genuinely nonzero values: independence of the
+    # radicals guarantees only the empty sum is zero.
+    raise AssertionError("sign refinement did not converge")
 
 
 def _frac_str(q: Fraction) -> str:

@@ -26,7 +26,7 @@ from .construct import (
 )
 from .enumeration import enumerate_trees, enumerate_unicyclic
 from .graph6 import emit_graph6
-from .graphs import Graph, graph_from_edges, is_unicyclic, unique_cycle
+from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
 from .indices import product_connectivity, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
@@ -45,7 +45,7 @@ def degree_two_attachment_count(g: Graph) -> int:
     """
     deg = g.degrees()
     top = max(deg)
-    cycle = set(unique_cycle(g)) if is_unicyclic(g) else set()
+    cycle = set(peel_to_cycle(g)) if is_unicyclic(g) else set()
     best = 0
     for v in range(g.n):
         if deg[v] != top:

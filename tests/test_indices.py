@@ -12,6 +12,7 @@ from sumconn.graphs import cycle_graph, graph_from_edges, path_graph, star_graph
 from sumconn.indices import (
     EdgelessGraphError,
     IndexKind,
+    connectivity_index,
     edge_contribution,
     product_connectivity,
     sum_connectivity,
@@ -90,3 +91,24 @@ def test_isomorphic_graphs_have_identical_values(data):
     assert canonical_code(g) == canonical_code(h)
     assert sum_connectivity(g) == sum_connectivity(h)
     assert product_connectivity(g) == product_connectivity(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_index_kernel_matches_per_edge_normalizing_constructor(data):
+    # Random connected graphs: a random tree plus random chords.  Degree
+    # products such as 4, 8, 9 and 12 exercise the square-factor branch.
+    n = data.draw(st.integers(min_value=2, max_value=11))
+    parents = [data.draw(st.integers(min_value=0, max_value=v - 1)) for v in range(1, n)]
+    edges = {(p, v) for v, p in enumerate(parents, start=1)}
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if non_edges:
+        edges |= set(data.draw(st.lists(st.sampled_from(non_edges), max_size=2 * n)))
+    g = graph_from_edges(n, sorted(edges))
+    deg = g.degrees()
+    for kind in IndexKind:
+        radicands = [
+            deg[u] + deg[v] if kind is IndexKind.SUM else deg[u] * deg[v] for u, v in g.edges
+        ]
+        reference = RadicalValue([(s, Fraction(1, s)) for s in radicands])
+        assert connectivity_index(g, kind)._terms == reference._terms

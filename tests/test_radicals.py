@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumconn.radicals import RadicalValue, squarefree_decompose
+from sumconn.radicals import (
+    RadicalValue,
+    _exact_sign,
+    _float_sign,
+    _from_canonical,
+    squarefree_decompose,
+)
 
 
 def test_squarefree_decompose():
@@ -138,3 +144,120 @@ def test_float_matches_termwise_summation(terms):
     value = RadicalValue(terms)
     oracle = math.fsum(float(q) * math.sqrt(s) for s, q in value.terms.items())
     assert float(value) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+
+def _oracle_sign(value: RadicalValue, dps: int = 60) -> int:
+    with mpmath.workdps(dps):
+        reference = mpmath.fsum(
+            mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(s)
+            for s, q in value.terms.items()
+        )
+        return 0 if reference == 0 else (1 if reference > 0 else -1)
+
+
+def _assert_paths_agree(value: RadicalValue, expected: int) -> None:
+    assert value.sign() == expected
+    if expected:
+        assert _exact_sign(value._terms) == expected
+        assert _float_sign(value._terms) in (0, expected)
+    else:
+        assert value.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _term_strategy,
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_near_ties_agree_with_exact_refinement_and_oracle(terms, extra_bits, offset):
+    # x - r with r a dyadic rational within 2**-60*|x| of x: the float
+    # filter must step aside and the integer refinement decide.
+    x = RadicalValue(terms)
+    if x.is_zero():
+        return
+    with mpmath.workdps(120):
+        exact = mpmath.fsum(
+            mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(s) for s, q in x
+        )
+        _, exponent = mpmath.frexp(exact)
+        bits = 62 - int(exponent) + extra_bits
+        r = Fraction(int(mpmath.floor(exact * mpmath.mpf(2) ** bits)) + offset, 2**bits)
+    value = x - r
+    _assert_paths_agree(value, _oracle_sign(value, dps=120))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_term_strategy, _term_strategy)
+def test_exact_equalities_and_filter_agree_with_oracle(t1, t2):
+    a, b = RadicalValue(t1), RadicalValue(t2)
+    assert ((a + b) - b - a)._terms == ()
+    assert ((a + b) - b - a).sign() == 0
+    for value in (a, b, a - b, a + b):
+        _assert_paths_agree(value, _oracle_sign(value))
+
+
+# 2**61 - 1 is prime, so squarefree; built directly because factoring it
+# by trial division would take minutes.
+_BIG_PRIME = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        ((2, Fraction(10**400)), (3, -Fraction(10**400))),  # float(q) overflows
+        ((2, Fraction(1, 10**400)), (3, -Fraction(1, 10**400))),  # float(q) underflows
+        ((5, Fraction(2**950)), (7, Fraction(-(2**950)))),  # terms beyond 2**900
+        ((1, Fraction(-(2**30))), (_BIG_PRIME, Fraction(1))),  # radicand not an exact double
+        ((1, -Fraction(_BIG_PRIME, 2**30 + 1)), (_BIG_PRIME, Fraction(1))),
+    ],
+)
+def test_sign_outside_filter_range(terms):
+    value = _from_canonical(terms)
+    assert _float_sign(value._terms) == 0
+    expected = _oracle_sign(value, dps=1000)
+    assert expected != 0
+    assert value.sign() == expected
+    assert (-value).sign() == -expected
+
+
+_scalar_strategy = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=1, max_value=12),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_strategy, _term_strategy, _scalar_strategy)
+def test_arithmetic_results_match_the_normalizing_constructor(t1, t2, scalar):
+    a, b = RadicalValue(t1), RadicalValue(t2)
+    assert (a + b)._terms == RadicalValue(list(t1.items()) + list(t2.items()))._terms
+    assert (a - b)._terms == RadicalValue(
+        list(t1.items()) + [(s, -q) for s, q in t2.items()]
+    )._terms
+    assert (a * scalar)._terms == RadicalValue([(s, q * scalar) for s, q in t1.items()])._terms
+    assert (-a)._terms == RadicalValue([(s, -q) for s, q in t1.items()])._terms
+    assert (a + scalar)._terms == RadicalValue(list(t1.items()) + [(1, scalar)])._terms
+    for value in (a + b, a - b, a * scalar, -a, a + scalar):
+        radicands = [s for s, _ in value._terms]
+        assert radicands == sorted(set(radicands))
+        for s, q in value._terms:
+            assert squarefree_decompose(s) == (1, s)
+            assert type(q) is Fraction and q != 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        keys=st.integers(min_value=1, max_value=60),
+        values=st.integers(min_value=-3, max_value=5),
+        max_size=8,
+    )
+)
+def test_reciprocal_sqrt_sum_matches_the_normalizing_constructor(counts):
+    value = RadicalValue.reciprocal_sqrt_sum(counts)
+    assert value._terms == RadicalValue([(s, Fraction(k, s)) for s, k in counts.items()])._terms
