@@ -11,6 +11,7 @@ enumeration workloads fast; the generic path is a safety net.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from .graphs import (
     Graph,
@@ -33,13 +34,17 @@ def canonical_code(g: Graph) -> CanonicalCode:
     if not is_connected(g):
         raise NotConnectedError("canonical codes are defined for connected graphs only")
     # Connected, so the edge count alone tells trees and unicyclic graphs.
+    if g.m == g.n:
+        return necklace_code(g.n, necklace_min(_pendant_codes(g)))
     if g.m == g.n - 1:
         edges = _tree_canonical_edges(g)
-    elif g.m == g.n:
-        edges = _unicyclic_canonical_edges(g)
     else:
         edges = _generic_canonical_edges(g)
-    out = bytearray([g.n])
+    return _encode(g.n, edges)
+
+
+def _encode(n: int, edges: list[tuple[int, int]]) -> CanonicalCode:
+    out = bytearray([n])
     for u, v in sorted(edges):
         out.append(u)
         out.append(v)
@@ -117,34 +122,49 @@ def _tree_canonical_edges(g: Graph) -> list[tuple[int, int]]:
 # -- unicyclic graphs ------------------------------------------------------
 
 
-def _unicyclic_canonical_edges(g: Graph) -> list[tuple[int, int]]:
+def _pendant_codes(g: Graph) -> list[str]:
+    """AHU code of the pendant tree rooted at each cycle vertex, in cycle order."""
     cycle = peel_to_cycle(g)
     on_cycle = set(cycle)
-    # AHU code of the pendant tree rooted at each cycle vertex (cycle edges
-    # masked out so the cycle neighbors do not count as children).
+    # Cycle edges masked out so the cycle neighbors do not count as children.
     forest_adj = tuple(
         tuple(w for w in g.adjacency[v] if not (v in on_cycle and w in on_cycle))
         for v in range(g.n)
     )
-    codes = [_rooted_code(forest_adj, c, -1) for c in cycle]
+    return [_rooted_code(forest_adj, c, -1) for c in cycle]
+
+
+def necklace_min(codes: Sequence[str]) -> tuple[str, ...]:
+    """Least rotation or reflection of a cyclic sequence of pendant codes.
+
+    A unicyclic graph is determined up to isomorphism by the cyclic
+    sequence of its pendant-tree codes read in either direction, and the
+    minimum over all 2k readings does not depend on where or which way the
+    cycle was walked.  So two unicyclic graphs are isomorphic exactly when
+    their necklace minima are equal.
+    """
     k = len(codes)
-    best: tuple[str, ...] | None = None
-    for direction in (1, -1):
-        for start in range(k):
-            candidate = tuple(codes[(start + direction * i) % k] for i in range(k))
-            if best is None or candidate < best:
-                best = candidate
-    assert best is not None
+    doubled = list(codes) * 2
+    backward = doubled[::-1]
+    return tuple(min(seq[i : i + k] for seq in (doubled, backward) for i in range(k)))
+
+
+def necklace_code(n: int, necklace: tuple[str, ...]) -> CanonicalCode:
+    """Canonical code of the unicyclic graph on ``n`` vertices whose
+    pendant codes, read around the cycle, are ``necklace`` (a
+    ``necklace_min`` result): the pendant trees are relabeled in necklace
+    order and consecutive roots are joined into the cycle."""
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
     nxt = 0
-    for code in best:
+    for code in necklace:
         root, sub_edges, nxt = _parse_paren(code, nxt)
         roots.append(root)
         edges.extend(sub_edges)
+    k = len(roots)
     for i in range(k):
         edges.append((roots[i], roots[(i + 1) % k]))
-    return edges
+    return _encode(n, edges)
 
 
 # -- generic connected graphs ----------------------------------------------

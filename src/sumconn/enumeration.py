@@ -5,7 +5,10 @@ on level sequences: a rooted tree is the list of depths in preorder, and a
 level sequence represents a free tree exactly when the root's first
 subtree is no "larger" (height, then size, then lexicographic order) than
 the rest of the tree.  Unicyclic graphs are produced by adding every
-possible chord to every free tree and deduplicating by canonical code.
+possible chord to every free tree.  A chord is deduplicated by the
+pendant-code necklace of the cycle it closes, read off the tree's
+memoized branch codes; no candidate graph is built or canonically coded,
+and the first chord seen for each class gives its representative.
 
 Results are materialized and ordered by canonical code so that repeated
 runs, reports, and CLI output are reproducible.
@@ -14,8 +17,9 @@ runs, reports, and CLI output are reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator
 
-from .canon import canonical_code
+from .canon import canonical_code, necklace_code, necklace_min
 from .graphs import Graph, SizeLimitError, graph_from_edges
 
 MAX_TREE_VERTICES = 16
@@ -113,18 +117,90 @@ def _all_trees(n: int) -> tuple[Graph, ...]:
     return tuple(graphs)
 
 
+def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
+    """Every chord ``(u, v)``, ``u < v``, of ``tree`` in lexicographic order,
+    with the necklace key of ``tree + (u, v)``.
+
+    The chord closes the cycle formed by the tree path from u to v.  The
+    pendant code of a cycle vertex w is ``"(" + sorted(branch(c, w) for c
+    off the cycle) + ")"``, where ``branch(c, w)`` is the AHU code of c's
+    side of the tree edge (c, w) rooted at c.  That side holds no cycle
+    vertex, so the chord leaves it unchanged, and the string is exactly
+    what ``canon._pendant_codes`` computes for the unicyclic graph.  The
+    key is ``necklace_min`` of those codes in path order, the necklace from
+    which ``canonical_code`` builds its bytes, so equal keys mean equal
+    canonical codes and, conversely, isomorphic graphs get equal keys.
+    """
+    n = tree.n
+    adj = tree.adjacency
+    parent = [-1] * n
+    depth = [0] * n
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y != parent[x]:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                order.append(y)
+    branches: dict[tuple[int, int], str] = {}
+
+    def branch(c: int, w: int) -> str:
+        code = branches.get((c, w))
+        if code is None:
+            code = "(" + "".join(sorted(branch(d, c) for d in adj[c] if d != w)) + ")"
+            branches[(c, w)] = code
+        return code
+
+    pendants: dict[tuple[int, int, int], str] = {}
+
+    def pendant(w: int, a: int, b: int) -> str:
+        """Code of w's pendant tree when its cycle neighbors are a and b."""
+        code = pendants.get((w, a, b))
+        if code is None:
+            code = "(" + "".join(sorted(branch(c, w) for c in adj[w] if c != a and c != b)) + ")"
+            pendants[(w, a, b)] = code
+        return code
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            if v in adj[u]:
+                continue
+            head, tail = [u], [v]
+            x, y = u, v
+            while depth[x] > depth[y]:
+                x = parent[x]
+                head.append(x)
+            while depth[y] > depth[x]:
+                y = parent[y]
+                tail.append(y)
+            while x != y:
+                x = parent[x]
+                head.append(x)
+                y = parent[y]
+                tail.append(y)
+            tail.pop()  # the meeting vertex already ends ``head``
+            # u and v each have one cycle neighbor in the tree; the -1 at
+            # the end stands in for the missing one on both sides.
+            cycle = head + tail[::-1] + [-1]
+            codes = [pendant(w, cycle[i - 1], cycle[i + 1]) for i, w in enumerate(cycle[:-1])]
+            yield (u, v), necklace_min(codes)
+
+
 @lru_cache(maxsize=None)
 def _all_unicyclic(n: int) -> tuple[Graph, ...]:
-    found: dict[bytes, Graph] = {}
+    """Every tree plus every chord, one graph per necklace key.
+
+    Trees and chords are visited in a fixed order and a class keeps the
+    first graph found for it, so the representatives do not depend on how
+    keys are computed.  Classes are ordered by the canonical code built
+    from their key.
+    """
+    found: dict[tuple[str, ...], Graph] = {}
     for tree in _all_trees(n):
-        present = set(tree.edges)
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (u, v) in present:
-                    continue
-                g = graph_from_edges(n, tree.edges + ((u, v),))
-                found.setdefault(canonical_code(g), g)
-    return tuple(found[code] for code in sorted(found))
+        for chord, key in _chord_necklaces(tree):
+            if key not in found:
+                found[key] = graph_from_edges(n, tree.edges + (chord,))
+    return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
 
 
 def _admits(g: Graph, delta: DeltaFilter) -> bool:

@@ -52,14 +52,23 @@ def squarefree_decompose(value: int) -> tuple[int, int]:
     """
     if value <= 0:
         raise ValueError(f"expected a positive integer, got {value}")
-    a, b = 1, value
+    a, b, m = 1, 1, value
     p = 2
-    while p * p <= b:
-        while b % (p * p) == 0:
-            b //= p * p
-            a *= p
+    # Divide out whole prime powers while p**3 <= m.  Afterwards every prime
+    # factor of m is at least p > cbrt(m), so m is 1, q, q*r or q*q.
+    while p * p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            a *= p ** (e // 2)
+            b *= p ** (e % 2)
         p += 1 if p == 2 else 2
-    return a, b
+    r = isqrt(m)
+    if r * r == m:
+        return a * r, b
+    return a, b * m
 
 
 class RadicalValue:

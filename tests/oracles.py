@@ -6,6 +6,12 @@ separate AHU-style string encoder, a separate unicyclic class key, and
 brute-force isomorphism classes by permutation-orbit closure.  Counts and
 class structures computed here cross-check the production enumerators and
 canonical codes without sharing their code paths.
+
+Two references are kept for a different purpose: they are the earlier,
+slower production algorithms, and tests compare the fast ones against them
+output for output.  ``chord_dedup_unicyclic`` builds every tree-plus-chord
+graph and deduplicates by the package's ``canonical_code``;
+``squarefree_by_trial_division`` trial-divides up to the square root.
 """
 
 from __future__ import annotations
@@ -208,3 +214,35 @@ def connected_graph_orbit_classes(n: int, edge_count: int | None = None) -> list
                 )
             )
     return reps
+
+
+def chord_dedup_unicyclic(n: int) -> list[tuple[Edge, ...]]:
+    """Unicyclic representatives (edge tuples) by building every free tree
+    plus every chord and keeping the first graph per canonical code, in
+    canonical-code order."""
+    from sumconn.canon import canonical_code
+    from sumconn.enumeration import enumerate_trees
+    from sumconn.graphs import graph_from_edges
+
+    found = {}
+    for tree in enumerate_trees(n):
+        present = set(tree.edges)
+        for u, v in combinations(range(n), 2):
+            if (u, v) in present:
+                continue
+            g = graph_from_edges(n, tree.edges + ((u, v),))
+            found.setdefault(canonical_code(g), g.edges)
+    return [found[code] for code in sorted(found)]
+
+
+def squarefree_by_trial_division(value: int) -> tuple[int, int]:
+    """``(a, b)`` with ``value == a*a*b`` and ``b`` squarefree, removing
+    square factors p*p for every p up to the square root of what is left."""
+    a, b = 1, value
+    p = 2
+    while p * p <= b:
+        while b % (p * p) == 0:
+            b //= p * p
+            a *= p
+        p += 1 if p == 2 else 2
+    return a, b

@@ -1,24 +1,33 @@
+import random
+
 import pytest
 
 from sumconn.canon import canonical_code
-from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
+from sumconn.enumeration import _chord_necklaces, enumerate_trees, enumerate_unicyclic
 from sumconn.graphs import (
     SizeLimitError,
+    graph_from_edges,
     is_tree,
     is_unicyclic,
     max_degree,
     star_graph,
+    unique_cycle,
 )
 from sumconn.construct import unicyclic_extremal
 
 from oracles import (
+    chord_dedup_unicyclic,
     connected_graph_orbit_classes,
     labeled_tree_classes,
     labeled_unicyclic_class_count,
+    prufer_decode,
 )
 
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
-UNICYCLIC_COUNTS = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657}
+# OEIS A001429
+UNICYCLIC_COUNTS = {
+    3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026, 13: 13999,
+}
 
 
 def test_free_tree_counts():
@@ -29,8 +38,55 @@ def test_free_tree_counts():
 
 def test_unicyclic_counts():
     for n, expected in UNICYCLIC_COUNTS.items():
-        if n <= 9:
-            assert len(enumerate_unicyclic(n)) == expected
+        assert len(enumerate_unicyclic(n)) == expected
+
+
+def test_unicyclic_matches_chord_dedup_reference():
+    # Same representatives (edge for edge) in the same order.
+    for n in range(3, 11):
+        assert [g.edges for g in enumerate_unicyclic(n)] == chord_dedup_unicyclic(n)
+    reference = chord_dedup_unicyclic(8)
+    for delta in range(2, 8):
+        expected = [e for e in reference if max_degree(graph_from_edges(8, e)) == delta]
+        assert [g.edges for g in enumerate_unicyclic(8, delta)] == expected
+    expected = [e for e in reference if 3 <= max_degree(graph_from_edges(8, e)) <= 5]
+    assert [g.edges for g in enumerate_unicyclic(8, (3, 5))] == expected
+
+
+def _relabeled(rng: random.Random, n: int, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return graph_from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _random_unicyclic(rng: random.Random, n: int):
+    tree = prufer_decode(tuple(rng.randrange(n) for _ in range(n - 2)), n)
+    chord = rng.choice([(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree])
+    return _relabeled(rng, n, tree + [chord])
+
+
+def _necklace_key(g):
+    """Key of ``g`` as the enumerator computes it: spanning tree plus chord."""
+    cycle = unique_cycle(g)
+    chord = (min(cycle[:2]), max(cycle[:2]))
+    tree = graph_from_edges(g.n, [e for e in g.edges if e != chord])
+    return dict(_chord_necklaces(tree))[chord]
+
+
+def test_necklace_keys_agree_with_canonical_codes():
+    rng = random.Random(20121)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randrange(4, 9)
+        a = _random_unicyclic(rng, n)
+        if rng.random() < 0.5:  # an isomorphic copy, usually cut at another cycle edge
+            b = _relabeled(rng, n, a.edges)
+        else:
+            b = _random_unicyclic(rng, n)
+        same = canonical_code(a) == canonical_code(b)
+        assert (_necklace_key(a) == _necklace_key(b)) == same
+        outcomes[same] += 1
+    assert min(outcomes.values()) >= 100
 
 
 def test_all_yields_are_valid_and_distinct():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -14,6 +15,8 @@ from sumconn.radicals import (
     squarefree_decompose,
 )
 
+from oracles import squarefree_by_trial_division
+
 
 def test_squarefree_decompose():
     assert squarefree_decompose(1) == (1, 1)
@@ -23,6 +26,26 @@ def test_squarefree_decompose():
     assert squarefree_decompose(97) == (1, 97)
     with pytest.raises(ValueError):
         squarefree_decompose(0)
+
+
+def test_squarefree_decompose_matches_trial_division():
+    decompose = squarefree_decompose.__wrapped__  # leave the memo alone
+    for value in range(1, 10**5):
+        assert decompose(value) == squarefree_by_trial_division(value), value
+
+
+def test_squarefree_decompose_large_radicands():
+    # Trial division up to the square root takes minutes on each of these.
+    p31, p29 = 2**31 - 1, 2**29 - 3  # both prime
+    cases = [(2**61 - 1, (1, 2**61 - 1)), (p31 * p31 * 3, (p31, 3)), (p31 * p29, (1, p31 * p29))]
+    for value, expected in cases:
+        start = time.perf_counter()
+        assert squarefree_decompose.__wrapped__(value) == expected
+        assert time.perf_counter() - start < 5.0
+    start = time.perf_counter()
+    value = RadicalValue({2**61 - 1: 1})
+    assert RadicalValue.from_json_dict(value.to_json_dict()) == value
+    assert time.perf_counter() - start < 5.0
 
 
 def test_reciprocal_sqrt_normalization():
