@@ -1,7 +1,8 @@
 """Canonical codes for connected graphs: equal codes iff isomorphic.
 
 A code is the byte encoding of a canonically relabeled edge set, prefixed
-by the vertex count.  Trees use a centroid-rooted AHU encoding; unicyclic
+by the vertex count.  Trees use a center-rooted AHU encoding (read
+straight off a WROM level sequence by ``level_sequence_code``); unicyclic
 graphs canonicalize the cycle under rotation and reflection with AHU codes
 for the subtrees hanging off each cycle vertex; everything else falls back
 to individualization-refinement search.  The specialized paths keep the
@@ -10,6 +11,7 @@ enumeration workloads fast; the generic path is a safety net.
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import lru_cache
 from typing import Sequence
 
@@ -117,6 +119,59 @@ def _tree_canonical_edges(g: Graph) -> list[tuple[int, int]]:
     best = min(_rooted_code(g.adjacency, c, -1) for c in _tree_centers(g.adjacency))
     _, edges, _ = _parse_paren(best, 0)
     return edges
+
+
+def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
+    """``canonical_code`` of the free tree a WROM level sequence denotes,
+    read off the depths.
+
+    ``seq[i]`` is the depth of vertex i, the vertices numbered in preorder
+    from the root, as the Wright-Richmond-Odlyzko-McKay generator emits
+    them.  Soundness:
+
+    * The root is a center.  A Beyer-Hedetniemi canonical sequence lists
+      every vertex's subtrees in non-increasing level-sequence order, and
+      each subtree's sequence starts with its longest root path, so a
+      taller subtree sorts first: the first root subtree, at vertex 1, is
+      the tallest, of height h1 below vertex 1.  WROM accepts a sequence
+      only when h1 is at most h2 + 1, the height of the rest of the tree,
+      where h2 is the height of the second root subtree (-1 if there is
+      none).  So h1 is h2 or h2 + 1.  With h1 = h2 the root is the only
+      center; with h1 = h2 + 1 the centers are the root and vertex 1.
+    * The paren string of a level sequence puts ``seq[i] + 1 - seq[i + 1]``
+      closing parens between the opening ones of vertices i and i + 1, so
+      where two sequences first differ, the larger depth gives ``(``
+      against ``)``: non-increasing level sequences are ascending AHU
+      strings, because ``'(' < ')'``.  The root's AHU string,
+      ``_rooted_code`` at vertex 0, is therefore the paren string of
+      ``seq`` itself, built with no sort, and ``_parse_paren`` labels it in
+      the sequence's own preorder.
+    * Vertex i's opening paren sits at index ``2*i - seq[i]`` (i openings
+      and ``i - seq[i]`` closings precede it), and the string has ``2*n``
+      characters.  For a bicentral tree the AHU string at vertex 1 is
+      ``"(" + sorted(child codes of vertex 1, root-side branch) + ")"``:
+      the child codes are consecutive, already sorted, substrings of the
+      root string, and the root-side branch is ``"(" + codes of the other
+      root children + ")"``, inserted in order.
+
+    ``canonical_code`` parses the least AHU string over the centers; this
+    parses the least of the root string and, for a bicentral tree, the
+    vertex-1 string.
+    """
+    n = len(seq)
+    closings = [")" * (a + 1 - b) + "(" for a, b in zip(seq, seq[1:])]
+    best = "(" + "".join(closings) + ")" * (seq[-1] + 1)
+    try:
+        cut = seq.index(1, 2)  # the second child of the root, if any
+    except ValueError:
+        cut = n
+    if max(seq[1:cut], default=0) > max(seq[cut:], default=0):
+        bounds = [2 * v - 2 for v in range(2, cut) if seq[v] == 2] + [2 * cut - 2]
+        children = [best[a:b] for a, b in zip(bounds, bounds[1:])]
+        insort(children, "(" + best[2 * cut - 1 : 2 * n - 1] + ")")
+        best = min(best, "(" + "".join(children) + ")")
+    _, edges, _ = _parse_paren(best, 0)
+    return _encode(n, edges)
 
 
 # -- unicyclic graphs ------------------------------------------------------

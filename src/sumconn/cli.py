@@ -215,7 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if report.passed else MISMATCH
 
     if args.all:
-        result = run_sweeps(threads=args.threads)
+        result = run_sweeps()
         if args.json:
             _emit_json(result.to_json_dict(), args.json)
         else:
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="run the full standard sweep")
     p.add_argument("--trials", type=int, default=1000, help="transform suite trials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_json_flag(p)
     p.set_defaults(fn=_cmd_verify)
 

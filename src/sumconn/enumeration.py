@@ -11,16 +11,21 @@ memoized branch codes; no candidate graph is built or canonically coded,
 and the first chord seen for each class gives its representative.
 
 Results are materialized and ordered by canonical code so that repeated
-runs, reports, and CLI output are reproducible.
+runs, reports, and CLI output are reproducible.  A tree's code is read off
+its level sequence (``canon.level_sequence_code``) and its graph is built
+from the sequence's parent array, with no validation, BFS or AHU sort per
+tree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator
 
-from .canon import canonical_code, necklace_code, necklace_min
-from .graphs import Graph, SizeLimitError, graph_from_edges
+from .canon import level_sequence_code, necklace_code, necklace_min
+from .graphs import Graph, SizeLimitError, _graph_from_sorted_edges
 
 MAX_TREE_VERTICES = 16
 MAX_UNICYCLIC_VERTICES = 14
@@ -83,18 +88,6 @@ def _next_free(candidate: list[int]) -> list[int] | None:
     return successor
 
 
-def _level_sequence_edges(seq: list[int]) -> list[tuple[int, int]]:
-    edges: list[tuple[int, int]] = []
-    stack: list[int] = []
-    for v, depth in enumerate(seq):
-        while stack and seq[stack[-1]] >= depth:
-            stack.pop()
-        if stack:
-            edges.append((stack[-1], v))
-        stack.append(v)
-    return edges
-
-
 def _free_tree_level_sequences(n: int):
     seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while seq is not None:
@@ -105,16 +98,28 @@ def _free_tree_level_sequences(n: int):
         seq = _next_rooted(seq)
 
 
+def _level_sequence_tree(seq: list[int]) -> Graph:
+    """The tree whose vertex ``v`` has depth ``seq[v]`` in preorder."""
+    last = [0] * len(seq)  # the latest vertex seen at each depth
+    edges = []
+    for v in range(1, len(seq)):
+        depth = seq[v]
+        edges.append((last[depth - 1], v))
+        last[depth] = v
+    edges.sort()
+    return _graph_from_sorted_edges(len(seq), tuple(edges))
+
+
 @lru_cache(maxsize=None)
 def _all_trees(n: int) -> tuple[Graph, ...]:
     if n == 1:
-        return (graph_from_edges(1, []),)
-    graphs = [
-        graph_from_edges(n, _level_sequence_edges(seq))
+        return (_level_sequence_tree([0]),)
+    keyed = [
+        (level_sequence_code(seq), _level_sequence_tree(seq))
         for seq in _free_tree_level_sequences(n)
     ]
-    graphs.sort(key=canonical_code)
-    return tuple(graphs)
+    keyed.sort(key=itemgetter(0))
+    return tuple(g for _, g in keyed)
 
 
 def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
@@ -199,7 +204,10 @@ def _all_unicyclic(n: int) -> tuple[Graph, ...]:
     for tree in _all_trees(n):
         for chord, key in _chord_necklaces(tree):
             if key not in found:
-                found[key] = graph_from_edges(n, tree.edges + (chord,))
+                at = bisect(tree.edges, chord)
+                found[key] = _graph_from_sorted_edges(
+                    n, tree.edges[:at] + (chord,) + tree.edges[at:]
+                )
     return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
 
 

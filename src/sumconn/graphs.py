@@ -91,15 +91,23 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
+    return _graph_from_sorted_edges(n, tuple(sorted(seen)))
+
+
+def _graph_from_sorted_edges(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+    """A graph from an edge tuple already in normalized form (unchecked).
+
+    ``edges`` must be strictly increasing pairs ``(u, v)`` with
+    ``0 <= u < v < n``.  Appending in that order fills each adjacency list
+    sorted: a vertex's smaller neighbors arrive first, from the pairs that
+    end in it, in increasing order, then its larger ones, from the pairs
+    that start with it, also in increasing order.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(
-        n=n,
-        edges=tuple(sorted(seen)),
-        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-    )
+    return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, adj)))
 
 
 def path_graph(n: int) -> Graph:

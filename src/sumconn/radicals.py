@@ -219,7 +219,7 @@ class RadicalValue:
             return None
         if self._terms == rhs._terms:
             return 0
-        return (self - rhs).sign()
+        return _float_sign(self._terms, rhs._terms) or (self - rhs).sign()
 
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other) if isinstance(other, (RadicalValue, int, Fraction)) else None
@@ -302,8 +302,12 @@ def _from_canonical(terms: tuple[tuple[int, Fraction], ...]) -> RadicalValue:
     return value
 
 
-def _float_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
-    """Sign of a nonempty sum decided in doubles, or 0 when undecided.
+def _float_sign(
+    terms: tuple[tuple[int, Fraction], ...],
+    minus: tuple[tuple[int, Fraction], ...] = (),
+) -> int:
+    """Sign of ``sum(terms) - sum(minus)`` decided in doubles, or 0 when
+    undecided; the two together hold at least one term.
 
     Soundness.  Let x_i = q_i*sqrt(s_i) exactly, u = 2**-53 and
     f_i = float(q_i) * sqrt(s_i) evaluated in doubles.  float(q_i) is int/int
@@ -318,11 +322,19 @@ def _float_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
     keeps float(q_i) (sqrt(s_i) lies in [1, 2**26.5]), each product and
     each fsum normal and finite; a quotient too large for a double raises
     OverflowError, which also leaves the decision to the exact path.
+
+    Nothing above asks the radicands to be distinct or the sum to be
+    normalized, so the bound holds for any list of terms: the terms of
+    ``minus`` join the list negated, and negating a double is exact.  A
+    comparison ``a <=> b`` thus runs on the two term tuples without
+    building ``a - b``.
     """
-    if terms[-1][0] >= _FILTER_MAX_RADICAND:
-        return 0
+    for part in (terms, minus):
+        if part and part[-1][0] >= _FILTER_MAX_RADICAND:
+            return 0
     try:
         f = [float(q) * sqrt(s) for s, q in terms]
+        f += [-float(q) * sqrt(s) for s, q in minus]
     except OverflowError:
         return 0
     a = [abs(x) for x in f]

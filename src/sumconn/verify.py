@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_code, canonical_form
@@ -403,27 +403,10 @@ def run_sweeps(
     tree_ns: Iterable[int] = range(4, 13),
     unicyclic_ns: Iterable[int] = range(4, 12),
     top_two_ns: Iterable[int] = range(4, 12),
-    threads: int = 1,
 ) -> SweepResult:
-    """Run every verification in the standard ranges.
-
-    Tasks are independent; with ``threads > 1`` they are dispatched to a
-    thread pool and the reports are still returned in task order.
-    """
-    tree_tasks = [(n, d) for n in tree_ns for d in range(2, n)]
-    uni_tasks = [(n, d) for n in unicyclic_ns for d in range(2, n)]
-    top_tasks = list(top_two_ns)
-
-    def run_all(fn: Callable, tasks: list):
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(lambda t: fn(*t) if isinstance(t, tuple) else fn(t), tasks))
-        return [fn(*t) if isinstance(t, tuple) else fn(t) for t in tasks]
-
+    """Run every verification in the standard ranges, reports in task order."""
     return SweepResult(
-        tree_reports=run_all(verify_tree_max, tree_tasks),
-        unicyclic_reports=run_all(verify_unicyclic_max, uni_tasks),
-        top_two_reports=run_all(verify_top_two, top_tasks),
+        tree_reports=[verify_tree_max(n, d) for n in tree_ns for d in range(2, n)],
+        unicyclic_reports=[verify_unicyclic_max(n, d) for n in unicyclic_ns for d in range(2, n)],
+        top_two_reports=[verify_top_two(n) for n in top_two_ns],
     )

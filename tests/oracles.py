@@ -7,10 +7,12 @@ brute-force isomorphism classes by permutation-orbit closure.  Counts and
 class structures computed here cross-check the production enumerators and
 canonical codes without sharing their code paths.
 
-Two references are kept for a different purpose: they are the earlier,
+Three references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
-output for output.  ``chord_dedup_unicyclic`` builds every tree-plus-chord
-graph and deduplicates by the package's ``canonical_code``;
+output for output.  ``level_sequence_trees`` builds every WROM level
+sequence's tree through ``graph_from_edges`` and sorts by the package's
+``canonical_code``; ``chord_dedup_unicyclic`` builds every tree-plus-chord
+graph and deduplicates by ``canonical_code``;
 ``squarefree_by_trial_division`` trial-divides up to the square root.
 """
 
@@ -214,6 +216,34 @@ def connected_graph_orbit_classes(n: int, edge_count: int | None = None) -> list
                 )
             )
     return reps
+
+
+def _level_sequence_edges(seq: list[int]) -> list[Edge]:
+    edges: list[Edge] = []
+    stack: list[int] = []
+    for v, depth in enumerate(seq):
+        while stack and seq[stack[-1]] >= depth:
+            stack.pop()
+        if stack:
+            edges.append((stack[-1], v))
+        stack.append(v)
+    return edges
+
+
+def level_sequence_trees(n: int) -> list[tuple[Edge, ...]]:
+    """Free trees (edge tuples) on n vertices: the tree of every WROM level
+    sequence, built by ``graph_from_edges`` and sorted by canonical code."""
+    from sumconn.canon import canonical_code
+    from sumconn.enumeration import _free_tree_level_sequences
+    from sumconn.graphs import graph_from_edges
+
+    if n == 1:
+        return [()]
+    graphs = [
+        graph_from_edges(n, _level_sequence_edges(seq)) for seq in _free_tree_level_sequences(n)
+    ]
+    graphs.sort(key=canonical_code)
+    return [g.edges for g in graphs]
 
 
 def chord_dedup_unicyclic(n: int) -> list[tuple[Edge, ...]]:

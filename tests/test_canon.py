@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumconn.canon import canonical_code, canonical_form
-from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
+from sumconn.canon import canonical_code, canonical_form, level_sequence_code
+from sumconn.enumeration import (
+    _free_tree_level_sequences,
+    _level_sequence_tree,
+    enumerate_trees,
+    enumerate_unicyclic,
+)
 from sumconn.graphs import (
     Graph,
     NotConnectedError,
@@ -69,6 +74,14 @@ def test_exhaustive_ground_truth_small(n):
         codes.add(rep_code)
         for perm in permutations(range(n)):
             assert canonical_code(_permuted(g, perm)) == rep_code
+
+
+def test_level_sequence_codes_are_canonical_codes():
+    # Every free tree the enumerator generates, unicentral and bicentral.
+    assert level_sequence_code([0]) == canonical_code(graph_from_edges(1, []))
+    for n in range(2, 17):
+        for seq in _free_tree_level_sequences(n):
+            assert level_sequence_code(seq) == canonical_code(_level_sequence_tree(seq))
 
 
 @pytest.mark.parametrize("n", [7])

@@ -20,10 +20,15 @@ from oracles import (
     connected_graph_orbit_classes,
     labeled_tree_classes,
     labeled_unicyclic_class_count,
+    level_sequence_trees,
     prufer_decode,
 )
 
-FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
+# OEIS A000055
+FREE_TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
+    13: 1301, 14: 3159, 15: 7741, 16: 19320,
+}
 # OEIS A001429
 UNICYCLIC_COUNTS = {
     3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026, 13: 13999,
@@ -32,8 +37,16 @@ UNICYCLIC_COUNTS = {
 
 def test_free_tree_counts():
     for n, expected in FREE_TREE_COUNTS.items():
-        if n <= 10:
-            assert len(enumerate_trees(n)) == expected
+        assert len(enumerate_trees(n)) == expected
+
+
+def test_trees_match_level_sequence_reference():
+    # Same trees (edge for edge) in the same order, each built as
+    # graph_from_edges would build it.
+    for n in range(1, 17):
+        trees = enumerate_trees(n)
+        assert [g.edges for g in trees] == level_sequence_trees(n)
+        assert all(g == graph_from_edges(g.n, g.edges) for g in trees)
 
 
 def test_unicyclic_counts():
@@ -44,7 +57,9 @@ def test_unicyclic_counts():
 def test_unicyclic_matches_chord_dedup_reference():
     # Same representatives (edge for edge) in the same order.
     for n in range(3, 11):
-        assert [g.edges for g in enumerate_unicyclic(n)] == chord_dedup_unicyclic(n)
+        unicyclic = enumerate_unicyclic(n)
+        assert [g.edges for g in unicyclic] == chord_dedup_unicyclic(n)
+        assert all(g == graph_from_edges(g.n, g.edges) for g in unicyclic)
     reference = chord_dedup_unicyclic(8)
     for delta in range(2, 8):
         expected = [e for e in reference if max_degree(graph_from_edges(8, e)) == delta]

@@ -187,26 +187,32 @@ def _assert_paths_agree(value: RadicalValue, expected: int) -> None:
         assert value.is_zero()
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    _term_strategy,
-    st.integers(min_value=0, max_value=40),
-    st.integers(min_value=-2, max_value=2),
-)
-def test_near_ties_agree_with_exact_refinement_and_oracle(terms, extra_bits, offset):
-    # x - r with r a dyadic rational within 2**-60*|x| of x: the float
-    # filter must step aside and the integer refinement decide.
-    x = RadicalValue(terms)
-    if x.is_zero():
-        return
+def _near_dyadic(x: RadicalValue, extra_bits: int, offset: int) -> Fraction:
+    """A dyadic rational within 2**-60*|x| of the nonzero value x."""
     with mpmath.workdps(120):
         exact = mpmath.fsum(
             mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(s) for s, q in x
         )
         _, exponent = mpmath.frexp(exact)
         bits = 62 - int(exponent) + extra_bits
-        r = Fraction(int(mpmath.floor(exact * mpmath.mpf(2) ** bits)) + offset, 2**bits)
-    value = x - r
+        return Fraction(int(mpmath.floor(exact * mpmath.mpf(2) ** bits)) + offset, 2**bits)
+
+
+_near_tie_strategy = (
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=-2, max_value=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_strategy, *_near_tie_strategy)
+def test_near_ties_agree_with_exact_refinement_and_oracle(terms, extra_bits, offset):
+    # x - r with r a dyadic rational within 2**-60*|x| of x: the float
+    # filter must step aside and the integer refinement decide.
+    x = RadicalValue(terms)
+    if x.is_zero():
+        return
+    value = x - _near_dyadic(x, extra_bits, offset)
     _assert_paths_agree(value, _oracle_sign(value, dps=120))
 
 
@@ -218,6 +224,35 @@ def test_exact_equalities_and_filter_agree_with_oracle(t1, t2):
     assert ((a + b) - b - a).sign() == 0
     for value in (a, b, a - b, a + b):
         _assert_paths_agree(value, _oracle_sign(value))
+
+
+def _assert_comparisons_agree(a, b, dps: int = 60) -> None:
+    diff = a - b
+    expected = diff.sign()
+    assert expected == _oracle_sign(diff, dps)
+    lhs, rhs = RadicalValue._coerce(a)._terms, RadicalValue._coerce(b)._terms
+    if lhs != rhs:
+        assert _float_sign(lhs, rhs) in (0, expected)
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (
+        expected < 0, expected <= 0, expected > 0, expected >= 0, expected == 0
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_strategy, _term_strategy, _term_strategy, *_near_tie_strategy)
+def test_comparisons_agree_with_difference_sign_and_oracle(t1, t2, shared, extra_bits, offset):
+    a, b, c = RadicalValue(t1), RadicalValue(t2), RadicalValue(shared)
+    _assert_comparisons_agree(a, b)
+    # Every radicand of c on both sides, with equal coefficients.
+    _assert_comparisons_agree(
+        RadicalValue({**a.terms, **c.terms}), RadicalValue({**b.terms, **c.terms})
+    )
+    if a.is_zero():
+        return
+    r = _near_dyadic(a, extra_bits, offset)
+    _assert_comparisons_agree(a, r, dps=120)
+    _assert_comparisons_agree(r, a, dps=120)
+    _assert_comparisons_agree(a + c, c + r, dps=120)
 
 
 # 2**61 - 1 is prime, so squarefree; built directly because factoring it
@@ -238,10 +273,12 @@ _BIG_PRIME = 2**61 - 1
 def test_sign_outside_filter_range(terms):
     value = _from_canonical(terms)
     assert _float_sign(value._terms) == 0
+    assert _float_sign((), value._terms) == 0  # the same guards on the subtracted side
     expected = _oracle_sign(value, dps=1000)
     assert expected != 0
     assert value.sign() == expected
     assert (-value).sign() == -expected
+    assert (RadicalValue.zero() < value) == (expected > 0)
 
 
 _scalar_strategy = st.one_of(

@@ -11,7 +11,6 @@ from sumconn.verify import (
     FamilyTooSmallError,
     chi_r_correlation,
     degree_two_attachment_count,
-    run_sweeps,
     transform_monotonicity_suite,
     verify_top_two,
     verify_tree_max,
@@ -172,10 +171,3 @@ def test_report_json_shape():
     assert isinstance(data["formula"]["terms"], list)
     top = verify_top_two(5).to_json_dict()
     assert top["kind"] == "top_two" and top["passed"] is True
-
-
-def test_small_parallel_sweep_matches_serial():
-    serial = run_sweeps(tree_ns=[5, 6], unicyclic_ns=[5], top_two_ns=[5], threads=1)
-    parallel = run_sweeps(tree_ns=[5, 6], unicyclic_ns=[5], top_two_ns=[5], threads=4)
-    assert serial.passed and parallel.passed
-    assert serial.to_json_dict() == parallel.to_json_dict()
