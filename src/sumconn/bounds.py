@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import DeltaRangeError, cycle_spider_family, unicyclic_extremal
+from .construct import DeltaRangeError, cycle_spider_family, is_large_delta, unicyclic_extremal
 from .graphs import Graph, cycle_graph
 from .radicals import RadicalValue
 
@@ -26,7 +26,7 @@ def tree_max_bound(n: int, delta: int) -> RadicalValue:
     maximum degree delta."""
     if n < 3 or not 2 <= delta <= n - 1:
         raise DeltaRangeError(f"need n >= 3 and 2 <= delta <= n-1, got n={n}, delta={delta}")
-    if delta >= (n + 1) // 2:
+    if is_large_delta("tree", n, delta):
         return (
             _rsqrt(delta + 1) * (2 * delta - n + 1)
             + _rsqrt(delta + 2) * (n - delta - 1)
@@ -44,7 +44,7 @@ def unicyclic_max_bound(n: int, delta: int) -> RadicalValue:
     and maximum degree delta."""
     if n < 3 or not 2 <= delta <= n - 1:
         raise DeltaRangeError(f"need n >= 3 and 2 <= delta <= n-1, got n={n}, delta={delta}")
-    if delta >= (n + 3) // 2:
+    if is_large_delta("unicyclic", n, delta):
         return (
             _rsqrt(3) * (n - delta - 1)
             + _rsqrt(delta + 2) * (n - delta + 1)

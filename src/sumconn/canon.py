@@ -197,11 +197,19 @@ def necklace_min(codes: Sequence[str]) -> tuple[str, ...]:
     minimum over all 2k readings does not depend on where or which way the
     cycle was walked.  So two unicyclic graphs are isomorphic exactly when
     their necklace minima are equal.
+
+    Only readings that start at an occurrence of the least code are
+    compared: a reading's first element is the code it starts at, so a
+    reading starting anywhere else is beaten at its first element by one
+    that starts at the least code, and the minimum is among the rest.
     """
     k = len(codes)
+    least = min(codes)
     doubled = list(codes) * 2
     backward = doubled[::-1]
-    return tuple(min(seq[i : i + k] for seq in (doubled, backward) for i in range(k)))
+    return tuple(
+        min([seq[i : i + k] for seq in (doubled, backward) for i in range(k) if seq[i] == least])
+    )
 
 
 def necklace_code(n: int, necklace: tuple[str, ...]) -> CanonicalCode:

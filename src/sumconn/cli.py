@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .bounds import tree_max_bound, unicyclic_max_bound
 from .canon import canonical_form
+from .construct import GraphClassSpec, extremal_family
 from .enumeration import enumerate_trees, enumerate_unicyclic
 from .graph6 import emit_graph6, parse_graph6, to_dot
 from .graphs import Graph, GraphError, graph_from_edges, max_degree
@@ -31,7 +32,6 @@ from .verify import (
     verify_tree_max,
     verify_unicyclic_max,
 )
-from . import construct as constructions
 
 USAGE_ERROR = 2
 MISMATCH = 1
@@ -102,18 +102,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.graph_class == "tree":
-        graphs = (
-            [constructions.tree_extremal(args.n, args.delta)]
-            if args.delta >= (args.n + 1) // 2
-            else constructions.spider_family(args.n, args.delta)
-        )
-    else:
-        graphs = (
-            [constructions.unicyclic_extremal(args.n, args.delta)]
-            if args.delta >= (args.n + 3) // 2
-            else constructions.cycle_spider_family(args.n, args.delta)
-        )
+    spec = GraphClassSpec(n=args.n, delta=args.delta, graph_class=args.graph_class)
+    graphs = extremal_family(spec)
     if args.json:
         _emit_json(
             {
@@ -184,8 +174,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             args.json,
         )
     else:
-        for g in graphs:
-            print(emit_graph6(g))
+        sys.stdout.write("".join([emit_graph6(g) + "\n" for g in graphs]))
     return 0
 
 

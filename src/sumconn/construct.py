@@ -7,6 +7,8 @@ d paths of length at least two sharing one center, optionally grown on a
 cycle.  Branch boundaries over the integers: large-d means
 d >= ceil(n/2) for trees and d >= ceil((n+2)/2) for unicyclic graphs; the
 complements are exactly d <= floor((n-1)/2) and d <= floor((n+1)/2).
+``is_large_delta`` is the one place these boundaries are written, and
+``extremal_family`` picks the family by them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .canon import canonical_code
-from .graphs import Graph, VertexRangeError, cycle_graph, graph_from_edges
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    SizeLimitError,
+    VertexRangeError,
+    _graph_from_sorted_edges,
+    cycle_graph,
+    graph_from_edges,
+)
 
 
 class DeltaRangeError(ValueError):
@@ -41,6 +51,13 @@ class GraphClassSpec:
             )
 
 
+def is_large_delta(graph_class: str, n: int, delta: int) -> bool:
+    """Whether ``delta`` lies in the large-degree branch for ``graph_class``:
+    delta >= ceil(n/2) for trees, delta >= ceil((n+2)/2) for unicyclic
+    graphs."""
+    return delta >= ((n + 1) // 2 if graph_class == "tree" else (n + 3) // 2)
+
+
 def attach_path(g: Graph, u: int, r: int) -> Graph:
     """Attach a path on ``r`` new vertices to ``u`` by a single edge.
 
@@ -51,16 +68,21 @@ def attach_path(g: Graph, u: int, r: int) -> Graph:
         raise VertexRangeError(f"vertex {u} out of range for n={g.n}")
     if r < 1:
         raise ValueError(f"path length must be at least 1, got {r}")
+    if g.n + r > MAX_VERTICES:
+        raise SizeLimitError(f"at most {MAX_VERTICES} vertices supported, got {g.n + r}")
     edges = list(g.edges)
     edges.append((u, g.n))
     edges.extend((g.n + i, g.n + i + 1) for i in range(r - 1))
-    return graph_from_edges(g.n + r, edges)
+    edges.sort()
+    # Trusted build: u < g.n is checked and the larger ends of the new edges
+    # are the distinct new vertices, so no pair is out of range, a loop or a repeat.
+    return _graph_from_sorted_edges(g.n + r, tuple(edges))
 
 
 def tree_extremal(n: int, delta: int) -> Graph:
     """The unique maximum tree for delta >= ceil(n/2): a center (label 0)
     with 2*delta+1-n pendant vertices and n-delta-1 paths of length two."""
-    if n < 3 or not (n + 1) // 2 <= delta <= n - 1:
+    if n < 3 or delta > n - 1 or not is_large_delta("tree", n, delta):
         raise DeltaRangeError(
             f"tree_extremal needs ceil(n/2) <= delta <= n-1, got n={n}, delta={delta}"
         )
@@ -78,7 +100,7 @@ def unicyclic_extremal(n: int, delta: int) -> Graph:
     """The unique maximum unicyclic graph for delta >= ceil((n+2)/2): a
     triangle vertex (label 0) with 2*delta-n-1 pendants and n-delta-1
     paths of length two."""
-    if n < 3 or not (n + 3) // 2 <= delta <= n - 1:
+    if n < 3 or delta > n - 1 or not is_large_delta("unicyclic", n, delta):
         raise DeltaRangeError(
             f"unicyclic_extremal needs ceil((n+2)/2) <= delta <= n-1, got n={n}, delta={delta}"
         )
@@ -106,7 +128,7 @@ def _leg_multisets(total: int, parts: int, minimum: int) -> Iterator[tuple[int, 
 def spider_family(n: int, delta: int) -> list[Graph]:
     """All non-isomorphic trees made of ``delta`` paths of length >= 2
     sharing a center: the maximum family for delta <= floor((n-1)/2)."""
-    if not 2 <= delta <= (n - 1) // 2:
+    if delta < 2 or is_large_delta("tree", n, delta):
         raise DeltaRangeError(
             f"spider_family needs 2 <= delta <= floor((n-1)/2), got n={n}, delta={delta}"
         )
@@ -124,7 +146,7 @@ def cycle_spider_family(n: int, delta: int) -> list[Graph]:
     paths of length >= 2 attached to one cycle vertex, over every cycle
     length: the maximum family for delta <= floor((n+1)/2).  For delta = 2
     this is just the n-cycle."""
-    if not 2 <= delta <= (n + 1) // 2:
+    if delta < 2 or is_large_delta("unicyclic", n, delta):
         raise DeltaRangeError(
             f"cycle_spider_family needs 2 <= delta <= floor((n+1)/2), got n={n}, delta={delta}"
         )
@@ -139,3 +161,13 @@ def cycle_spider_family(n: int, delta: int) -> list[Graph]:
                 g = attach_path(g, 0, leg)
             out.setdefault(canonical_code(g), g)
     return [out[code] for code in sorted(out)]
+
+
+def extremal_family(spec: GraphClassSpec) -> list[Graph]:
+    """The maximum-index graphs for ``spec``: the single large-degree graph
+    or, below the branch boundary, the spider family."""
+    n, delta = spec.n, spec.delta
+    large = is_large_delta(spec.graph_class, n, delta)
+    if spec.graph_class == "tree":
+        return [tree_extremal(n, delta)] if large else spider_family(n, delta)
+    return [unicyclic_extremal(n, delta)] if large else cycle_spider_family(n, delta)

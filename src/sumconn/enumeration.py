@@ -6,15 +6,18 @@ level sequence represents a free tree exactly when the root's first
 subtree is no "larger" (height, then size, then lexicographic order) than
 the rest of the tree.  Unicyclic graphs are produced by adding every
 possible chord to every free tree.  A chord is deduplicated by the
-pendant-code necklace of the cycle it closes, read off the tree's
-memoized branch codes; no candidate graph is built or canonically coded,
-and the first chord seen for each class gives its representative.
+pendant-code necklace of the cycle it closes: one BFS from each chord end
+extends the codes of the path to a vertex's parent by one memoized code,
+so each cycle's codes cost one list copy; no candidate graph is built or
+canonically coded, and the first chord seen for each class gives its
+representative.
 
 Results are materialized and ordered by canonical code so that repeated
 runs, reports, and CLI output are reproducible.  A tree's code is read off
 its level sequence (``canon.level_sequence_code``) and its graph is built
 from the sequence's parent array, with no validation, BFS or AHU sort per
-tree.
+tree.  The maximum degree of every graph is computed once per n, the first
+time a caller filters by it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .canon import level_sequence_code, necklace_code, necklace_min
 from .graphs import Graph, SizeLimitError, _graph_from_sorted_edges
@@ -135,18 +138,17 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
     key is ``necklace_min`` of those codes in path order, the necklace from
     which ``canonical_code`` builds its bytes, so equal keys mean equal
     canonical codes and, conversely, isomorphic graphs get equal keys.
+
+    The paths are read off one BFS per u: the path from u to y is the path
+    to y's BFS parent x plus y, so its codes are those of the path to x,
+    with x now coded between its parent and y, plus y's code as an end
+    vertex, ``branch(y, x)`` (its other cycle neighbour is the chord).
+    Branch codes are memoized per directed edge, and each vertex keeps
+    them sorted, so a pendant code is a filtered join, memoized per
+    (vertex, path neighbours).
     """
     n = tree.n
     adj = tree.adjacency
-    parent = [-1] * n
-    depth = [0] * n
-    order = [0]
-    for x in order:
-        for y in adj[x]:
-            if y != parent[x]:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                order.append(y)
     branches: dict[tuple[int, int], str] = {}
 
     def branch(c: int, w: int) -> str:
@@ -156,39 +158,34 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
             branches[(c, w)] = code
         return code
 
+    around = [sorted((branch(c, w), c) for c in adj[w]) for w in range(n)]
     pendants: dict[tuple[int, int, int], str] = {}
 
     def pendant(w: int, a: int, b: int) -> str:
-        """Code of w's pendant tree when its cycle neighbors are a and b."""
+        """Code of w's pendant tree when its path neighbors are a and b."""
         code = pendants.get((w, a, b))
         if code is None:
-            code = "(" + "".join(sorted(branch(c, w) for c in adj[w] if c != a and c != b)) + ")"
+            code = "(" + "".join([bc for bc, c in around[w] if c != a and c != b]) + ")"
             pendants[(w, a, b)] = code
         return code
 
-    for u in range(n):
+    for u in range(n - 1):
+        # prefix[y]: codes of the path from u up to, not including, y;
+        # u's missing path neighbour is -1.
+        parent = [-1] * n
+        prefix: list[list[str]] = [[]] * n
+        order = [u]
+        for x in order:
+            px = parent[x]
+            for y in adj[x]:
+                if y != px:
+                    parent[y] = x
+                    prefix[y] = prefix[x] + [pendant(x, px, y)]
+                    order.append(y)
         for v in range(u + 1, n):
-            if v in adj[u]:
-                continue
-            head, tail = [u], [v]
-            x, y = u, v
-            while depth[x] > depth[y]:
-                x = parent[x]
-                head.append(x)
-            while depth[y] > depth[x]:
-                y = parent[y]
-                tail.append(y)
-            while x != y:
-                x = parent[x]
-                head.append(x)
-                y = parent[y]
-                tail.append(y)
-            tail.pop()  # the meeting vertex already ends ``head``
-            # u and v each have one cycle neighbor in the tree; the -1 at
-            # the end stands in for the missing one on both sides.
-            cycle = head + tail[::-1] + [-1]
-            codes = [pendant(w, cycle[i - 1], cycle[i + 1]) for i, w in enumerate(cycle[:-1])]
-            yield (u, v), necklace_min(codes)
+            p = parent[v]
+            if p != u:
+                yield (u, v), necklace_min(prefix[v] + [branch(v, p)])
 
 
 @lru_cache(maxsize=None)
@@ -211,14 +208,18 @@ def _all_unicyclic(n: int) -> tuple[Graph, ...]:
     return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
 
 
-def _admits(g: Graph, delta: DeltaFilter) -> bool:
+@lru_cache(maxsize=None)
+def _max_degrees(family: Callable[[int], tuple[Graph, ...]], n: int) -> tuple[int, ...]:
+    """The maximum degree of each graph of ``family(n)``, computed once."""
+    return tuple(max(map(len, g.adjacency)) for g in family(n))
+
+
+def _select(family: Callable[[int], tuple[Graph, ...]], n: int, delta: DeltaFilter) -> list[Graph]:
+    graphs = family(n)
     if delta is None:
-        return True
-    top = max((len(nbrs) for nbrs in g.adjacency), default=0)
-    if isinstance(delta, tuple):
-        lo, hi = delta
-        return lo <= top <= hi
-    return top == delta
+        return list(graphs)
+    lo, hi = delta if isinstance(delta, tuple) else (delta, delta)
+    return [g for g, top in zip(graphs, _max_degrees(family, n)) if lo <= top <= hi]
 
 
 def enumerate_trees(n: int, delta: DeltaFilter = None) -> list[Graph]:
@@ -227,7 +228,7 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> list[Graph]:
     ordered by canonical code."""
     if not 1 <= n <= MAX_TREE_VERTICES:
         raise SizeLimitError(f"tree enumeration supports 1 <= n <= {MAX_TREE_VERTICES}")
-    return [g for g in _all_trees(n) if _admits(g, delta)]
+    return _select(_all_trees, n, delta)
 
 
 def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> list[Graph]:
@@ -238,4 +239,4 @@ def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> list[Graph]:
         raise SizeLimitError(
             f"unicyclic enumeration supports 3 <= n <= {MAX_UNICYCLIC_VERTICES}"
         )
-    return [g for g in _all_unicyclic(n) if _admits(g, delta)]
+    return _select(_all_unicyclic, n, delta)

@@ -9,9 +9,16 @@ form is needed here since n never exceeds 16.
 
 from __future__ import annotations
 
+from binascii import b2a_base64
+
 from .graphs import Graph, MAX_VERTICES, SizeLimitError, graph_from_edges
 
 _HEADER = ">>graph6<<"
+# base64 digit v (the alphabet below, in order) -> graph6 character v + 63
+_FROM_BASE64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 class Graph6Error(ValueError):
@@ -19,20 +26,25 @@ class Graph6Error(ValueError):
 
 
 def emit_graph6(g: Graph) -> str:
-    bits: list[int] = []
-    edge_set = set(g.edges)
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if (i, j) in edge_set else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k : k + 6]:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return "".join(chars)
+    """graph6 string of ``g``, built from its edge list in O(m) steps.
+
+    The pair (i, j), i < j, is bit ``j*(j-1)/2 + i`` of the column-order
+    bit string, counted from its most significant end, so each edge sets
+    one bit of a single integer.  graph6 and base64 both cut a bit string
+    into 6-bit groups, most significant first, and differ only in the
+    alphabet; so the integer, zero-padded to whole 3-byte base64 blocks,
+    is base64-encoded, cut to the needed number of characters (the cut
+    drops only padding), and translated to ``value + 63``.
+    """
+    n = g.n
+    chars = (n * (n - 1) // 2 + 5) // 6
+    nbytes = (chars + 3) // 4 * 3
+    top = 8 * nbytes - 1
+    value = 0
+    for i, j in g.edges:
+        value |= 1 << (top - (j * (j - 1) >> 1) - i)
+    body = b2a_base64(value.to_bytes(nbytes, "big"), newline=False)[:chars]
+    return chr(n + 63) + body.translate(_FROM_BASE64).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -7,7 +7,7 @@ caller's job.  Vertex and edge counts are always preserved.
 
 from __future__ import annotations
 
-from .graphs import Graph, VertexRangeError, graph_from_edges, is_connected
+from .graphs import Graph, VertexRangeError, _graph_from_sorted_edges, is_connected
 
 
 class TransformError(ValueError):
@@ -93,10 +93,12 @@ def merge_pendant_paths(g: Graph, u: int, p1: int, p2: int) -> Graph:
     edges = [e for e in g.edges if e[0] not in removed and e[1] not in removed]
     # path1 reversed runs u-outward and ends at p1; path2 as walked
     # continues from p1 out to its own attachment-side vertex.
-    chain = list(reversed(path1)) + path2
-    edges.append((u, chain[0]))
-    edges.extend((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-    return graph_from_edges(g.n, edges)
+    chain = [u] + list(reversed(path1)) + path2
+    edges.extend((min(a, b), max(a, b)) for a, b in zip(chain, chain[1:]))
+    edges.sort()
+    # Trusted build: the chain's vertices are distinct (u has degree >= 3, so it
+    # is on neither disjoint path) and each of its edges touches a removed vertex.
+    return _graph_from_sorted_edges(g.n, tuple(edges))
 
 
 def reattach_to_pendant(h: Graph, u: int, u2: int, u_prime: int) -> Graph:
@@ -130,5 +132,8 @@ def reattach_to_pendant(h: Graph, u: int, u2: int, u_prime: int) -> Graph:
             f"({h.degree(u1)} and {h.degree(u2)})"
         )
     edges = [e for e in h.edges if e != (min(u, u2), max(u, u2))]
-    edges.append((u_prime, u2))
-    return graph_from_edges(h.n, edges)
+    edges.append((min(u_prime, u2), max(u_prime, u2)))
+    edges.sort()
+    # Trusted build: u2 is off the path (only path_start touches u), so it is
+    # neither u_prime nor u_prime's one neighbour: no loop, no repeat.
+    return _graph_from_sorted_edges(h.n, tuple(edges))

@@ -16,14 +16,7 @@ from typing import Iterable
 
 from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_code, canonical_form
-from .construct import (
-    GraphClassSpec,
-    attach_path,
-    cycle_spider_family,
-    spider_family,
-    tree_extremal,
-    unicyclic_extremal,
-)
+from .construct import GraphClassSpec, attach_path, extremal_family
 from .enumeration import enumerate_trees, enumerate_unicyclic
 from .graph6 import emit_graph6
 from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
@@ -131,18 +124,6 @@ def _verify_family(
     )
 
 
-def expected_tree_family(n: int, delta: int) -> list[Graph]:
-    if delta >= (n + 1) // 2:
-        return [tree_extremal(n, delta)]
-    return spider_family(n, delta)
-
-
-def expected_unicyclic_family(n: int, delta: int) -> list[Graph]:
-    if delta >= (n + 3) // 2:
-        return [unicyclic_extremal(n, delta)]
-    return cycle_spider_family(n, delta)
-
-
 def verify_tree_max(n: int, delta: int) -> ExtremalReport:
     """Check the tree maximum: enumerate, take the exact argmax, compare
     value and argmax set against the closed form and its extremal family."""
@@ -153,7 +134,7 @@ def verify_tree_max(n: int, delta: int) -> ExtremalReport:
         spec,
         enumerate_trees(n, delta),
         tree_max_bound(n, delta),
-        expected_tree_family(n, delta),
+        extremal_family(spec),
     )
 
 
@@ -166,7 +147,7 @@ def verify_unicyclic_max(n: int, delta: int) -> ExtremalReport:
         spec,
         enumerate_unicyclic(n, delta),
         unicyclic_max_bound(n, delta),
-        expected_unicyclic_family(n, delta),
+        extremal_family(spec),
     )
 
 

@@ -7,13 +7,16 @@ brute-force isomorphism classes by permutation-orbit closure.  Counts and
 class structures computed here cross-check the production enumerators and
 canonical codes without sharing their code paths.
 
-Three references are kept for a different purpose: they are the earlier,
+Five references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``level_sequence_trees`` builds every WROM level
 sequence's tree through ``graph_from_edges`` and sorts by the package's
 ``canonical_code``; ``chord_dedup_unicyclic`` builds every tree-plus-chord
 graph and deduplicates by ``canonical_code``;
-``squarefree_by_trial_division`` trial-divides up to the square root.
+``squarefree_by_trial_division`` trial-divides up to the square root;
+``graph6_by_pair_probe`` tests every vertex pair for an edge and packs the
+bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
+readings of a cyclic sequence.
 """
 
 from __future__ import annotations
@@ -276,3 +279,34 @@ def squarefree_by_trial_division(value: int) -> tuple[int, int]:
             a *= p
         p += 1 if p == 2 else 2
     return a, b
+
+
+def graph6_by_pair_probe(g) -> str:
+    """graph6 string of a ``Graph``: one membership test per vertex pair in
+    column order, zero padding to a multiple of six bits, and each 6-bit
+    group, most significant bit first, written as ``value + 63``."""
+    bits: list[int] = []
+    edge_set = set(g.edges)
+    for j in range(1, g.n):
+        for i in range(j):
+            bits.append(1 if (i, j) in edge_set else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = [chr(g.n + 63)]
+    for k in range(0, len(bits), 6):
+        value = 0
+        for b in bits[k : k + 6]:
+            value = (value << 1) | b
+        chars.append(chr(value + 63))
+    return "".join(chars)
+
+
+def necklace_min_all_readings(codes: list[str]) -> tuple[str, ...]:
+    """Least of the 2k readings (every start, both directions) of a cyclic
+    sequence of k codes."""
+    k = len(codes)
+    readings = []
+    for step in (1, -1):
+        for start in range(k):
+            readings.append(tuple(codes[(start + step * i) % k] for i in range(k)))
+    return min(readings)

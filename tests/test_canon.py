@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumconn.canon import canonical_code, canonical_form, level_sequence_code
+from sumconn.canon import canonical_code, canonical_form, level_sequence_code, necklace_min
 from sumconn.enumeration import (
     _free_tree_level_sequences,
     _level_sequence_tree,
@@ -20,7 +20,7 @@ from sumconn.graphs import (
     star_graph,
 )
 
-from oracles import connected_graph_orbit_classes
+from oracles import connected_graph_orbit_classes, necklace_min_all_readings
 
 
 def _permuted(g: Graph, perm) -> Graph:
@@ -127,3 +127,16 @@ def test_random_unicyclic_relabeling_invariance(data):
 def test_cycles_of_different_length_differ():
     codes = {canonical_code(cycle_graph(n)) for n in range(3, 10)}
     assert len(codes) == 7
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        # few distinct codes, so the least one and whole runs repeat often
+        st.sampled_from(["()", "(())", "(()())", "((()))"]),
+        min_size=1,
+        max_size=13,
+    )
+)
+def test_necklace_min_matches_all_readings(codes):
+    assert necklace_min(codes) == necklace_min_all_readings(codes)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -70,6 +71,18 @@ def test_enumerate_lines_and_counts(capsys):
     assert code == 0
     assert "total=33" in out
     assert "delta=3 count=16" in out
+
+
+def test_enumerate_unicyclic_13_output_is_pinned(capsys):
+    # The digest of the 13,999 graph6 lines (OEIS A001429) the output had
+    # before emission was bit-packed and written in one call.
+    code, out, _ = run(capsys, "enumerate", "--class", "unicyclic", "--n", "13")
+    assert code == 0
+    assert out.count("\n") == 13999
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "99958ecb8c0cb66e7425231ff96935b25044bc4fd31b24ac4808ab26d87db235"
+    )
 
 
 def test_verify_single_passes(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,14 @@ from sumconn.construct import (
     GraphClassSpec,
     attach_path,
     cycle_spider_family,
+    extremal_family,
+    is_large_delta,
     spider_family,
     tree_extremal,
     unicyclic_extremal,
 )
 from sumconn.graphs import (
+    SizeLimitError,
     VertexRangeError,
     cycle_graph,
     graph_from_edges,
@@ -43,6 +47,8 @@ def test_attach_path():
         attach_path(cycle_graph(3), 5, 1)
     with pytest.raises(ValueError):
         attach_path(cycle_graph(3), 0, 0)
+    with pytest.raises(SizeLimitError):
+        attach_path(cycle_graph(14), 0, 3)
 
 
 def test_tree_extremal():
@@ -145,3 +151,21 @@ def test_graph_class_spec_validation():
         GraphClassSpec(n=7, delta=7, graph_class="tree")
     with pytest.raises(DeltaRangeError):
         GraphClassSpec(n=7, delta=1, graph_class="unicyclic")
+
+
+def test_extremal_family_follows_the_branch_boundaries():
+    # large delta from ceil(n/2) for trees and ceil((n+2)/2) for unicyclic graphs
+    for n in range(3, 13):
+        for delta in range(2, n):
+            assert is_large_delta("tree", n, delta) == (delta >= math.ceil(n / 2))
+            assert is_large_delta("unicyclic", n, delta) == (delta >= math.ceil((n + 2) / 2))
+            tree_family = extremal_family(GraphClassSpec(n=n, delta=delta, graph_class="tree"))
+            if delta >= math.ceil(n / 2):
+                assert tree_family == [tree_extremal(n, delta)]
+            else:
+                assert tree_family == spider_family(n, delta)
+            uni_family = extremal_family(GraphClassSpec(n=n, delta=delta, graph_class="unicyclic"))
+            if delta >= math.ceil((n + 2) / 2):
+                assert uni_family == [unicyclic_extremal(n, delta)]
+            else:
+                assert uni_family == cycle_spider_family(n, delta)

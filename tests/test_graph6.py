@@ -6,6 +6,8 @@ from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
 from sumconn.graph6 import Graph6Error, emit_graph6, parse_graph6, to_dot
 from sumconn.graphs import SizeLimitError, cycle_graph, graph_from_edges, path_graph
 
+from oracles import graph6_by_pair_probe
+
 
 def test_hand_encoded_examples():
     # n=3 -> 'B'; P_3 upper-triangle bits 101000 -> 'g'; C_3 bits 111000 -> 'w'
@@ -20,6 +22,15 @@ def test_single_vertex_and_edgeless():
     assert parse_graph6("@").n == 1
     g = graph_from_edges(4, [])
     assert parse_graph6(emit_graph6(g)).edges == ()
+
+
+def test_emit_matches_pair_probe_on_small_edgeless_and_complete_graphs():
+    graphs = [graph_from_edges(2, [(0, 1)])]
+    for n in range(1, 17):
+        graphs.append(graph_from_edges(n, []))
+        graphs.append(graph_from_edges(n, [(i, j) for j in range(n) for i in range(j)]))
+    for g in graphs:
+        assert emit_graph6(g) == graph6_by_pair_probe(g), g
 
 
 def test_header_and_whitespace_accepted():
@@ -42,12 +53,19 @@ def test_malformed_inputs():
 
 
 def test_round_trip_on_enumerated_families():
+    # Same strings as the pair-probing reference on trees n <= 12 and
+    # unicyclic graphs n <= 11.
     for n in range(1, 13):
         for g in enumerate_trees(n):
-            assert parse_graph6(emit_graph6(g)).edges == g.edges
+            text = emit_graph6(g)
+            assert text == graph6_by_pair_probe(g)
+            assert parse_graph6(text).edges == g.edges
     for n in range(3, 13):
         for g in enumerate_unicyclic(n):
-            assert parse_graph6(emit_graph6(g)).edges == g.edges
+            text = emit_graph6(g)
+            if n <= 11:
+                assert text == graph6_by_pair_probe(g)
+            assert parse_graph6(text).edges == g.edges
 
 
 @settings(max_examples=150, deadline=None)
@@ -57,6 +75,7 @@ def test_round_trip_on_random_graphs(data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     g = graph_from_edges(n, edges)
+    assert emit_graph6(g) == graph6_by_pair_probe(g)
     assert parse_graph6(emit_graph6(g)).edges == g.edges
 
 

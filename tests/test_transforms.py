@@ -138,3 +138,29 @@ def test_randomized_strict_increase():
         merged = merge_pendant_paths(g, u, base_n + a - 1, base_n + a + b - 1)
         assert sum_connectivity(merged) > sum_connectivity(g)
         assert (merged.n, merged.m) == (g.n, g.m)
+
+
+def test_rewrites_build_normalized_graphs():
+    # attach_path and both rewrites skip graph_from_edges validation; each
+    # result must equal the graph it would have built from the same edges.
+    rng = random.Random(2012)
+    for _ in range(300):
+        base_n = rng.randint(3, 8)
+        edges = {(rng.randrange(v), v) for v in range(1, base_n)}
+        edges |= {tuple(sorted(rng.sample(range(base_n), 2))) for _ in range(rng.randint(0, 2))}
+        base = graph_from_edges(base_n, edges)
+        u = rng.randrange(base_n)
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        g = attach_path(attach_path(base, u, a), u, b)
+        merged = merge_pendant_paths(g, u, base_n + a - 1, base_n + a + b - 1)
+        results = [g, merged]
+        for v in range(base_n):
+            if base.degree(v) == 2:
+                h = attach_path(base, v, a)
+                for u2 in base.adjacency[v]:
+                    try:
+                        results.append(reattach_to_pendant(h, v, u2, base_n + a - 1))
+                    except DegreeConditionError:
+                        pass
+        for r in results:
+            assert r == graph_from_edges(r.n, r.edges)
