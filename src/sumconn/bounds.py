@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .construct import DeltaRangeError, cycle_spider_family, is_large_delta, unicyclic_extremal
+from .construct import GraphClassSpec, cycle_spider_family, is_large_delta, unicyclic_extremal
 from .graphs import Graph, cycle_graph
 from .radicals import RadicalValue
 
@@ -23,9 +23,8 @@ def _rsqrt(s: int) -> RadicalValue:
 
 def tree_max_bound(n: int, delta: int) -> RadicalValue:
     """Maximum sum-connectivity index over trees with n vertices and
-    maximum degree delta."""
-    if n < 3 or not 2 <= delta <= n - 1:
-        raise DeltaRangeError(f"need n >= 3 and 2 <= delta <= n-1, got n={n}, delta={delta}")
+    maximum degree delta.  ``GraphClassSpec`` checks the range."""
+    GraphClassSpec(n, delta, "tree")
     if is_large_delta("tree", n, delta):
         return (
             _rsqrt(delta + 1) * (2 * delta - n + 1)
@@ -41,9 +40,8 @@ def tree_max_bound(n: int, delta: int) -> RadicalValue:
 
 def unicyclic_max_bound(n: int, delta: int) -> RadicalValue:
     """Maximum sum-connectivity index over unicyclic graphs with n vertices
-    and maximum degree delta."""
-    if n < 3 or not 2 <= delta <= n - 1:
-        raise DeltaRangeError(f"need n >= 3 and 2 <= delta <= n-1, got n={n}, delta={delta}")
+    and maximum degree delta.  ``GraphClassSpec`` checks the range."""
+    GraphClassSpec(n, delta, "unicyclic")
     if is_large_delta("unicyclic", n, delta):
         return (
             _rsqrt(3) * (n - delta - 1)

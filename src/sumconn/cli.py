@@ -238,8 +238,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         d = report.to_json_dict()
         print(f"class: {d['class']}  n={d['n']}  delta={d['delta']}  family size: {d['class_size']}")
         print(f"  formula:   {report.formula_value} (~{float(report.formula_value)!r})")
-        if report.brute_max is not None:
-            print(f"  brute max: {report.brute_max} (~{float(report.brute_max)!r})")
+        print(f"  brute max: {report.brute_max} (~{float(report.brute_max)!r})")
         print(f"  argmax ({len(d['argmax'])}): {' '.join(d['argmax'])}")
         print(f"  expected ({len(d['expected'])}): {' '.join(d['expected'])}")
         print(f"  match: value={d['match']['value']} set={d['match']['set']}")

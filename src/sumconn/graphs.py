@@ -60,12 +60,6 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(nbrs) for nbrs in self.adjacency)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 

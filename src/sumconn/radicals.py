@@ -144,9 +144,6 @@ class RadicalValue:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> bool:
-        return all(s == 1 for s, _ in self._terms)
-
     def __float__(self) -> float:
         return fsum(float(q) * sqrt(s) for s, q in self._terms)
 

@@ -1,14 +1,22 @@
 """Brute-force verification of the closed-form maxima and rankings.
 
 Every claim is re-derived from scratch: the relevant family is enumerated
-exhaustively, exact index values are compared, and the argmax set is
-matched against the characterized extremal family by canonical code.
+exhaustively, exact index values are compared, and the leading value
+groups are matched against the characterized graphs by canonical code.
 Comparisons are exact throughout; floats appear only in serialized
 reports.
+
+Verification reaches every n the enumerators accept (trees to n = 16,
+unicyclic graphs and top-two to n = 14).  The range checks live in the
+enumerators' ``SizeLimitError``, in ``GraphClassSpec`` and in
+``unicyclic_top_two``, not here.  ``run_sweeps`` defaults to the standard
+sweep (trees n = 4..12, unicyclic graphs and top-two n = 4..11);
+``run_sweeps(range(4, 17), range(4, 15), range(4, 15))`` is the extended one.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -23,6 +31,9 @@ from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
 from .indices import product_connectivity, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
+
+# Largest graph the randomized rewrite suite builds.
+REWRITE_MAX_VERTICES = 12
 
 
 class FamilyTooSmallError(ValueError):
@@ -49,6 +60,26 @@ def degree_two_attachment_count(g: Graph) -> int:
     return best
 
 
+def _graph6_strings(graphs: Iterable[Graph]) -> list[str]:
+    """graph6 of each graph's canonical form, in input order: the reports'
+    rendering, which names isomorphism classes rather than labelings."""
+    return [emit_graph6(canonical_form(g)) for g in graphs]
+
+
+def _same_classes(a: Iterable[Graph], b: Iterable[Graph]) -> bool:
+    """Whether ``a`` and ``b`` cover the same isomorphism classes."""
+    return {canonical_code(g) for g in a} == {canonical_code(g) for g in b}
+
+
+def _leading_groups(graphs: Iterable[Graph], k: int) -> list[tuple[RadicalValue, list[Graph]]]:
+    """The ``k`` largest exact index values over ``graphs``, largest first,
+    each with the graphs that attain it in input order."""
+    groups: dict[RadicalValue, list[Graph]] = {}
+    for g in graphs:
+        groups.setdefault(sum_connectivity(g), []).append(g)
+    return [(value, groups[value]) for value in heapq.nlargest(k, groups)]
+
+
 @dataclass
 class ExtremalReport:
     """Outcome of one family verification."""
@@ -56,7 +87,7 @@ class ExtremalReport:
     spec: GraphClassSpec
     class_size: int
     formula_value: RadicalValue
-    brute_max: RadicalValue | None
+    brute_max: RadicalValue
     argmax: tuple[Graph, ...]
     expected: tuple[Graph, ...]
     value_match: bool
@@ -66,7 +97,7 @@ class ExtremalReport:
 
     @property
     def passed(self) -> bool:
-        return self.class_size > 0 and self.value_match and self.set_match and self.bound_holds
+        return self.value_match and self.set_match and self.bound_holds
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,9 +107,9 @@ class ExtremalReport:
             "delta": self.spec.delta,
             "class_size": self.class_size,
             "formula": self.formula_value.to_json_dict(),
-            "brute_max": None if self.brute_max is None else self.brute_max.to_json_dict(),
-            "argmax": sorted(emit_graph6(canonical_form(g)) for g in self.argmax),
-            "expected": sorted(emit_graph6(canonical_form(g)) for g in self.expected),
+            "brute_max": self.brute_max.to_json_dict(),
+            "argmax": sorted(_graph6_strings(self.argmax)),
+            "expected": sorted(_graph6_strings(self.expected)),
             "match": {"value": self.value_match, "set": self.set_match},
             "bound_holds": self.bound_holds,
             "k_profile": dict(sorted(self.k_profile.items())),
@@ -86,28 +117,12 @@ class ExtremalReport:
         }
 
 
-def _exact_argmax(graphs: Iterable[Graph]) -> tuple[RadicalValue | None, list[Graph]]:
-    best: RadicalValue | None = None
-    argmax: list[Graph] = []
-    for g in graphs:
-        value = sum_connectivity(g)
-        if best is None or value > best:
-            best = value
-            argmax = [g]
-        elif value == best:
-            argmax.append(g)
-    return best, argmax
-
-
 def _verify_family(
-    spec: GraphClassSpec,
-    members: list[Graph],
-    formula: RadicalValue,
-    expected: list[Graph],
+    spec: GraphClassSpec, members: list[Graph], formula: RadicalValue
 ) -> ExtremalReport:
-    brute, argmax = _exact_argmax(members)
-    expected_codes = {canonical_code(g) for g in expected}
-    argmax_codes = {canonical_code(g) for g in argmax}
+    # GraphClassSpec admits only non-empty classes; an empty one fails here.
+    [(brute, argmax)] = _leading_groups(members, 1)
+    expected = extremal_family(spec)
     return ExtremalReport(
         spec=spec,
         class_size=len(members),
@@ -115,40 +130,24 @@ def _verify_family(
         brute_max=brute,
         argmax=tuple(argmax),
         expected=tuple(expected),
-        value_match=brute is not None and brute == formula,
-        set_match=len(members) > 0 and argmax_codes == expected_codes,
-        bound_holds=brute is not None and brute <= formula,
-        k_profile={
-            emit_graph6(canonical_form(g)): degree_two_attachment_count(g) for g in argmax
-        },
+        value_match=brute == formula,
+        set_match=_same_classes(argmax, expected),
+        bound_holds=brute <= formula,
+        k_profile=dict(zip(_graph6_strings(argmax), map(degree_two_attachment_count, argmax))),
     )
 
 
 def verify_tree_max(n: int, delta: int) -> ExtremalReport:
     """Check the tree maximum: enumerate, take the exact argmax, compare
     value and argmax set against the closed form and its extremal family."""
-    if not 3 <= n <= 12:
-        raise ValueError(f"tree verification supports 3 <= n <= 12, got {n}")
     spec = GraphClassSpec(n=n, delta=delta, graph_class="tree")
-    return _verify_family(
-        spec,
-        enumerate_trees(n, delta),
-        tree_max_bound(n, delta),
-        extremal_family(spec),
-    )
+    return _verify_family(spec, enumerate_trees(n, delta), tree_max_bound(n, delta))
 
 
 def verify_unicyclic_max(n: int, delta: int) -> ExtremalReport:
     """Unicyclic counterpart of :func:`verify_tree_max`."""
-    if not 3 <= n <= 11:
-        raise ValueError(f"unicyclic verification supports 3 <= n <= 11, got {n}")
     spec = GraphClassSpec(n=n, delta=delta, graph_class="unicyclic")
-    return _verify_family(
-        spec,
-        enumerate_unicyclic(n, delta),
-        unicyclic_max_bound(n, delta),
-        extremal_family(spec),
-    )
+    return _verify_family(spec, enumerate_unicyclic(n, delta), unicyclic_max_bound(n, delta))
 
 
 @dataclass
@@ -183,11 +182,11 @@ class TopTwoReport:
             "total": self.total,
             "first": {
                 "value": self.first_value.to_json_dict(),
-                "graphs": sorted(emit_graph6(canonical_form(g)) for g in self.first),
+                "graphs": sorted(_graph6_strings(self.first)),
             },
             "second": {
                 "value": self.second_value.to_json_dict(),
-                "graphs": sorted(emit_graph6(canonical_form(g)) for g in self.second),
+                "graphs": sorted(_graph6_strings(self.second)),
             },
             "match": {
                 "first_value": self.first_value_match,
@@ -202,17 +201,9 @@ class TopTwoReport:
 def verify_top_two(n: int) -> TopTwoReport:
     """Rank every n-vertex unicyclic graph by exact index value and compare
     the two leading groups against the closed-form prediction."""
-    if not 4 <= n <= 11:
-        raise ValueError(f"top-two verification supports 4 <= n <= 11, got {n}")
     members = enumerate_unicyclic(n)
-    groups: dict[RadicalValue, list[Graph]] = {}
-    for g in members:
-        groups.setdefault(sum_connectivity(g), []).append(g)
-    ranked = sorted(groups, reverse=True)
-    first_value, second_value = ranked[0], ranked[1]
-    first, second = groups[first_value], groups[second_value]
-    expected = unicyclic_top_two(n)
-    codes = lambda gs: {canonical_code(g) for g in gs}
+    expected = unicyclic_top_two(n)  # owns n >= 4, so two value groups exist
+    (first_value, first), (second_value, second) = _leading_groups(members, 2)
     return TopTwoReport(
         n=n,
         total=len(members),
@@ -222,9 +213,9 @@ def verify_top_two(n: int) -> TopTwoReport:
         second=tuple(second),
         expected=expected,
         first_value_match=first_value == expected.first_value,
-        first_set_match=codes(first) == codes(expected.first_graphs),
+        first_set_match=_same_classes(first, expected.first_graphs),
         second_value_match=second_value == expected.second_value,
-        second_set_match=codes(second) == codes(expected.second_graphs),
+        second_set_match=_same_classes(second, expected.second_graphs),
     )
 
 
@@ -275,11 +266,10 @@ def _random_connected_base(rng: random.Random, n: int, allow_cycle: bool = True)
     return tree
 
 
-def transform_monotonicity_suite(
-    trials: int, seed: int = 0, max_n: int = 12
-) -> MonotonicityReport:
-    """Generate random valid rewrite instances and check that each rewrite
-    strictly increases the exact sum-connectivity index.
+def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityReport:
+    """Generate random valid rewrite instances on at most
+    ``REWRITE_MAX_VERTICES`` vertices and check that each rewrite strictly
+    increases the exact sum-connectivity index.
 
     With ``trials = 0`` the report passes vacuously and carries a warning.
     """
@@ -292,10 +282,10 @@ def transform_monotonicity_suite(
         return report
 
     for _ in range(trials):
-        base_n = rng.randint(2, max_n - 2)
+        base_n = rng.randint(2, REWRITE_MAX_VERTICES - 2)
         base = _random_connected_base(rng, base_n)
         u = rng.randrange(base_n)
-        budget = max_n - base_n
+        budget = REWRITE_MAX_VERTICES - base_n
         a = rng.randint(1, budget - 1)
         b = rng.randint(1, budget - a)
         g = attach_path(attach_path(base, u, a), u, b)
@@ -308,7 +298,7 @@ def transform_monotonicity_suite(
     for _ in range(trials):
         h = None
         for _attempt in range(200):
-            base_n = rng.randint(3, max_n - 1)
+            base_n = rng.randint(3, REWRITE_MAX_VERTICES - 1)
             base = _random_connected_base(rng, base_n)
             candidates = [
                 v
@@ -319,7 +309,7 @@ def transform_monotonicity_suite(
             if not candidates:
                 continue
             u = rng.choice(candidates)
-            a = rng.randint(1, max_n - base_n)
+            a = rng.randint(1, REWRITE_MAX_VERTICES - base_n)
             h = attach_path(base, u, a)
             u_prime = base_n + a - 1
             u2 = rng.choice(sorted(w for w in base.adjacency[u]))
@@ -339,8 +329,6 @@ def transform_monotonicity_suite(
 def chi_r_correlation(n: int, max_delta: int | None = None) -> float:
     """Pearson correlation of the two indices over enumerated trees on n
     vertices with maximum degree at most ``max_delta``."""
-    if not 4 <= n <= 14:
-        raise ValueError(f"correlation supports 4 <= n <= 14, got {n}")
     delta_filter = None if max_delta is None else (1, max_delta)
     members = enumerate_trees(n, delta_filter)
     if len(members) < 3:

@@ -95,6 +95,15 @@ def test_verify_single_passes(capsys):
     assert len(data["argmax"]) == 3
 
 
+def test_verify_reaches_the_tree_enumeration_limit(capsys):
+    code, out, _ = run(capsys, "verify", "--class", "tree", "--n", "13", "--delta", "4")
+    assert code == 0
+    assert "result: PASS" in out
+    code, _, err = run(capsys, "verify", "--class", "tree", "--n", "17", "--delta", "4")
+    assert code == 2
+    assert "error:" in err
+
+
 def test_verify_toptwo(capsys):
     code, out, _ = run(capsys, "verify", "--class", "toptwo", "--n", "5", "--json")
     assert code == 0

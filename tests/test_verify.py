@@ -5,7 +5,9 @@ import pytest
 from sumconn.bounds import unicyclic_top_two
 from sumconn.canon import canonical_code
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
-from sumconn.graphs import cycle_graph, star_graph
+from sumconn.enumeration import enumerate_unicyclic
+from sumconn.graphs import SizeLimitError, cycle_graph, star_graph
+from sumconn.indices import sum_connectivity
 from sumconn.radicals import RadicalValue
 from sumconn.verify import (
     FamilyTooSmallError,
@@ -80,12 +82,33 @@ def test_attachment_count_profile():
 
 
 def test_verification_range_checks():
-    with pytest.raises(ValueError):
-        verify_tree_max(13, 4)
-    with pytest.raises(ValueError):
-        verify_unicyclic_max(12, 4)
-    with pytest.raises(ValueError):
+    # the enumerators own the upper limits, unicyclic_top_two owns n >= 4
+    with pytest.raises(SizeLimitError):
+        verify_tree_max(17, 4)
+    with pytest.raises(SizeLimitError):
+        verify_unicyclic_max(15, 4)
+    with pytest.raises(ValueError, match="needs n >= 4"):
         verify_top_two(3)
+
+
+def test_verification_reaches_the_enumeration_limits():
+    # one delta on each side of is_large_delta at the larger sizes
+    for n, d in ((16, 5), (16, 9)):
+        assert verify_tree_max(n, d).passed
+    for n, d in ((13, 4), (13, 8)):
+        report = verify_unicyclic_max(n, d)
+        assert report.passed
+        # the argmax group keeps the enumeration order
+        members = enumerate_unicyclic(n, d)
+        assert list(report.argmax) == [
+            g for g in members if sum_connectivity(g) == report.brute_max
+        ]
+    top = verify_top_two(12)
+    assert top.passed and top.first_value > top.second_value
+    assert list(top.second) == [
+        g for g in enumerate_unicyclic(12) if sum_connectivity(g) == top.second_value
+    ]
+    assert -1.0 <= chi_r_correlation(16, 4) <= 1.0
 
 
 def test_top_two_spots():
