@@ -1,59 +1,69 @@
 """Closed-form maximum values of the sum-connectivity index.
 
-Each bound has two branches over the maximum degree d, matching the two
-extremal regimes in :mod:`sumconn.construct`.  Bounds are exact
-``RadicalValue`` numbers so that "bound equals brute-force maximum" can be
-asserted without tolerances.
+The index is sum_k c_k/sqrt(k), c_k counting the edges whose end degrees
+add up to k, so each maximum is written once, as the edge types (sum,
+count) of the extremal graphs of :mod:`sumconn.construct` on either side of
+``is_large_delta``.  ``_value`` adds equal sums (at d = 2, d + 2 = 4) and
+normalizes once, as every graph's index does: bounds are exact values.
+The top-two unicyclic ranking is the paper's deduction: the n-cycle is the
+only unicyclic graph with d = 2, and the maximum falls as d grows, so the
+runner-up is the maximum at d = 3.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterable
 
-from .construct import GraphClassSpec, cycle_spider_family, is_large_delta, unicyclic_extremal
-from .graphs import Graph, cycle_graph
+from .construct import GraphClassSpec, extremal_family, is_large_delta
+from .graphs import Graph
 from .radicals import RadicalValue
 
 
-def _rsqrt(s: int) -> RadicalValue:
-    return RadicalValue.reciprocal_sqrt(s)
+def _tree_edge_types(n: int, delta: int) -> tuple[tuple[int, int], ...]:
+    """Large delta: a center with 2*delta+1-n pendants and n-delta-1 paths
+    of length two.  Small delta: delta paths of length >= 2 at a center."""
+    if is_large_delta("tree", n, delta):
+        return ((delta + 1, 2 * delta - n + 1), (delta + 2, n - delta - 1), (3, n - delta - 1))
+    return ((4, n - 1 - 2 * delta), (3, delta), (delta + 2, delta))
+
+
+def _cycle_spider_edge_types(n: int, x: float) -> tuple[tuple[float, float], ...]:
+    """A cycle with x-2 paths of length >= 2 at one vertex: the small-delta
+    unicyclic maximum, with x relaxed to a real for the profile."""
+    return ((3, x - 2), (x + 2, x), (4, n - 2 * x + 2))
+
+
+def _unicyclic_edge_types(n: int, delta: int) -> tuple[tuple[int, int], ...]:
+    """Large delta: a triangle vertex with 2*delta-n-1 pendants and
+    n-delta-1 paths of length two (two triangle edges add delta+2, one 4)."""
+    if is_large_delta("unicyclic", n, delta):
+        twos = n - delta - 1
+        return ((3, twos), (delta + 2, twos + 2), (delta + 1, 2 * delta - n - 1), (4, 1))
+    return _cycle_spider_edge_types(n, delta)
+
+
+def _value(edge_types: Iterable[tuple[int, int]]) -> RadicalValue:
+    """Exact sum of count/sqrt(sum) over edge types, equal sums added."""
+    counts: dict[int, int] = {}
+    for s, c in edge_types:
+        counts[s] = counts.get(s, 0) + c
+    return RadicalValue.reciprocal_sqrt_sum(counts)
 
 
 def tree_max_bound(n: int, delta: int) -> RadicalValue:
     """Maximum sum-connectivity index over trees with n vertices and
     maximum degree delta.  ``GraphClassSpec`` checks the range."""
     GraphClassSpec(n, delta, "tree")
-    if is_large_delta("tree", n, delta):
-        return (
-            _rsqrt(delta + 1) * (2 * delta - n + 1)
-            + _rsqrt(delta + 2) * (n - delta - 1)
-            + _rsqrt(3) * (n - delta - 1)
-        )
-    return (
-        RadicalValue.from_rational(Fraction(n - 1 - 2 * delta, 2))
-        + _rsqrt(3) * delta
-        + _rsqrt(delta + 2) * delta
-    )
+    return _value(_tree_edge_types(n, delta))
 
 
 def unicyclic_max_bound(n: int, delta: int) -> RadicalValue:
     """Maximum sum-connectivity index over unicyclic graphs with n vertices
     and maximum degree delta.  ``GraphClassSpec`` checks the range."""
     GraphClassSpec(n, delta, "unicyclic")
-    if is_large_delta("unicyclic", n, delta):
-        return (
-            _rsqrt(3) * (n - delta - 1)
-            + _rsqrt(delta + 2) * (n - delta + 1)
-            + _rsqrt(delta + 1) * (2 * delta - n - 1)
-            + RadicalValue.from_rational(Fraction(1, 2))
-        )
-    return (
-        _rsqrt(3) * (delta - 2)
-        + _rsqrt(delta + 2) * delta
-        + RadicalValue.from_rational(Fraction(n - 2 * delta + 2, 2))
-    )
+    return _value(_unicyclic_edge_types(n, delta))
 
 
 def unicyclic_bound_profile(n: int, x: float) -> float:
@@ -65,7 +75,10 @@ def unicyclic_bound_profile(n: int, x: float) -> float:
     """
     if x < 2:
         raise ValueError(f"profile is defined for x >= 2, got {x}")
-    return (x - 2) / math.sqrt(3.0) + x / math.sqrt(x + 2.0) + (n - 2.0 * x + 2.0) / 2.0
+    total = 0.0  # a left fold in term order; sum() compensates on Python 3.12+
+    for s, c in _cycle_spider_edge_types(n, x):
+        total += c / math.sqrt(s)
+    return total
 
 
 @dataclass(frozen=True)
@@ -81,24 +94,11 @@ class TopTwoBound:
 
 def unicyclic_top_two(n: int) -> TopTwoBound:
     """The two largest sum-connectivity values among n-vertex unicyclic
-    graphs with their graphs: the n-cycle (value n/2), then the triangle
-    with a pendant at n = 4 or the cycles with one path of length >= 2
-    attached (value (n-4)/2 + 1/sqrt(3) + 3/sqrt(5)) for n >= 5."""
+    graphs with their graphs: the maxima at delta = 2 and delta = 3."""
     if n < 4:
         raise ValueError(f"top-two ranking needs n >= 4, got {n}")
-    first_value = RadicalValue.from_rational(Fraction(n, 2))
-    if n == 4:
-        second_value = RadicalValue.from_rational(1) + _rsqrt(5) * 2
-        second_graphs: tuple[Graph, ...] = (unicyclic_extremal(4, 3),)
-    else:
-        second_value = (
-            RadicalValue.from_rational(Fraction(n - 4, 2)) + _rsqrt(3) + _rsqrt(5) * 3
-        )
-        second_graphs = tuple(cycle_spider_family(n, 3))
-    return TopTwoBound(
-        n=n,
-        first_value=first_value,
-        first_graphs=(cycle_graph(n),),
-        second_value=second_value,
-        second_graphs=second_graphs,
+    first, second = (
+        (unicyclic_max_bound(n, d), tuple(extremal_family(GraphClassSpec(n, d, "unicyclic"))))
+        for d in (2, 3)
     )
+    return TopTwoBound(n, *first, *second)

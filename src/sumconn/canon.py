@@ -249,8 +249,24 @@ def _refine(adj, colors: list[int]) -> list[int]:
 
 
 def _generic_canonical_edges(g: Graph) -> list[tuple[int, int]]:
+    """Least relabeled edge list over the leaves of an individualization-
+    refinement search, skipping the twins of vertices already tried.
+
+    Soundness of the twin pruning.  u and v are twins when
+    N(u) - {v} == N(v) - {u}; then the transposition s = (u v) is an
+    automorphism of g.  Where u and v share the target cell, s also keeps
+    the node's colouring, so individualizing v gives the colouring that
+    individualizing u gives, composed with s.  ``_refine`` and the choice of
+    target cell read colours, never vertex numbers, so the unpruned search
+    below v reaches exactly the leaves c o s for the leaves c below u.  An
+    automorphism maps the edge set onto itself, so c o s relabels it to the
+    same edge list as c: both branches hold the same least list, and by
+    induction on depth the pruned search returns the unpruned one's code.
+    Graphs made of twins (K_n, K_{a,b}) thus take one branch per level.
+    """
     adj = g.adjacency
     n = g.n
+    nbrs = [frozenset(a) for a in adj]
     best: list[tuple[int, int]] | None = None
 
     def search(colors: list[int]) -> None:
@@ -267,8 +283,10 @@ def _generic_canonical_edges(g: Graph) -> list[tuple[int, int]]:
         for c in colors:
             counts[c] = counts.get(c, 0) + 1
         target = min(c for c, k in counts.items() if k > 1)
+        tried: list[int] = []
         for v in range(n):
-            if colors[v] == target:
+            if colors[v] == target and not any(nbrs[u] - {v} == nbrs[v] - {u} for u in tried):
+                tried.append(v)
                 branched = list(colors)
                 branched[v] = -1
                 search(_refine(adj, branched))

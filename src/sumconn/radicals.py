@@ -32,7 +32,7 @@ Rational = Union[int, Fraction]
 _MAX_SIGN_BITS = 1 << 13
 
 # Radicands seen in practice are degree sums and products of graphs on at
-# most 16 vertices; the bound only keeps odd inputs from growing the memos.
+# most 16 vertices; the bound only keeps odd inputs from growing the memo.
 _MEMO_SIZE = 1 << 12
 
 # The float filter in ``_float_sign`` takes radicands that are exact
@@ -110,7 +110,6 @@ class RadicalValue:
         return cls(((s, 1),))
 
     @classmethod
-    @lru_cache(maxsize=_MEMO_SIZE)
     def reciprocal_sqrt(cls, s: int) -> "RadicalValue":
         """Exact ``1/sqrt(s)``, stored as ``(a/s)*sqrt(b)`` for ``s = a*a*b``."""
         return cls.reciprocal_sqrt_sum({s: 1})

@@ -249,11 +249,11 @@ class MonotonicityReport:
         }
 
 
-def _random_connected_base(rng: random.Random, n: int, allow_cycle: bool = True) -> Graph:
+def _random_connected_base(rng: random.Random, n: int) -> Graph:
     """Random tree from a uniform parent array, plus an optional chord."""
     edges = [(rng.randrange(v), v) for v in range(1, n)]
     tree = graph_from_edges(n, edges)
-    if allow_cycle and n >= 3 and rng.random() < 0.5:
+    if n >= 3 and rng.random() < 0.5:
         non_edges = [
             (u, v)
             for u in range(n)

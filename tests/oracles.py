@@ -7,7 +7,7 @@ brute-force isomorphism classes by permutation-orbit closure.  Counts and
 class structures computed here cross-check the production enumerators and
 canonical codes without sharing their code paths.
 
-Five references are kept for a different purpose: they are the earlier,
+Six references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``level_sequence_trees`` builds every WROM level
 sequence's tree through ``graph_from_edges`` and sorts by the package's
@@ -16,14 +16,24 @@ graph and deduplicates by ``canonical_code``;
 ``squarefree_by_trial_division`` trial-divides up to the square root;
 ``graph6_by_pair_probe`` tests every vertex pair for an edge and packs the
 bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
-readings of a cyclic sequence.
+readings of a cyclic sequence; ``generic_canonical_edges_unpruned`` branches
+on every vertex of the target cell, twins included.
+
+The ``*_as_printed`` functions are the paper's closed forms written term by
+term, in ``RadicalValue`` arithmetic (the real-relaxed profile in floats)
+and with the branch thresholds spelled out again; tests compare the
+package's bounds, which are stated as edge types, against them.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from functools import lru_cache
+from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from sumconn.radicals import RadicalValue
 
 Edge = tuple[int, int]
 
@@ -310,3 +320,88 @@ def necklace_min_all_readings(codes: list[str]) -> tuple[str, ...]:
         for start in range(k):
             readings.append(tuple(codes[(start + step * i) % k] for i in range(k)))
     return min(readings)
+
+
+def _rsqrt(s: int) -> RadicalValue:
+    return RadicalValue.reciprocal_sqrt(s)
+
+
+def tree_bound_as_printed(n: int, delta: int) -> RadicalValue:
+    """The paper's tree maximum as printed, term by term in ``RadicalValue``
+    arithmetic: large delta means delta >= ceil(n/2)."""
+    if delta >= (n + 1) // 2:
+        return (
+            _rsqrt(delta + 1) * (2 * delta - n + 1)
+            + _rsqrt(delta + 2) * (n - delta - 1)
+            + _rsqrt(3) * (n - delta - 1)
+        )
+    return (
+        RadicalValue.from_rational(Fraction(n - 1 - 2 * delta, 2))
+        + _rsqrt(3) * delta
+        + _rsqrt(delta + 2) * delta
+    )
+
+
+def unicyclic_bound_as_printed(n: int, delta: int) -> RadicalValue:
+    """The paper's unicyclic maximum as printed: large delta means
+    delta >= ceil((n+2)/2)."""
+    if delta >= (n + 3) // 2:
+        return (
+            _rsqrt(3) * (n - delta - 1)
+            + _rsqrt(delta + 2) * (n - delta + 1)
+            + _rsqrt(delta + 1) * (2 * delta - n - 1)
+            + RadicalValue.from_rational(Fraction(1, 2))
+        )
+    return (
+        _rsqrt(3) * (delta - 2)
+        + _rsqrt(delta + 2) * delta
+        + RadicalValue.from_rational(Fraction(n - 2 * delta + 2, 2))
+    )
+
+
+def unicyclic_profile_as_printed(n: int, x: float) -> float:
+    """The small-degree unicyclic maximum as printed, in floats, with the
+    maximum degree relaxed to a real x >= 2."""
+    return (x - 2) / math.sqrt(3.0) + x / math.sqrt(x + 2.0) + (n - 2.0 * x + 2.0) / 2.0
+
+
+def top_two_as_printed(n: int) -> tuple[RadicalValue, RadicalValue]:
+    """The paper's top-two unicyclic values as printed, for n >= 4: n/2 for
+    the n-cycle, then 1 + 2/sqrt(5) at n = 4 and
+    (n-4)/2 + 1/sqrt(3) + 3/sqrt(5) for n >= 5."""
+    first = RadicalValue.from_rational(Fraction(n, 2))
+    if n == 4:
+        return first, RadicalValue.from_rational(1) + _rsqrt(5) * 2
+    return first, RadicalValue.from_rational(Fraction(n - 4, 2)) + _rsqrt(3) + _rsqrt(5) * 3
+
+
+def generic_canonical_edges_unpruned(g) -> list[Edge]:
+    """Least relabeled edge list over every leaf of the individualization-
+    refinement search, branching on every vertex of the target cell."""
+    from sumconn.canon import _refine
+
+    n = g.n
+    best: list[Edge] | None = None
+
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        if len(set(colors)) == n:
+            relabeled = sorted(
+                (min(colors[u], colors[v]), max(colors[u], colors[v])) for u, v in g.edges
+            )
+            if best is None or relabeled < best:
+                best = relabeled
+            return
+        counts: dict[int, int] = {}
+        for c in colors:
+            counts[c] = counts.get(c, 0) + 1
+        target = min(c for c, k in counts.items() if k > 1)
+        for v in range(n):
+            if colors[v] == target:
+                branched = list(colors)
+                branched[v] = -1
+                search(_refine(g.adjacency, branched))
+
+    search(_refine(g.adjacency, [0] * n))
+    assert best is not None
+    return best

@@ -1,9 +1,11 @@
-import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sumconn.bounds import (
+    _tree_edge_types,
+    _unicyclic_edge_types,
     tree_max_bound,
     unicyclic_bound_profile,
     unicyclic_max_bound,
@@ -12,7 +14,9 @@ from sumconn.bounds import (
 from sumconn.canon import canonical_code
 from sumconn.construct import (
     DeltaRangeError,
+    GraphClassSpec,
     cycle_spider_family,
+    extremal_family,
     spider_family,
     tree_extremal,
     unicyclic_extremal,
@@ -20,6 +24,13 @@ from sumconn.construct import (
 from sumconn.graphs import cycle_graph, path_graph
 from sumconn.indices import sum_connectivity
 from sumconn.radicals import RadicalValue
+
+from oracles import (
+    top_two_as_printed,
+    tree_bound_as_printed,
+    unicyclic_bound_as_printed,
+    unicyclic_profile_as_printed,
+)
 
 
 def _rs(s):
@@ -78,12 +89,61 @@ def test_unicyclic_bound_matches_constructions_exactly():
 
 
 def test_branches_partition_the_delta_range():
-    # every delta in 2..n-1 falls in exactly one branch of each bound
-    for n in range(4, 17):
-        for bound_split in ((n + 1) // 2, (n + 3) // 2):
-            lows = [d for d in range(2, n) if d < bound_split]
-            highs = [d for d in range(2, n) if d >= bound_split]
-            assert lows + highs == list(range(2, n))
+    # every delta in 2..n-1 falls in one branch of each bound, and there the
+    # branch's edge counts are nonnegative and add up to the edge count
+    for n in range(4, 41):
+        for delta in range(2, n):
+            for graph_class, edge_types, m in (
+                ("tree", _tree_edge_types, n - 1),
+                ("unicyclic", _unicyclic_edge_types, n),
+            ):
+                counts = [c for _, c in edge_types(n, delta)]
+                assert all(c >= 0 for c in counts), (graph_class, n, delta)
+                assert sum(counts) == m
+
+
+def _summed(edge_types):
+    counts = Counter()
+    for s, c in edge_types:
+        counts[s] += c
+    return {s: c for s, c in counts.items() if c}
+
+
+def test_extremal_graphs_have_exactly_the_bound_edge_types():
+    # stronger than equal values: {4: 1} and {16: 2} are both worth 1/2
+    for graph_class, edge_types, n_max in (
+        ("tree", _tree_edge_types, 16),
+        ("unicyclic", _unicyclic_edge_types, 14),
+    ):
+        for n in range(3, n_max + 1):
+            for delta in range(2, n):
+                expected = _summed(edge_types(n, delta))
+                for g in extremal_family(GraphClassSpec(n, delta, graph_class)):
+                    deg = g.degrees()
+                    assert Counter(deg[u] + deg[v] for u, v in g.edges) == expected
+
+
+def test_bounds_equal_the_printed_closed_forms():
+    for n in range(3, 41):
+        for delta in range(2, n):
+            assert tree_max_bound(n, delta).terms == tree_bound_as_printed(n, delta).terms
+            assert unicyclic_max_bound(n, delta).terms == unicyclic_bound_as_printed(n, delta).terms
+        for x in [k / 10 for k in range(20, 10 * n)]:
+            assert unicyclic_bound_profile(n, x) == unicyclic_profile_as_printed(n, x)
+
+
+def test_top_two_equals_the_printed_closed_forms():
+    for n in range(4, 41):
+        first, second = top_two_as_printed(n)
+        assert unicyclic_max_bound(n, 2).terms == first.terms
+        assert unicyclic_max_bound(n, 3).terms == second.terms
+    for n in range(4, 17):  # graphs stop at 16 vertices
+        first, second = top_two_as_printed(n)
+        t = unicyclic_top_two(n)
+        assert (t.first_value.terms, t.second_value.terms) == (first.terms, second.terms)
+        assert [g.edges for g in t.first_graphs] == [cycle_graph(n).edges]
+        printed = [unicyclic_extremal(4, 3)] if n == 4 else cycle_spider_family(n, 3)
+        assert [g.edges for g in t.second_graphs] == [g.edges for g in printed]
 
 
 def test_profile_matches_integer_bound():

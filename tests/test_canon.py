@@ -1,10 +1,17 @@
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumconn.canon import canonical_code, canonical_form, level_sequence_code, necklace_min
+from sumconn.canon import (
+    _generic_canonical_edges,
+    canonical_code,
+    canonical_form,
+    level_sequence_code,
+    necklace_min,
+)
 from sumconn.enumeration import (
     _free_tree_level_sequences,
     _level_sequence_tree,
@@ -16,11 +23,16 @@ from sumconn.graphs import (
     NotConnectedError,
     cycle_graph,
     graph_from_edges,
+    is_connected,
     path_graph,
     star_graph,
 )
 
-from oracles import connected_graph_orbit_classes, necklace_min_all_readings
+from oracles import (
+    connected_graph_orbit_classes,
+    generic_canonical_edges_unpruned,
+    necklace_min_all_readings,
+)
 
 
 def _permuted(g: Graph, perm) -> Graph:
@@ -140,3 +152,53 @@ def test_cycles_of_different_length_differ():
 )
 def test_necklace_min_matches_all_readings(codes):
     assert necklace_min(codes) == necklace_min_all_readings(codes)
+
+
+def test_graphs_of_twins_relabeled_get_one_code():
+    # K_n and K_{a,b} are all twins; the search takes one branch per level
+    rng = random.Random(16)
+    graphs = [graph_from_edges(n, list(combinations(range(n), 2))) for n in range(4, 17)]
+    graphs += [
+        graph_from_edges(a + b, [(i, j) for i in range(a) for j in range(a, a + b)])
+        for a in range(2, 9)
+        for b in range(a, 17 - a)
+    ]
+    codes = set()
+    for g in graphs:
+        code = canonical_code(g)
+        codes.add(code)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_code(_permuted(g, perm)) == code
+    assert len(codes) == len(graphs)
+    for k_n in graphs[:13]:
+        assert canonical_form(k_n) == k_n
+
+
+def _random_cubic(rng: random.Random, n: int) -> Graph:
+    """A connected 3-regular simple graph from the pairing model."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            g = graph_from_edges(n, sorted(edges))
+            if is_connected(g):
+                return g
+
+
+def test_twin_pruning_keeps_the_unpruned_codes():
+    # Dense graphs have many twins; in regular graphs refinement leaves one
+    # cell that need not be an orbit, so which branches run matters.
+    rng = random.Random(9)
+    graphs: list[Graph] = []
+    while len(graphs) < 200:
+        n = rng.randint(5, 9)
+        p = rng.uniform(0.5, 0.9)
+        g = graph_from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if is_connected(g) and g.m > g.n:
+            graphs.append(g)
+    graphs += [_random_cubic(rng, n) for n in (8, 10, 12) for _ in range(10)]
+    for g in graphs:
+        assert _generic_canonical_edges(g) == generic_canonical_edges_unpruned(g)

@@ -168,6 +168,13 @@ def test_export_canonical_normalizes(capsys):
     assert out1 == out2
 
 
+def test_export_canonical_complete_graph_on_16_vertices(capsys):
+    k16 = "O" + "~" * 20
+    code, out, _ = run(capsys, "export", "--g6", k16, "--canonical")
+    assert code == 0
+    assert out == k16 + "\n"
+
+
 def test_usage_errors(capsys):
     assert dispatch(["nonsense"]) == 2
     capsys.readouterr()
