@@ -8,6 +8,7 @@ this package build new graphs rather than mutating.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -102,6 +103,23 @@ def _graph_from_sorted_edges(n: int, edges: tuple[tuple[int, int], ...]) -> Grap
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, adj)))
+
+
+def _graph_with_edge(g: Graph, u: int, v: int) -> Graph:
+    """``g`` plus the edge (u, v), ``u < v``, not already in ``g`` (unchecked).
+
+    Only the edge tuple and the two endpoint lists change; each takes the
+    new entry at its sorted position, so the result equals what
+    ``_graph_from_sorted_edges`` builds from the extended edge tuple.
+    """
+    edges = g.edges
+    at = bisect(edges, (u, v))
+    adj = list(g.adjacency)
+    au, av = adj[u], adj[v]
+    i, j = bisect(au, v), bisect(av, u)
+    adj[u] = au[:i] + (v,) + au[i:]
+    adj[v] = av[:j] + (u,) + av[j:]
+    return Graph(n=g.n, edges=edges[:at] + ((u, v),) + edges[at:], adjacency=tuple(adj))
 
 
 def path_graph(n: int) -> Graph:

@@ -16,10 +16,10 @@ sweep (trees n = 4..12, unicyclic graphs and top-two n = 4..11);
 
 from __future__ import annotations
 
-import heapq
 import random
 import statistics
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_top_two
@@ -71,13 +71,34 @@ def _same_classes(a: Iterable[Graph], b: Iterable[Graph]) -> bool:
     return {canonical_code(g) for g in a} == {canonical_code(g) for g in b}
 
 
-def _leading_groups(graphs: Iterable[Graph], k: int) -> list[tuple[RadicalValue, list[Graph]]]:
-    """The ``k`` largest exact index values over ``graphs``, largest first,
-    each with the graphs that attain it in input order."""
+def _leading_groups(
+    graphs: Iterable[Graph], k: int
+) -> tuple[int, list[tuple[RadicalValue, list[Graph]]]]:
+    """The number of ``graphs`` and their ``k`` largest exact index values,
+    largest first, each with the graphs that attain it in input order.
+
+    One pass that keeps only the ``k`` leading groups seen so far: a value
+    below the least of them once ``k`` are kept cannot be among the ``k``
+    largest, and a larger one evicts that least group.
+    """
+    count = 0
     groups: dict[RadicalValue, list[Graph]] = {}
+    floor: RadicalValue | None = None  # least kept value, once k are kept
     for g in graphs:
-        groups.setdefault(sum_connectivity(g), []).append(g)
-    return [(value, groups[value]) for value in heapq.nlargest(k, groups)]
+        count += 1
+        value = sum_connectivity(g)
+        group = groups.get(value)
+        if group is not None:
+            group.append(g)
+            continue
+        if floor is not None:
+            if not value > floor:
+                continue
+            del groups[floor]
+        groups[value] = [g]
+        if len(groups) == k:
+            floor = min(groups)
+    return count, sorted(groups.items(), key=itemgetter(0), reverse=True)
 
 
 @dataclass
@@ -118,14 +139,14 @@ class ExtremalReport:
 
 
 def _verify_family(
-    spec: GraphClassSpec, members: list[Graph], formula: RadicalValue
+    spec: GraphClassSpec, members: Iterable[Graph], formula: RadicalValue
 ) -> ExtremalReport:
     # GraphClassSpec admits only non-empty classes; an empty one fails here.
-    [(brute, argmax)] = _leading_groups(members, 1)
+    class_size, [(brute, argmax)] = _leading_groups(members, 1)
     expected = extremal_family(spec)
     return ExtremalReport(
         spec=spec,
-        class_size=len(members),
+        class_size=class_size,
         formula_value=formula,
         brute_max=brute,
         argmax=tuple(argmax),
@@ -201,12 +222,13 @@ class TopTwoReport:
 def verify_top_two(n: int) -> TopTwoReport:
     """Rank every n-vertex unicyclic graph by exact index value and compare
     the two leading groups against the closed-form prediction."""
-    members = enumerate_unicyclic(n)
     expected = unicyclic_top_two(n)  # owns n >= 4, so two value groups exist
-    (first_value, first), (second_value, second) = _leading_groups(members, 2)
+    total, [(first_value, first), (second_value, second)] = _leading_groups(
+        enumerate_unicyclic(n), 2
+    )
     return TopTwoReport(
         n=n,
-        total=len(members),
+        total=total,
         first_value=first_value,
         first=tuple(first),
         second_value=second_value,

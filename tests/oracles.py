@@ -7,12 +7,18 @@ brute-force isomorphism classes by permutation-orbit closure.  Counts and
 class structures computed here cross-check the production enumerators and
 canonical codes without sharing their code paths.
 
-Six references are kept for a different purpose: they are the earlier,
+The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
+``unicyclic_counts`` import nothing from the package: they count classes
+from generating functions in integer arithmetic (Euler transform, Otter's
+formula, the dihedral cycle index).
+
+Seven references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``level_sequence_trees`` builds every WROM level
 sequence's tree through ``graph_from_edges`` and sorts by the package's
 ``canonical_code``; ``chord_dedup_unicyclic`` builds every tree-plus-chord
-graph and deduplicates by ``canonical_code``;
+graph and deduplicates by ``canonical_code``; ``chord_necklaces_unpruned``
+keys every chord of a tree, with no orbit pruning;
 ``squarefree_by_trial_division`` trial-divides up to the square root;
 ``graph6_by_pair_probe`` tests every vertex pair for an edge and packs the
 bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
@@ -32,6 +38,7 @@ import math
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 from sumconn.radicals import RadicalValue
 
@@ -276,6 +283,157 @@ def chord_dedup_unicyclic(n: int) -> list[tuple[Edge, ...]]:
             g = graph_from_edges(n, tree.edges + ((u, v),))
             found.setdefault(canonical_code(g), g.edges)
     return [found[code] for code in sorted(found)]
+
+
+def chord_necklaces_unpruned(tree) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
+    """Every chord ``(u, v)``, ``u < v``, of ``tree`` in lexicographic order,
+    with the necklace key of ``tree + (u, v)``.
+
+    The chord closes the cycle formed by the tree path from u to v.  The
+    pendant code of a cycle vertex w is ``"(" + sorted(branch(c, w) for c
+    off the cycle) + ")"``, where ``branch(c, w)`` is the AHU code of c's
+    side of the tree edge (c, w) rooted at c.  That side holds no cycle
+    vertex, so the chord leaves it unchanged, and the string is exactly
+    what ``canon._pendant_codes`` computes for the unicyclic graph.  The
+    key is ``necklace_min`` of those codes in path order, the necklace from
+    which ``canonical_code`` builds its bytes, so equal keys mean equal
+    canonical codes and, conversely, isomorphic graphs get equal keys.
+
+    The paths are read off one BFS per u: the path from u to y is the path
+    to y's BFS parent x plus y, so its codes are those of the path to x,
+    with x now coded between its parent and y, plus y's code as an end
+    vertex, ``branch(y, x)`` (its other cycle neighbour is the chord).
+    Branch codes are memoized per directed edge, and each vertex keeps
+    them sorted, so a pendant code is a filtered join, memoized per
+    (vertex, path neighbours).
+    """
+    from sumconn.canon import necklace_min
+
+    n = tree.n
+    adj = tree.adjacency
+    branches: dict[tuple[int, int], str] = {}
+
+    def branch(c: int, w: int) -> str:
+        code = branches.get((c, w))
+        if code is None:
+            code = "(" + "".join(sorted(branch(d, c) for d in adj[c] if d != w)) + ")"
+            branches[(c, w)] = code
+        return code
+
+    around = [sorted((branch(c, w), c) for c in adj[w]) for w in range(n)]
+    pendants: dict[tuple[int, int, int], str] = {}
+
+    def pendant(w: int, a: int, b: int) -> str:
+        """Code of w's pendant tree when its path neighbors are a and b."""
+        code = pendants.get((w, a, b))
+        if code is None:
+            code = "(" + "".join([bc for bc, c in around[w] if c != a and c != b]) + ")"
+            pendants[(w, a, b)] = code
+        return code
+
+    for u in range(n - 1):
+        # prefix[y]: codes of the path from u up to, not including, y;
+        # u's missing path neighbour is -1.
+        parent = [-1] * n
+        prefix: list[list[str]] = [[]] * n
+        order = [u]
+        for x in order:
+            px = parent[x]
+            for y in adj[x]:
+                if y != px:
+                    parent[y] = x
+                    prefix[y] = prefix[x] + [pendant(x, px, y)]
+                    order.append(y)
+        for v in range(u + 1, n):
+            p = parent[v]
+            if p != u:
+                yield (u, v), necklace_min(prefix[v] + [branch(v, p)])
+
+
+def rooted_tree_counts(n_max: int) -> list[int]:
+    """Rooted unlabeled trees on n vertices, n = 0..n_max (OEIS A000081),
+    by the Euler transform: (n-1) r(n) = sum_{k=1}^{n-1} (sum_{d | k} d r(d)) r(n-k)."""
+    r = [0, 1] + [0] * (n_max - 1)
+    s = [0] * (n_max + 1)  # s[k] = sum of d * r(d) over the divisors d of k
+    for n in range(2, n_max + 1):
+        k = n - 1
+        s[k] = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
+        r[n] = sum(s[j] * r[n - j] for j in range(1, n)) // (n - 1)
+    return r[: n_max + 1]
+
+
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two power series truncated to the length of ``a``."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(len(a) - i):
+                out[i + j] += x * b[j]
+    return out
+
+
+def _series_pow(a: list[int], e: int) -> list[int]:
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(e):
+        out = _series_mul(out, a)
+    return out
+
+
+def _series_substitute_power(a: list[int], d: int) -> list[int]:
+    """a(x^d), truncated to the length of ``a``."""
+    out = [0] * len(a)
+    for i in range(0, len(a), d):
+        out[i] = a[i // d]
+    return out
+
+
+def free_tree_counts(n_max: int) -> list[int]:
+    """Free unlabeled trees on n vertices, n = 0..n_max (OEIS A000055), by
+    Otter's formula t(x) = 1 + r(x) - (r(x)^2 - r(x^2)) / 2."""
+    r = rooted_tree_counts(n_max)
+    square = _series_mul(r, r)
+    halved = _series_substitute_power(r, 2)
+    t = [r[n] - (square[n] - halved[n]) // 2 for n in range(n_max + 1)]
+    t[0] = 1
+    return t
+
+
+def unicyclic_counts(n_max: int) -> list[int]:
+    """Connected unicyclic graphs on n vertices, n = 0..n_max (OEIS A001429):
+    the sum over cycle lengths k >= 3 of the dihedral cycle index Z(D_k)
+    with s_i replaced by r(x^i), the rooted-tree series (Harary and Palmer,
+    Graphical Enumeration, ch. 3).  Each 2k Z(D_k) is summed in integers
+    and divided exactly:
+
+        2k Z(D_k) = sum_{d | k} phi(d) s_d^(k/d)
+                    + k s_1 s_2^((k-1)/2)                       (k odd)
+                    + (k/2) (s_2^(k/2) + s_1^2 s_2^((k-2)/2))   (k even)
+    """
+    r = rooted_tree_counts(n_max)
+    s = [None] + [_series_substitute_power(r, i) for i in range(1, n_max + 1)]
+
+    def phi(d: int) -> int:
+        return sum(1 for i in range(1, d + 1) if math.gcd(i, d) == 1)
+
+    total = [0] * (n_max + 1)
+    for k in range(3, n_max + 1):
+        twice = [0] * (n_max + 1)
+        for d in range(1, k + 1):
+            if k % d == 0:
+                term = _series_pow(s[d], k // d)
+                twice = [a + phi(d) * b for a, b in zip(twice, term)]
+        if k % 2:
+            term = _series_mul(s[1], _series_pow(s[2], (k - 1) // 2))
+            twice = [a + k * b for a, b in zip(twice, term)]
+        else:
+            term = _series_pow(s[2], k // 2)
+            other = _series_mul(_series_pow(s[1], 2), _series_pow(s[2], (k - 2) // 2))
+            twice = [a + k // 2 * (b + c) for a, b, c in zip(twice, term, other)]
+        for n in range(n_max + 1):
+            count, rest = divmod(twice[n], 2 * k)
+            assert rest == 0, (k, n, twice[n])
+            total[n] += count
+    return total
 
 
 def squarefree_by_trial_division(value: int) -> tuple[int, int]:

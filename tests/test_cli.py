@@ -73,6 +73,44 @@ def test_enumerate_lines_and_counts(capsys):
     assert "delta=3 count=16" in out
 
 
+@pytest.mark.parametrize(
+    "graph_class, n, delta",
+    [
+        ("unicyclic", 6, 9),
+        ("unicyclic", 6, 1),
+        ("unicyclic", 6, 6),
+        ("tree", 6, -3),
+        ("tree", 6, 0),
+        ("tree", 6, 6),
+        ("tree", 1, 1),
+    ],
+)
+def test_enumerate_rejects_a_degree_the_class_cannot_have(capsys, graph_class, n, delta):
+    for extra in ([], ["--count-only"], ["--json"]):
+        code, out, err = run(
+            capsys, "enumerate", "--class", graph_class, "--n", str(n), "--delta", str(delta), *extra
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "delta" in err
+
+
+def test_enumerate_accepts_the_ends_of_the_degree_range(capsys):
+    for graph_class, n, delta, total in [
+        ("unicyclic", 6, 2, 1),
+        ("unicyclic", 6, 5, 1),
+        ("tree", 6, 1, 0),
+        ("tree", 6, 5, 1),
+        ("tree", 1, 0, 1),
+    ]:
+        code, out, _ = run(
+            capsys, "enumerate", "--class", graph_class, "--n", str(n), "--delta", str(delta),
+            "--count-only",
+        )
+        assert code == 0
+        assert out.splitlines()[-1] == f"total={total}"
+
+
 def test_enumerate_unicyclic_13_output_is_pinned(capsys):
     # The digest of the 13,999 graph6 lines (OEIS A001429) the output had
     # before emission was bit-packed and written in one call.

@@ -1,9 +1,19 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumconn
 from sumconn.canon import canonical_code
-from sumconn.enumeration import _chord_necklaces, enumerate_trees, enumerate_unicyclic
+from sumconn.enumeration import (
+    _all_trees,
+    _chord_necklaces,
+    enumerate_trees,
+    enumerate_unicyclic,
+)
 from sumconn.graphs import (
     SizeLimitError,
     graph_from_edges,
@@ -17,22 +27,36 @@ from sumconn.construct import unicyclic_extremal
 
 from oracles import (
     chord_dedup_unicyclic,
+    chord_necklaces_unpruned,
     connected_graph_orbit_classes,
+    free_tree_counts,
     labeled_tree_classes,
     labeled_unicyclic_class_count,
     level_sequence_trees,
     prufer_decode,
+    unicyclic_counts,
 )
 
-# OEIS A000055
-FREE_TREE_COUNTS = {
-    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
-    13: 1301, 14: 3159, 15: 7741, 16: 19320,
-}
-# OEIS A001429
-UNICYCLIC_COUNTS = {
-    3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240, 10: 657, 11: 1806, 12: 5026, 13: 13999,
-}
+# OEIS A000055 and A001429, n = 0..30, as published.
+OEIS_A000055 = [
+    1, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629,
+    123867, 317955, 823065, 2144505, 5623756, 14828074, 39299897, 104636890, 279793450,
+    751065460, 2023443032, 5469566585, 14830871802,
+]
+OEIS_A001429 = [
+    0, 0, 0, 1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260, 110381, 311465,
+    880840, 2497405, 7093751, 20187313, 57537552, 164235501, 469406091, 1343268050,
+    3848223585, 11035981711, 31679671920, 91021354454, 261741776369, 753265624291,
+]
+
+# Class counts within the enumerators' limits, from the counting oracle.
+FREE_TREE_COUNTS = {n: c for n, c in enumerate(free_tree_counts(16)) if n >= 1}
+UNICYCLIC_COUNTS = {n: c for n, c in enumerate(unicyclic_counts(14)) if n >= 3}
+
+
+def test_counting_oracle_matches_oeis():
+    assert free_tree_counts(30) == OEIS_A000055
+    assert unicyclic_counts(30) == OEIS_A001429
 
 
 def test_free_tree_counts():
@@ -50,8 +74,37 @@ def test_trees_match_level_sequence_reference():
 
 
 def test_unicyclic_counts():
-    for n, expected in UNICYCLIC_COUNTS.items():
-        assert len(enumerate_unicyclic(n)) == expected
+    for n in range(3, 14):  # n = 14 runs in its own process, below
+        assert len(enumerate_unicyclic(n)) == UNICYCLIC_COUNTS[n]
+
+
+# A forked child's peak RSS starts from the RSS of the process it was forked
+# from, so the command is started by a fresh interpreter, which prints the
+# command's output and then its exit code and peak RSS in kilobytes.
+_PEAK_RSS_RUNNER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = proc.stdout.read()
+proc.stdout.close()
+_, status, usage = os.wait4(proc.pid, 0)
+sys.stdout.buffer.write(out)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_unicyclic_count_at_the_limit_in_bounded_memory():
+    src = str(Path(sumconn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-m", "sumconn.cli", "enumerate", "--class", "unicyclic",
+            "--n", "14", "--count-only"]
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_RUNNER, *argv],
+        env=env, stdout=subprocess.PIPE, check=True, text=True,
+    ).stdout.splitlines()
+    code, peak_kb = map(int, out[-1].split())
+    assert code == 0
+    assert out[-2] == f"total={UNICYCLIC_COUNTS[14]}"
+    assert peak_kb < 60 * 1024
 
 
 def test_unicyclic_matches_chord_dedup_reference():
@@ -81,11 +134,29 @@ def _random_unicyclic(rng: random.Random, n: int):
 
 
 def _necklace_key(g):
-    """Key of ``g`` as the enumerator computes it: spanning tree plus chord."""
+    """Key of ``g`` as the enumerator computes it: spanning tree plus chord.
+    Read from the unpruned reference, which keys every chord."""
     cycle = unique_cycle(g)
     chord = (min(cycle[:2]), max(cycle[:2]))
     tree = graph_from_edges(g.n, [e for e in g.edges if e != chord])
-    return dict(_chord_necklaces(tree))[chord]
+    return dict(chord_necklaces_unpruned(tree))[chord]
+
+
+def _first_chords(pairs):
+    first = {}
+    for chord, key in pairs:
+        first.setdefault(key, chord)
+    return first
+
+
+def test_orbit_pruning_keeps_every_key_and_its_first_chord():
+    for n in range(1, 11):
+        for tree in _all_trees(n):
+            pruned = list(_chord_necklaces(tree))
+            full = list(chord_necklaces_unpruned(tree))
+            assert set(pruned) <= set(full)
+            assert [chord for chord, _ in pruned] == sorted(chord for chord, _ in pruned)
+            assert _first_chords(pruned) == _first_chords(full)
 
 
 def test_necklace_keys_agree_with_canonical_codes():
