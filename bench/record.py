@@ -5,15 +5,20 @@ alternating order (base first in even pairs, the working tree first in odd
 ones), so slow drifts of the host fall on both sides alike, and writes
 ``BENCH_<pr>.json`` with every run's end-to-end metrics and, per metric,
 the median and quartiles of each side and the number of pairs in which the
-working tree did better.  Usage, from the repository root::
+working tree did better.  Every workload that the working tree's
+``perfbench/workloads.py`` defines is run, in ten pairs: a gain is claimed
+when the change wins at least nine of them.  Usage, from the repository
+root::
 
-    python3 bench/record.py --pr 8 --base HEAD --pairs 10 --seconds 8
+    python3 bench/record.py --pr 8 --base HEAD~1 --seconds 8
 
 The base revision is exported with ``git archive`` into a temporary
 directory (under ``$TMPDIR``) and removed afterwards; each side runs its own
 ``perfbench/run.py`` on its own ``src/``.  Only the committed files of the
-base count, while the working tree is measured as it stands, uncommitted
-changes included.
+base count, while the working tree is measured as it stands: the report
+names its HEAD commit and whether uncommitted changes were on top of it.
+A base that is the working tree's own clean HEAD is refused, since it
+would compare a commit with itself.
 """
 
 from __future__ import annotations
@@ -32,7 +37,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/workloads.py of the working tree)
+
 SIDES = ("base", "change")
+PAIRS = 10
 
 
 def _git(*args: str) -> str:
@@ -70,12 +80,12 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(base_tree: Path, workloads: list[str], pairs: int, seconds: float) -> dict:
+def record(base_tree: Path, seconds: float) -> dict:
     trees = {"base": base_tree, "change": ROOT}
     out = {}
-    for workload in workloads:
+    for workload in workloads.WORKLOADS:
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for i in range(pairs):
+        for i in range(PAIRS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 result = run_once(trees[side], workload, i, seconds)
                 runs[side].append(result)
@@ -101,29 +111,35 @@ def record(base_tree: Path, workloads: list[str], pairs: int, seconds: float) ->
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
-    parser.add_argument("--base", default="HEAD", help="base revision (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--base", required=True, help="base revision, e.g. HEAD~1")
     parser.add_argument("--seconds", type=float, default=8, help="run.py --seconds per run")
-    parser.add_argument("--workloads", nargs="+",
-                        default=["verify-all", "trees-n16", "unicyclic-n13", "transforms-seeded"])
     args = parser.parse_args(argv)
+
+    try:
+        base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    except subprocess.CalledProcessError:
+        parser.error(f"--base {args.base} names no commit")
+    head = _git("rev-parse", "HEAD")
+    uncommitted = bool(_git("status", "--porcelain", "--untracked-files=no"))
+    if base == head and not uncommitted:
+        parser.error(f"--base {args.base} is the working tree's clean HEAD; nothing to compare")
 
     base_tree = Path(tempfile.mkdtemp(prefix="bench-base-"))
     try:
-        export(args.base, base_tree)
-        workloads = record(base_tree, args.workloads, args.pairs, args.seconds)
+        export(base, base_tree)
+        results = record(base_tree, args.seconds)
     finally:
         shutil.rmtree(base_tree, ignore_errors=True)
     report = {
         "pr": args.pr,
-        "base": _git("rev-parse", args.base),
-        "change": {"head": _git("rev-parse", "HEAD"),
-                   "uncommitted": bool(_git("status", "--porcelain", "--untracked-files=no"))},
+        "base": base,
+        # The working tree measured: HEAD, plus uncommitted changes if any.
+        "change": {"head": head, "uncommitted": uncommitted},
         "command": f"perfbench/run.py --seconds {args.seconds} --trace 0, seed = pair index",
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "host": {"python": platform.python_version(), "cpus": os.cpu_count(),
                  "machine": platform.machine()},
-        "workloads": workloads,
+        "workloads": results,
     }
     target = ROOT / f"BENCH_{args.pr}.json"
     target.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
