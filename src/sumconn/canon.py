@@ -11,7 +11,6 @@ enumeration workloads fast; the generic path is a safety net.
 
 from __future__ import annotations
 
-from bisect import insort
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,6 +25,10 @@ from .graphs import (
 )
 
 CanonicalCode = bytes
+
+# ``bytes.translate`` tables that move every depth one level up or down.
+_SHALLOWER = bytes([0, *range(255)])
+_DEEPER = bytes([*range(1, 256), 255])
 
 
 @lru_cache(maxsize=1 << 18)
@@ -46,10 +49,9 @@ def canonical_code(g: Graph) -> CanonicalCode:
 
 
 def _encode(n: int, edges: list[tuple[int, int]]) -> CanonicalCode:
-    out = bytearray([n])
-    for u, v in sorted(edges):
-        out.append(u)
-        out.append(v)
+    out = [n]
+    for edge in sorted(edges):
+        out += edge
     return bytes(out)
 
 
@@ -121,6 +123,20 @@ def _tree_canonical_edges(g: Graph) -> list[tuple[int, int]]:
     return edges
 
 
+def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
+    """Sorted edges of the tree whose vertex v has depth ``seq[v]``, the
+    vertices numbered in preorder: v's parent is the latest vertex before
+    it one level up."""
+    last = [0] * len(seq)  # the latest vertex seen at each depth
+    edges = []
+    for v in range(1, len(seq)):
+        depth = seq[v]
+        edges.append((last[depth - 1], v))
+        last[depth] = v
+    edges.sort()
+    return edges
+
+
 def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
     """``canonical_code`` of the free tree a WROM level sequence denotes,
     read off the depths.
@@ -138,40 +154,49 @@ def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
       where h2 is the height of the second root subtree (-1 if there is
       none).  So h1 is h2 or h2 + 1.  With h1 = h2 the root is the only
       center; with h1 = h2 + 1 the centers are the root and vertex 1.
-    * The paren string of a level sequence puts ``seq[i] + 1 - seq[i + 1]``
-      closing parens between the opening ones of vertices i and i + 1, so
-      where two sequences first differ, the larger depth gives ``(``
-      against ``)``: non-increasing level sequences are ascending AHU
-      strings, because ``'(' < ')'``.  The root's AHU string,
-      ``_rooted_code`` at vertex 0, is therefore the paren string of
-      ``seq`` itself, built with no sort, and ``_parse_paren`` labels it in
-      the sequence's own preorder.
-    * Vertex i's opening paren sits at index ``2*i - seq[i]`` (i openings
-      and ``i - seq[i]`` closings precede it), and the string has ``2*n``
-      characters.  For a bicentral tree the AHU string at vertex 1 is
-      ``"(" + sorted(child codes of vertex 1, root-side branch) + ")"``:
-      the child codes are consecutive, already sorted, substrings of the
-      root string, and the root-side branch is ``"(" + codes of the other
-      root children + ")"``, inserted in order.
+    * The paren string of a depth sequence (root first, depth 0, every
+      later vertex at depth 1 or more) puts ``s[i] + 1 - s[i + 1]``
+      closing parens between the opening ones of vertices i and i + 1,
+      and ``s[-1] + 1`` after the last.  Where two sequences first differ,
+      the larger depth gives ``(`` against ``)``; where one ends first,
+      the other goes on with an opening paren that the ended one closes.
+      As ``'(' < ')'``, one sequence is greater (Python's order, a proper
+      prefix being smaller) exactly when its paren string is smaller.  The
+      paren string of a canonical sequence is its AHU string, each
+      vertex's children listed in ascending string order; so the root's
+      AHU string, ``_rooted_code`` at vertex 0, is that of ``seq``.
+    * ``_parse_paren`` on a paren string labels the vertices in the order
+      of their opening parens, the sequence's preorder, and joins each new
+      vertex to the top of its stack.  When vertex v opens, the stack holds
+      one open vertex per depth below ``s[v]``, and its top is the last
+      vertex before v at depth ``s[v] - 1``: that vertex is still open,
+      because a depth sequence rises by at most one per step, so every
+      vertex between it and v is deeper.  The parse thus yields exactly
+      the edges ``level_sequence_edges`` reads off the parent array,
+      ``(last[depth - 1], v)``, and those are encoded with no string.
+    * For a bicentral tree, the canonical sequence rooted at vertex 1 is
+      0 followed by blocks in descending order: the subtree of each child
+      of vertex 1 (depths ``seq[v] - 1``, already canonical and in order)
+      and the root-side branch, vertex 0 at depth 1 with the other root
+      subtrees below it (depths ``seq[v] + 1``, canonical and in order as
+      well).  Its paren string is the AHU string at vertex 1.
 
-    ``canonical_code`` parses the least AHU string over the centers; this
-    parses the least of the root string and, for a bicentral tree, the
-    vertex-1 string.
+    ``canonical_code`` parses the least AHU string over the centers, the
+    paren string of the greatest of these sequences, so this encodes that
+    sequence's parent-array edges.
     """
+    seq = bytes(seq)
     n = len(seq)
-    closings = [")" * (a + 1 - b) + "(" for a, b in zip(seq, seq[1:])]
-    best = "(" + "".join(closings) + ")" * (seq[-1] + 1)
-    try:
-        cut = seq.index(1, 2)  # the second child of the root, if any
-    except ValueError:
+    cut = seq.find(1, 2)  # the second child of the root, if any
+    if cut < 0:
         cut = n
     if max(seq[1:cut], default=0) > max(seq[cut:], default=0):
-        bounds = [2 * v - 2 for v in range(2, cut) if seq[v] == 2] + [2 * cut - 2]
-        children = [best[a:b] for a, b in zip(bounds, bounds[1:])]
-        insort(children, "(" + best[2 * cut - 1 : 2 * n - 1] + ")")
-        best = min(best, "(" + "".join(children) + ")")
-    _, edges, _ = _parse_paren(best, 0)
-    return _encode(n, edges)
+        starts = [v for v in range(2, cut) if seq[v] == 2] + [cut]
+        blocks = [seq[a:b].translate(_SHALLOWER) for a, b in zip(starts, starts[1:])]
+        blocks.append(b"\x01" + seq[cut:].translate(_DEEPER))
+        blocks.sort(reverse=True)
+        seq = max(seq, b"\x00" + b"".join(blocks))
+    return _encode(n, level_sequence_edges(seq))
 
 
 # -- unicyclic graphs ------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from typing import Sequence
 
 from .bounds import tree_max_bound, unicyclic_max_bound
@@ -147,21 +146,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     enumerate_fn = enumerate_trees if args.graph_class == "tree" else enumerate_unicyclic
     graphs = enumerate_fn(args.n, args.delta)
     if args.count_only:
-        counts = Counter(max_degree(g) for g in graphs)
+        # Counted from the records' degrees: the degree filters build no graph.
+        degrees = range(args.n) if args.delta is None else [args.delta]
+        counts = {d: c for d in degrees if (c := len(enumerate_fn(args.n, (d, d))))}
         if args.json:
             _emit_json(
                 {
                     "kind": "enumerate",
                     "class": args.graph_class,
                     "n": args.n,
-                    "counts": {str(d): counts[d] for d in sorted(counts)},
+                    "counts": {str(d): c for d, c in counts.items()},
                     "total": len(graphs),
                 },
                 args.json,
             )
         else:
-            for d in sorted(counts):
-                print(f"delta={d} count={counts[d]}")
+            for d, c in counts.items():
+                print(f"delta={d} count={c}")
             print(f"total={len(graphs)}")
     elif args.json:
         _emit_json(

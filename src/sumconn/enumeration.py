@@ -13,14 +13,14 @@ skipped before they are keyed; no candidate graph is built or canonically
 coded, and the first chord seen for each class gives its representative.
 
 Classes are ordered by canonical code so that repeated runs, reports, and
-CLI output are reproducible.  A tree's code is read off its level sequence
-(``canon.level_sequence_code``) and its graph is built from the sequence's
-parent array, with no validation, BFS or AHU sort per tree; the trees of
-each n are kept.  A unicyclic class is kept as a record (maximum degree,
-tree index, chord), and ``enumerate_unicyclic`` returns a lazy sequence
-that builds each graph from its tree when it is read, so memory holds the
-records and not the graphs.  The maximum degree of every tree is computed
-once per n, the first time a caller filters by it.
+CLI output are reproducible.  Both classes are kept as records that start
+with the maximum degree: a tree as its level sequence, whose code is read
+off the depths (``canon.level_sequence_code``); a unicyclic class as its
+tree's graph plus a chord.  ``enumerate_trees`` and ``enumerate_unicyclic``
+filter the records by degree and return a lazy sequence that builds each
+graph when it is read, a tree from its sequence's parent array and a
+unicyclic graph from its tree plus the chord, with no validation, BFS or
+AHU sort; memory holds the records and not the graphs.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
-from .canon import level_sequence_code, necklace_code, necklace_min
+from .canon import level_sequence_code, level_sequence_edges, necklace_code, necklace_min
 from .construct import DeltaRangeError
 from .graphs import Graph, SizeLimitError, _graph_from_sorted_edges, _graph_with_edge
 
@@ -105,28 +105,23 @@ def _free_tree_level_sequences(n: int):
         seq = _next_rooted(seq)
 
 
-def _level_sequence_tree(seq: list[int]) -> Graph:
+def _level_sequence_tree(seq: Sequence[int]) -> Graph:
     """The tree whose vertex ``v`` has depth ``seq[v]`` in preorder."""
-    last = [0] * len(seq)  # the latest vertex seen at each depth
-    edges = []
-    for v in range(1, len(seq)):
-        depth = seq[v]
-        edges.append((last[depth - 1], v))
-        last[depth] = v
-    edges.sort()
-    return _graph_from_sorted_edges(len(seq), tuple(edges))
+    return _graph_from_sorted_edges(len(seq), tuple(level_sequence_edges(seq)))
 
 
 @lru_cache(maxsize=None)
-def _all_trees(n: int) -> tuple[Graph, ...]:
+def _tree_records(n: int) -> tuple[tuple[int, bytes], ...]:
+    """``(max degree, level sequence)`` of every free tree on n vertices,
+    in canonical-code order.  A code is the byte n, which is no vertex
+    label, then each edge's two ends, so a vertex's degree is its count in
+    the code."""
     if n == 1:
-        return (_level_sequence_tree([0]),)
-    keyed = [
-        (level_sequence_code(seq), _level_sequence_tree(seq))
-        for seq in _free_tree_level_sequences(n)
-    ]
+        return ((0, bytes([0])),)
+    seqs = map(bytes, _free_tree_level_sequences(n))
+    keyed = [(level_sequence_code(seq), seq) for seq in seqs]
     keyed.sort(key=itemgetter(0))
-    return tuple(g for _, g in keyed)
+    return tuple((max(map(code.count, range(n))), seq) for code, seq in keyed)
 
 
 def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
@@ -229,82 +224,85 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
 
 
 @lru_cache(maxsize=None)
-def _unicyclic_records(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """``(max degree, tree index, u, v)`` of every class: the class of
-    ``_all_trees(n)[tree index]`` plus the chord (u, v).
+def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
+    """``(max degree, tree, u, v)`` of every class: the class of the tree
+    plus the chord (u, v).  The trees are those of ``_tree_records(n)``,
+    each built once and shared by the records of its classes.
 
     Trees and chords are visited in a fixed order and a class keeps the
     first chord found for it, so the representatives do not depend on how
     keys are computed.  Classes are ordered by the canonical code built
     from their key; the keys are dropped once sorted.
     """
-    found: dict[tuple[str, ...], tuple[int, int, int, int]] = {}
-    for index, tree in enumerate(_all_trees(n)):
-        degrees = [len(nbrs) for nbrs in tree.adjacency]
-        top = max(degrees)
+    found: dict[tuple[str, ...], tuple[int, Graph, int, int]] = {}
+    for top, seq in _tree_records(n):
+        tree = _level_sequence_tree(seq)
+        adj = tree.adjacency
         for (u, v), key in _chord_necklaces(tree):
             if key not in found:
-                found[key] = (max(top, degrees[u] + 1, degrees[v] + 1), index, u, v)
+                found[key] = (max(top, len(adj[u]) + 1, len(adj[v]) + 1), tree, u, v)
     return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
 
 
-class _UnicyclicClasses(Sequence[Graph]):
-    """Class records read as graphs: each graph is built when read, from
-    its tree plus its chord, and not kept."""
+def _tree_graph(record: tuple[int, bytes]) -> Graph:
+    return _level_sequence_tree(record[1])
 
-    __slots__ = ("_trees", "_records")
 
-    def __init__(self, trees: tuple[Graph, ...], records: tuple[tuple[int, int, int, int], ...]):
-        self._trees = trees
+def _unicyclic_graph(record: tuple[int, Graph, int, int]) -> Graph:
+    _, tree, u, v = record
+    return _graph_with_edge(tree, u, v)
+
+
+class _LazyGraphs(Sequence[Graph]):
+    """Records read as graphs: each graph is built from its record by
+    ``build`` when it is read, and not kept."""
+
+    __slots__ = ("_records", "_build")
+
+    def __init__(self, records: tuple, build: Callable[[Any], Graph]):
         self._records = records
-
-    def _graph(self, record: tuple[int, int, int, int]) -> Graph:
-        _, index, u, v = record
-        return _graph_with_edge(self._trees[index], u, v)
+        self._build = build
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._graph(r) for r in self._records[i]]
-        return self._graph(self._records[i])
+            return [self._build(r) for r in self._records[i]]
+        return self._build(self._records[i])
 
     def __iter__(self) -> Iterator[Graph]:
-        return map(self._graph, self._records)
+        return map(self._build, self._records)
 
 
-def _degree_range(delta: DeltaFilter, lowest: int, n: int) -> tuple[int, int]:
-    """``delta`` as an inclusive range.  An exact degree must lie in
+def _select(records: tuple, delta: DeltaFilter, lowest: int, n: int, build) -> _LazyGraphs:
+    """The records whose maximum degree, their first field, ``delta``
+    admits, read lazily through ``build``.  An exact degree must lie in
     [lowest, n-1]; a range is taken as given."""
-    if isinstance(delta, tuple):
-        return delta
-    if not lowest <= delta <= n - 1:
-        raise DeltaRangeError(f"delta must lie in [{lowest}, {n - 1}] for n={n}, got {delta}")
-    return delta, delta
+    if delta is not None:
+        if not isinstance(delta, tuple):
+            if not lowest <= delta <= n - 1:
+                raise DeltaRangeError(
+                    f"delta must lie in [{lowest}, {n - 1}] for n={n}, got {delta}"
+                )
+            delta = (delta, delta)
+        lo, hi = delta
+        records = tuple(r for r in records if lo <= r[0] <= hi)
+    return _LazyGraphs(records, build)
 
 
-@lru_cache(maxsize=None)
-def _max_degrees(n: int) -> tuple[int, ...]:
-    """The maximum degree of each tree of ``_all_trees(n)``, computed once."""
-    return tuple(max(map(len, g.adjacency)) for g in _all_trees(n))
-
-
-def _select(n: int, delta: DeltaFilter) -> list[Graph]:
-    trees = _all_trees(n)
-    if delta is None:
-        return list(trees)
-    lo, hi = _degree_range(delta, min(1, n - 1), n)
-    return [g for g, top in zip(trees, _max_degrees(n)) if lo <= top <= hi]
-
-
-def enumerate_trees(n: int, delta: DeltaFilter = None) -> list[Graph]:
+def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     """One representative per isomorphism class of free trees on n vertices,
     optionally filtered by maximum degree (exact value in [1, n-1], 0 at
-    n = 1, or inclusive range), ordered by canonical code."""
+    n = 1, or inclusive range), ordered by canonical code.
+
+    The result is a lazy, re-iterable ``Sequence``: the trees are selected
+    by degree from their records, and each tree is built from its level
+    sequence when it is read.
+    """
     if not 1 <= n <= MAX_TREE_VERTICES:
         raise SizeLimitError(f"tree enumeration supports 1 <= n <= {MAX_TREE_VERTICES}")
-    return _select(n, delta)
+    return _select(_tree_records(n), delta, min(1, n - 1), n, _tree_graph)
 
 
 def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
@@ -313,15 +311,11 @@ def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     [2, n-1], or inclusive range), ordered by canonical code.
 
     The result is a lazy, re-iterable ``Sequence``: the classes are
-    selected by degree from their records, and each graph is built when it
-    is read.
+    selected by degree from their records, and each graph is built from
+    its tree and chord when it is read.
     """
     if not 3 <= n <= MAX_UNICYCLIC_VERTICES:
         raise SizeLimitError(
             f"unicyclic enumeration supports 3 <= n <= {MAX_UNICYCLIC_VERTICES}"
         )
-    if delta is None:
-        return _UnicyclicClasses(_all_trees(n), _unicyclic_records(n))
-    lo, hi = _degree_range(delta, 2, n)
-    records = tuple(r for r in _unicyclic_records(n) if lo <= r[0] <= hi)
-    return _UnicyclicClasses(_all_trees(n), records)
+    return _select(_unicyclic_records(n), delta, 2, n, _unicyclic_graph)

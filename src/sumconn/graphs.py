@@ -59,7 +59,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(nbrs) for nbrs in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"

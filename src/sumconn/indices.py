@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import lru_cache
 
 from .graphs import Graph
 from .radicals import RadicalValue
@@ -36,10 +37,21 @@ def connectivity_index(g: Graph, kind: IndexKind) -> RadicalValue:
         raise EdgelessGraphError("graph has no edges")
     deg = g.degrees()
     if kind is IndexKind.SUM:
-        counts = Counter([deg[u] + deg[v] for u, v in g.edges])
+        profile = sorted([deg[u] + deg[v] for u, v in g.edges])
     else:
-        counts = Counter([deg[u] * deg[v] for u, v in g.edges])
-    return RadicalValue.reciprocal_sqrt_sum(counts)
+        profile = sorted([deg[u] * deg[v] for u, v in g.edges])
+    return _profile_value(tuple(profile))
+
+
+@lru_cache(maxsize=1 << 14)
+def _profile_value(profile: tuple[int, ...]) -> RadicalValue:
+    """Exact ``sum 1/sqrt(s)`` over a sorted tuple of per-edge radicands.
+
+    The value depends on the multiset alone, so graphs that share an
+    edge-type profile share one (immutable) value, whichever index kind
+    produced the radicands.
+    """
+    return RadicalValue.reciprocal_sqrt_sum(Counter(profile))
 
 
 def sum_connectivity(g: Graph) -> RadicalValue:

@@ -306,16 +306,19 @@ def _float_sign(
     undecided; the two together hold at least one term.
 
     Soundness.  Let x_i = q_i*sqrt(s_i) exactly, u = 2**-53 and
-    f_i = float(q_i) * sqrt(s_i) evaluated in doubles.  float(q_i) is int/int
-    true division and sqrt(s_i) is IEEE sqrt of s_i, an exact double since
-    s_i < 2**53; both are correctly rounded, and so is their product.  While
-    nothing is subnormal or overflows, f_i = x_i*(1+d1)*(1+d2)*(1+d3) with
-    every |d_j| <= u, so |f_i - x_i| <= ((1+u)**3 - 1)*|x_i| <= 3.01u*|f_i|.
+    f_i = (n_i / d_i) * sqrt(s_i) evaluated in doubles, for q_i = n_i/d_i in
+    lowest terms.  n_i / d_i is Python's int/int true division, which is
+    correctly rounded; it is the same division float(q_i) makes, without
+    the ``__float__`` call frames.  sqrt(s_i) is IEEE sqrt of s_i, an
+    exact double since s_i < 2**53, so it is correctly rounded too, and so
+    is their product.  While nothing is subnormal or overflows,
+    f_i = x_i*(1+d1)*(1+d2)*(1+d3) with every |d_j| <= u, so
+    |f_i - x_i| <= ((1+u)**3 - 1)*|x_i| <= 3.01u*|f_i|.
     math.fsum is correctly rounded too: S = fsum(f_i) is within
     u*sum|f_i| of sum(f_i), and A = fsum(|f_i|) >= (1-u)*sum|f_i|.  Hence
     |S - sum(x_i)| <= 4.1u*A, and |S| > 2**-48*A = 32u*A forces sum(x_i)
     to have the sign of S.  Requiring every |f_i| in (2**-900, 2**900)
-    keeps float(q_i) (sqrt(s_i) lies in [1, 2**26.5]), each product and
+    keeps n_i / d_i (sqrt(s_i) lies in [1, 2**26.5]), each product and
     each fsum normal and finite; a quotient too large for a double raises
     OverflowError, which also leaves the decision to the exact path.
 
@@ -329,8 +332,8 @@ def _float_sign(
         if part and part[-1][0] >= _FILTER_MAX_RADICAND:
             return 0
     try:
-        f = [float(q) * sqrt(s) for s, q in terms]
-        f += [-float(q) * sqrt(s) for s, q in minus]
+        f = [q.numerator / q.denominator * sqrt(s) for s, q in terms]
+        f += [-(q.numerator / q.denominator) * sqrt(s) for s, q in minus]
     except OverflowError:
         return 0
     a = [abs(x) for x in f]

@@ -357,8 +357,10 @@ def chi_r_correlation(n: int, max_delta: int | None = None) -> float:
         raise FamilyTooSmallError(
             f"need at least 3 graphs, family has {len(members)}"
         )
-    chis = [float(sum_connectivity(g)) for g in members]
-    rs = [float(product_connectivity(g)) for g in members]
+    chis, rs = [], []
+    for g in members:  # one pass: each tree is built when it is read
+        chis.append(float(sum_connectivity(g)))
+        rs.append(float(product_connectivity(g)))
     return statistics.correlation(chis, rs)
 
 

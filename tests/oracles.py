@@ -12,11 +12,13 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Seven references are kept for a different purpose: they are the earlier,
+Eight references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``level_sequence_trees`` builds every WROM level
 sequence's tree through ``graph_from_edges`` and sorts by the package's
-``canonical_code``; ``chord_dedup_unicyclic`` builds every tree-plus-chord
+``canonical_code``; ``eager_level_sequence_trees`` builds the same trees
+with the enumerator's own ``_level_sequence_tree``, all at once, and sorts
+them the same way; ``chord_dedup_unicyclic`` builds every tree-plus-chord
 graph and deduplicates by ``canonical_code``; ``chord_necklaces_unpruned``
 keys every chord of a tree, with no orbit pruning;
 ``squarefree_by_trial_division`` trial-divides up to the square root;
@@ -264,6 +266,20 @@ def level_sequence_trees(n: int) -> list[tuple[Edge, ...]]:
     ]
     graphs.sort(key=canonical_code)
     return [g.edges for g in graphs]
+
+
+def eager_level_sequence_trees(n: int) -> list:
+    """Free trees (graphs) on n vertices as one eager list: every WROM level
+    sequence's tree built by ``_level_sequence_tree``, sorted by canonical
+    code."""
+    from sumconn.canon import canonical_code
+    from sumconn.enumeration import _free_tree_level_sequences, _level_sequence_tree
+
+    if n == 1:
+        return [_level_sequence_tree([0])]
+    trees = [_level_sequence_tree(seq) for seq in _free_tree_level_sequences(n)]
+    trees.sort(key=canonical_code)
+    return trees
 
 
 def chord_dedup_unicyclic(n: int) -> list[tuple[Edge, ...]]:

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 import sumconn
+import sumconn.enumeration as enumeration
 from sumconn.canon import canonical_code
 from sumconn.enumeration import (
-    _all_trees,
     _chord_necklaces,
     enumerate_trees,
     enumerate_unicyclic,
@@ -20,15 +20,18 @@ from sumconn.graphs import (
     is_tree,
     is_unicyclic,
     max_degree,
+    path_graph,
     star_graph,
     unique_cycle,
 )
 from sumconn.construct import unicyclic_extremal
+from sumconn.indices import sum_connectivity
 
 from oracles import (
     chord_dedup_unicyclic,
     chord_necklaces_unpruned,
     connected_graph_orbit_classes,
+    eager_level_sequence_trees,
     free_tree_counts,
     labeled_tree_classes,
     labeled_unicyclic_class_count,
@@ -73,6 +76,38 @@ def test_trees_match_level_sequence_reference():
         assert all(g == graph_from_edges(g.n, g.edges) for g in trees)
 
 
+def test_lazy_trees_match_the_eager_reference():
+    for n in range(1, 13):
+        assert list(enumerate_trees(n)) == eager_level_sequence_trees(n)
+
+
+def test_lazy_tree_sequence(monkeypatch):
+    built = []
+    build = enumeration._level_sequence_tree
+    monkeypatch.setattr(
+        enumeration, "_level_sequence_tree", lambda seq: built.append(seq) or build(seq)
+    )
+    trees = enumerate_trees(12)
+    assert len(trees) == FREE_TREE_COUNTS[12]
+    assert not built  # len builds no graph
+    first = list(trees)
+    assert list(trees) == first  # re-iterable, equal graphs each time
+    assert len(built) == 2 * len(first)
+    assert trees[5:40:3] == first[5:40:3]
+    assert trees[::-1] == first[::-1]
+    assert trees[-1] == first[-1]
+    assert list(enumerate_trees(12, 4)[:7]) == [g for g in first if max_degree(g) == 4][:7]
+
+
+def test_tree_degree_filters_partition_the_class():
+    for n in range(1, 13):
+        trees = list(enumerate_trees(n))
+        parts = [list(enumerate_trees(n, d)) for d in range(min(1, n - 1), n)]
+        assert sum(map(len, parts)) == len(trees)
+        for d, part in zip(range(min(1, n - 1), n), parts):
+            assert part == [g for g in trees if max_degree(g) == d]
+
+
 def test_unicyclic_counts():
     for n in range(3, 14):  # n = 14 runs in its own process, below
         assert len(enumerate_unicyclic(n)) == UNICYCLIC_COUNTS[n]
@@ -92,19 +127,40 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def test_unicyclic_count_at_the_limit_in_bounded_memory():
+def _run_for_peak_rss(*argv: str) -> tuple[list[str], int]:
+    """Output lines and peak RSS in kilobytes of a successful ``python argv``."""
     src = str(Path(sumconn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    argv = [sys.executable, "-m", "sumconn.cli", "enumerate", "--class", "unicyclic",
-            "--n", "14", "--count-only"]
     out = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_RUNNER, *argv],
+        [sys.executable, "-c", _PEAK_RSS_RUNNER, sys.executable, *argv],
         env=env, stdout=subprocess.PIPE, check=True, text=True,
     ).stdout.splitlines()
     code, peak_kb = map(int, out[-1].split())
     assert code == 0
-    assert out[-2] == f"total={UNICYCLIC_COUNTS[14]}"
+    return out[:-1], peak_kb
+
+
+def test_unicyclic_count_at_the_limit_in_bounded_memory():
+    out, peak_kb = _run_for_peak_rss(
+        "-m", "sumconn.cli", "enumerate", "--class", "unicyclic", "--n", "14", "--count-only"
+    )
+    assert out[-1] == f"total={UNICYCLIC_COUNTS[14]}"
     assert peak_kb < 60 * 1024
+
+
+_VALUE_ALL_TREES = """
+from sumconn.enumeration import enumerate_trees
+from sumconn.indices import sum_connectivity
+trees = enumerate_trees(16)
+print(len(trees))
+print(max(map(sum_connectivity, trees)))
+"""
+
+
+def test_trees_valued_at_the_limit_in_bounded_memory():
+    out, peak_kb = _run_for_peak_rss("-c", _VALUE_ALL_TREES)
+    assert out == [str(FREE_TREE_COUNTS[16]), str(sum_connectivity(path_graph(16)))]
+    assert peak_kb < 40 * 1024
 
 
 def test_unicyclic_matches_chord_dedup_reference():
@@ -151,7 +207,7 @@ def _first_chords(pairs):
 
 def test_orbit_pruning_keeps_every_key_and_its_first_chord():
     for n in range(1, 11):
-        for tree in _all_trees(n):
+        for tree in enumerate_trees(n):
             pruned = list(_chord_necklaces(tree))
             full = list(chord_necklaces_unpruned(tree))
             assert set(pruned) <= set(full)

@@ -62,7 +62,7 @@ def test_edgeless_graph_rejected():
 
 
 def test_additivity_over_edges():
-    for g in enumerate_trees(8) + [cycle_graph(7), unicyclic_extremal(9, 6)]:
+    for g in list(enumerate_trees(8)) + [cycle_graph(7), unicyclic_extremal(9, 6)]:
         deg = g.degrees()
         for kind in IndexKind:
             per_edge = RadicalValue.zero()
