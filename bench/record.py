@@ -13,12 +13,20 @@ root::
     python3 bench/record.py --pr 8 --base HEAD~1 --seconds 8
 
 The base revision is exported with ``git archive`` into a temporary
-directory (under ``$TMPDIR``) and removed afterwards; each side runs its own
-``perfbench/run.py`` on its own ``src/``.  Only the committed files of the
-base count, while the working tree is measured as it stands: the report
-names its HEAD commit and whether uncommitted changes were on top of it.
-A base that is the working tree's own clean HEAD is refused, since it
-would compare a commit with itself.
+directory (under ``$TMPDIR``), removed afterwards with the bytecode below;
+each side runs its own ``perfbench/run.py`` on its own ``src/``.  Only the
+committed files of the base count, while the working tree is measured as
+it stands: the report names its HEAD commit and whether uncommitted
+changes were on top of it.  A base that is the working tree's own clean
+HEAD is refused, since it would compare a commit with itself.
+
+Both sides run with the same bytecode state.  Each side writes and reads
+its bytecode in a fresh directory of its own (``PYTHONPYCACHEPREFIX``, with
+``PYTHONDONTWRITEBYTECODE`` unset), and one discarded run per workload and
+side compiles it before the timed pairs.  Otherwise an exported base, which
+never has a ``__pycache__``, compiles ``sumconn`` from source in every
+process when the caller's environment forbids writing bytecode, while the
+working tree reads whatever bytecode it has.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ import workloads  # noqa: E402  (perfbench/workloads.py of the working tree)
 
 SIDES = ("base", "change")
 PAIRS = 10
+BYTECODE = ("written to and read from a fresh PYTHONPYCACHEPREFIX per side, "
+            "PYTHONDONTWRITEBYTECODE unset; one discarded run per workload and side first")
 
 
 def _git(*args: str) -> str:
@@ -62,12 +72,20 @@ def export(rev: str, target: Path) -> None:
         tar.extractall(target, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def side_env(pycache: Path) -> dict[str, str]:
+    """The environment of every run on one side: bytecode written to and
+    read from ``pycache``, whatever the caller's setting."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(tree: Path, env: dict[str, str], workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` call in ``tree``; its JSON result line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, env=env, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -80,14 +98,15 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(base_tree: Path, seconds: float) -> dict:
-    trees = {"base": base_tree, "change": ROOT}
+def record(trees: dict[str, Path], envs: dict[str, dict[str, str]], seconds: float) -> dict:
     out = {}
     for workload in workloads.WORKLOADS:
+        for side in SIDES:
+            run_once(trees[side], envs[side], workload, 0, 0)  # compiles the bytecode
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                result = run_once(trees[side], workload, i, seconds)
+                result = run_once(trees[side], envs[side], workload, i, seconds)
                 runs[side].append(result)
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
@@ -124,12 +143,14 @@ def main(argv: list[str]) -> int:
     if base == head and not uncommitted:
         parser.error(f"--base {args.base} is the working tree's clean HEAD; nothing to compare")
 
-    base_tree = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    scratch = Path(tempfile.mkdtemp(prefix="bench-"))
     try:
-        export(base, base_tree)
-        results = record(base_tree, args.seconds)
+        trees = {"base": scratch / "base", "change": ROOT}
+        export(base, trees["base"])
+        envs = {side: side_env(scratch / f"pycache-{side}") for side in SIDES}
+        results = record(trees, envs, args.seconds)
     finally:
-        shutil.rmtree(base_tree, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     report = {
         "pr": args.pr,
         "base": base,
@@ -137,6 +158,7 @@ def main(argv: list[str]) -> int:
         "change": {"head": head, "uncommitted": uncommitted},
         "command": f"perfbench/run.py --seconds {args.seconds} --trace 0, seed = pair index",
         "pairs": PAIRS,
+        "bytecode": BYTECODE,
         "host": {"python": platform.python_version(), "cpus": os.cpu_count(),
                  "machine": platform.machine()},
         "workloads": results,

@@ -226,14 +226,15 @@ def necklace_min(codes: Sequence[str]) -> tuple[str, ...]:
     Only readings that start at an occurrence of the least code are
     compared: a reading's first element is the code it starts at, so a
     reading starting anywhere else is beaten at its first element by one
-    that starts at the least code, and the minimum is among the rest.
+    that starts at the least code, and the minimum is among the rest.  The
+    reading from position i is ``seq[i:] + seq[:i]``, for ``seq`` the
+    codes or their reverse.
     """
-    k = len(codes)
     least = min(codes)
-    doubled = list(codes) * 2
-    backward = doubled[::-1]
-    return tuple(
-        min([seq[i : i + k] for seq in (doubled, backward) for i in range(k) if seq[i] == least])
+    forward = tuple(codes)
+    backward = forward[::-1]
+    return min(
+        [seq[i:] + seq[:i] for seq in (forward, backward) for i, c in enumerate(seq) if c == least]
     )
 
 

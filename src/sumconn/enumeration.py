@@ -181,15 +181,9 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
 
     # Every directed edge's branch code is in ``branches`` from here on.
     around = [sorted((branch(c, w), c) for c in adj[w]) for w in range(n)]
+    # pendants[w, a, b]: code of w's pendant tree when its path neighbours
+    # are a and b.
     pendants: dict[tuple[int, int, int], str] = {}
-
-    def pendant(w: int, a: int, b: int) -> str:
-        """Code of w's pendant tree when its path neighbors are a and b."""
-        code = pendants.get((w, a, b))
-        if code is None:
-            code = "(" + "".join([bc for bc, c in around[w] if c != a and c != b]) + ")"
-            pendants[(w, a, b)] = code
-        return code
 
     rooted: set[str] = set()
     for u in range(n - 1):
@@ -201,7 +195,7 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
         # u's missing path neighbour is -1.  path[y] numbers the tuple of
         # branch codes on the path from u to y (0 for u itself).
         parent = [-1] * n
-        prefix: list[list[str]] = [[]] * n
+        prefix: list[tuple[str, ...]] = [()] * n
         path = [0] * n
         paths: dict[tuple[int, str], int] = {}
         order = [u]
@@ -210,7 +204,12 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
             for y in adj[x]:
                 if y != px:
                     parent[y] = x
-                    prefix[y] = prefix[x] + [pendant(x, px, y)]
+                    code = pendants.get((x, px, y))
+                    if code is None:
+                        code = pendants[x, px, y] = (
+                            "(" + "".join([bc for bc, c in around[x] if c != px and c != y]) + ")"
+                        )
+                    prefix[y] = prefix[x] + (code,)
                     path[y] = paths.setdefault((path[x], branches[y, x]), len(paths) + 1)
                     order.append(y)
         seen: set[int] = set()
@@ -220,7 +219,7 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
             seen.add(path[v])
             p = parent[v]
             if v > u and p != u:
-                yield (u, v), necklace_min(prefix[v] + [branches[v, p]])
+                yield (u, v), necklace_min(prefix[v] + (branches[v, p],))
 
 
 @lru_cache(maxsize=None)

@@ -8,20 +8,23 @@ independent over the rationals, so two values are equal exactly when
 their term maps coincide, and the sign of a nonzero value can always be
 pinned down by refining integer-square-root intervals.  That is what lets
 argmax ties and "equality iff" claims be decided exactly, with no
-floating-point tolerance: ``sign()`` trusts a float sum only when it lies
-outside a proven error bound (see the soundness argument in
-``_float_sign``) and refines the rest with integer square roots.
+floating-point tolerance: a comparison trusts the difference of two float
+enclosures only when it lies outside a proven error bound (see the
+soundness argument in ``_decide``) and refines the rest with integer
+square roots.
 
 Values are normalized once, by the public constructor.  Arithmetic merges
 operands that are already canonical and builds its result through
-``_from_canonical``, which skips the squarefree factoring.
+``_from_canonical``, which skips the squarefree factoring.  Each value
+computes its float enclosure (``_enclosure``) and its hash on first use
+and keeps them, so comparing or grouping a value again repeats neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum, isqrt, lcm, sqrt
+from math import fsum, inf, isqrt, lcm, sqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -35,9 +38,9 @@ _MAX_SIGN_BITS = 1 << 13
 # most 16 vertices; the bound only keeps odd inputs from growing the memo.
 _MEMO_SIZE = 1 << 12
 
-# The float filter in ``_float_sign`` takes radicands that are exact
-# doubles, and terms whose magnitudes stay far from overflow and from the
-# subnormal range.
+# ``_enclosure`` takes radicands that are exact doubles, and terms whose
+# magnitudes stay far from overflow and from the subnormal range;
+# ``_decide`` trusts a difference of enclosures beyond this relative margin.
 _FILTER_MAX_RADICAND = 1 << 53
 _FILTER_TINY = 2.0**-900
 _FILTER_HUGE = 2.0**900
@@ -76,9 +79,14 @@ class RadicalValue:
 
     Immutable.  Supports exact addition, subtraction, scaling by
     rationals, and exact comparison against other values or rationals.
+    A value equal to a rational hashes like it.
+
+    Besides its terms, a value keeps its float enclosure ``(S, A)`` in
+    ``_sum`` and ``_abs`` and its hash in ``_hash``, each filled on first
+    use; ``None`` in ``_abs`` or ``_hash`` marks one not yet computed.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_sum", "_abs", "_hash")
 
     def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -92,7 +100,8 @@ class RadicalValue:
                     acc[b] = total
                 else:
                     acc.pop(b, None)
-        object.__setattr__(self, "_terms", tuple(sorted(acc.items())))
+        self._terms = tuple(sorted(acc.items()))
+        self._abs = self._hash = None
 
     # -- constructors -----------------------------------------------------
 
@@ -197,27 +206,45 @@ class RadicalValue:
 
     # -- exact comparison ----------------------------------------------------
 
+    def _enclose(self) -> None:
+        """Fill the cached enclosure.  A value ``_enclosure`` refuses gets
+        ``(0.0, inf)``: its margin is infinite, so ``_decide`` never
+        trusts it and every comparison with it takes the exact path."""
+        enclosure = _enclosure(self._terms)
+        self._sum, self._abs = (0.0, inf) if enclosure is None else enclosure
+
     def sign(self) -> int:
         """Exact sign (-1, 0, +1).
 
-        A float evaluation decides the sign only when it lies outside a
-        proven error bound (see ``_float_sign`` for the argument); every
-        other value goes to exact interval refinement in scaled integers.
+        The cached float enclosure decides the sign only when it lies
+        outside a proven error bound (see ``_decide`` for the argument);
+        every other value goes to exact interval refinement in scaled
+        integers.
         """
         terms = self._terms
         if not terms:
             return 0
-        return _float_sign(terms) or _exact_sign(terms)
+        if self._abs is None:
+            self._enclose()
+        return _decide(self._sum, self._abs, 0.0, 0.0) or _exact_sign(terms)
 
     def _cmp(self, other: "RadicalValue" | Rational) -> int | None:
         rhs = self._coerce(other)
         if rhs is None:
             return None
-        if self._terms == rhs._terms:
+        if self is rhs:
             return 0
-        return _float_sign(self._terms, rhs._terms) or (self - rhs).sign()
+        if self._abs is None:
+            self._enclose()
+        if rhs._abs is None:
+            rhs._enclose()
+        return _decide(self._sum, self._abs, rhs._sum, rhs._abs) or (
+            0 if self._terms == rhs._terms else (self - rhs).sign()
+        )
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         rhs = self._coerce(other) if isinstance(other, (RadicalValue, int, Fraction)) else None
         if rhs is None:
             return NotImplemented
@@ -248,7 +275,18 @@ class RadicalValue:
         return c >= 0
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        # Equal to the hash of the rational a value equals, if it is one.
+        h = self._hash
+        if h is None:
+            terms = self._terms
+            if not terms:
+                h = hash(0)
+            elif len(terms) == 1 and terms[0][0] == 1:
+                h = hash(terms[0][1])
+            else:
+                h = hash(terms)
+            self._hash = h
+        return h
 
     # -- formatting / serialization -------------------------------------------
 
@@ -295,7 +333,68 @@ def _from_canonical(terms: tuple[tuple[int, Fraction], ...]) -> RadicalValue:
     """
     value = object.__new__(RadicalValue)
     value._terms = terms
+    value._abs = value._hash = None
     return value
+
+
+def _enclosure(terms: tuple[tuple[int, Fraction], ...]) -> tuple[float, float] | None:
+    """Float enclosure ``(S, A)`` of ``sum(terms)``, or None when a guard
+    fails: S is the ``fsum`` of the per-term doubles and A the ``fsum`` of
+    their absolute values, and |S - sum(terms)| <= 4.1u*A (u = 2**-53).
+
+    ``terms`` are sorted by radicand, as a value's are.  For the empty sum
+    both are 0, and exact.
+
+    Soundness.  Let x_i = q_i*sqrt(s_i) exactly and f_i = (n_i / d_i) *
+    sqrt(s_i) evaluated in doubles, for q_i = n_i/d_i in lowest terms.
+    n_i / d_i is Python's int/int true division, which is correctly
+    rounded; it is the same division float(q_i) makes, without the
+    ``__float__`` call frames.  sqrt(s_i) is IEEE sqrt of s_i, an exact
+    double since s_i < 2**53, so it is correctly rounded too, and so is
+    their product.  While nothing is subnormal or overflows,
+    f_i = x_i*(1+d1)*(1+d2)*(1+d3) with every |d_j| <= u, so
+    |f_i - x_i| <= ((1+u)**3 - 1)*|x_i| <= 3.01u*|f_i|.  math.fsum is
+    correctly rounded too: S is within u*sum|f_i| of sum(f_i), and
+    A >= (1-u)*sum|f_i|.  Hence |S - sum(x_i)| <= 4.1u*A.  Requiring every
+    |f_i| in (2**-900, 2**900) keeps n_i / d_i (sqrt(s_i) lies in
+    [1, 2**26.5]), each product and each fsum normal and finite: every f_i
+    is a multiple of 2**-952, so S is 0 or at least that large.  A
+    quotient too large for a double raises OverflowError, which also
+    returns None.
+    """
+    if not terms:
+        return 0.0, 0.0
+    if terms[-1][0] >= _FILTER_MAX_RADICAND:
+        return None
+    try:
+        f = [q.numerator / q.denominator * sqrt(s) for s, q in terms]
+    except OverflowError:
+        return None
+    a = [abs(x) for x in f]
+    if not (_FILTER_TINY < min(a) and max(a) < _FILTER_HUGE):
+        return None
+    return fsum(f), fsum(a)
+
+
+def _decide(sa: float, aa: float, sb: float, ab: float) -> int:
+    """Sign of x_a - x_b from enclosures ``(sa, aa)`` of x_a and
+    ``(sb, ab)`` of x_b, or 0 when undecided.
+
+    Soundness.  By ``_enclosure``, |S - x| <= 4.1u*A on each side, so
+    |(sa - sb) - (x_a - x_b)| <= 4.1u*(aa + ab).  D = sa - sb and
+    M = aa + ab each add one rounding: D = (sa - sb)*(1+e1) and
+    M = (aa + ab)*(1+e2) with |e1|, |e2| <= u (a difference that lands
+    below the normal range is exact), and 2**-48*M = 32u*M is exact.  If
+    |D| > 32u*M, then |sa - sb| >= |D|/(1+u) > 32u*(1-u)/(1+u)*(aa + ab),
+    and 32u*(1-u)/(1+u) > 8.2u, twice the 4.1u*(aa + ab) by which
+    sa - sb can miss x_a - x_b; so x_a - x_b has the sign of sa - sb,
+    which rounding gives D too.  An infinite A (a value ``_enclosure``
+    refused) makes the margin infinite and the decision 0.
+    """
+    d = sa - sb
+    if abs(d) > _FILTER_MARGIN * (aa + ab):
+        return 1 if d > 0 else -1
+    return 0
 
 
 def _float_sign(
@@ -303,46 +402,12 @@ def _float_sign(
     minus: tuple[tuple[int, Fraction], ...] = (),
 ) -> int:
     """Sign of ``sum(terms) - sum(minus)`` decided in doubles, or 0 when
-    undecided; the two together hold at least one term.
-
-    Soundness.  Let x_i = q_i*sqrt(s_i) exactly, u = 2**-53 and
-    f_i = (n_i / d_i) * sqrt(s_i) evaluated in doubles, for q_i = n_i/d_i in
-    lowest terms.  n_i / d_i is Python's int/int true division, which is
-    correctly rounded; it is the same division float(q_i) makes, without
-    the ``__float__`` call frames.  sqrt(s_i) is IEEE sqrt of s_i, an
-    exact double since s_i < 2**53, so it is correctly rounded too, and so
-    is their product.  While nothing is subnormal or overflows,
-    f_i = x_i*(1+d1)*(1+d2)*(1+d3) with every |d_j| <= u, so
-    |f_i - x_i| <= ((1+u)**3 - 1)*|x_i| <= 3.01u*|f_i|.
-    math.fsum is correctly rounded too: S = fsum(f_i) is within
-    u*sum|f_i| of sum(f_i), and A = fsum(|f_i|) >= (1-u)*sum|f_i|.  Hence
-    |S - sum(x_i)| <= 4.1u*A, and |S| > 2**-48*A = 32u*A forces sum(x_i)
-    to have the sign of S.  Requiring every |f_i| in (2**-900, 2**900)
-    keeps n_i / d_i (sqrt(s_i) lies in [1, 2**26.5]), each product and
-    each fsum normal and finite; a quotient too large for a double raises
-    OverflowError, which also leaves the decision to the exact path.
-
-    Nothing above asks the radicands to be distinct or the sum to be
-    normalized, so the bound holds for any list of terms: the terms of
-    ``minus`` join the list negated, and negating a double is exact.  A
-    comparison ``a <=> b`` thus runs on the two term tuples without
-    building ``a - b``.
-    """
-    for part in (terms, minus):
-        if part and part[-1][0] >= _FILTER_MAX_RADICAND:
-            return 0
-    try:
-        f = [q.numerator / q.denominator * sqrt(s) for s, q in terms]
-        f += [-(q.numerator / q.denominator) * sqrt(s) for s, q in minus]
-    except OverflowError:
+    undecided: ``_decide`` on the two sides' enclosures, computed afresh.
+    Values make the same decision on the enclosures they keep."""
+    a, b = _enclosure(terms), _enclosure(minus)
+    if a is None or b is None:
         return 0
-    a = [abs(x) for x in f]
-    if not (_FILTER_TINY < min(a) and max(a) < _FILTER_HUGE):
-        return 0
-    total = fsum(f)
-    if abs(total) <= _FILTER_MARGIN * fsum(a):
-        return 0
-    return 1 if total > 0 else -1
+    return _decide(*a, *b)
 
 
 def _exact_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:

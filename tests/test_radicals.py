@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumconn import radicals
 from sumconn.radicals import (
     RadicalValue,
+    _decide,
     _exact_sign,
     _float_sign,
     _from_canonical,
     squarefree_decompose,
 )
+from sumconn.verify import run_sweeps
 
 from oracles import squarefree_by_trial_division
 
@@ -279,6 +282,92 @@ def test_sign_outside_filter_range(terms):
     assert value.sign() == expected
     assert (-value).sign() == -expected
     assert (RadicalValue.zero() < value) == (expected > 0)
+    # Through the cached enclosure: refused, so every comparison is exact,
+    # the same cold and warm, against values inside the filter's range too.
+    assert value._abs == math.inf
+    for other in (RadicalValue.zero(), -value, RadicalValue.sqrt(2), Fraction(-7, 3)):
+        cold = _operator_sign(value, other)
+        assert cold == _oracle_sign(value - other, dps=1000)
+        assert _operator_sign(value, other) == cold
+        assert _operator_sign(other, value) == -cold
+
+
+def _operator_sign(a, b) -> int:
+    """The sign of a - b as the comparison operators give it, checked to
+    be consistent across all five of them."""
+    lt, le, gt, ge, eq = a < b, a <= b, a > b, a >= b, a == b
+    sign = -1 if lt else (1 if gt else 0)
+    assert (le, ge, eq) == (sign <= 0, sign >= 0, sign == 0)
+    return sign
+
+
+def _cached_decision(a: RadicalValue, b: RadicalValue) -> int:
+    return _decide(a._sum, a._abs, b._sum, b._abs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_term_strategy, _term_strategy, _term_strategy, *_near_tie_strategy)
+def test_cached_comparisons_agree_cold_and_warm(t1, t2, t3, extra_bits, offset):
+    a, b, c = RadicalValue(t1), RadicalValue(t2), RadicalValue(t3)
+    pairs = [(a, b)]
+    if not a.is_zero():
+        pairs.append((a, RadicalValue.from_rational(_near_dyadic(a, extra_bits, offset))))
+    for x, y in pairs:
+        expected = (x - y).sign()
+        assert expected == _oracle_sign(x - y, dps=120)
+        assert _operator_sign(x, y) == expected  # cold, or warm for a in its second pair
+        assert _operator_sign(x, y) == expected  # warm: the same objects again
+        assert _operator_sign(y, x) == -expected
+        decision = _cached_decision(x, y)
+        assert decision == _float_sign(x._terms, y._terms)
+        assert decision in (0, expected)
+        for z in (c, x, y):  # each warm value against a third, and itself
+            for w in (x, y):
+                assert _operator_sign(w, z) == _oracle_sign(w - z, dps=120)
+                assert _cached_decision(w, z) in (0, _operator_sign(w, z))
+                assert _cached_decision(w, z) == _float_sign(w._terms, z._terms)
+
+
+def test_exact_path_runs_on_near_ties_only(monkeypatch):
+    calls = []
+
+    def counted(terms):
+        calls.append(terms)
+        return _exact_sign(terms)
+
+    monkeypatch.setattr(radicals, "_exact_sign", counted)
+    assert run_sweeps().passed
+    assert calls == []
+    # sqrt(2) + sqrt(3) against dyadic rationals within 2**-62 of it.
+    x = RadicalValue.sqrt(2) + RadicalValue.sqrt(3)
+    for offset in (0, 1):
+        r = _near_dyadic(x, 0, offset)
+        assert (x > r) == (offset == 0)
+    assert len(calls) == 2
+
+
+_rational_strategy = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**20), max_value=10**20),
+        st.integers(min_value=1, max_value=10**12),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_strategy, _term_strategy)
+def test_rational_values_hash_like_their_rationals(q, terms):
+    value = RadicalValue.from_rational(q)
+    assert value == q and hash(value) == hash(q)
+    assert q in {value} and value in {q}
+    assert len({value, q}) == 1
+    other = RadicalValue(terms)
+    # Equal values hash alike, whichever way they were built.
+    rebuilt = other + RadicalValue.sqrt(2) - RadicalValue.sqrt(2)
+    assert rebuilt is not other and hash(rebuilt) == hash(other)
+    assert (other in {q}) == (other == q)
 
 
 _scalar_strategy = st.one_of(
