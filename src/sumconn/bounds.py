@@ -3,8 +3,9 @@
 The index is sum_k c_k/sqrt(k), c_k counting the edges whose end degrees
 add up to k, so each maximum is written once, as the edge types (sum,
 count) of the extremal graphs of :mod:`sumconn.construct` on either side of
-``is_large_delta``.  ``_value`` adds equal sums (at d = 2, d + 2 = 4) and
-normalizes once, as every graph's index does: bounds are exact values.
+``is_large_delta``.  ``_value`` values the profile the edge types spell
+(equal sums, as at d = 2 where d + 2 = 4, counted together) through the
+cache every graph's index goes through: bounds are exact values.
 The top-two unicyclic ranking is the paper's deduction: the n-cycle is the
 only unicyclic graph with d = 2, and the maximum falls as d grows, so the
 runner-up is the maximum at d = 3.
@@ -18,6 +19,7 @@ from typing import Iterable
 
 from .construct import GraphClassSpec, extremal_family, is_large_delta
 from .graphs import Graph
+from .indices import _profile_value
 from .radicals import RadicalValue
 
 
@@ -45,11 +47,9 @@ def _unicyclic_edge_types(n: int, delta: int) -> tuple[tuple[int, int], ...]:
 
 
 def _value(edge_types: Iterable[tuple[int, int]]) -> RadicalValue:
-    """Exact sum of count/sqrt(sum) over edge types, equal sums added."""
-    counts: dict[int, int] = {}
-    for s, c in edge_types:
-        counts[s] = counts.get(s, 0) + c
-    return RadicalValue.reciprocal_sqrt_sum(counts)
+    """Exact sum of count/sqrt(sum) over edge types: the value of the
+    profile they spell, shared with the graphs that have it."""
+    return _profile_value(tuple(sorted(s for s, c in edge_types for _ in range(c))))
 
 
 def tree_max_bound(n: int, delta: int) -> RadicalValue:

@@ -21,18 +21,34 @@ filter the records by degree and return a lazy sequence that builds each
 graph when it is read, a tree from its sequence's parent array and a
 unicyclic graph from its tree plus the chord, with no validation, BFS or
 AHU sort; memory holds the records and not the graphs.
+
+Verification reads unicyclic classes another way, to n = 16
+(``graphs.MAX_VERTICES``): ``unicyclic_bracelets`` lists each class once as
+a bracelet of rooted trees (orderly generation after Read, "Every one a
+winner", 1978, and Sawada's bracelets, SIAM J. Comput. 2001) and reads its
+maximum degree and edge-type profile off per-tree data, with no graph;
+``bracelet_graph`` builds a class's graph on demand.  The listing keeps the
+tree+chord generator, whose representatives' labels are pinned, and is the
+reference the bracelets are checked against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .canon import level_sequence_code, level_sequence_edges, necklace_code, necklace_min
 from .construct import DeltaRangeError
-from .graphs import Graph, SizeLimitError, _graph_from_sorted_edges, _graph_with_edge
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    SizeLimitError,
+    _graph_from_sorted_edges,
+    _graph_with_edge,
+)
 
 MAX_TREE_VERTICES = 16
 MAX_UNICYCLIC_VERTICES = 14
@@ -241,6 +257,143 @@ def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
             if key not in found:
                 found[key] = (max(top, len(adj[u]) + 1, len(adj[v]) + 1), tree, u, v)
     return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
+
+
+# -- unicyclic classes as bracelets of rooted trees ------------------------------
+
+# Bits per degree sum in a packed edge-type profile: a unicyclic graph on n
+# vertices has n <= MAX_VERTICES edges, so every count fits in its slot.
+_PROFILE_BITS = 8
+
+
+# A letter is a rooted tree hung at a cycle vertex, as the tuple
+# (index, profile, top, root, level sequence): its Beyer-Hedetniemi rank,
+# by which letters of one size compare; the degree sums of its edges, the
+# root's edges included, packed as sum 1 << (8*s); the largest degree of
+# its vertices; and the root's degree, its child count plus its two cycle
+# edges.  A plain tuple, as a word is compared and unpacked per class.
+_Letter = tuple[int, int, int, int, bytes]
+
+
+@lru_cache(maxsize=None)
+def _rooted_letters(s: int) -> tuple[_Letter, ...]:
+    """Every rooted tree on s vertices, in Beyer-Hedetniemi order.
+
+    A non-root vertex v has degree ``children(v) + 1``; the root has
+    ``children + 2`` once hung at a cycle vertex.  An edge lies in one tree
+    and its two ends' degrees depend on that tree alone, so the profile of
+    all edges that do not join two cycle vertices is read here, with no
+    graph."""
+    letters = []
+    seq: list[int] | None = list(range(s))
+    while seq is not None:
+        parent = [0] * s
+        last = [0] * s  # the latest vertex seen at each depth
+        children = [0] * s
+        for v in range(1, s):
+            parent[v] = p = last[seq[v] - 1]
+            last[seq[v]] = v
+            children[p] += 1
+        degree = [c + 1 for c in children]
+        degree[0] += 1
+        profile = sum(1 << (_PROFILE_BITS * (degree[parent[v]] + degree[v])) for v in range(1, s))
+        letters.append((len(letters), profile, max(degree), degree[0], bytes(seq)))
+        seq = _next_rooted(seq)
+    return tuple(letters)
+
+
+def _bracelet_compositions(n: int) -> Iterator[tuple[tuple[int, ...], list[Callable]]]:
+    """Each composition of n into k >= 3 parts that is least among its 2k
+    dihedral readings, with the readings other than itself that fix it, as
+    position getters."""
+    for k in range(3, n + 1):
+        # Reading r of the 2k starts at position r forwards, then at k-1-r
+        # backwards: slices of the doubled forward and backward sequences.
+        getters = [itemgetter(*[(r + j) % k for j in range(k)]) for r in range(k)]
+        getters += [itemgetter(*[(k - 1 - r - j) % k for j in range(k)]) for r in range(k)]
+        for cuts in combinations(range(1, n), k - 1):
+            comp = tuple([b - a for a, b in zip((0, *cuts), (*cuts, n))])
+            if comp[0] != min(comp):
+                continue
+            both = comp + comp, comp[::-1] * 2
+            images = [twice[r : r + k] for twice in both for r in range(k)]
+            if min(images) == comp:
+                yield comp, [g for g, image in zip(getters[1:], images[1:]) if image == comp]
+
+
+def unicyclic_bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]]:
+    """``(max degree, profile, word)`` of every connected unicyclic graph on
+    n vertices up to isomorphism, with no graph built.
+
+    A connected unicyclic graph is a cycle of length k >= 3 with a rooted
+    tree hung at each cycle vertex, and two are isomorphic exactly when
+    their cyclic sequences of rooted trees are equal up to rotation and
+    reflection: a class is a bracelet of rooted trees whose sizes add up
+    to n.  A word is one reading of it, a tuple of letters in cycle order;
+    ``bracelet_graph`` builds its graph.
+
+    One reading per class.  Each class has a size sequence up to the
+    dihedral group D_k; exactly one of its readings, c, is least, and the
+    words of the class whose sizes read c are one orbit of the fillings of
+    c under the readings that fix c (a reading g maps a filling of c to a
+    filling of c only when g fixes c).  So the classes are the orbits of
+    the fillings of each least c under c's own symmetries, and each is
+    yielded as its least filling (letters compared by index, sizes being
+    equal position by position): every filling when c has no symmetry,
+    else those that no symmetry makes smaller.  The order of the letters
+    need not agree with any other order, only be total.
+
+    Profile without a graph.  Every edge lies in one hung tree or joins
+    two cycle vertices.  Degrees of tree vertices other than the root are
+    the tree's own; a root has its child count plus 2.  So the profile,
+    the multiset of the edges' end-degree sums packed as ``sum 1 << (8*s)``
+    (``profile_radicands`` unpacks it), is the trees' own profiles plus one
+    ``root_i + root_(i+1)`` per cycle edge, and the maximum degree is the
+    largest of the trees' ``top``s.
+    """
+    if not 3 <= n <= MAX_VERTICES:
+        raise SizeLimitError(f"unicyclic bracelets support 3 <= n <= {MAX_VERTICES}")
+    return _bracelets(n)
+
+
+def _bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]]:
+    cycle_edge = [1 << (_PROFILE_BITS * s) for s in range(2 * n + 1)]
+    for comp, symmetries in _bracelet_compositions(n):
+        for word in product(*map(_rooted_letters, comp)):
+            if symmetries and any(word > g(word) for g in symmetries):
+                continue
+            _, profiles, tops, roots, _ = zip(*word)
+            yield max(tops), sum(profiles) + sum(
+                [cycle_edge[a + b] for a, b in zip(roots, roots[1:] + roots[:1])]
+            ), word
+
+
+def profile_radicands(profile: int) -> tuple[int, ...]:
+    """The sorted end-degree sums a packed profile counts."""
+    radicands: list[int] = []
+    s = 0
+    mask = (1 << _PROFILE_BITS) - 1
+    while profile:
+        radicands += [s] * (profile & mask)
+        profile >>= _PROFILE_BITS
+        s += 1
+    return tuple(radicands)
+
+
+def bracelet_graph(word: Sequence[_Letter]) -> Graph:
+    """The graph of a bracelet word: each tree's vertices numbered in
+    preorder after the trees before it, the roots joined in word order."""
+    edges: list[tuple[int, int]] = []
+    roots = []
+    at = 0
+    for *_, seq in word:
+        roots.append(at)
+        edges += [(at + u, at + v) for u, v in level_sequence_edges(seq)]
+        at += len(seq)
+    edges += zip(roots, roots[1:])
+    edges.append((0, roots[-1]))
+    edges.sort()
+    return _graph_from_sorted_edges(at, tuple(edges))
 
 
 def _tree_graph(record: tuple[int, bytes]) -> Graph:

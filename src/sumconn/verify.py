@@ -6,29 +6,38 @@ groups are matched against the characterized graphs by canonical code.
 Comparisons are exact throughout; floats appear only in serialized
 reports.
 
-Verification reaches every n the enumerators accept (trees to n = 16,
-unicyclic graphs and top-two to n = 14).  The range checks live in the
-enumerators' ``SizeLimitError``, in ``GraphClassSpec`` and in
-``unicyclic_top_two``, not here.  ``run_sweeps`` defaults to the standard
-sweep (trees n = 4..12, unicyclic graphs and top-two n = 4..11);
-``run_sweeps(range(4, 17), range(4, 15), range(4, 15))`` is the extended one.
+Trees are read from ``enumerate_trees``.  Unicyclic graphs are read from
+``unicyclic_bracelets`` in one cached pass per n (``_unicyclic_ranking``)
+that values edge-type profiles, not graphs, and keeps each maximum
+degree's two leading value groups; the per-degree maxima read it, and
+top-two merges its groups (``_merge_top_two``).
+
+Verification reaches n = 16 for trees, unicyclic graphs and top-two.  The
+range checks live in ``enumerate_trees`` and ``unicyclic_bracelets``
+(``SizeLimitError``), in ``GraphClassSpec`` and in ``unicyclic_top_two``,
+not here.  ``run_sweeps`` defaults to the standard sweep (trees n = 4..12,
+unicyclic graphs and top-two n = 4..11);
+``run_sweeps(range(4, 17), range(4, 15), range(4, 15))`` is the extended
+one, pinned in CI.
 """
 
 from __future__ import annotations
 
 import random
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable
 
 from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_code, canonical_form
 from .construct import GraphClassSpec, attach_path, extremal_family
-from .enumeration import enumerate_trees, enumerate_unicyclic
+from .enumeration import bracelet_graph, enumerate_trees, profile_radicands, unicyclic_bracelets
 from .graph6 import emit_graph6
 from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
-from .indices import product_connectivity, sum_connectivity
+from .indices import _profile_value, product_connectivity, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
 
@@ -138,11 +147,13 @@ class ExtremalReport:
         }
 
 
-def _verify_family(
-    spec: GraphClassSpec, members: Iterable[Graph], formula: RadicalValue
+def _extremal_report(
+    spec: GraphClassSpec,
+    formula: RadicalValue,
+    class_size: int,
+    brute: RadicalValue,
+    argmax: Sequence[Graph],
 ) -> ExtremalReport:
-    # GraphClassSpec admits only non-empty classes; an empty one fails here.
-    class_size, [(brute, argmax)] = _leading_groups(members, 1)
     expected = extremal_family(spec)
     return ExtremalReport(
         spec=spec,
@@ -162,13 +173,68 @@ def verify_tree_max(n: int, delta: int) -> ExtremalReport:
     """Check the tree maximum: enumerate, take the exact argmax, compare
     value and argmax set against the closed form and its extremal family."""
     spec = GraphClassSpec(n=n, delta=delta, graph_class="tree")
-    return _verify_family(spec, enumerate_trees(n, delta), tree_max_bound(n, delta))
+    # GraphClassSpec admits only non-empty classes; an empty one fails here.
+    class_size, [(brute, argmax)] = _leading_groups(enumerate_trees(n, delta), 1)
+    return _extremal_report(spec, tree_max_bound(n, delta), class_size, brute, argmax)
+
+
+@lru_cache(maxsize=None)
+def _unicyclic_ranking(
+    n: int,
+) -> dict[int, tuple[int, list[tuple[RadicalValue, tuple[Graph, ...]]]]]:
+    """For each maximum degree of the n-vertex unicyclic graphs: its number
+    of classes and its (at most) two largest exact index values, largest
+    first, each with the graphs of the classes that attain it.
+
+    One pass over ``unicyclic_bracelets(n)``, which reads each class's
+    maximum degree and edge-type profile with no graph.  The index depends
+    on the profile alone, so each (degree, profile) pair is valued once,
+    through ``_profile_value``, when its first class arrives; distinct
+    profiles can share a value (2/sqrt(8) = 3/sqrt(18)), so classes are
+    grouped by exact value.  Each degree keeps only its two leading value
+    groups seen so far, as ``_leading_groups`` does: a value below both
+    kept ones cannot end among the two largest, and the least kept value
+    only rises, so a value that is not kept when a class of it first
+    arrives, or is later evicted, is never kept again, and a kept group
+    holds every class of its value.  Only the classes of kept groups are held, and
+    graphs are built only for those that lead at the end.
+    """
+    counts = dict.fromkeys(range(2, n), 0)
+    leading: dict[int, dict[RadicalValue, list]] = {d: {} for d in counts}
+    values: dict[tuple[int, int], RadicalValue] = {}
+    for delta, profile, word in unicyclic_bracelets(n):
+        counts[delta] += 1
+        lead = leading[delta]
+        value = values.get((delta, profile))
+        if value is None:
+            value = values[delta, profile] = _profile_value(profile_radicands(profile))
+            if value not in lead:
+                if len(lead) == 2:
+                    least = min(lead)
+                    if not value > least:
+                        continue
+                    del lead[least]
+                lead[value] = []
+        group = lead.get(value)
+        if group is not None:
+            group.append(word)
+    return {
+        d: (counts[d], [
+            (value, tuple(map(bracelet_graph, leading[d][value])))
+            for value in sorted(leading[d], reverse=True)
+        ])
+        for d in counts
+    }
 
 
 def verify_unicyclic_max(n: int, delta: int) -> ExtremalReport:
-    """Unicyclic counterpart of :func:`verify_tree_max`."""
+    """Unicyclic counterpart of :func:`verify_tree_max`; the classes are
+    read from ``_unicyclic_ranking(n)``, one pass shared by every delta and
+    by :func:`verify_top_two`."""
     spec = GraphClassSpec(n=n, delta=delta, graph_class="unicyclic")
-    return _verify_family(spec, enumerate_unicyclic(n, delta), unicyclic_max_bound(n, delta))
+    class_size, groups = _unicyclic_ranking(n)[delta]
+    brute, argmax = groups[0]
+    return _extremal_report(spec, unicyclic_max_bound(n, delta), class_size, brute, argmax)
 
 
 @dataclass
@@ -219,12 +285,35 @@ class TopTwoReport:
         }
 
 
+def _merge_top_two(
+    ranking: Iterable[tuple[int, list[tuple[RadicalValue, Sequence[Graph]]]]]
+) -> tuple[int, list[tuple[RadicalValue, list[Graph]]]]:
+    """The total class count and the two largest values over all degrees,
+    each with all its graphs, from every degree's count and two leading
+    groups (at least two values in all).
+
+    The merge is exact.  Let v1 > v2 be the two largest values over all
+    classes.  No value exceeds v1, so v1 leads every degree where it
+    occurs; only v1 can exceed v2, so v2 is first or second at every degree
+    where it occurs.  Each of them is therefore kept, with all its classes,
+    at every degree that has it, and every kept value is some class's
+    value, so the two largest kept values are v1 and v2.
+    """
+    total = 0
+    merged: dict[RadicalValue, list[Graph]] = {}
+    for count, groups in ranking:
+        total += count
+        for value, graphs in groups:
+            merged.setdefault(value, []).extend(graphs)
+    return total, [(value, merged[value]) for value in sorted(merged, reverse=True)[:2]]
+
+
 def verify_top_two(n: int) -> TopTwoReport:
     """Rank every n-vertex unicyclic graph by exact index value and compare
     the two leading groups against the closed-form prediction."""
     expected = unicyclic_top_two(n)  # owns n >= 4, so two value groups exist
-    total, [(first_value, first), (second_value, second)] = _leading_groups(
-        enumerate_unicyclic(n), 2
+    total, [(first_value, first), (second_value, second)] = _merge_top_two(
+        _unicyclic_ranking(n).values()
     )
     return TopTwoReport(
         n=n,

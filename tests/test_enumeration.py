@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,11 @@ import sumconn.enumeration as enumeration
 from sumconn.canon import canonical_code
 from sumconn.enumeration import (
     _chord_necklaces,
+    bracelet_graph,
     enumerate_trees,
     enumerate_unicyclic,
+    profile_radicands,
+    unicyclic_bracelets,
 )
 from sumconn.graphs import (
     SizeLimitError,
@@ -146,6 +150,43 @@ def test_unicyclic_count_at_the_limit_in_bounded_memory():
     )
     assert out[-1] == f"total={UNICYCLIC_COUNTS[14]}"
     assert peak_kb < 60 * 1024
+    # the listing's per-degree counts are the bracelets' at its limit too
+    tops = Counter(top for top, _, _ in unicyclic_bracelets(14))
+    assert out[:-1] == [f"delta={d} count={tops[d]}" for d in sorted(tops)]
+
+
+def test_top_two_at_the_listing_limit_in_bounded_memory():
+    out, peak_kb = _run_for_peak_rss(
+        "-m", "sumconn.cli", "verify", "--class", "toptwo", "--n", "14"
+    )
+    assert out[0] == f"top-two ranking over {UNICYCLIC_COUNTS[14]} unicyclic graphs on 14 vertices"
+    assert out[-1] == "result: PASS"
+    assert peak_kb < 40 * 1024
+
+
+def test_bracelet_counts_match_the_oracle_and_the_listing():
+    for n in range(3, 15):
+        tops = Counter(top for top, _, _ in unicyclic_bracelets(n))
+        assert sum(tops.values()) == UNICYCLIC_COUNTS[n]
+        if n < 14:  # n = 14's listing runs in its own process, above
+            assert tops == {d: len(enumerate_unicyclic(n, (d, d))) for d in range(2, n)}
+
+
+def test_bracelet_graphs_are_the_listed_classes():
+    for n in range(3, 13):
+        codes = [canonical_code(bracelet_graph(word)) for _, _, word in unicyclic_bracelets(n)]
+        assert len(set(codes)) == len(codes)
+        assert set(codes) == {canonical_code(g) for g in enumerate_unicyclic(n)}
+
+
+def test_bracelet_profiles_are_read_without_a_graph():
+    for n in range(3, 11):
+        for top, profile, word in unicyclic_bracelets(n):
+            g = bracelet_graph(word)
+            assert g == graph_from_edges(g.n, g.edges) and is_unicyclic(g) and g.n == n
+            deg = g.degrees()
+            assert profile_radicands(profile) == tuple(sorted(deg[u] + deg[v] for u, v in g.edges))
+            assert top == max(deg)
 
 
 _VALUE_ALL_TREES = """
@@ -278,6 +319,10 @@ def test_size_limits():
         enumerate_unicyclic(2)
     with pytest.raises(SizeLimitError):
         enumerate_unicyclic(15)
+    with pytest.raises(SizeLimitError):
+        unicyclic_bracelets(2)
+    with pytest.raises(SizeLimitError):
+        unicyclic_bracelets(17)
 
 
 def test_tree_counts_against_labeled_oracle():

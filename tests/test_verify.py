@@ -7,10 +7,14 @@ from sumconn.canon import canonical_code
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
 from sumconn.enumeration import enumerate_unicyclic
 from sumconn.graphs import SizeLimitError, cycle_graph, star_graph
-from sumconn.indices import sum_connectivity
+from sumconn import verify
+from sumconn.indices import _profile_value, sum_connectivity
 from sumconn.radicals import RadicalValue
 from sumconn.verify import (
     FamilyTooSmallError,
+    _leading_groups,
+    _merge_top_two,
+    _unicyclic_ranking,
     chi_r_correlation,
     degree_two_attachment_count,
     transform_monotonicity_suite,
@@ -86,9 +90,16 @@ def test_verification_range_checks():
     with pytest.raises(SizeLimitError):
         verify_tree_max(17, 4)
     with pytest.raises(SizeLimitError):
-        verify_unicyclic_max(15, 4)
+        verify_unicyclic_max(17, 4)
+    with pytest.raises(SizeLimitError):
+        verify_top_two(17)
     with pytest.raises(ValueError, match="needs n >= 4"):
         verify_top_two(3)
+
+
+def _codes(graphs):
+    """Sorted canonical codes: the classes of ``graphs``, one per graph."""
+    return sorted(map(canonical_code, graphs))
 
 
 def test_verification_reaches_the_enumeration_limits():
@@ -98,17 +109,77 @@ def test_verification_reaches_the_enumeration_limits():
     for n, d in ((13, 4), (13, 8)):
         report = verify_unicyclic_max(n, d)
         assert report.passed
-        # the argmax group keeps the enumeration order
+        # the argmax group holds the listing's classes of that value
         members = enumerate_unicyclic(n, d)
-        assert list(report.argmax) == [
+        assert _codes(report.argmax) == _codes(
             g for g in members if sum_connectivity(g) == report.brute_max
-        ]
+        )
     top = verify_top_two(12)
     assert top.passed and top.first_value > top.second_value
-    assert list(top.second) == [
+    assert _codes(top.second) == _codes(
         g for g in enumerate_unicyclic(12) if sum_connectivity(g) == top.second_value
-    ]
+    )
+    # past the listing's limit, verification reads bracelets alone
+    assert verify_unicyclic_max(15, 5).passed
     assert -1.0 <= chi_r_correlation(16, 4) <= 1.0
+
+
+def test_degree_ranking_matches_the_listing():
+    for n in range(3, 12):
+        ranking = _unicyclic_ranking(n)
+        assert sorted(ranking) == list(range(2, n))
+        for d, (count, groups) in ranking.items():
+            listed_count, listed = _leading_groups(enumerate_unicyclic(n, d), 2)
+            assert count == listed_count
+            assert [(v, _codes(gs)) for v, gs in groups] == [(v, _codes(gs)) for v, gs in listed]
+
+
+def test_merged_top_two_matches_the_listing():
+    for n in range(4, 12):
+        total, merged = _merge_top_two(_unicyclic_ranking(n).values())
+        count, listed = _leading_groups(enumerate_unicyclic(n), 2)
+        assert total == count
+        assert [(v, _codes(gs)) for v, gs in merged] == [(v, _codes(gs)) for v, gs in listed]
+
+
+def test_merge_keeps_a_runner_up_that_leads_no_degree():
+    one, two, three = _rs(1), _rs(2), _rs(3)  # decreasing
+    ranking = [
+        (2, [(one, ["a"]), (two, ["b"])]),
+        (1, [(three, ["c"])]),
+        (3, [(one, ["d"]), (three, ["e"])]),
+    ]
+    assert _merge_top_two(ranking) == (6, [(one, ["a", "d"]), (two, ["b"])])
+
+
+def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
+    # One ranking pass per n serves every delta and top-two; bounds read
+    # the same profile cache as the classes that attain them.
+    n = 10
+    _unicyclic_ranking.cache_clear()
+    _profile_value.cache_clear()
+    calls = {"sums": 0, "profiles": 0, "graphs": 0}
+    sums = RadicalValue.reciprocal_sqrt_sum.__func__
+
+    def counted_sums(cls, counts):
+        calls["sums"] += 1
+        return sums(cls, counts)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
+    monkeypatch.setattr(verify, "_profile_value", counted("profiles", verify._profile_value))
+    monkeypatch.setattr(verify, "sum_connectivity", counted("graphs", verify.sum_connectivity))
+    assert verify_unicyclic_max(n, 4).passed
+    assert calls["sums"] > 0 and calls["profiles"] > 0
+    calls.update(sums=0, profiles=0, graphs=0)
+    assert verify_top_two(n).passed
+    assert calls == {"sums": 0, "profiles": 0, "graphs": 0}
 
 
 def test_top_two_spots():
