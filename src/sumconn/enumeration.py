@@ -22,14 +22,15 @@ graph when it is read, a tree from its sequence's parent array and a
 unicyclic graph from its tree plus the chord, with no validation, BFS or
 AHU sort; memory holds the records and not the graphs.
 
-Verification reads unicyclic classes another way, to n = 16
-(``graphs.MAX_VERTICES``): ``unicyclic_bracelets`` lists each class once as
-a bracelet of rooted trees (orderly generation after Read, "Every one a
-winner", 1978, and Sawada's bracelets, SIAM J. Comput. 2001) and reads its
-maximum degree and edge-type profile off per-tree data, with no graph;
-``bracelet_graph`` builds a class's graph on demand.  The listing keeps the
-tree+chord generator, whose representatives' labels are pinned, and is the
-reference the bracelets are checked against.
+Verification reads both classes as edge-type profiles, with no graph.
+``tree_profiles`` reads each tree's profile off its level sequence.
+``unicyclic_bracelets`` lists each unicyclic class once, to n = 16
+(``graphs.MAX_VERTICES``), as a bracelet of rooted trees (orderly
+generation after Read, "Every one a winner", 1978, and Sawada's bracelets,
+SIAM J. Comput. 2001), and reads its profile off the trees'.  Both decode
+level sequences through ``_level_profile``.  The unicyclic listing keeps
+the tree+chord generator, whose representatives' labels are pinned, and
+is the reference the bracelets are checked against.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def _tree_records(n: int) -> tuple[tuple[int, bytes], ...]:
     in canonical-code order.  A code is the byte n, which is no vertex
     label, then each edge's two ends, so a vertex's degree is its count in
     the code."""
+    if not 1 <= n <= MAX_TREE_VERTICES:
+        raise SizeLimitError(f"tree enumeration supports 1 <= n <= {MAX_TREE_VERTICES}")
     if n == 1:
         return ((0, bytes([0])),)
     seqs = map(bytes, _free_tree_level_sequences(n))
@@ -259,11 +262,31 @@ def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
     return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
 
 
-# -- unicyclic classes as bracelets of rooted trees ------------------------------
+# -- edge-type profiles and unicyclic bracelets of rooted trees ------------------
 
-# Bits per degree sum in a packed edge-type profile: a unicyclic graph on n
-# vertices has n <= MAX_VERTICES edges, so every count fits in its slot.
+# Bits per degree sum in a packed edge-type profile: a tree or unicyclic graph
+# on n vertices has at most n <= MAX_VERTICES edges, so every count fits.
 _PROFILE_BITS = 8
+
+
+def _level_profile(seq: Sequence[int], root_edges: int) -> tuple[int, int, int]:
+    """``(profile, largest degree, root degree)`` of the tree whose vertex v
+    has depth ``seq[v]`` in preorder and whose root has ``root_edges`` more
+    edges outside it: a non-root vertex has degree ``children(v) + 1``,
+    the root ``children + root_edges``; the profile packs the degree sums
+    of the tree's edges as ``sum 1 << (8*s)``."""
+    s = len(seq)
+    parent = [0] * s
+    last = [0] * s  # the latest vertex seen at each depth
+    children = [0] * s
+    for v in range(1, s):
+        parent[v] = p = last[seq[v] - 1]
+        last[seq[v]] = v
+        children[p] += 1
+    degree = [c + 1 for c in children]
+    degree[0] += root_edges - 1
+    profile = sum(1 << (_PROFILE_BITS * (degree[parent[v]] + degree[v])) for v in range(1, s))
+    return profile, max(degree), degree[0]
 
 
 # A letter is a rooted tree hung at a cycle vertex, as the tuple
@@ -279,25 +302,14 @@ _Letter = tuple[int, int, int, int, bytes]
 def _rooted_letters(s: int) -> tuple[_Letter, ...]:
     """Every rooted tree on s vertices, in Beyer-Hedetniemi order.
 
-    A non-root vertex v has degree ``children(v) + 1``; the root has
-    ``children + 2`` once hung at a cycle vertex.  An edge lies in one tree
-    and its two ends' degrees depend on that tree alone, so the profile of
-    all edges that do not join two cycle vertices is read here, with no
-    graph."""
+    Its root, once hung at a cycle vertex, has its two cycle edges outside
+    the tree.  An edge lies in one tree and its two ends' degrees depend
+    on that tree alone, so the profile of all edges that do not join two
+    cycle vertices is read here, with no graph."""
     letters = []
     seq: list[int] | None = list(range(s))
     while seq is not None:
-        parent = [0] * s
-        last = [0] * s  # the latest vertex seen at each depth
-        children = [0] * s
-        for v in range(1, s):
-            parent[v] = p = last[seq[v] - 1]
-            last[seq[v]] = v
-            children[p] += 1
-        degree = [c + 1 for c in children]
-        degree[0] += 1
-        profile = sum(1 << (_PROFILE_BITS * (degree[parent[v]] + degree[v])) for v in range(1, s))
-        letters.append((len(letters), profile, max(degree), degree[0], bytes(seq)))
+        letters.append((len(letters), *_level_profile(seq, 2), bytes(seq)))
         seq = _next_rooted(seq)
     return tuple(letters)
 
@@ -452,9 +464,14 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     by degree from their records, and each tree is built from its level
     sequence when it is read.
     """
-    if not 1 <= n <= MAX_TREE_VERTICES:
-        raise SizeLimitError(f"tree enumeration supports 1 <= n <= {MAX_TREE_VERTICES}")
     return _select(_tree_records(n), delta, min(1, n - 1), n, _tree_graph)
+
+
+def tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
+    """``(max degree, profile, level sequence)`` of every free tree on n
+    vertices, in canonical-code order, read with no graph;
+    ``_level_sequence_tree`` builds a tree's graph."""
+    return ((top, _level_profile(seq, 0)[0], seq) for top, seq in _tree_records(n))
 
 
 def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:

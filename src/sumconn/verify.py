@@ -6,14 +6,14 @@ groups are matched against the characterized graphs by canonical code.
 Comparisons are exact throughout; floats appear only in serialized
 reports.
 
-Trees are read from ``enumerate_trees``.  Unicyclic graphs are read from
-``unicyclic_bracelets`` in one cached pass per n (``_unicyclic_ranking``)
-that values edge-type profiles, not graphs, and keeps each maximum
-degree's two leading value groups; the per-degree maxima read it, and
-top-two merges its groups (``_merge_top_two``).
+Both classes are ranked the same way: one cached pass per class and n
+(``_ranking``), over ``tree_profiles`` or ``unicyclic_bracelets``, values
+edge-type profiles, not graphs, and keeps each maximum degree's two
+leading value groups.  The per-degree maxima read it, and top-two merges
+the unicyclic groups (``_merge_top_two``).
 
 Verification reaches n = 16 for trees, unicyclic graphs and top-two.  The
-range checks live in ``enumerate_trees`` and ``unicyclic_bracelets``
+range checks live in ``tree_profiles`` and ``unicyclic_bracelets``
 (``SizeLimitError``), in ``GraphClassSpec`` and in ``unicyclic_top_two``,
 not here.  ``run_sweeps`` defaults to the standard sweep (trees n = 4..12,
 unicyclic graphs and top-two n = 4..11);
@@ -28,13 +28,13 @@ import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable
 
 from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_code, canonical_form
 from .construct import GraphClassSpec, attach_path, extremal_family
-from .enumeration import bracelet_graph, enumerate_trees, profile_radicands, unicyclic_bracelets
+from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
+from .enumeration import profile_radicands, unicyclic_bracelets
 from .graph6 import emit_graph6
 from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
 from .indices import _profile_value, product_connectivity, sum_connectivity
@@ -80,36 +80,6 @@ def _same_classes(a: Iterable[Graph], b: Iterable[Graph]) -> bool:
     return {canonical_code(g) for g in a} == {canonical_code(g) for g in b}
 
 
-def _leading_groups(
-    graphs: Iterable[Graph], k: int
-) -> tuple[int, list[tuple[RadicalValue, list[Graph]]]]:
-    """The number of ``graphs`` and their ``k`` largest exact index values,
-    largest first, each with the graphs that attain it in input order.
-
-    One pass that keeps only the ``k`` leading groups seen so far: a value
-    below the least of them once ``k`` are kept cannot be among the ``k``
-    largest, and a larger one evicts that least group.
-    """
-    count = 0
-    groups: dict[RadicalValue, list[Graph]] = {}
-    floor: RadicalValue | None = None  # least kept value, once k are kept
-    for g in graphs:
-        count += 1
-        value = sum_connectivity(g)
-        group = groups.get(value)
-        if group is not None:
-            group.append(g)
-            continue
-        if floor is not None:
-            if not value > floor:
-                continue
-            del groups[floor]
-        groups[value] = [g]
-        if len(groups) == k:
-            floor = min(groups)
-    return count, sorted(groups.items(), key=itemgetter(0), reverse=True)
-
-
 @dataclass
 class ExtremalReport:
     """Outcome of one family verification."""
@@ -147,20 +117,75 @@ class ExtremalReport:
         }
 
 
-def _extremal_report(
-    spec: GraphClassSpec,
-    formula: RadicalValue,
-    class_size: int,
-    brute: RadicalValue,
-    argmax: Sequence[Graph],
-) -> ExtremalReport:
+# Value groups each maximum degree keeps: two, for ``_merge_top_two``.
+_KEPT_GROUPS = 2
+
+
+@lru_cache(maxsize=None)
+def _ranking(
+    graph_class: str, n: int
+) -> dict[int, tuple[int, list[tuple[RadicalValue, tuple[Graph, ...]]]]]:
+    """For each maximum degree of the n-vertex trees or unicyclic graphs:
+    its number of classes and its (at most) two largest exact index values,
+    largest first, each with the graphs of the classes that attain it.
+
+    One pass over ``tree_profiles(n)`` or ``unicyclic_bracelets(n)``, which
+    read each class's maximum degree and edge-type profile with no graph.
+    The index depends on the profile alone, so each (degree, profile) pair
+    is valued once, through ``_profile_value``, when its first class
+    arrives; distinct profiles can share a value (2/sqrt(8) = 3/sqrt(18)),
+    so classes are grouped by exact value.  Each degree keeps only its two
+    leading value groups seen so far: a value below both kept ones cannot
+    end among the two largest, and the least kept value only rises, so a
+    value that is not kept when a class of it first arrives, or is later
+    evicted, is never kept again, and a kept group holds every class of
+    its value.  Only the classes of kept groups are held, and graphs are
+    built only for those that lead at the end.
+    """
+    if graph_class == "tree":
+        classes, build = tree_profiles(n), _level_sequence_tree
+    else:
+        classes, build = unicyclic_bracelets(n), bracelet_graph
+    counts = dict.fromkeys(range(2, n), 0)
+    leading: dict[int, dict[RadicalValue, list]] = {d: {} for d in counts}
+    values: dict[tuple[int, int], RadicalValue] = {}
+    for delta, profile, member in classes:
+        counts[delta] += 1
+        lead = leading[delta]
+        value = values.get((delta, profile))
+        if value is None:
+            value = values[delta, profile] = _profile_value(profile_radicands(profile))
+            if value not in lead:
+                if len(lead) == _KEPT_GROUPS:
+                    least = min(lead)
+                    if not value > least:
+                        continue
+                    del lead[least]
+                lead[value] = []
+        group = lead.get(value)
+        if group is not None:
+            group.append(member)
+    return {
+        d: (counts[d], [
+            (value, tuple(map(build, leading[d][value])))
+            for value in sorted(leading[d], reverse=True)
+        ])
+        for d in counts
+    }
+
+
+def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:
+    spec = GraphClassSpec(n=n, delta=delta, graph_class=graph_class)
+    formula = (tree_max_bound if graph_class == "tree" else unicyclic_max_bound)(n, delta)
+    class_size, groups = _ranking(graph_class, n)[delta]
+    brute, argmax = groups[0]
     expected = extremal_family(spec)
     return ExtremalReport(
         spec=spec,
         class_size=class_size,
         formula_value=formula,
         brute_max=brute,
-        argmax=tuple(argmax),
+        argmax=argmax,
         expected=tuple(expected),
         value_match=brute == formula,
         set_match=_same_classes(argmax, expected),
@@ -170,71 +195,17 @@ def _extremal_report(
 
 
 def verify_tree_max(n: int, delta: int) -> ExtremalReport:
-    """Check the tree maximum: enumerate, take the exact argmax, compare
-    value and argmax set against the closed form and its extremal family."""
-    spec = GraphClassSpec(n=n, delta=delta, graph_class="tree")
-    # GraphClassSpec admits only non-empty classes; an empty one fails here.
-    class_size, [(brute, argmax)] = _leading_groups(enumerate_trees(n, delta), 1)
-    return _extremal_report(spec, tree_max_bound(n, delta), class_size, brute, argmax)
-
-
-@lru_cache(maxsize=None)
-def _unicyclic_ranking(
-    n: int,
-) -> dict[int, tuple[int, list[tuple[RadicalValue, tuple[Graph, ...]]]]]:
-    """For each maximum degree of the n-vertex unicyclic graphs: its number
-    of classes and its (at most) two largest exact index values, largest
-    first, each with the graphs of the classes that attain it.
-
-    One pass over ``unicyclic_bracelets(n)``, which reads each class's
-    maximum degree and edge-type profile with no graph.  The index depends
-    on the profile alone, so each (degree, profile) pair is valued once,
-    through ``_profile_value``, when its first class arrives; distinct
-    profiles can share a value (2/sqrt(8) = 3/sqrt(18)), so classes are
-    grouped by exact value.  Each degree keeps only its two leading value
-    groups seen so far, as ``_leading_groups`` does: a value below both
-    kept ones cannot end among the two largest, and the least kept value
-    only rises, so a value that is not kept when a class of it first
-    arrives, or is later evicted, is never kept again, and a kept group
-    holds every class of its value.  Only the classes of kept groups are held, and
-    graphs are built only for those that lead at the end.
-    """
-    counts = dict.fromkeys(range(2, n), 0)
-    leading: dict[int, dict[RadicalValue, list]] = {d: {} for d in counts}
-    values: dict[tuple[int, int], RadicalValue] = {}
-    for delta, profile, word in unicyclic_bracelets(n):
-        counts[delta] += 1
-        lead = leading[delta]
-        value = values.get((delta, profile))
-        if value is None:
-            value = values[delta, profile] = _profile_value(profile_radicands(profile))
-            if value not in lead:
-                if len(lead) == 2:
-                    least = min(lead)
-                    if not value > least:
-                        continue
-                    del lead[least]
-                lead[value] = []
-        group = lead.get(value)
-        if group is not None:
-            group.append(word)
-    return {
-        d: (counts[d], [
-            (value, tuple(map(bracelet_graph, leading[d][value])))
-            for value in sorted(leading[d], reverse=True)
-        ])
-        for d in counts
-    }
+    """Check the tree maximum: take the exact argmax of degree ``delta``
+    from ``_ranking("tree", n)``, one pass shared by every delta, and
+    compare value and argmax set against the closed form and its extremal
+    family."""
+    return _verify_max("tree", n, delta)
 
 
 def verify_unicyclic_max(n: int, delta: int) -> ExtremalReport:
-    """Unicyclic counterpart of :func:`verify_tree_max`; the classes are
-    read from ``_unicyclic_ranking(n)``, one pass shared by every delta and
-    by :func:`verify_top_two`."""
-    spec = GraphClassSpec(n=n, delta=delta, graph_class="unicyclic")
-    class_size, groups = _unicyclic_ranking(n)[delta]
-    brute, argmax = groups[0]
-    return _extremal_report(spec, unicyclic_max_bound(n, delta), class_size, brute, argmax)
+    """Unicyclic counterpart of :func:`verify_tree_max`, whose ranking
+    :func:`verify_top_two` shares."""
+    return _verify_max("unicyclic", n, delta)
 
 
 @dataclass
@@ -313,7 +284,7 @@ def verify_top_two(n: int) -> TopTwoReport:
     the two leading groups against the closed-form prediction."""
     expected = unicyclic_top_two(n)  # owns n >= 4, so two value groups exist
     total, [(first_value, first), (second_value, second)] = _merge_top_two(
-        _unicyclic_ranking(n).values()
+        _ranking("unicyclic", n).values()
     )
     return TopTwoReport(
         n=n,

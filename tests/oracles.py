@@ -27,6 +27,11 @@ bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
 readings of a cyclic sequence; ``generic_canonical_edges_unpruned`` branches
 on every vertex of the target cell, twins included.
 
+``leading_groups_by_value`` is the ranking reference: it values every
+graph through ``sum_connectivity``, sorts all distinct values and takes the
+first k, with no streaming and no eviction, so it shares no code with
+``verify._ranking``.
+
 The ``*_as_printed`` functions are the paper's closed forms written term by
 term, in ``RadicalValue`` arithmetic (the real-relaxed profile in floats)
 and with the branch thresholds spelled out again; tests compare the
@@ -42,6 +47,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterator
 
+from sumconn.indices import sum_connectivity
 from sumconn.radicals import RadicalValue
 
 Edge = tuple[int, int]
@@ -280,6 +286,17 @@ def eager_level_sequence_trees(n: int) -> list:
     trees = [_level_sequence_tree(seq) for seq in _free_tree_level_sequences(n)]
     trees.sort(key=canonical_code)
     return trees
+
+
+def leading_groups_by_value(graphs, k: int) -> tuple[int, list[tuple[RadicalValue, list]]]:
+    """The number of ``graphs`` and their ``k`` largest exact index values,
+    largest first, each with the graphs that attain it in input order."""
+    groups: dict[RadicalValue, list] = {}
+    count = 0
+    for g in graphs:
+        count += 1
+        groups.setdefault(sum_connectivity(g), []).append(g)
+    return count, [(value, groups[value]) for value in sorted(groups, reverse=True)[:k]]
 
 
 def chord_dedup_unicyclic(n: int) -> list[tuple[Edge, ...]]:

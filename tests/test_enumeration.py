@@ -16,6 +16,7 @@ from sumconn.enumeration import (
     enumerate_trees,
     enumerate_unicyclic,
     profile_radicands,
+    tree_profiles,
     unicyclic_bracelets,
 )
 from sumconn.graphs import (
@@ -189,6 +190,18 @@ def test_bracelet_profiles_are_read_without_a_graph():
             assert top == max(deg)
 
 
+def test_tree_profiles_are_read_without_a_graph():
+    for n in range(1, 13):
+        profiles = list(tree_profiles(n))
+        assert len(profiles) == FREE_TREE_COUNTS[n]
+        # both lists are in canonical-code order; the oracle builds its own edges
+        for (top, profile, _), edges in zip(profiles, level_sequence_trees(n)):
+            g = graph_from_edges(n, edges)
+            deg = g.degrees()
+            assert profile_radicands(profile) == tuple(sorted(deg[u] + deg[v] for u, v in g.edges))
+            assert top == max(deg)
+
+
 _VALUE_ALL_TREES = """
 from sumconn.enumeration import enumerate_trees
 from sumconn.indices import sum_connectivity
@@ -201,6 +214,16 @@ print(max(map(sum_connectivity, trees)))
 def test_trees_valued_at_the_limit_in_bounded_memory():
     out, peak_kb = _run_for_peak_rss("-c", _VALUE_ALL_TREES)
     assert out == [str(FREE_TREE_COUNTS[16]), str(sum_connectivity(path_graph(16)))]
+    assert peak_kb < 40 * 1024
+
+
+def test_tree_verification_at_the_limit_in_bounded_memory():
+    # ranks every degree of the 19,320 trees, one profile per tree
+    out, peak_kb = _run_for_peak_rss(
+        "-m", "sumconn.cli", "verify", "--class", "tree", "--n", "16", "--delta", "8"
+    )
+    assert out[0] == "class: tree  n=16  delta=8  family size: 330"
+    assert out[-1] == "result: PASS"
     assert peak_kb < 40 * 1024
 
 
@@ -315,6 +338,10 @@ def test_size_limits():
         enumerate_trees(17)
     with pytest.raises(SizeLimitError):
         enumerate_trees(0)
+    with pytest.raises(SizeLimitError):
+        tree_profiles(17)
+    with pytest.raises(SizeLimitError):
+        tree_profiles(0)
     with pytest.raises(SizeLimitError):
         enumerate_unicyclic(2)
     with pytest.raises(SizeLimitError):

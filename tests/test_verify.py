@@ -5,16 +5,15 @@ import pytest
 from sumconn.bounds import unicyclic_top_two
 from sumconn.canon import canonical_code
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
-from sumconn.enumeration import enumerate_unicyclic
+from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
 from sumconn.graphs import SizeLimitError, cycle_graph, star_graph
 from sumconn import verify
 from sumconn.indices import _profile_value, sum_connectivity
 from sumconn.radicals import RadicalValue
 from sumconn.verify import (
     FamilyTooSmallError,
-    _leading_groups,
     _merge_top_two,
-    _unicyclic_ranking,
+    _ranking,
     chi_r_correlation,
     degree_two_attachment_count,
     transform_monotonicity_suite,
@@ -22,6 +21,8 @@ from sumconn.verify import (
     verify_tree_max,
     verify_unicyclic_max,
 )
+
+from oracles import leading_groups_by_value
 
 
 def _rs(s):
@@ -125,19 +126,26 @@ def test_verification_reaches_the_enumeration_limits():
 
 
 def test_degree_ranking_matches_the_listing():
-    for n in range(3, 12):
-        ranking = _unicyclic_ranking(n)
-        assert sorted(ranking) == list(range(2, n))
-        for d, (count, groups) in ranking.items():
-            listed_count, listed = _leading_groups(enumerate_unicyclic(n, d), 2)
-            assert count == listed_count
-            assert [(v, _codes(gs)) for v, gs in groups] == [(v, _codes(gs)) for v, gs in listed]
+    for graph_class, listing, ns in (
+        ("tree", enumerate_trees, range(3, 13)),
+        ("unicyclic", enumerate_unicyclic, range(3, 12)),
+    ):
+        for n in ns:
+            ranking = _ranking(graph_class, n)
+            assert sorted(ranking) == list(range(2, n))
+            for d, (count, groups) in ranking.items():
+                members = listing(n, (d, d))
+                listed_count, listed = leading_groups_by_value(members, 2)
+                assert count == listed_count == len(members)
+                assert [(v, _codes(gs)) for v, gs in groups] == [
+                    (v, _codes(gs)) for v, gs in listed
+                ]
 
 
 def test_merged_top_two_matches_the_listing():
     for n in range(4, 12):
-        total, merged = _merge_top_two(_unicyclic_ranking(n).values())
-        count, listed = _leading_groups(enumerate_unicyclic(n), 2)
+        total, merged = _merge_top_two(_ranking("unicyclic", n).values())
+        count, listed = leading_groups_by_value(enumerate_unicyclic(n), 2)
         assert total == count
         assert [(v, _codes(gs)) for v, gs in merged] == [(v, _codes(gs)) for v, gs in listed]
 
@@ -153,12 +161,13 @@ def test_merge_keeps_a_runner_up_that_leads_no_degree():
 
 
 def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
-    # One ranking pass per n serves every delta and top-two; bounds read
-    # the same profile cache as the classes that attain them.
+    # One ranking pass per class and n serves every delta and top-two;
+    # bounds read the same profile cache as the classes that attain them.
     n = 10
-    _unicyclic_ranking.cache_clear()
+    _ranking.cache_clear()
     _profile_value.cache_clear()
-    calls = {"sums": 0, "profiles": 0, "graphs": 0}
+    none = {"sums": 0, "profiles": 0, "graphs": 0}
+    calls = dict(none)
     sums = RadicalValue.reciprocal_sqrt_sum.__func__
 
     def counted_sums(cls, counts):
@@ -177,9 +186,14 @@ def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
     monkeypatch.setattr(verify, "sum_connectivity", counted("graphs", verify.sum_connectivity))
     assert verify_unicyclic_max(n, 4).passed
     assert calls["sums"] > 0 and calls["profiles"] > 0
-    calls.update(sums=0, profiles=0, graphs=0)
+    calls.update(none)
     assert verify_top_two(n).passed
-    assert calls == {"sums": 0, "profiles": 0, "graphs": 0}
+    assert calls == none
+    assert verify_tree_max(n, 3).passed
+    assert calls["profiles"] > 0
+    calls.update(none)
+    assert all(verify_tree_max(n, d).passed for d in range(2, n) if d != 3)
+    assert calls == none
 
 
 def test_top_two_spots():
