@@ -12,7 +12,7 @@ list copy; chords that a tree automorphism maps onto an earlier chord are
 skipped before they are keyed; no candidate graph is built or canonically
 coded, and the first chord seen for each class gives its representative.
 
-Classes are ordered by canonical code so that repeated runs, reports, and
+The listings order classes by canonical code so that repeated runs and
 CLI output are reproducible.  Both classes are kept as records that start
 with the maximum degree: a tree as its level sequence, whose code is read
 off the depths (``canon.level_sequence_code``); a unicyclic class as its
@@ -22,8 +22,10 @@ graph when it is read, a tree from its sequence's parent array and a
 unicyclic graph from its tree plus the chord, with no validation, BFS or
 AHU sort; memory holds the records and not the graphs.
 
-Verification reads both classes as edge-type profiles, with no graph.
-``tree_profiles`` reads each tree's profile off its level sequence.
+Verification reads both classes as edge-type profiles, with no graph and
+in generation order, as no report depends on order.  ``tree_profiles``
+reads each tree's profile and maximum degree off its level sequence as
+the generator emits it, with no canonical code and no sort.
 ``unicyclic_bracelets`` lists each unicyclic class once, to n = 16
 (``graphs.MAX_VERTICES``), as a bracelet of rooted trees (orderly
 generation after Read, "Every one a winner", 1978, and Sawada's bracelets,
@@ -112,7 +114,11 @@ def _next_free(candidate: list[int]) -> list[int] | None:
     return successor
 
 
-def _free_tree_level_sequences(n: int):
+def _free_tree_level_sequences(n: int) -> Iterator[list[int]]:
+    """The WROM level sequence of every free tree on n >= 1 vertices."""
+    if n == 1:
+        yield [0]  # the successor rule needs a root with a subtree
+        return
     seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while seq is not None:
         seq = _next_free(seq)
@@ -127,16 +133,18 @@ def _level_sequence_tree(seq: Sequence[int]) -> Graph:
     return _graph_from_sorted_edges(len(seq), tuple(level_sequence_edges(seq)))
 
 
+def _check_tree_size(n: int) -> None:
+    if not 1 <= n <= MAX_TREE_VERTICES:
+        raise SizeLimitError(f"tree enumeration supports 1 <= n <= {MAX_TREE_VERTICES}")
+
+
 @lru_cache(maxsize=None)
 def _tree_records(n: int) -> tuple[tuple[int, bytes], ...]:
     """``(max degree, level sequence)`` of every free tree on n vertices,
     in canonical-code order.  A code is the byte n, which is no vertex
     label, then each edge's two ends, so a vertex's degree is its count in
     the code."""
-    if not 1 <= n <= MAX_TREE_VERTICES:
-        raise SizeLimitError(f"tree enumeration supports 1 <= n <= {MAX_TREE_VERTICES}")
-    if n == 1:
-        return ((0, bytes([0])),)
+    _check_tree_size(n)
     seqs = map(bytes, _free_tree_level_sequences(n))
     keyed = [(level_sequence_code(seq), seq) for seq in seqs]
     keyed.sort(key=itemgetter(0))
@@ -467,11 +475,22 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     return _select(_tree_records(n), delta, min(1, n - 1), n, _tree_graph)
 
 
-def tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
+def tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
     """``(max degree, profile, level sequence)`` of every free tree on n
-    vertices, in canonical-code order, read with no graph;
-    ``_level_sequence_tree`` builds a tree's graph."""
-    return ((top, _level_profile(seq, 0)[0], seq) for top, seq in _tree_records(n))
+    vertices, read with no graph; ``_level_sequence_tree`` builds a tree's
+    graph.
+
+    The trees come straight off the generator, in its order, with no
+    canonical code and no sort: unlike the listing, a caller must not
+    depend on their order."""
+    _check_tree_size(n)
+    return _tree_profiles(n)
+
+
+def _tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
+    for seq in _free_tree_level_sequences(n):
+        profile, top, _ = _level_profile(seq, 0)
+        yield top, profile, seq
 
 
 def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:

@@ -7,10 +7,14 @@ Comparisons are exact throughout; floats appear only in serialized
 reports.
 
 Both classes are ranked the same way: one cached pass per class and n
-(``_ranking``), over ``tree_profiles`` or ``unicyclic_bracelets``, values
-edge-type profiles, not graphs, and keeps each maximum degree's two
-leading value groups.  The per-degree maxima read it, and top-two merges
-the unicyclic groups (``_merge_top_two``).
+(``_ranking``), over ``tree_profiles`` or ``unicyclic_bracelets``, keys
+edge-type profiles, not graphs, by exact integer value keys
+(``indices._ValueKey``), keeps each maximum degree's two leading value
+groups, and values only those.  The per-degree maxima read it, and
+top-two merges the unicyclic groups (``_merge_top_two``).  No report
+depends on the order in which classes arrive: graph6 strings and
+``k_profile`` are serialized sorted, and argmax sets are compared as
+sets of canonical codes.
 
 Verification reaches n = 16 for trees, unicyclic graphs and top-two.  The
 range checks live in ``tree_profiles`` and ``unicyclic_bracelets``
@@ -37,7 +41,7 @@ from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, 
 from .enumeration import profile_radicands, unicyclic_bracelets
 from .graph6 import emit_graph6
 from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
-from .indices import _profile_value, product_connectivity, sum_connectivity
+from .indices import _profile_value, _ValueKey, product_connectivity, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
 
@@ -130,48 +134,65 @@ def _ranking(
     largest first, each with the graphs of the classes that attain it.
 
     One pass over ``tree_profiles(n)`` or ``unicyclic_bracelets(n)``, which
-    read each class's maximum degree and edge-type profile with no graph.
-    The index depends on the profile alone, so each (degree, profile) pair
-    is valued once, through ``_profile_value``, when its first class
-    arrives; distinct profiles can share a value (2/sqrt(8) = 3/sqrt(18)),
-    so classes are grouped by exact value.  Each degree keeps only its two
-    leading value groups seen so far: a value below both kept ones cannot
-    end among the two largest, and the least kept value only rises, so a
-    value that is not kept when a class of it first arrives, or is later
-    evicted, is never kept again, and a kept group holds every class of
-    its value.  Only the classes of kept groups are held, and graphs are
-    built only for those that lead at the end.
+    read each class's maximum degree and edge-type profile with no graph,
+    in generation order: a group's graphs come in that order, and every
+    report reads them as a set.  The index depends on the profile alone,
+    so each (degree, profile) pair is keyed once, by the exact integer
+    ``_ValueKey`` of its value, when its first class arrives; distinct
+    profiles can share a value (2/sqrt(8) = 3/sqrt(18)) and so a key, and
+    classes are grouped by key.  Each degree keeps only its two leading
+    groups seen so far: a value below both kept ones cannot end among the
+    two largest, and the least kept value only rises, so a value that is
+    not kept when a class of it first arrives, or is later evicted, is
+    never kept again, and a kept group holds every class of its value.
+    Only the classes of kept groups are held, and values
+    (``_profile_value``) and graphs are made only for the groups that lead
+    at the end.
     """
     if graph_class == "tree":
         classes, build = tree_profiles(n), _level_sequence_tree
     else:
         classes, build = unicyclic_bracelets(n), bracelet_graph
     counts = dict.fromkeys(range(2, n), 0)
-    leading: dict[int, dict[RadicalValue, list]] = {d: {} for d in counts}
-    values: dict[tuple[int, int], RadicalValue] = {}
+    # Per degree: each kept key, to the profiles keyed to it and its classes.
+    leading: dict[int, dict[_ValueKey, tuple[list[int], list]]] = {d: {} for d in counts}
+    # Per degree: each profile seen, to its kept group's classes or None.
+    slots: dict[int, dict[int, list | None]] = {d: {} for d in counts}
     for delta, profile, member in classes:
         counts[delta] += 1
-        lead = leading[delta]
-        value = values.get((delta, profile))
-        if value is None:
-            value = values[delta, profile] = _profile_value(profile_radicands(profile))
-            if value not in lead:
-                if len(lead) == _KEPT_GROUPS:
-                    least = min(lead)
-                    if not value > least:
-                        continue
-                    del lead[least]
-                lead[value] = []
-        group = lead.get(value)
-        if group is not None:
-            group.append(member)
+        seen = slots[delta]
+        members = seen.get(profile, seen)  # ``seen`` itself: a new profile
+        if members is seen:
+            members = seen[profile] = _admit(leading[delta], seen, profile)
+        if members is not None:
+            members.append(member)
     return {
         d: (counts[d], [
-            (value, tuple(map(build, leading[d][value])))
-            for value in sorted(leading[d], reverse=True)
+            (_profile_value(key.radicands), tuple(map(build, leading[d][key][1])))
+            for key in sorted(leading[d], reverse=True)
         ])
         for d in counts
     }
+
+
+def _admit(
+    lead: dict[_ValueKey, tuple[list[int], list]], seen: dict[int, list | None], profile: int
+) -> list | None:
+    """The class list of the group a degree's new ``profile`` joins, or
+    None when its value is not kept; an evicted group's profiles get None
+    in ``seen``."""
+    key = _ValueKey(profile_radicands(profile))
+    group = lead.get(key)
+    if group is None:
+        if len(lead) == _KEPT_GROUPS:
+            least = min(lead)
+            if not key > least:
+                return None
+            for evicted in lead.pop(least)[0]:
+                seen[evicted] = None
+        group = lead[key] = ([], [])
+    group[0].append(profile)
+    return group[1]
 
 
 def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:

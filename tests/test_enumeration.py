@@ -12,6 +12,7 @@ import sumconn.enumeration as enumeration
 from sumconn.canon import canonical_code
 from sumconn.enumeration import (
     _chord_necklaces,
+    _level_sequence_tree,
     bracelet_graph,
     enumerate_trees,
     enumerate_unicyclic,
@@ -165,6 +166,16 @@ def test_top_two_at_the_listing_limit_in_bounded_memory():
     assert peak_kb < 40 * 1024
 
 
+def test_top_two_at_the_verification_limit_in_bounded_memory():
+    # 311,465 bracelets (OEIS A001429) keyed by value; only kept groups held
+    out, peak_kb = _run_for_peak_rss(
+        "-m", "sumconn.cli", "verify", "--class", "toptwo", "--n", "16"
+    )
+    assert out[0] == f"top-two ranking over {OEIS_A001429[16]} unicyclic graphs on 16 vertices"
+    assert out[-1] == "result: PASS"
+    assert peak_kb < 40 * 1024
+
+
 def test_bracelet_counts_match_the_oracle_and_the_listing():
     for n in range(3, 15):
         tops = Counter(top for top, _, _ in unicyclic_bracelets(n))
@@ -194,9 +205,15 @@ def test_tree_profiles_are_read_without_a_graph():
     for n in range(1, 13):
         profiles = list(tree_profiles(n))
         assert len(profiles) == FREE_TREE_COUNTS[n]
-        # both lists are in canonical-code order; the oracle builds its own edges
-        for (top, profile, _), edges in zip(profiles, level_sequence_trees(n)):
-            g = graph_from_edges(n, edges)
+        # the profiles come in generator order: each is matched to the
+        # oracle's tree, whose edges it builds itself, by canonical code
+        coded = {canonical_code(_level_sequence_tree(seq)): (top, p) for top, p, seq in profiles}
+        oracle = {
+            canonical_code(g): g for g in (graph_from_edges(n, e) for e in level_sequence_trees(n))
+        }
+        assert coded.keys() == oracle.keys() and len(coded) == len(profiles)
+        for code, (top, profile) in coded.items():
+            g = oracle[code]
             deg = g.degrees()
             assert profile_radicands(profile) == tuple(sorted(deg[u] + deg[v] for u, v in g.edges))
             assert top == max(deg)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,14 @@ from sumconn.graphs import cycle_graph, graph_from_edges, path_graph, star_graph
 from sumconn.indices import (
     EdgelessGraphError,
     IndexKind,
+    _profile_value,
+    _ValueKey,
     connectivity_index,
     edge_contribution,
     product_connectivity,
     sum_connectivity,
 )
-from sumconn.radicals import RadicalValue
+from sumconn.radicals import RadicalValue, _decide
 
 
 def test_edge_contribution():
@@ -112,3 +115,55 @@ def test_index_kernel_matches_per_edge_normalizing_constructor(data):
         ]
         reference = RadicalValue([(s, Fraction(1, s)) for s in radicands])
         assert connectivity_index(g, kind)._terms == reference._terms
+
+
+# Fragments of equal value whose radicands differ: 1/sqrt(2) and 1/2.
+_EQUAL_FRAGMENTS = (({2: 1}, {8: 2}, {18: 3}), ({4: 1}, {16: 2}))
+
+
+def _radicands(counts):
+    return tuple(sorted(Counter(counts).elements()))
+
+
+@st.composite
+def _count_vector_pairs(draw):
+    """Two profiles over radicands 2..32: the same or independent base
+    counts, each with the same multiples of equal-value fragments planted
+    in a form drawn for each side."""
+    counts = st.dictionaries(st.integers(2, 32), st.integers(0, 12), max_size=8)
+    x = Counter(draw(counts))
+    y = Counter(x) if draw(st.booleans()) else Counter(draw(counts))
+    for fragments in _EQUAL_FRAGMENTS:
+        k = draw(st.integers(0, 3))
+        for side in (x, y):
+            for s, c in draw(st.sampled_from(fragments)).items():
+                side[s] += k * c
+    return _radicands(x), _radicands(y)
+
+
+def _assert_keys_agree(a, b):
+    ka, kb = _ValueKey(a), _ValueKey(b)
+    va, vb = _profile_value(a), _profile_value(b)
+    assert (ka == kb) == (va == vb)
+    if ka == kb:
+        assert hash(ka) == hash(kb)
+    assert (ka < kb, ka > kb) == (va < vb, va > vb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_vector_pairs())
+def test_value_keys_agree_with_exact_values(pair):
+    _assert_keys_agree(*pair)
+
+
+def test_value_keys_take_the_exact_path_on_near_ties():
+    # Values 1.7e-22 apart relative to their size, found by an integer
+    # relation search (mpmath.pslq): the doubles order them wrongly, so only
+    # the filter's margin sends the comparison to the exact values.
+    a = _radicands({5: 200, 19: 300, 22: 231, 26: 81})
+    b = _radicands({3: 180, 30: 377, 31: 282})
+    ka, kb = _ValueKey(a), _ValueKey(b)
+    assert _profile_value(a) > _profile_value(b) and ka._sum < kb._sum
+    assert _decide(ka._sum, ka._sum, kb._sum, kb._sum) == 0
+    _assert_keys_agree(a, b)
+    _assert_keys_agree(b, a)

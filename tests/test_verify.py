@@ -5,10 +5,11 @@ import pytest
 from sumconn.bounds import unicyclic_top_two
 from sumconn.canon import canonical_code
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
-from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
+from sumconn.enumeration import enumerate_trees, enumerate_unicyclic, profile_radicands
+from sumconn.enumeration import tree_profiles, unicyclic_bracelets
 from sumconn.graphs import SizeLimitError, cycle_graph, star_graph
 from sumconn import verify
-from sumconn.indices import _profile_value, sum_connectivity
+from sumconn.indices import _profile_value, _ValueKey, sum_connectivity
 from sumconn.radicals import RadicalValue
 from sumconn.verify import (
     FamilyTooSmallError,
@@ -16,6 +17,7 @@ from sumconn.verify import (
     _ranking,
     chi_r_correlation,
     degree_two_attachment_count,
+    run_sweeps,
     transform_monotonicity_suite,
     verify_top_two,
     verify_tree_max,
@@ -194,6 +196,59 @@ def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
     calls.update(none)
     assert all(verify_tree_max(n, d).passed for d in range(2, n) if d != 3)
     assert calls == none
+
+
+def test_value_keys_rank_enumerated_profiles_as_exact_values():
+    # Every (degree, profile) pair of trees n <= 12 and bracelets n <= 11.
+    values: dict[_ValueKey, RadicalValue] = {}
+    for graph_class, n, classes in [
+        *(("tree", n, tree_profiles(n)) for n in range(3, 13)),
+        *(("unicyclic", n, unicyclic_bracelets(n)) for n in range(3, 12)),
+    ]:
+        by_degree: dict[int, set[int]] = {}
+        for delta, profile, _ in classes:
+            by_degree.setdefault(delta, set()).add(profile)
+        for delta, profiles in by_degree.items():
+            exact = set()
+            for profile in profiles:
+                radicands = profile_radicands(profile)
+                value = _profile_value(radicands)
+                assert values.setdefault(_ValueKey(radicands), value) == value
+                exact.add(value)
+            # each degree keeps the two largest exact values of its profiles
+            groups = _ranking(graph_class, n)[delta][1]
+            assert [v for v, _ in groups] == sorted(exact, reverse=True)[:2]
+    # equal keys exactly for equal values, and keys ordered as their values
+    assert len(set(values.values())) == len(values)
+    assert [values[key] for key in sorted(values)] == sorted(values.values())
+
+
+def test_sweep_values_only_kept_groups_and_bounds(monkeypatch):
+    # From cold caches, exact values are built only for the groups the
+    # rankings keep and for the closed forms, not for every profile.
+    _ranking.cache_clear()
+    _profile_value.cache_clear()
+    valued = []
+    sums = RadicalValue.reciprocal_sqrt_sum.__func__
+
+    def counted_sums(cls, counts):
+        valued.append(sums(cls, counts))
+        return valued[-1]
+
+    monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
+    result = run_sweeps()
+    assert result.passed
+    extremal = result.tree_reports + result.unicyclic_reports
+    kept = [
+        value
+        for graph_class, ns in (("tree", range(4, 13)), ("unicyclic", range(4, 12)))
+        for n in ns
+        for _, groups in _ranking(graph_class, n).values()
+        for value, _ in groups
+    ]
+    bounds = [r.formula_value for r in extremal]
+    assert set(valued) <= set(kept) | set(bounds)
+    assert len(valued) <= len(kept) + len(bounds)
 
 
 def test_top_two_spots():
