@@ -238,7 +238,6 @@ def test_sweep_values_only_kept_groups_and_bounds(monkeypatch):
     monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
     result = run_sweeps()
     assert result.passed
-    extremal = result.tree_reports + result.unicyclic_reports
     kept = [
         value
         for graph_class, ns in (("tree", range(4, 13)), ("unicyclic", range(4, 12)))
@@ -246,7 +245,7 @@ def test_sweep_values_only_kept_groups_and_bounds(monkeypatch):
         for _, groups in _ranking(graph_class, n).values()
         for value, _ in groups
     ]
-    bounds = [r.formula_value for r in extremal]
+    bounds = [r.formula_value for r in result.tree_reports + result.unicyclic_reports]
     assert set(valued) <= set(kept) | set(bounds)
     assert len(valued) <= len(kept) + len(bounds)
 
