@@ -40,12 +40,17 @@ def _read_edge_file(path: str) -> Graph:
     """Edge-list file: one ``u v`` pair per line; n is the largest label + 1."""
     pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            u, v = line.split()
-            pairs.append((int(u), int(v)))
+            try:
+                u, v = map(int, line.split())
+            except ValueError:
+                raise GraphError(
+                    f"{path}, line {number}: expected two integer labels 'u v', got {line!r}"
+                ) from None
+            pairs.append((u, v))
     if not pairs:
         raise GraphError(f"no edges found in {path}")
     n = max(max(u, v) for u, v in pairs) + 1

@@ -367,7 +367,7 @@ def unicyclic_bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]
     two cycle vertices.  Degrees of tree vertices other than the root are
     the tree's own; a root has its child count plus 2.  So the profile,
     the multiset of the edges' end-degree sums packed as ``sum 1 << (8*s)``
-    (``profile_radicands`` unpacks it), is the trees' own profiles plus one
+    (``profile_counts`` unpacks it), is the trees' own profiles plus one
     ``root_i + root_(i+1)`` per cycle edge, and the maximum degree is the
     largest of the trees' ``top``s.
     """
@@ -388,16 +388,12 @@ def _bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]]:
             ), word
 
 
-def profile_radicands(profile: int) -> tuple[int, ...]:
-    """The sorted end-degree sums a packed profile counts."""
-    radicands: list[int] = []
-    s = 0
-    mask = (1 << _PROFILE_BITS) - 1
-    while profile:
-        radicands += [s] * (profile & mask)
-        profile >>= _PROFILE_BITS
-        s += 1
-    return tuple(radicands)
+def profile_counts(profile: int) -> dict[int, int]:
+    """``{s: k}``: the end-degree sums a packed profile counts, each with
+    its count, which is byte s of the profile counted from the least
+    significant end (``_PROFILE_BITS`` is 8)."""
+    packed = profile.to_bytes((profile.bit_length() + 7) // 8, "little")
+    return {s: k for s, k in enumerate(packed) if k}
 
 
 def bracelet_graph(word: Sequence[_Letter]) -> Graph:

@@ -1,11 +1,11 @@
 """Exact arithmetic on rational combinations of square roots.
 
 Connectivity-index values are finite sums of reciprocal square roots of
-small integers, i.e. numbers of the form ``sum q_s * sqrt(s)`` with
-rational ``q_s``.  Keeping every ``s`` squarefree makes such sums a
+small integers, i.e. numbers of the form ``sum q_b * sqrt(b)`` with
+rational ``q_b``.  Keeping every ``b`` squarefree makes such sums a
 canonical form: square roots of distinct squarefree integers are linearly
 independent over the rationals, so two values are equal exactly when
-their term maps coincide, and the sign of a nonzero value can always be
+their terms coincide, and the sign of a nonzero value can always be
 pinned down by refining integer-square-root intervals.  That is what lets
 argmax ties and "equality iff" claims be decided exactly, with no
 floating-point tolerance: a comparison trusts the difference of two float
@@ -13,18 +13,40 @@ enclosures only when it lies outside a proven error bound (see the
 soundness argument in ``_decide``) and refines the rest with integer
 square roots.
 
-Values are normalized once, by the public constructor.  Arithmetic merges
-operands that are already canonical and builds its result through
-``_from_canonical``, which skips the squarefree factoring.  Each value
-computes its float enclosure (``_enclosure``) and its hash on first use
-and keeps them, so comparing or grouping a value again repeats neither.
+Representation.  A value keeps its terms as integer coordinates over one
+denominator: q_b = n_b/den, with ``_coords`` the pairs ``(b, n_b)``
+sorted by b, each b squarefree and each n_b a nonzero int, and ``_den``
+the int den >= 1, where gcd(den, every n_b) = 1.  The form is unique, so
+equal values have equal fields: equality and hashing read integers, and
+building a value takes one lcm and one gcd and no ``Fraction``.
+``terms`` and iteration give the q_b back as Fractions in lowest terms.
+
+``float()`` sums n_b / den * sqrt(b), and is bit-identical to summing
+float(q_b) * sqrt(b): n_b / den is Python's int/int true division, which
+rounds the exact rational correctly, and float(Fraction(n_b, den)) is the
+correctly rounded value of the same rational, whether or not n_b/den is
+in lowest terms; so the two are the same double.
+
+A value equal to a rational hashes like that rational, and any other
+like the tuple of its (b, q_b) pairs with Fraction q_b.  Both come from
+the integers: Python hashes a rational n/d as |n| times the inverse of d
+modulo ``sys.hash_info.modulus``, negated with n, -1 read as -2 (see
+"Hashing of numeric types" in the library reference).
+
+Values are normalized once, by the public constructor and the builders.
+Arithmetic merges operands that are already canonical: it scales them to
+a common denominator, adds integers and divides out one gcd
+(``_reduced``), with no squarefree factoring.  Each value computes its
+float enclosure (``_enclosure``) and its hash on first use and keeps
+them, so comparing or grouping a value again repeats neither.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum, inf, isqrt, lcm, sqrt
+from math import fsum, gcd, inf, isqrt, lcm, sqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -45,6 +67,8 @@ _FILTER_MAX_RADICAND = 1 << 53
 _FILTER_TINY = 2.0**-900
 _FILTER_HUGE = 2.0**900
 _FILTER_MARGIN = 2.0**-48
+
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -75,32 +99,35 @@ def squarefree_decompose(value: int) -> tuple[int, int]:
 
 
 class RadicalValue:
-    """An exact number ``sum q_s * sqrt(s)`` with squarefree ``s``.
+    """An exact number ``sum q_b * sqrt(b)`` with squarefree ``b``.
 
     Immutable.  Supports exact addition, subtraction, scaling by
     rationals, and exact comparison against other values or rationals.
     A value equal to a rational hashes like it.
 
-    Besides its terms, a value keeps its float enclosure ``(S, A)`` in
+    ``_coords`` and ``_den`` hold the terms, as the module docstring sets
+    out.  Besides them, a value keeps its float enclosure ``(S, A)`` in
     ``_sum`` and ``_abs`` and its hash in ``_hash``, each filled on first
     use; ``None`` in ``_abs`` or ``_hash`` marks one not yet computed.
     """
 
-    __slots__ = ("_terms", "_sum", "_abs", "_hash")
+    __slots__ = ("_coords", "_den", "_sum", "_abs", "_hash")
 
     def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Fraction] = {}
         for s, q in items:
             a, b = squarefree_decompose(s)
-            q = Fraction(q) * a
-            if q:
-                total = acc.get(b, 0) + q
-                if total:
-                    acc[b] = total
-                else:
-                    acc.pop(b, None)
-        self._terms = tuple(sorted(acc.items()))
+            acc[b] = acc.get(b, 0) + Fraction(q) * a
+        # Over den, the lcm of the lowest-terms denominators, the form is
+        # reduced: a prime p divides den as often as the denominator of
+        # some q_b, so p divides neither that term's scale den //
+        # denominator nor its numerator.
+        den = lcm(*(q.denominator for q in acc.values()))
+        self._coords = tuple(
+            sorted((b, q.numerator * (den // q.denominator)) for b, q in acc.items() if q)
+        )
+        self._den = den
         self._abs = self._hash = None
 
     # -- constructors -----------------------------------------------------
@@ -112,7 +139,7 @@ class RadicalValue:
     @classmethod
     def from_rational(cls, q: Rational) -> "RadicalValue":
         q = Fraction(q)
-        return _from_canonical(((1, q),) if q else ())
+        return _from_canonical(((1, q.numerator),) if q else (), q.denominator)
 
     @classmethod
     def sqrt(cls, s: int) -> "RadicalValue":
@@ -120,40 +147,37 @@ class RadicalValue:
 
     @classmethod
     def reciprocal_sqrt(cls, s: int) -> "RadicalValue":
-        """Exact ``1/sqrt(s)``, stored as ``(a/s)*sqrt(b)`` for ``s = a*a*b``."""
+        """Exact ``1/sqrt(s)``, stored as ``(1/(a*b))*sqrt(b)`` for ``s = a*a*b``."""
         return cls.reciprocal_sqrt_sum({s: 1})
 
     @classmethod
     def reciprocal_sqrt_sum(cls, counts: Mapping[int, int]) -> "RadicalValue":
         """Exact ``sum k/sqrt(s)`` over a histogram ``{s: k}``.
 
-        ``k/sqrt(a*a*b)`` is ``(k*a/s)*sqrt(b)``; the terms that share a
-        squarefree ``b`` are summed as one integer fraction, reduced once.
+        ``k/sqrt(a*a*b)`` is ``(k/(a*b))*sqrt(b)``.  Over den, the lcm of
+        the a*b, coordinate b is the integer sum of k*(den/(a*b)) over the
+        s that reduce to it; one gcd brings them to lowest terms.
         """
-        acc: dict[int, tuple[int, int]] = {}
+        den = lcm(*[a * b for a, b in map(squarefree_decompose, counts)])
+        coords: dict[int, int] = {}
         for s, k in counts.items():
             a, b = squarefree_decompose(s)
-            if b in acc:
-                num, den = acc[b]
-                acc[b] = (num * s + k * a * den, den * s)
-            else:
-                acc[b] = (k * a, s)
-        return _from_canonical(
-            tuple(sorted((b, Fraction(num, den)) for b, (num, den) in acc.items() if num))
-        )
+            coords[b] = coords.get(b, 0) + k * (den // (a * b))
+        return _reduced(coords, den)
 
     # -- views -------------------------------------------------------------
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        """Term map ``{s: q_s}`` (a fresh dict; the value is immutable)."""
-        return dict(self._terms)
+        """Term map ``{b: q_b}`` (a fresh dict; the value is immutable)."""
+        return dict(self)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._coords
 
     def __float__(self) -> float:
-        return fsum(float(q) * sqrt(s) for s, q in self._terms)
+        den = self._den
+        return fsum(n / den * sqrt(b) for b, n in self._coords)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -169,19 +193,18 @@ class RadicalValue:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        acc = dict(self._terms)
-        for s, q in rhs._terms:
-            total = acc.get(s, 0) + q
-            if total:
-                acc[s] = total
-            else:
-                del acc[s]
-        return _from_canonical(tuple(sorted(acc.items())))
+        den = lcm(self._den, rhs._den)
+        scale = den // self._den
+        acc = {b: n * scale for b, n in self._coords}
+        scale = den // rhs._den
+        for b, n in rhs._coords:
+            acc[b] = acc.get(b, 0) + n * scale
+        return _reduced(acc, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalValue":
-        return _from_canonical(tuple((s, -q) for s, q in self._terms))
+        return _from_canonical(tuple((b, -n) for b, n in self._coords), self._den)
 
     def __sub__(self, other: "RadicalValue" | Rational) -> "RadicalValue":
         rhs = self._coerce(other)
@@ -198,9 +221,8 @@ class RadicalValue:
     def __mul__(self, scalar: Rational) -> "RadicalValue":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        if not scalar:
-            return _from_canonical(())
-        return _from_canonical(tuple((s, q * scalar) for s, q in self._terms))
+        p = scalar.numerator
+        return _reduced({b: n * p for b, n in self._coords}, self._den * scalar.denominator)
 
     __rmul__ = __mul__
 
@@ -210,7 +232,7 @@ class RadicalValue:
         """Fill the cached enclosure.  A value ``_enclosure`` refuses gets
         ``(0.0, inf)``: its margin is infinite, so ``_decide`` never
         trusts it and every comparison with it takes the exact path."""
-        enclosure = _enclosure(self._terms)
+        enclosure = _enclosure(self._coords, self._den)
         self._sum, self._abs = (0.0, inf) if enclosure is None else enclosure
 
     def sign(self) -> int:
@@ -221,15 +243,14 @@ class RadicalValue:
         every other value goes to exact interval refinement in scaled
         integers.
         """
-        terms = self._terms
-        if not terms:
+        if not self._coords:
             return 0
         if self._abs is None:
             self._enclose()
-        return _decide(self._sum, self._abs, 0.0, 0.0) or _exact_sign(terms)
+        return _decide(self._sum, self._abs, 0.0, 0.0) or _exact_sign(self._coords)
 
     def _cmp(self, other: "RadicalValue" | Rational) -> int | None:
-        rhs = self._coerce(other)
+        rhs = other if type(other) is RadicalValue else self._coerce(other)
         if rhs is None:
             return None
         if self is rhs:
@@ -239,16 +260,15 @@ class RadicalValue:
         if rhs._abs is None:
             rhs._enclose()
         return _decide(self._sum, self._abs, rhs._sum, rhs._abs) or (
-            0 if self._terms == rhs._terms else (self - rhs).sign()
+            0 if self._den == rhs._den and self._coords == rhs._coords else (self - rhs).sign()
         )
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        rhs = self._coerce(other) if isinstance(other, (RadicalValue, int, Fraction)) else None
-        if rhs is None:
-            return NotImplemented
-        return self._terms == rhs._terms
+        if type(other) is not RadicalValue:
+            if not isinstance(other, (RadicalValue, int, Fraction)):
+                return NotImplemented
+            other = self._coerce(other)
+        return self._den == other._den and self._coords == other._coords
 
     def __lt__(self, other: "RadicalValue" | Rational) -> bool:
         c = self._cmp(other)
@@ -275,29 +295,38 @@ class RadicalValue:
         return c >= 0
 
     def __hash__(self) -> int:
-        # Equal to the hash of the rational a value equals, if it is one.
+        # Equal to the hash of the rational a value equals, if it is one,
+        # else of the tuple of its (b, Fraction q_b) pairs.
         h = self._hash
         if h is None:
-            terms = self._terms
-            if not terms:
-                h = hash(0)
-            elif len(terms) == 1 and terms[0][0] == 1:
-                h = hash(terms[0][1])
+            coords, den = self._coords, self._den
+            if den % _HASH_MODULUS:
+                inv = pow(den, -1, _HASH_MODULUS)
+                hashes = [(b, _rational_hash(n, inv)) for b, n in coords]
             else:
-                h = hash(terms)
+                hashes = [(b, hash(Fraction(n, den))) for b, n in coords]
+            if not hashes:
+                h = hash(0)
+            elif len(hashes) == 1 and hashes[0][0] == 1:
+                h = hashes[0][1]
+            else:
+                # An int h that is a hash hashes to itself (-1 is none),
+                # so this is the hash of the Fraction pairs.
+                h = hash(tuple(hashes))
             self._hash = h
         return h
 
     # -- formatting / serialization -------------------------------------------
 
     def __iter__(self) -> Iterator[tuple[int, Fraction]]:
-        return iter(self._terms)
+        den = self._den
+        return ((b, Fraction(n, den)) for b, n in self._coords)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._coords:
             return "0"
         parts: list[str] = []
-        for s, q in self._terms:
+        for s, q in self:
             if s == 1:
                 body = _frac_str(abs(q))
             elif abs(q) == 1:
@@ -315,62 +344,85 @@ class RadicalValue:
 
     def to_json_dict(self) -> dict:
         """JSON form: ``{"terms": [[s, "p/q"], ...], "float": x}``."""
-        return {
-            "terms": [[s, f"{q.numerator}/{q.denominator}"] for s, q in self._terms],
-            "float": float(self),
-        }
+        den = self._den
+        terms = []
+        for b, n in self._coords:
+            g = gcd(n, den)  # q_b in lowest terms, as a Fraction has it
+            terms.append([b, f"{n // g}/{den // g}"])
+        return {"terms": terms, "float": float(self)}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "RadicalValue":
         return cls(tuple((int(s), Fraction(q)) for s, q in data["terms"]))
 
 
-def _from_canonical(terms: tuple[tuple[int, Fraction], ...]) -> RadicalValue:
-    """A value from terms already in canonical form.
+def _from_canonical(coords: tuple[tuple[int, int], ...], den: int) -> RadicalValue:
+    """A value from fields already in canonical form.
 
-    ``terms`` must be sorted by radicand, each radicand squarefree and each
-    coefficient a nonzero ``Fraction``; nothing is checked.
+    ``coords`` must be sorted by radicand, each radicand squarefree and
+    each coordinate a nonzero int, and ``den >= 1`` coprime to them all
+    together; nothing is checked.
     """
     value = object.__new__(RadicalValue)
-    value._terms = terms
+    value._coords = coords
+    value._den = den
     value._abs = value._hash = None
     return value
 
 
-def _enclosure(terms: tuple[tuple[int, Fraction], ...]) -> tuple[float, float] | None:
-    """Float enclosure ``(S, A)`` of ``sum(terms)``, or None when a guard
-    fails: S is the ``fsum`` of the per-term doubles and A the ``fsum`` of
-    their absolute values, and |S - sum(terms)| <= 4.1u*A (u = 2**-53).
+def _reduced(coords: dict[int, int], den: int) -> RadicalValue:
+    """The value ``sum n_b/den * sqrt(b)`` from ``coords``, ``{b: n_b}``
+    over squarefree b, and ``den >= 1``: zero n_b are dropped, and one gcd
+    brings den and the rest to lowest terms."""
+    g = gcd(den, *coords.values())
+    return _from_canonical(tuple(sorted([(b, n // g) for b, n in coords.items() if n])), den // g)
 
-    ``terms`` are sorted by radicand, as a value's are.  For the empty sum
-    both are 0, and exact.
 
-    Soundness.  Let x_i = q_i*sqrt(s_i) exactly and f_i = (n_i / d_i) *
-    sqrt(s_i) evaluated in doubles, for q_i = n_i/d_i in lowest terms.
-    n_i / d_i is Python's int/int true division, which is correctly
-    rounded; it is the same division float(q_i) makes, without the
-    ``__float__`` call frames.  sqrt(s_i) is IEEE sqrt of s_i, an exact
-    double since s_i < 2**53, so it is correctly rounded too, and so is
-    their product.  While nothing is subnormal or overflows,
-    f_i = x_i*(1+d1)*(1+d2)*(1+d3) with every |d_j| <= u, so
-    |f_i - x_i| <= ((1+u)**3 - 1)*|x_i| <= 3.01u*|f_i|.  math.fsum is
-    correctly rounded too: S is within u*sum|f_i| of sum(f_i), and
-    A >= (1-u)*sum|f_i|.  Hence |S - sum(x_i)| <= 4.1u*A.  Requiring every
-    |f_i| in (2**-900, 2**900) keeps n_i / d_i (sqrt(s_i) lies in
-    [1, 2**26.5]), each product and each fsum normal and finite: every f_i
+def _rational_hash(n: int, inv: int) -> int:
+    """``hash(Fraction(n, d))`` for ``inv`` the inverse of d modulo
+    ``_HASH_MODULUS``."""
+    h = hash(hash(abs(n)) * inv)
+    return h if n >= 0 else (-2 if h == 1 else -h)
+
+
+def _enclosure(coords: tuple[tuple[int, int], ...], den: int) -> tuple[float, float] | None:
+    """Float enclosure ``(S, A)`` of x = sum n_b/den * sqrt(b), a value's
+    fields, or None when a guard fails: S is the ``fsum`` of the per-term
+    doubles and A the ``fsum`` of their absolute values (A = S when every
+    term is positive, as an index value's are), and |S - x| <= 4.1u*A
+    (u = 2**-53).
+
+    ``coords`` are sorted by radicand, as a value's are.  For the empty
+    sum both are 0, and exact.
+
+    Soundness.  Let x_b = (n_b/den)*sqrt(b) exactly and f_b =
+    (n_b / den) * sqrt(b) evaluated in doubles.  n_b / den is Python's
+    int/int true division, which rounds the exact rational n_b/den
+    correctly (in lowest terms or not), as float(q_b) does.  sqrt(b) is
+    IEEE sqrt of b, an exact double since b < 2**53, so it is correctly
+    rounded too, and so is their product.  While nothing is subnormal or
+    overflows, f_b = x_b*(1+d1)*(1+d2)*(1+d3) with every |d_j| <= u, so
+    |f_b - x_b| <= ((1+u)**3 - 1)*|x_b| <= 3.01u*|f_b|.  math.fsum is
+    correctly rounded too: S is within u*sum|f_b| of sum(f_b), and
+    A >= (1-u)*sum|f_b|.  Hence |S - x| <= 4.1u*A.  Requiring every
+    |f_b| in (2**-900, 2**900) keeps n_b / den (sqrt(b) lies in
+    [1, 2**26.5]), each product and each fsum normal and finite: every f_b
     is a multiple of 2**-952, so S is 0 or at least that large.  A
     quotient too large for a double raises OverflowError, which also
     returns None.
     """
-    if not terms:
+    if not coords:
         return 0.0, 0.0
-    if terms[-1][0] >= _FILTER_MAX_RADICAND:
+    if coords[-1][0] >= _FILTER_MAX_RADICAND:
         return None
     try:
-        f = [q.numerator / q.denominator * sqrt(s) for s, q in terms]
+        f = [n / den * sqrt(b) for b, n in coords]
     except OverflowError:
         return None
-    a = [abs(x) for x in f]
+    if _FILTER_TINY < min(f) and max(f) < _FILTER_HUGE:  # all positive
+        s = fsum(f)
+        return s, s
+    a = list(map(abs, f))
     if not (_FILTER_TINY < min(a) and max(a) < _FILTER_HUGE):
         return None
     return fsum(f), fsum(a)
@@ -397,34 +449,30 @@ def _decide(sa: float, aa: float, sb: float, ab: float) -> int:
     return 0
 
 
-def _float_sign(
-    terms: tuple[tuple[int, Fraction], ...],
-    minus: tuple[tuple[int, Fraction], ...] = (),
-) -> int:
-    """Sign of ``sum(terms) - sum(minus)`` decided in doubles, or 0 when
-    undecided: ``_decide`` on the two sides' enclosures, computed afresh.
-    Values make the same decision on the enclosures they keep."""
-    a, b = _enclosure(terms), _enclosure(minus)
-    if a is None or b is None:
+def _float_sign(a: RadicalValue, b: RadicalValue) -> int:
+    """Sign of ``a - b`` decided in doubles, or 0 when undecided:
+    ``_decide`` on the two sides' enclosures, computed afresh.  Values make
+    the same decision on the enclosures they keep."""
+    ea, eb = _enclosure(a._coords, a._den), _enclosure(b._coords, b._den)
+    if ea is None or eb is None:
         return 0
-    return _decide(*a, *b)
+    return _decide(*ea, *eb)
 
 
-def _exact_sign(terms: tuple[tuple[int, Fraction], ...]) -> int:
-    """Sign of a nonempty sum by interval refinement in integers.
+def _exact_sign(coords: tuple[tuple[int, int], ...]) -> int:
+    """Sign of a nonempty sum ``sum p*sqrt(s)`` over integer coordinates
+    ``(s, p)``, a value's sign (its denominator is positive), by interval
+    refinement in integers.
 
-    Scaling by the lcm of the denominators gives integer coefficients p_i.
-    r_i = isqrt(s_i << 2b) satisfies r_i <= sqrt(s_i)*2**b < r_i + 1, so
-    2**b * sum(p_i*sqrt(s_i)) lies in [lo, lo + sum|p_i|], where lo takes
-    r_i for positive p_i and r_i + 1 for negative ones.
+    r_s = isqrt(s << 2b) satisfies r_s <= sqrt(s)*2**b < r_s + 1, so
+    2**b * sum(p*sqrt(s)) lies in [lo, lo + sum|p|], where lo takes r_s
+    for positive p and r_s + 1 for negative ones.
     """
-    scale = lcm(*(q.denominator for _, q in terms))
-    coeffs = [(s, q.numerator * (scale // q.denominator)) for s, q in terms]
-    width = sum(abs(p) for _, p in coeffs)
+    width = sum(abs(p) for _, p in coords)
     bits = 32
     while bits <= _MAX_SIGN_BITS:
         lo = 0
-        for s, p in coeffs:
+        for s, p in coords:
             root = isqrt(s << (2 * bits))
             lo += p * (root if p > 0 else root + 1)
         if lo > 0:

@@ -7,14 +7,13 @@ Comparisons are exact throughout; floats appear only in serialized
 reports.
 
 Both classes are ranked the same way: one cached pass per class and n
-(``_ranking``), over ``tree_profiles`` or ``unicyclic_bracelets``, keys
-edge-type profiles, not graphs, by exact integer value keys
-(``indices._ValueKey``), keeps each maximum degree's two leading value
-groups, and values only those.  The per-degree maxima read it, and
-top-two merges the unicyclic groups (``_merge_top_two``).  No report
-depends on the order in which classes arrive: graph6 strings and
-``k_profile`` are serialized sorted, and argmax sets are compared as
-sets of canonical codes.
+(``_ranking``), over ``tree_profiles`` or ``unicyclic_bracelets``, values
+edge-type profiles, not graphs, as exact ``RadicalValue``s, groups
+classes by value and keeps each maximum degree's two leading groups.  The
+per-degree maxima read it, and top-two merges the unicyclic groups
+(``_merge_top_two``).  No report depends on the order in which classes
+arrive: graph6 strings and ``k_profile`` are serialized sorted, and
+argmax sets are compared as sets of canonical codes.
 
 Verification reaches n = 16 for trees, unicyclic graphs and top-two.  The
 range checks live in ``tree_profiles`` and ``unicyclic_bracelets``
@@ -38,10 +37,10 @@ from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_
 from .canon import canonical_code, canonical_form
 from .construct import GraphClassSpec, attach_path, extremal_family
 from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
-from .enumeration import profile_radicands, unicyclic_bracelets
+from .enumeration import profile_counts, unicyclic_bracelets
 from .graph6 import emit_graph6
 from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
-from .indices import _profile_value, _ValueKey, product_connectivity, sum_connectivity
+from .indices import product_connectivity, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
 
@@ -137,25 +136,24 @@ def _ranking(
     read each class's maximum degree and edge-type profile with no graph,
     in generation order: a group's graphs come in that order, and every
     report reads them as a set.  The index depends on the profile alone,
-    so each (degree, profile) pair is keyed once, by the exact integer
-    ``_ValueKey`` of its value, when its first class arrives; distinct
-    profiles can share a value (2/sqrt(8) = 3/sqrt(18)) and so a key, and
-    classes are grouped by key.  Each degree keeps only its two leading
-    groups seen so far: a value below both kept ones cannot end among the
-    two largest, and the least kept value only rises, so a value that is
-    not kept when a class of it first arrives, or is later evicted, is
-    never kept again, and a kept group holds every class of its value.
-    Only the classes of kept groups are held, and values
-    (``_profile_value``) and graphs are made only for the groups that lead
-    at the end.
+    so each (degree, profile) pair is valued once, when its first class
+    arrives, and classes are grouped by exact value; distinct profiles can
+    share a value (2/sqrt(8) = 3/sqrt(18)) and so a group.  Each degree
+    keeps only its two leading groups seen so far: a value below both
+    kept ones cannot end among the two largest, and the least kept value
+    only rises, so a value that is not kept when a class of it first
+    arrives, or is later evicted, is never kept again, and a kept group
+    holds every class of its value.  Only the classes of kept groups are
+    held, and graphs are made only for the groups that lead at the end.
     """
     if graph_class == "tree":
         classes, build = tree_profiles(n), _level_sequence_tree
     else:
         classes, build = unicyclic_bracelets(n), bracelet_graph
     counts = dict.fromkeys(range(2, n), 0)
-    # Per degree: each kept key, to the profiles keyed to it and its classes.
-    leading: dict[int, dict[_ValueKey, tuple[list[int], list]]] = {d: {} for d in counts}
+    # Per degree: its kept groups, largest value first, each as its value,
+    # the profiles valued to it and its classes.
+    leading: dict[int, list[tuple[RadicalValue, list[int], list]]] = {d: [] for d in counts}
     # Per degree: each profile seen, to its kept group's classes or None.
     slots: dict[int, dict[int, list | None]] = {d: {} for d in counts}
     for delta, profile, member in classes:
@@ -167,32 +165,33 @@ def _ranking(
         if members is not None:
             members.append(member)
     return {
-        d: (counts[d], [
-            (_profile_value(key.radicands), tuple(map(build, leading[d][key][1])))
-            for key in sorted(leading[d], reverse=True)
-        ])
+        d: (counts[d], [(value, tuple(map(build, members))) for value, _, members in leading[d]])
         for d in counts
     }
 
 
 def _admit(
-    lead: dict[_ValueKey, tuple[list[int], list]], seen: dict[int, list | None], profile: int
+    lead: list[tuple[RadicalValue, list[int], list]], seen: dict[int, list | None], profile: int
 ) -> list | None:
     """The class list of the group a degree's new ``profile`` joins, or
     None when its value is not kept; an evicted group's profiles get None
-    in ``seen``."""
-    key = _ValueKey(profile_radicands(profile))
-    group = lead.get(key)
-    if group is None:
-        if len(lead) == _KEPT_GROUPS:
-            least = min(lead)
-            if not key > least:
-                return None
-            for evicted in lead.pop(least)[0]:
-                seen[evicted] = None
-        group = lead[key] = ([], [])
-    group[0].append(profile)
-    return group[1]
+    in ``seen``.  ``lead`` stays sorted, largest value first."""
+    value = RadicalValue.reciprocal_sqrt_sum(profile_counts(profile))
+    i = len(lead)  # lead[i:] holds the kept values below ``value``
+    while i and value > lead[i - 1][0]:
+        i -= 1
+    if i and value == lead[i - 1][0]:
+        _, profiles, members = lead[i - 1]
+        profiles.append(profile)
+        return members
+    if i == _KEPT_GROUPS:
+        return None
+    if len(lead) == _KEPT_GROUPS:
+        for evicted in lead.pop()[1]:
+            seen[evicted] = None
+    group = (value, [profile], [])
+    lead.insert(i, group)
+    return group[2]
 
 
 def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:

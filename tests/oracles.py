@@ -27,6 +27,12 @@ bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
 readings of a cyclic sequence; ``generic_canonical_edges_unpruned`` branches
 on every vertex of the target cell, twins included.
 
+The Fraction-term functions (``fraction_terms`` and ``reciprocal_sqrt_terms``
+with ``terms_hash``, ``terms_str``, ``terms_json`` and ``mp_terms``) keep
+an exact value as ``RadicalValue`` once stored it, a dict of Fraction
+coefficients, and write its hash, text, JSON and mpmath value from that;
+they share no code with the package's integer coordinates.
+
 ``leading_groups_by_value`` is the ranking reference: it values every
 graph through ``sum_connectivity``, sorts all distinct values and takes the
 first k, with no streaming and no eviction, so it shares no code with
@@ -46,6 +52,8 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterator
+
+import mpmath
 
 from sumconn.indices import sum_connectivity
 from sumconn.radicals import RadicalValue
@@ -480,6 +488,68 @@ def squarefree_by_trial_division(value: int) -> tuple[int, int]:
             a *= p
         p += 1 if p == 2 else 2
     return a, b
+
+
+# -- Fraction-term reference for exact values -----------------------------------
+#
+# A value sum q_b*sqrt(b) (b squarefree) as the dict {b: q_b} of nonzero
+# Fractions: the representation ``RadicalValue`` kept before it stored
+# integer coordinates, with its hash, text and JSON written out from it.
+
+
+def fraction_terms(pairs) -> dict[int, Fraction]:
+    """``{b: q_b}`` for sum q*sqrt(s) over ``(s, q)`` pairs, each s split
+    by trial division as a*a*b and q*a added to b; zero terms dropped."""
+    terms: dict[int, Fraction] = {}
+    for s, q in pairs:
+        a, b = squarefree_by_trial_division(s)
+        terms[b] = terms.get(b, 0) + Fraction(q) * a
+    return {b: q for b, q in sorted(terms.items()) if q}
+
+
+def reciprocal_sqrt_terms(radicands) -> dict[int, Fraction]:
+    """``{b: q_b}`` for sum 1/sqrt(s) over ``radicands``: 1/sqrt(s) is
+    (1/s)*sqrt(s) before squarefree splitting."""
+    return fraction_terms((s, Fraction(1, s)) for s in radicands)
+
+
+def terms_hash(terms: dict[int, Fraction]) -> int:
+    """The rational's hash for a rational value, else the hash of the
+    sorted (b, q_b) pairs."""
+    items = tuple(sorted(terms.items()))
+    if not items:
+        return hash(0)
+    if len(items) == 1 and items[0][0] == 1:
+        return hash(items[0][1])
+    return hash(items)
+
+
+def terms_str(terms: dict[int, Fraction]) -> str:
+    """``1 + 2/5*sqrt(5)``-style text, terms by radicand."""
+    if not terms:
+        return "0"
+    parts = []
+    for b, q in sorted(terms.items()):
+        size = abs(q)
+        text = str(size) if b == 1 else ("" if size == 1 else f"{size}*") + f"sqrt({b})"
+        sign = ("" if q > 0 else "-") if not parts else ("+ " if q > 0 else "- ")
+        parts.append(sign + text)
+    return " ".join(parts)
+
+
+def terms_json(terms: dict[int, Fraction]) -> dict:
+    """``{"terms": [[b, "p/q"], ...], "float": x}``, x the fsum of the
+    per-term doubles float(q_b)*sqrt(b)."""
+    items = sorted(terms.items())
+    return {
+        "terms": [[b, f"{q.numerator}/{q.denominator}"] for b, q in items],
+        "float": math.fsum(float(q) * math.sqrt(b) for b, q in items),
+    }
+
+
+def mp_terms(terms: dict[int, Fraction]):
+    """The value of ``terms`` as an mpmath number at the working precision."""
+    return mpmath.fsum(mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(b) for b, q in terms.items())
 
 
 def graph6_by_pair_probe(g) -> str:

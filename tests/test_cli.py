@@ -198,6 +198,17 @@ def test_export_edges_file(tmp_path, capsys):
     assert "0 -- 1;" in out
 
 
+@pytest.mark.parametrize("bad", ["0 1 2", "0 x"])
+def test_edges_file_with_a_bad_line(tmp_path, capsys, bad):
+    # Three fields or a field that is no integer: exit 2, naming the file
+    # and the line.
+    path = tmp_path / "edges.txt"
+    path.write_text(f"# a triangle\n0 1\n\n{bad}\n2 0\n")
+    code, out, err = run(capsys, "export", "--edges", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}, line 4: expected two integer labels 'u v', got {bad!r}\n"
+
+
 def test_export_canonical_normalizes(capsys):
     # two labelings of the same 5-vertex path canonicalize to identical graph6
     _, out1, _ = run(capsys, "export", "--g6", "DhC", "--canonical")

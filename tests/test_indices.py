@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,14 +14,15 @@ from sumconn.graphs import cycle_graph, graph_from_edges, path_graph, star_graph
 from sumconn.indices import (
     EdgelessGraphError,
     IndexKind,
-    _profile_value,
-    _ValueKey,
     connectivity_index,
     edge_contribution,
     product_connectivity,
     sum_connectivity,
 )
-from sumconn.radicals import RadicalValue, _decide
+from sumconn import radicals
+from sumconn.radicals import RadicalValue, _decide, _exact_sign
+
+from oracles import mp_terms, reciprocal_sqrt_terms, terms_hash
 
 
 def test_edge_contribution():
@@ -114,11 +116,18 @@ def test_index_kernel_matches_per_edge_normalizing_constructor(data):
             deg[u] + deg[v] if kind is IndexKind.SUM else deg[u] * deg[v] for u, v in g.edges
         ]
         reference = RadicalValue([(s, Fraction(1, s)) for s in radicands])
-        assert connectivity_index(g, kind)._terms == reference._terms
+        value = connectivity_index(g, kind)
+        assert (value._coords, value._den) == (reference._coords, reference._den)
 
 
-# Fragments of equal value whose radicands differ: 1/sqrt(2) and 1/2.
-_EQUAL_FRAGMENTS = (({2: 1}, {8: 2}, {18: 3}), ({4: 1}, {16: 2}))
+# Fragments of equal value whose radicands differ: 1/sqrt(2), 1/2,
+# 1/sqrt(3) and 1/sqrt(5), each as k/sqrt(k*k*b).
+_EQUAL_FRAGMENTS = (
+    ({2: 1}, {8: 2}, {18: 3}, {32: 4}, {50: 5}),
+    ({4: 1}, {16: 2}, {36: 3}),
+    ({3: 1}, {12: 2}, {27: 3}, {48: 4}),
+    ({5: 1}, {20: 2}, {45: 3}),
+)
 
 
 def _radicands(counts):
@@ -127,10 +136,11 @@ def _radicands(counts):
 
 @st.composite
 def _count_vector_pairs(draw):
-    """Two profiles over radicands 2..32: the same or independent base
-    counts, each with the same multiples of equal-value fragments planted
-    in a form drawn for each side."""
-    counts = st.dictionaries(st.integers(2, 32), st.integers(0, 12), max_size=8)
+    """Two profiles over radicands 2..58, every end-degree sum a graph on 30
+    vertices can have: the same or independent base counts, each with the
+    same multiples of equal-value fragments planted in a form drawn for
+    each side."""
+    counts = st.dictionaries(st.integers(2, 58), st.integers(0, 12), max_size=8)
     x = Counter(draw(counts))
     y = Counter(x) if draw(st.booleans()) else Counter(draw(counts))
     for fragments in _EQUAL_FRAGMENTS:
@@ -142,12 +152,24 @@ def _count_vector_pairs(draw):
 
 
 def _assert_keys_agree(a, b):
-    ka, kb = _ValueKey(a), _ValueKey(b)
-    va, vb = _profile_value(a), _profile_value(b)
-    assert (ka == kb) == (va == vb)
-    if ka == kb:
-        assert hash(ka) == hash(kb)
-    assert (ka < kb, ka > kb) == (va < vb, va > vb)
+    """Values built from integer coordinates, as ``verify`` values profiles,
+    against the Fraction-term reference and mpmath at 60 digits."""
+    va = RadicalValue.reciprocal_sqrt_sum(Counter(a))
+    vb = RadicalValue.reciprocal_sqrt_sum(Counter(b))
+    ta, tb = reciprocal_sqrt_terms(a), reciprocal_sqrt_terms(b)
+    assert (va.terms, hash(va)) == (ta, terms_hash(ta))
+    assert (vb.terms, hash(vb)) == (tb, terms_hash(tb))
+    assert (va == vb) == (ta == tb)
+    with mpmath.workdps(60):
+        gap = mp_terms(ta) - mp_terms(tb)
+    if ta == tb:
+        expected = 0
+    else:
+        assert abs(gap) > mpmath.mpf(10) ** -50  # 60 digits resolve it
+        expected = 1 if gap > 0 else -1
+    assert (va < vb, va > vb, va <= vb, va >= vb) == (
+        expected < 0, expected > 0, expected <= 0, expected >= 0
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,14 +178,24 @@ def test_value_keys_agree_with_exact_values(pair):
     _assert_keys_agree(*pair)
 
 
-def test_value_keys_take_the_exact_path_on_near_ties():
+def test_value_keys_take_the_exact_path_on_near_ties(monkeypatch):
     # Values 1.7e-22 apart relative to their size, found by an integer
-    # relation search (mpmath.pslq): the doubles order them wrongly, so only
-    # the filter's margin sends the comparison to the exact values.
+    # relation search (mpmath.pslq): their enclosures round to the same
+    # double, so only the filter's margin sends the comparison to the
+    # exact sign.
     a = _radicands({5: 200, 19: 300, 22: 231, 26: 81})
     b = _radicands({3: 180, 30: 377, 31: 282})
-    ka, kb = _ValueKey(a), _ValueKey(b)
-    assert _profile_value(a) > _profile_value(b) and ka._sum < kb._sum
-    assert _decide(ka._sum, ka._sum, kb._sum, kb._sum) == 0
+    va = RadicalValue.reciprocal_sqrt_sum(Counter(a))
+    vb = RadicalValue.reciprocal_sqrt_sum(Counter(b))
+    exact = []
+
+    def counted(coords):
+        exact.append(coords)
+        return _exact_sign(coords)
+
+    monkeypatch.setattr(radicals, "_exact_sign", counted)
+    assert va > vb and not float(va) > float(vb)
+    assert _decide(va._sum, va._abs, vb._sum, vb._abs) == 0
+    assert len(exact) == 1
     _assert_keys_agree(a, b)
     _assert_keys_agree(b, a)

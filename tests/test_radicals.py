@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from fractions import Fraction
@@ -18,7 +19,31 @@ from sumconn.radicals import (
 )
 from sumconn.verify import run_sweeps
 
-from oracles import squarefree_by_trial_division
+from oracles import (
+    fraction_terms,
+    squarefree_by_trial_division,
+    terms_hash,
+    terms_json,
+    terms_str,
+)
+
+
+def _fields(value: RadicalValue) -> tuple:
+    """A value's stored form: its integer coordinates and denominator."""
+    return value._coords, value._den
+
+
+def _assert_canonical(value: RadicalValue) -> None:
+    """Sorted squarefree radicands, nonzero int coordinates, and a
+    positive denominator coprime to them all together."""
+    coords, den = _fields(value)
+    radicands = [s for s, _ in coords]
+    assert radicands == sorted(set(radicands))
+    for s, n in coords:
+        assert squarefree_decompose(s) == (1, s)
+        assert type(n) is int and n != 0
+    assert type(den) is int and den >= 1
+    assert math.gcd(den, *(n for _, n in coords)) == 1
 
 
 def test_squarefree_decompose():
@@ -184,8 +209,8 @@ def _oracle_sign(value: RadicalValue, dps: int = 60) -> int:
 def _assert_paths_agree(value: RadicalValue, expected: int) -> None:
     assert value.sign() == expected
     if expected:
-        assert _exact_sign(value._terms) == expected
-        assert _float_sign(value._terms) in (0, expected)
+        assert _exact_sign(value._coords) == expected
+        assert _float_sign(value, RadicalValue.zero()) in (0, expected)
     else:
         assert value.is_zero()
 
@@ -223,7 +248,7 @@ def test_near_ties_agree_with_exact_refinement_and_oracle(terms, extra_bits, off
 @given(_term_strategy, _term_strategy)
 def test_exact_equalities_and_filter_agree_with_oracle(t1, t2):
     a, b = RadicalValue(t1), RadicalValue(t2)
-    assert ((a + b) - b - a)._terms == ()
+    assert _fields((a + b) - b - a) == ((), 1)
     assert ((a + b) - b - a).sign() == 0
     for value in (a, b, a - b, a + b):
         _assert_paths_agree(value, _oracle_sign(value))
@@ -233,8 +258,8 @@ def _assert_comparisons_agree(a, b, dps: int = 60) -> None:
     diff = a - b
     expected = diff.sign()
     assert expected == _oracle_sign(diff, dps)
-    lhs, rhs = RadicalValue._coerce(a)._terms, RadicalValue._coerce(b)._terms
-    if lhs != rhs:
+    lhs, rhs = RadicalValue._coerce(a), RadicalValue._coerce(b)
+    if _fields(lhs) != _fields(rhs):
         assert _float_sign(lhs, rhs) in (0, expected)
     assert (a < b, a <= b, a > b, a >= b, a == b) == (
         expected < 0, expected <= 0, expected > 0, expected >= 0, expected == 0
@@ -274,9 +299,10 @@ _BIG_PRIME = 2**61 - 1
     ],
 )
 def test_sign_outside_filter_range(terms):
-    value = _from_canonical(terms)
-    assert _float_sign(value._terms) == 0
-    assert _float_sign((), value._terms) == 0  # the same guards on the subtracted side
+    den = math.lcm(*(q.denominator for _, q in terms))
+    value = _from_canonical(tuple((s, q.numerator * (den // q.denominator)) for s, q in terms), den)
+    assert _float_sign(value, RadicalValue.zero()) == 0
+    assert _float_sign(RadicalValue.zero(), value) == 0  # the same guards on the subtracted side
     expected = _oracle_sign(value, dps=1000)
     assert expected != 0
     assert value.sign() == expected
@@ -319,21 +345,21 @@ def test_cached_comparisons_agree_cold_and_warm(t1, t2, t3, extra_bits, offset):
         assert _operator_sign(x, y) == expected  # warm: the same objects again
         assert _operator_sign(y, x) == -expected
         decision = _cached_decision(x, y)
-        assert decision == _float_sign(x._terms, y._terms)
+        assert decision == _float_sign(x, y)
         assert decision in (0, expected)
         for z in (c, x, y):  # each warm value against a third, and itself
             for w in (x, y):
                 assert _operator_sign(w, z) == _oracle_sign(w - z, dps=120)
                 assert _cached_decision(w, z) in (0, _operator_sign(w, z))
-                assert _cached_decision(w, z) == _float_sign(w._terms, z._terms)
+                assert _cached_decision(w, z) == _float_sign(w, z)
 
 
 def test_exact_path_runs_on_near_ties_only(monkeypatch):
     calls = []
 
-    def counted(terms):
-        calls.append(terms)
-        return _exact_sign(terms)
+    def counted(coords):
+        calls.append(coords)
+        return _exact_sign(coords)
 
     monkeypatch.setattr(radicals, "_exact_sign", counted)
     assert run_sweeps().passed
@@ -384,19 +410,15 @@ _scalar_strategy = st.one_of(
 @given(_term_strategy, _term_strategy, _scalar_strategy)
 def test_arithmetic_results_match_the_normalizing_constructor(t1, t2, scalar):
     a, b = RadicalValue(t1), RadicalValue(t2)
-    assert (a + b)._terms == RadicalValue(list(t1.items()) + list(t2.items()))._terms
-    assert (a - b)._terms == RadicalValue(
-        list(t1.items()) + [(s, -q) for s, q in t2.items()]
-    )._terms
-    assert (a * scalar)._terms == RadicalValue([(s, q * scalar) for s, q in t1.items()])._terms
-    assert (-a)._terms == RadicalValue([(s, -q) for s, q in t1.items()])._terms
-    assert (a + scalar)._terms == RadicalValue(list(t1.items()) + [(1, scalar)])._terms
+    assert _fields(a + b) == _fields(RadicalValue(list(t1.items()) + list(t2.items())))
+    assert _fields(a - b) == _fields(
+        RadicalValue(list(t1.items()) + [(s, -q) for s, q in t2.items()])
+    )
+    assert _fields(a * scalar) == _fields(RadicalValue([(s, q * scalar) for s, q in t1.items()]))
+    assert _fields(-a) == _fields(RadicalValue([(s, -q) for s, q in t1.items()]))
+    assert _fields(a + scalar) == _fields(RadicalValue(list(t1.items()) + [(1, scalar)]))
     for value in (a + b, a - b, a * scalar, -a, a + scalar):
-        radicands = [s for s, _ in value._terms]
-        assert radicands == sorted(set(radicands))
-        for s, q in value._terms:
-            assert squarefree_decompose(s) == (1, s)
-            assert type(q) is Fraction and q != 0
+        _assert_canonical(value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,4 +431,70 @@ def test_arithmetic_results_match_the_normalizing_constructor(t1, t2, scalar):
 )
 def test_reciprocal_sqrt_sum_matches_the_normalizing_constructor(counts):
     value = RadicalValue.reciprocal_sqrt_sum(counts)
-    assert value._terms == RadicalValue([(s, Fraction(k, s)) for s, k in counts.items()])._terms
+    assert _fields(value) == _fields(RadicalValue([(s, Fraction(k, s)) for s, k in counts.items()]))
+    _assert_canonical(value)
+
+
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "sub", "neg", "mul", "radd", "from_rational", "json"]),
+        _term_strategy,
+        _scalar_strategy,
+    ),
+    max_size=8,
+)
+
+
+def _assert_matches_fraction_terms(value: RadicalValue, model: dict) -> None:
+    _assert_canonical(value)
+    assert value.terms == model and list(value) == sorted(model.items())
+    assert str(value) == terms_str(model)
+    data, expected = value.to_json_dict(), terms_json(model)
+    assert data["terms"] == expected["terms"]
+    assert data["float"].hex() == expected["float"].hex()  # the same double
+    assert hash(value) == terms_hash(model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_strategy, _OPERATIONS)
+def test_representation_matches_the_fraction_term_formula(start, operations):
+    # Integer coordinates over one denominator against the Fraction-term
+    # dicts of the reference, through every way a value is built.
+    value, model = RadicalValue(start), fraction_terms(start.items())
+    _assert_matches_fraction_terms(value, model)
+    for name, terms, scalar in operations:
+        other, other_model = RadicalValue(terms), fraction_terms(terms.items())
+        if name == "add":
+            value = value + other
+            model = fraction_terms([*model.items(), *other_model.items()])
+        elif name == "sub":
+            value = value - other
+            model = fraction_terms([*model.items(), *((b, -q) for b, q in other_model.items())])
+        elif name == "neg":
+            value, model = -value, {b: -q for b, q in model.items()}
+        elif name == "mul":
+            value, model = value * scalar, fraction_terms((b, q * scalar) for b, q in model.items())
+        elif name == "radd":
+            value, model = scalar + value, fraction_terms([*model.items(), (1, scalar)])
+        elif name == "from_rational":
+            value, model = RadicalValue.from_rational(scalar), fraction_terms([(1, scalar)])
+        else:
+            value = RadicalValue.from_json_dict(json.loads(json.dumps(value.to_json_dict())))
+        _assert_matches_fraction_terms(value, model)
+        assert (value == other) == (model == other_model)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {1: Fraction(1, _BIG_PRIME)},
+        {1: Fraction(-3, 2 * _BIG_PRIME)},
+        {2: Fraction(1, 2), 3: Fraction(1, 2 * _BIG_PRIME)},
+        {2: Fraction(5, 3), 3: Fraction(-7, 3 * _BIG_PRIME * _BIG_PRIME)},
+    ],
+)
+def test_hash_with_a_denominator_divisible_by_the_hash_modulus(terms):
+    # 2**61 - 1 is the modulus on 64-bit builds: such a denominator has no
+    # inverse modulo it, and the hash falls back to the Fractions.
+    value = RadicalValue(terms)
+    assert hash(value) == terms_hash(fraction_terms(terms.items()))

@@ -1,15 +1,17 @@
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from sumconn.bounds import unicyclic_top_two
 from sumconn.canon import canonical_code
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
-from sumconn.enumeration import enumerate_trees, enumerate_unicyclic, profile_radicands
+from sumconn.enumeration import enumerate_trees, enumerate_unicyclic, profile_counts
 from sumconn.enumeration import tree_profiles, unicyclic_bracelets
 from sumconn.graphs import SizeLimitError, cycle_graph, star_graph
 from sumconn import verify
-from sumconn.indices import _profile_value, _ValueKey, sum_connectivity
+from sumconn.indices import _profile_value, sum_connectivity
 from sumconn.radicals import RadicalValue
 from sumconn.verify import (
     FamilyTooSmallError,
@@ -17,14 +19,13 @@ from sumconn.verify import (
     _ranking,
     chi_r_correlation,
     degree_two_attachment_count,
-    run_sweeps,
     transform_monotonicity_suite,
     verify_top_two,
     verify_tree_max,
     verify_unicyclic_max,
 )
 
-from oracles import leading_groups_by_value
+from oracles import leading_groups_by_value, mp_terms, reciprocal_sqrt_terms
 
 
 def _rs(s):
@@ -163,12 +164,12 @@ def test_merge_keeps_a_runner_up_that_leads_no_degree():
 
 
 def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
-    # One ranking pass per class and n serves every delta and top-two;
-    # bounds read the same profile cache as the classes that attain them.
+    # One ranking pass per class and n serves every delta and top-two:
+    # once it has run, a check values its closed forms and nothing else.
     n = 10
     _ranking.cache_clear()
     _profile_value.cache_clear()
-    none = {"sums": 0, "profiles": 0, "graphs": 0}
+    none = {"sums": 0, "graphs": 0}
     calls = dict(none)
     sums = RadicalValue.reciprocal_sqrt_sum.__func__
 
@@ -176,78 +177,79 @@ def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
         calls["sums"] += 1
         return sums(cls, counts)
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return wrapper
+    def counted_graphs(g):
+        calls["graphs"] += 1
+        return sum_connectivity(g)
 
     monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
-    monkeypatch.setattr(verify, "_profile_value", counted("profiles", verify._profile_value))
-    monkeypatch.setattr(verify, "sum_connectivity", counted("graphs", verify.sum_connectivity))
+    monkeypatch.setattr(verify, "sum_connectivity", counted_graphs)
     assert verify_unicyclic_max(n, 4).passed
-    assert calls["sums"] > 0 and calls["profiles"] > 0
+    assert calls["sums"] > 0
+    passes = _ranking.cache_info().misses
     calls.update(none)
     assert verify_top_two(n).passed
-    assert calls == none
+    assert calls == {"sums": 2, "graphs": 0}  # the first and second closed forms
     assert verify_tree_max(n, 3).passed
-    assert calls["profiles"] > 0
+    assert calls["sums"] > 0 and _ranking.cache_info().misses == passes + 1
     calls.update(none)
-    assert all(verify_tree_max(n, d).passed for d in range(2, n) if d != 3)
-    assert calls == none
+    others = [d for d in range(2, n) if d != 3]
+    assert all(verify_tree_max(n, d).passed for d in others)
+    assert calls == {"sums": len(others), "graphs": 0}
+    assert _ranking.cache_info().misses == passes + 1
+
+
+def _pairs(graph_class, n):
+    """Each (degree, profile) pair of the n-vertex class, with its count."""
+    classes = tree_profiles(n) if graph_class == "tree" else unicyclic_bracelets(n)
+    return Counter((delta, profile) for delta, profile, _ in classes)
 
 
 def test_value_keys_rank_enumerated_profiles_as_exact_values():
-    # Every (degree, profile) pair of trees n <= 12 and bracelets n <= 11.
-    values: dict[_ValueKey, RadicalValue] = {}
-    for graph_class, n, classes in [
-        *(("tree", n, tree_profiles(n)) for n in range(3, 13)),
-        *(("unicyclic", n, unicyclic_bracelets(n)) for n in range(3, 12)),
+    # Every (degree, profile) pair of trees n <= 12 and bracelets n <= 11,
+    # valued as the ranking values it, against the Fraction-term reference.
+    references: dict[RadicalValue, dict] = {}
+    for graph_class, n in [
+        *(("tree", n) for n in range(3, 13)),
+        *(("unicyclic", n) for n in range(3, 12)),
     ]:
-        by_degree: dict[int, set[int]] = {}
-        for delta, profile, _ in classes:
-            by_degree.setdefault(delta, set()).add(profile)
-        for delta, profiles in by_degree.items():
-            exact = set()
-            for profile in profiles:
-                radicands = profile_radicands(profile)
-                value = _profile_value(radicands)
-                assert values.setdefault(_ValueKey(radicands), value) == value
-                exact.add(value)
-            # each degree keeps the two largest exact values of its profiles
+        by_degree: dict[int, set[RadicalValue]] = {}
+        for delta, profile in _pairs(graph_class, n):
+            counts = profile_counts(profile)
+            value = RadicalValue.reciprocal_sqrt_sum(counts)
+            reference = reciprocal_sqrt_terms(Counter(counts).elements())
+            assert value.terms == reference
+            assert references.setdefault(value, reference) == reference
+            by_degree.setdefault(delta, set()).add(value)
+        # each degree keeps the two largest exact values of its profiles
+        for delta, values in by_degree.items():
             groups = _ranking(graph_class, n)[delta][1]
-            assert [v for v, _ in groups] == sorted(exact, reverse=True)[:2]
-    # equal keys exactly for equal values, and keys ordered as their values
-    assert len(set(values.values())) == len(values)
-    assert [values[key] for key in sorted(values)] == sorted(values.values())
+            assert [v for v, _ in groups] == sorted(values, reverse=True)[:2]
+    # values are equal exactly when their references are, and ordered as
+    # their references' values at 60 digits
+    assert len({tuple(sorted(r.items())) for r in references.values()}) == len(references)
+    with mpmath.workdps(60):
+        exact = sorted(references, key=lambda v: mp_terms(references[v]))
+    assert sorted(references) == exact
 
 
-def test_sweep_values_only_kept_groups_and_bounds(monkeypatch):
-    # From cold caches, exact values are built only for the groups the
-    # rankings keep and for the closed forms, not for every profile.
-    _ranking.cache_clear()
-    _profile_value.cache_clear()
+def test_ranking_values_each_degree_profile_pair_once(monkeypatch):
+    # From a cold pass, each distinct (degree, profile) pair is valued
+    # exactly once, and its value is its group's key: nothing is valued
+    # again at the end of the pass.
     valued = []
     sums = RadicalValue.reciprocal_sqrt_sum.__func__
 
     def counted_sums(cls, counts):
-        valued.append(sums(cls, counts))
-        return valued[-1]
+        valued.append(counts)
+        return sums(cls, counts)
 
     monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
-    result = run_sweeps()
-    assert result.passed
-    kept = [
-        value
-        for graph_class, ns in (("tree", range(4, 13)), ("unicyclic", range(4, 12)))
-        for n in ns
-        for _, groups in _ranking(graph_class, n).values()
-        for value, _ in groups
-    ]
-    bounds = [r.formula_value for r in result.tree_reports + result.unicyclic_reports]
-    assert set(valued) <= set(kept) | set(bounds)
-    assert len(valued) <= len(kept) + len(bounds)
+    for graph_class, ns in (("tree", range(4, 13)), ("unicyclic", range(4, 12))):
+        for n in ns:
+            _ranking.cache_clear()
+            valued.clear()
+            _ranking(graph_class, n)
+            assert len(valued) == len(_pairs(graph_class, n))
 
 
 def test_top_two_spots():
