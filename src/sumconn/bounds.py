@@ -3,9 +3,9 @@
 The index is sum_k c_k/sqrt(k), c_k counting the edges whose end degrees
 add up to k, so each maximum is written once, as the edge types (sum,
 count) of the extremal graphs of :mod:`sumconn.construct` on either side of
-``is_large_delta``.  ``_value`` values the profile the edge types spell
-(equal sums, as at d = 2 where d + 2 = 4, counted together) through the
-cache every graph's index goes through: bounds are exact values.
+``is_large_delta``.  ``_value`` packs them as a profile of
+:mod:`sumconn.indices`, where equal sums (d + 2 = 4 at d = 2) add by
+themselves, and values it, for at most 255 edges: bounds are exact values.
 The top-two unicyclic ranking is the paper's deduction: the n-cycle is the
 only unicyclic graph with d = 2, and the maximum falls as d grows, so the
 runner-up is the maximum at d = 3.
@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .construct import GraphClassSpec, extremal_family, is_large_delta
-from .graphs import Graph
-from .indices import _profile_value
+from .graphs import Graph, SizeLimitError
+from .indices import _PROFILE_BITS, profile_value
 from .radicals import RadicalValue
 
 
@@ -46,10 +45,11 @@ def _unicyclic_edge_types(n: int, delta: int) -> tuple[tuple[int, int], ...]:
     return _cycle_spider_edge_types(n, delta)
 
 
-def _value(edge_types: Iterable[tuple[int, int]]) -> RadicalValue:
-    """Exact sum of count/sqrt(sum) over edge types: the value of the
-    profile they spell, shared with the graphs that have it."""
-    return _profile_value(tuple(sorted(s for s, c in edge_types for _ in range(c))))
+def _value(edge_types: tuple[tuple[int, int], ...]) -> RadicalValue:
+    """Exact sum of count/sqrt(sum) over edge types: their profile's value."""
+    if sum(c for _, c in edge_types) >> _PROFILE_BITS:
+        raise SizeLimitError("bounds are valued for at most 255 edges")
+    return profile_value(sum(c << (_PROFILE_BITS * s) for s, c in edge_types))
 
 
 def tree_max_bound(n: int, delta: int) -> RadicalValue:

@@ -39,22 +39,28 @@ MISMATCH = 1
 def _read_edge_file(path: str) -> Graph:
     """Edge-list file: one ``u v`` pair per line; n is the largest label + 1."""
     pairs: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                u, v = map(int, line.split())
-            except ValueError:
-                raise GraphError(
-                    f"{path}, line {number}: expected two integer labels 'u v', got {line!r}"
-                ) from None
-            pairs.append((u, v))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for number, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
+                    u, v = map(int, line.split())
+                except ValueError:
+                    raise GraphError(
+                        f"{path}, line {number}: expected two integer labels 'u v', got {line!r}"
+                    ) from None
+                pairs.append((u, v))
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: {exc}") from None
     if not pairs:
         raise GraphError(f"no edges found in {path}")
     n = max(max(u, v) for u, v in pairs) + 1
-    return graph_from_edges(n, pairs)
+    try:
+        return graph_from_edges(n, pairs)
+    except GraphError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _input_graph(args: argparse.Namespace) -> Graph:

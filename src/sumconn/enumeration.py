@@ -22,8 +22,9 @@ graph when it is read, a tree from its sequence's parent array and a
 unicyclic graph from its tree plus the chord, with no validation, BFS or
 AHU sort; memory holds the records and not the graphs.
 
-Verification reads both classes as edge-type profiles, with no graph and
-in generation order, as no report depends on order.  ``tree_profiles``
+Verification reads both classes as edge-type profiles, packed integers in
+the format ``indices`` defines and values, with no graph and in
+generation order, as no report depends on order.  ``tree_profiles``
 reads each tree's profile and maximum degree off its level sequence as
 the generator emits it, with no canonical code and no sort.
 ``unicyclic_bracelets`` lists each unicyclic class once, to n = 16
@@ -52,6 +53,7 @@ from .graphs import (
     _graph_from_sorted_edges,
     _graph_with_edge,
 )
+from .indices import _PROFILE_BITS
 
 MAX_TREE_VERTICES = 16
 MAX_UNICYCLIC_VERTICES = 14
@@ -272,11 +274,6 @@ def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
 
 # -- edge-type profiles and unicyclic bracelets of rooted trees ------------------
 
-# Bits per degree sum in a packed edge-type profile: a tree or unicyclic graph
-# on n vertices has at most n <= MAX_VERTICES edges, so every count fits.
-_PROFILE_BITS = 8
-
-
 def _level_profile(seq: Sequence[int], root_edges: int) -> tuple[int, int, int]:
     """``(profile, largest degree, root degree)`` of the tree whose vertex v
     has depth ``seq[v]`` in preorder and whose root has ``root_edges`` more
@@ -365,11 +362,10 @@ def unicyclic_bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]
 
     Profile without a graph.  Every edge lies in one hung tree or joins
     two cycle vertices.  Degrees of tree vertices other than the root are
-    the tree's own; a root has its child count plus 2.  So the profile,
-    the multiset of the edges' end-degree sums packed as ``sum 1 << (8*s)``
-    (``profile_counts`` unpacks it), is the trees' own profiles plus one
-    ``root_i + root_(i+1)`` per cycle edge, and the maximum degree is the
-    largest of the trees' ``top``s.
+    the tree's own; a root has its child count plus 2.  So the profile
+    of the edges' end-degree sums, packed as ``indices`` defines, is the
+    trees' own profiles plus one ``root_i + root_(i+1)`` per cycle edge,
+    and the maximum degree is the largest of the trees' ``top``s.
     """
     if not 3 <= n <= MAX_VERTICES:
         raise SizeLimitError(f"unicyclic bracelets support 3 <= n <= {MAX_VERTICES}")
@@ -386,14 +382,6 @@ def _bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]]:
             yield max(tops), sum(profiles) + sum(
                 [cycle_edge[a + b] for a, b in zip(roots, roots[1:] + roots[:1])]
             ), word
-
-
-def profile_counts(profile: int) -> dict[int, int]:
-    """``{s: k}``: the end-degree sums a packed profile counts, each with
-    its count, which is byte s of the profile counted from the least
-    significant end (``_PROFILE_BITS`` is 8)."""
-    packed = profile.to_bytes((profile.bit_length() + 7) // 8, "little")
-    return {s: k for s, k in enumerate(packed) if k}
 
 
 def bracelet_graph(word: Sequence[_Letter]) -> Graph:

@@ -4,20 +4,24 @@ Both indices sum a reciprocal square root over the edges: of the endpoint
 degree sum for the former, of the degree product for the latter.  Values
 are exact ``RadicalValue`` numbers; call ``float()`` on them for a view.
 
-A profile, the sorted radicands of a graph's edges, is valued once
-(``_profile_value``).  A value is its own exact key: equal values have
-equal integer fields (see ``radicals``), so values group in dicts and
-sets as they are, and ``verify`` ranks profiles by them.
+So an index is a function of the edge-type profile, the count c_s of the
+edges with radicand s, written one way: the integer ``sum c_s << (8*s)``.
+No count exceeds the edge count, and no profile valued here has 256 edges
+(graphs have at most 16 vertices, 120 edges; ``bounds`` stops at 255), so
+none carries into the next byte and profiles add as count vectors.  A
+value is its own exact key: equal values have equal integer fields.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from enum import Enum
 from functools import lru_cache
 
 from .graphs import Graph
 from .radicals import RadicalValue
+
+_PROFILE_BITS = 8
 
 
 class IndexKind(Enum):
@@ -37,26 +41,27 @@ def edge_contribution(d_u: int, d_v: int, kind: IndexKind) -> RadicalValue:
     return RadicalValue.reciprocal_sqrt(s)
 
 
+def profile_counts(profile: int) -> dict[int, int]:
+    """``{s: c_s}``: the nonzero counts of a packed profile, byte s being c_s."""
+    packed = profile.to_bytes((profile.bit_length() + 7) // 8, "little")
+    return {s: c for s, c in enumerate(packed) if c}
+
+
+def profile_value(profile: int) -> RadicalValue:
+    """Exact ``sum c_s/sqrt(s)`` over the counts of a packed profile."""
+    return RadicalValue.reciprocal_sqrt_sum(profile_counts(profile))
+
+
+_memoized_value = lru_cache(maxsize=1 << 14)(profile_value)
+
+
 def connectivity_index(g: Graph, kind: IndexKind) -> RadicalValue:
     if g.m == 0:
         raise EdgelessGraphError("graph has no edges")
     deg = g.degrees()
-    if kind is IndexKind.SUM:
-        profile = sorted([deg[u] + deg[v] for u, v in g.edges])
-    else:
-        profile = sorted([deg[u] * deg[v] for u, v in g.edges])
-    return _profile_value(tuple(profile))
-
-
-@lru_cache(maxsize=1 << 14)
-def _profile_value(profile: tuple[int, ...]) -> RadicalValue:
-    """Exact ``sum 1/sqrt(s)`` over a sorted tuple of per-edge radicands.
-
-    The value depends on the multiset alone, so graphs that share an
-    edge-type profile share one (immutable) value, whichever index kind
-    produced the radicands.
-    """
-    return RadicalValue.reciprocal_sqrt_sum(Counter(profile))
+    radicand = operator.add if kind is IndexKind.SUM else operator.mul
+    profile = sum([1 << (_PROFILE_BITS * radicand(deg[u], deg[v])) for u, v in g.edges])
+    return _memoized_value(profile)
 
 
 def sum_connectivity(g: Graph) -> RadicalValue:

@@ -8,7 +8,7 @@ reports.
 
 Both classes are ranked the same way: one cached pass per class and n
 (``_ranking``), over ``tree_profiles`` or ``unicyclic_bracelets``, values
-edge-type profiles, not graphs, as exact ``RadicalValue``s, groups
+packed edge-type profiles, not graphs (``indices.profile_value``), groups
 classes by value and keeps each maximum degree's two leading groups.  The
 per-degree maxima read it, and top-two merges the unicyclic groups
 (``_merge_top_two``).  No report depends on the order in which classes
@@ -37,10 +37,10 @@ from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_
 from .canon import canonical_code, canonical_form
 from .construct import GraphClassSpec, attach_path, extremal_family
 from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
-from .enumeration import profile_counts, unicyclic_bracelets
+from .enumeration import unicyclic_bracelets
 from .graph6 import emit_graph6
 from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
-from .indices import product_connectivity, sum_connectivity
+from .indices import product_connectivity, profile_value, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
 
@@ -176,7 +176,7 @@ def _admit(
     """The class list of the group a degree's new ``profile`` joins, or
     None when its value is not kept; an evicted group's profiles get None
     in ``seen``.  ``lead`` stays sorted, largest value first."""
-    value = RadicalValue.reciprocal_sqrt_sum(profile_counts(profile))
+    value = profile_value(profile)
     i = len(lead)  # lead[i:] holds the kept values below ``value``
     while i and value > lead[i - 1][0]:
         i -= 1

@@ -1,8 +1,8 @@
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from sumconn import bounds
 from sumconn.bounds import (
     _tree_edge_types,
     _unicyclic_edge_types,
@@ -21,8 +21,8 @@ from sumconn.construct import (
     tree_extremal,
     unicyclic_extremal,
 )
-from sumconn.graphs import cycle_graph, path_graph
-from sumconn.indices import sum_connectivity
+from sumconn.graphs import SizeLimitError, cycle_graph, path_graph
+from sumconn.indices import _PROFILE_BITS, profile_value, sum_connectivity
 from sumconn.radicals import RadicalValue
 
 from oracles import (
@@ -102,25 +102,21 @@ def test_branches_partition_the_delta_range():
                 assert sum(counts) == m
 
 
-def _summed(edge_types):
-    counts = Counter()
-    for s, c in edge_types:
-        counts[s] += c
-    return {s: c for s, c in counts.items() if c}
-
-
-def test_extremal_graphs_have_exactly_the_bound_edge_types():
-    # stronger than equal values: {4: 1} and {16: 2} are both worth 1/2
-    for graph_class, edge_types, n_max in (
-        ("tree", _tree_edge_types, 16),
-        ("unicyclic", _unicyclic_edge_types, 14),
-    ):
-        for n in range(3, n_max + 1):
+def test_extremal_graphs_have_exactly_the_bound_edge_types(monkeypatch):
+    # Stronger than equal values: {4: 1} and {16: 2} are both worth 1/2.
+    # Each bound's packed profile, as ``bounds`` values it, equals the
+    # packed profile of every graph in its family.
+    valued = []
+    monkeypatch.setattr(bounds, "profile_value", lambda p: valued.append(p) or profile_value(p))
+    for graph_class, bound in (("tree", tree_max_bound), ("unicyclic", unicyclic_max_bound)):
+        for n in range(3, 17):
             for delta in range(2, n):
-                expected = _summed(edge_types(n, delta))
+                bound(n, delta)
+                expected = valued.pop()
                 for g in extremal_family(GraphClassSpec(n, delta, graph_class)):
                     deg = g.degrees()
-                    assert Counter(deg[u] + deg[v] for u, v in g.edges) == expected
+                    profile = sum(1 << (_PROFILE_BITS * (deg[u] + deg[v])) for u, v in g.edges)
+                    assert profile == expected, (graph_class, n, delta)
 
 
 def test_bounds_equal_the_printed_closed_forms():
@@ -130,6 +126,17 @@ def test_bounds_equal_the_printed_closed_forms():
             assert unicyclic_max_bound(n, delta).terms == unicyclic_bound_as_printed(n, delta).terms
         for x in [k / 10 for k in range(20, 10 * n)]:
             assert unicyclic_bound_profile(n, x) == unicyclic_profile_as_printed(n, x)
+
+
+def test_bounds_are_valued_up_to_the_profile_capacity():
+    # A count must fit a profile's byte: at most 255 edges, all but two of
+    # them at sum 4 in the tree bound at delta = 2 and all in the cycle.
+    assert tree_max_bound(256, 2).terms == tree_bound_as_printed(256, 2).terms
+    assert unicyclic_max_bound(255, 2).terms == unicyclic_bound_as_printed(255, 2).terms
+    with pytest.raises(SizeLimitError):
+        tree_max_bound(257, 2)
+    with pytest.raises(SizeLimitError):
+        unicyclic_max_bound(256, 2)
 
 
 def test_top_two_equals_the_printed_closed_forms():

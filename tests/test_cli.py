@@ -209,6 +209,23 @@ def test_edges_file_with_a_bad_line(tmp_path, capsys, bad):
     assert err == f"error: {path}, line 4: expected two integer labels 'u v', got {bad!r}\n"
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"0 1\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+        (b"0 1\n0 0\n", "self-loop at vertex 0"),
+        (b"0 1\n1 0\n", "duplicate edge (0, 1)"),
+        (b"0 1\n0 20\n", "at most 16 vertices supported, got 21"),
+    ],
+)
+def test_edges_file_errors_name_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "edges.txt"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "compute", "--edges", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_export_canonical_normalizes(capsys):
     # two labelings of the same 5-vertex path canonicalize to identical graph6
     _, out1, _ = run(capsys, "export", "--g6", "DhC", "--canonical")

@@ -16,7 +16,6 @@ from sumconn.enumeration import (
     bracelet_graph,
     enumerate_trees,
     enumerate_unicyclic,
-    profile_counts,
     tree_profiles,
     unicyclic_bracelets,
 )
@@ -31,7 +30,7 @@ from sumconn.graphs import (
     unique_cycle,
 )
 from sumconn.construct import unicyclic_extremal
-from sumconn.indices import sum_connectivity
+from sumconn.indices import profile_counts, sum_connectivity
 
 from oracles import (
     chord_dedup_unicyclic,

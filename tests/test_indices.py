@@ -17,9 +17,11 @@ from sumconn.indices import (
     connectivity_index,
     edge_contribution,
     product_connectivity,
+    profile_counts,
+    profile_value,
     sum_connectivity,
 )
-from sumconn import radicals
+from sumconn import indices, radicals
 from sumconn.radicals import RadicalValue, _decide, _exact_sign
 
 from oracles import mp_terms, reciprocal_sqrt_terms, terms_hash
@@ -118,6 +120,40 @@ def test_index_kernel_matches_per_edge_normalizing_constructor(data):
         reference = RadicalValue([(s, Fraction(1, s)) for s in radicands])
         value = connectivity_index(g, kind)
         assert (value._coords, value._den) == (reference._coords, reference._den)
+
+
+def _check_packed_profiles(g):
+    # The profile ``connectivity_index`` packs holds each radicand's edge
+    # count, and its value is the Fraction-term sum over the edges.
+    deg = g.degrees()
+    for kind in IndexKind:
+        radicands = [
+            deg[u] + deg[v] if kind is IndexKind.SUM else deg[u] * deg[v] for u, v in g.edges
+        ]
+        packed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(indices, "_memoized_value", lambda p: packed.append(p) or profile_value(p))
+            value = connectivity_index(g, kind)
+        assert profile_counts(packed.pop()) == Counter(radicands)
+        assert value.terms == reciprocal_sqrt_terms(radicands)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_packed_profiles_of_graphs_up_to_16_vertices(data):
+    n = data.draw(st.integers(min_value=2, max_value=16))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    _check_packed_profiles(graph_from_edges(n, edges))
+
+
+def test_packed_profiles_at_capacity_k16():
+    # The most edges a graph can have, 120, all at one radicand: 30 for
+    # the sum index and 225 for the product index.
+    k16 = graph_from_edges(16, [(u, v) for u in range(16) for v in range(u + 1, 16)])
+    _check_packed_profiles(k16)
+    assert sum_connectivity(k16) == RadicalValue({30: Fraction(120, 30)})
+    assert product_connectivity(k16) == 8
 
 
 # Fragments of equal value whose radicands differ: 1/sqrt(2), 1/2,

@@ -7,11 +7,11 @@ import pytest
 from sumconn.bounds import unicyclic_top_two
 from sumconn.canon import canonical_code
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
-from sumconn.enumeration import enumerate_trees, enumerate_unicyclic, profile_counts
+from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
 from sumconn.enumeration import tree_profiles, unicyclic_bracelets
 from sumconn.graphs import SizeLimitError, cycle_graph, star_graph
 from sumconn import verify
-from sumconn.indices import _profile_value, sum_connectivity
+from sumconn.indices import profile_counts, sum_connectivity
 from sumconn.radicals import RadicalValue
 from sumconn.verify import (
     FamilyTooSmallError,
@@ -168,7 +168,6 @@ def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
     # once it has run, a check values its closed forms and nothing else.
     n = 10
     _ranking.cache_clear()
-    _profile_value.cache_clear()
     none = {"sums": 0, "graphs": 0}
     calls = dict(none)
     sums = RadicalValue.reciprocal_sqrt_sum.__func__
