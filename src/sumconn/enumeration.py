@@ -8,12 +8,16 @@ the rest of the tree.  Unicyclic graphs are produced by adding chords to
 free trees.  A chord is deduplicated by the pendant-code necklace of the
 cycle it closes: one BFS from each chord end extends the codes of the path
 to a vertex's parent by one memoized code, so each cycle's codes cost one
-list copy; chords that a tree automorphism maps onto an earlier chord are
-skipped before they are keyed; no candidate graph is built or canonically
-coded, and the first chord seen for each class gives its representative.
+list copy.  Before a chord is keyed, it is skipped when a tree
+automorphism maps its first end to a smaller vertex, or when its cycle
+reads, from the same first end, as an already keyed chord's; no candidate
+graph is built or canonically coded, and the first chord seen for each
+class gives its representative.
 
 The listings order classes by canonical code so that repeated runs and
-CLI output are reproducible.  Both classes are kept as records that start
+CLI output are reproducible; a unicyclic class's code is joined from its
+key by ``canon.necklace_code`` out of one byte segment per pendant tree,
+with no edge sort.  Both classes are kept as records that start
 with the maximum degree: a tree as its level sequence, whose code is read
 off the depths (``canon.level_sequence_code``); a unicyclic class as its
 tree's graph plus a chord.  ``enumerate_trees`` and ``enumerate_unicyclic``
@@ -53,7 +57,7 @@ from .graphs import (
     _graph_from_sorted_edges,
     _graph_with_edge,
 )
-from .indices import _PROFILE_BITS
+from .indices import _UNIT
 
 MAX_TREE_VERTICES = 16
 MAX_UNICYCLIC_VERTICES = 14
@@ -155,8 +159,8 @@ def _tree_records(n: int) -> tuple[tuple[int, bytes], ...]:
 
 def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
     """Chords ``(u, v)``, ``u < v``, of ``tree`` in lexicographic order,
-    with the necklace key of ``tree + (u, v)``, skipping chords that an
-    automorphism of ``tree`` maps onto an earlier chord.
+    with the necklace key of ``tree + (u, v)``, skipping chords whose key
+    an earlier chord is sure to have.
 
     The chord closes the cycle formed by the tree path from u to v.  The
     pendant code of a cycle vertex w is ``"(" + sorted(branch(c, w) for c
@@ -176,21 +180,23 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
     them sorted, so a pendant code is a filtered join, memoized per
     (vertex, path neighbours).
 
-    Orbit pruning (McKay, "Isomorph-free exhaustive generation", J.
-    Algorithms 1998).  An automorphism s of the tree maps the chord
-    (u, v) to the chord {s(u), s(v)}, a non-edge too, and both give
-    isomorphic graphs, hence equal keys.  Two rules skip a chord only when
-    such an s maps it onto a lexicographically earlier chord:
+    Pruning.  Two rules skip a chord only when an earlier chord has its
+    key:
 
     - u is skipped when its rooted code, the join of its sorted branch
-      codes, was seen at a smaller vertex u'.  Equal rooted codes give an
-      s with s(u) = u', and the smaller end of {u', s(v)} is below u.
-    - v is skipped when the branch codes along its BFS path from u,
-      ``branch(y, parent(y))`` for each y after u, equal those of a
-      smaller vertex v'.  In the tree rooted at u these are the rooted
-      codes of the path's vertices, so swapping equal sibling subtrees
-      level by level gives an s that fixes u and maps v to v'.  Then
-      {u, v'} comes first: it starts at u with v' < v, or at v' < u.
+      codes, was seen at a smaller vertex u' (orbit pruning, McKay,
+      "Isomorph-free exhaustive generation", J. Algorithms 1998).  Equal
+      rooted codes give an automorphism s of the tree with s(u) = u'.  It
+      maps the chord (u, v) to the chord {u', s(v)}, a non-edge too, whose
+      graph is isomorphic, hence has the same key, and whose smaller end
+      is below u.
+    - v is skipped when its reading from u, the pendant codes along the
+      path before ``necklace_min``, equals that of a chord (u, v') keyed
+      before it.  Equal readings have equal minima, so (u, v') has the
+      key of (u, v) and comes first, as v' < v.  This skips every v that
+      an automorphism fixing u maps to some v' with u < v' < v: it maps
+      the path to v onto the path to v', so the two read alike, and v'
+      was keyed or read like an end keyed before it.
 
     By induction over the chord order, each skipped chord has the key of
     a chord yielded before it from the same tree, so a caller that keeps
@@ -221,12 +227,9 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
             continue
         rooted.add(code)
         # prefix[y]: codes of the path from u up to, not including, y;
-        # u's missing path neighbour is -1.  path[y] numbers the tuple of
-        # branch codes on the path from u to y (0 for u itself).
+        # u's missing path neighbour is -1.
         parent = [-1] * n
         prefix: list[tuple[str, ...]] = [()] * n
-        path = [0] * n
-        paths: dict[tuple[int, str], int] = {}
         order = [u]
         for x in order:
             px = parent[x]
@@ -239,16 +242,15 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
                             "(" + "".join([bc for bc, c in around[x] if c != px and c != y]) + ")"
                         )
                     prefix[y] = prefix[x] + (code,)
-                    path[y] = paths.setdefault((path[x], branches[y, x]), len(paths) + 1)
                     order.append(y)
-        seen: set[int] = set()
-        for v in range(n):
-            if path[v] in seen:
-                continue
-            seen.add(path[v])
+        keyed: set[tuple[str, ...]] = set()
+        for v in range(u + 1, n):
             p = parent[v]
-            if v > u and p != u:
-                yield (u, v), necklace_min(prefix[v] + (branches[v, p],))
+            if p != u:
+                reading = prefix[v] + (branches[v, p],)
+                if reading not in keyed:
+                    keyed.add(reading)
+                    yield (u, v), necklace_min(reading)
 
 
 @lru_cache(maxsize=None)
@@ -290,7 +292,7 @@ def _level_profile(seq: Sequence[int], root_edges: int) -> tuple[int, int, int]:
         children[p] += 1
     degree = [c + 1 for c in children]
     degree[0] += root_edges - 1
-    profile = sum(1 << (_PROFILE_BITS * (degree[parent[v]] + degree[v])) for v in range(1, s))
+    profile = sum([_UNIT[degree[parent[v]] + degree[v]] for v in range(1, s)])
     return profile, max(degree), degree[0]
 
 
@@ -373,14 +375,13 @@ def unicyclic_bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]
 
 
 def _bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]]:
-    cycle_edge = [1 << (_PROFILE_BITS * s) for s in range(2 * n + 1)]
     for comp, symmetries in _bracelet_compositions(n):
         for word in product(*map(_rooted_letters, comp)):
             if symmetries and any(word > g(word) for g in symmetries):
                 continue
             _, profiles, tops, roots, _ = zip(*word)
             yield max(tops), sum(profiles) + sum(
-                [cycle_edge[a + b] for a, b in zip(roots, roots[1:] + roots[:1])]
+                [_UNIT[a + b] for a, b in zip(roots, roots[1:] + roots[:1])]
             ), word
 
 

@@ -23,6 +23,11 @@ from .radicals import RadicalValue
 
 _PROFILE_BITS = 8
 
+# ``_UNIT[s]`` is the profile of one edge of radicand s, ``1 << (8*s)``, for
+# every radicand on 16 vertices: degrees are at most 15, so a sum is at
+# most 30 and a product at most 225.
+_UNIT = [1 << (_PROFILE_BITS * s) for s in range(15 * 15 + 1)]
+
 
 class IndexKind(Enum):
     SUM = "sum"
@@ -60,7 +65,7 @@ def connectivity_index(g: Graph, kind: IndexKind) -> RadicalValue:
         raise EdgelessGraphError("graph has no edges")
     deg = g.degrees()
     radicand = operator.add if kind is IndexKind.SUM else operator.mul
-    profile = sum([1 << (_PROFILE_BITS * radicand(deg[u], deg[v])) for u, v in g.edges])
+    profile = sum([_UNIT[radicand(deg[u], deg[v])] for u, v in g.edges])
     return _memoized_value(profile)
 
 

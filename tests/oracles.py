@@ -12,7 +12,7 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Eight references are kept for a different purpose: they are the earlier,
+Nine references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``level_sequence_trees`` builds every WROM level
 sequence's tree through ``graph_from_edges`` and sorts by the package's
@@ -24,8 +24,10 @@ keys every chord of a tree, with no orbit pruning;
 ``squarefree_by_trial_division`` trial-divides up to the square root;
 ``graph6_by_pair_probe`` tests every vertex pair for an edge and packs the
 bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
-readings of a cyclic sequence; ``generic_canonical_edges_unpruned`` branches
-on every vertex of the target cell, twins included.
+readings of a cyclic sequence; ``necklace_code_by_parse`` parses every
+pendant code of a necklace and sorts the whole edge list;
+``generic_canonical_edges_unpruned`` branches on every vertex of the target
+cell, twins included.
 
 The Fraction-term functions (``fraction_terms`` and ``reciprocal_sqrt_terms``
 with ``terms_hash``, ``terms_str``, ``terms_json`` and ``mp_terms``) keep
@@ -581,6 +583,26 @@ def necklace_min_all_readings(codes: list[str]) -> tuple[str, ...]:
         for start in range(k):
             readings.append(tuple(codes[(start + step * i) % k] for i in range(k)))
     return min(readings)
+
+
+def necklace_code_by_parse(n: int, necklace: tuple[str, ...]) -> bytes:
+    """Canonical code of the unicyclic graph on ``n`` vertices whose
+    pendant codes, read around the cycle, are ``necklace`` (a
+    ``necklace_min`` result): the pendant trees are relabeled in necklace
+    order and consecutive roots are joined into the cycle."""
+    from sumconn.canon import _encode, _parse_paren
+
+    edges: list[tuple[int, int]] = []
+    roots: list[int] = []
+    nxt = 0
+    for code in necklace:
+        root, sub_edges, nxt = _parse_paren(code, nxt)
+        roots.append(root)
+        edges.extend(sub_edges)
+    k = len(roots)
+    for i in range(k):
+        edges.append((roots[i], roots[(i + 1) % k]))
+    return _encode(n, edges)
 
 
 def _rsqrt(s: int) -> RadicalValue:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +10,18 @@ from sumconn.canon import (
     canonical_code,
     canonical_form,
     level_sequence_code,
+    necklace_code,
     necklace_min,
 )
 from sumconn.enumeration import (
+    _chord_necklaces,
     _free_tree_level_sequences,
     _level_sequence_tree,
     enumerate_trees,
     enumerate_unicyclic,
 )
 from sumconn.graphs import (
+    MAX_VERTICES,
     Graph,
     NotConnectedError,
     cycle_graph,
@@ -31,6 +34,7 @@ from sumconn.graphs import (
 from oracles import (
     connected_graph_orbit_classes,
     generic_canonical_edges_unpruned,
+    necklace_code_by_parse,
     necklace_min_all_readings,
 )
 
@@ -152,6 +156,58 @@ def test_cycles_of_different_length_differ():
 )
 def test_necklace_min_matches_all_readings(codes):
     assert necklace_min(codes) == necklace_min_all_readings(codes)
+
+
+# Four rooted trees; the least code is "((()))", as "(" sorts before ")".
+_CODES = ["()", "(())", "(()())", "((()))"]
+
+
+def test_necklace_min_with_one_least_code_at_each_position():
+    rng = random.Random(13)
+    least = min(_CODES)
+    others = [c for c in _CODES if c != least]
+    for k in range(3, 14):
+        for i in range(k):
+            for _ in range(20):
+                codes = [rng.choice(others) for _ in range(k)]
+                codes[i] = least
+                assert necklace_min(codes) == necklace_min_all_readings(codes)
+
+
+def test_necklace_min_with_repeated_least_codes():
+    for k in range(3, 8):
+        for codes in product(_CODES[:3], repeat=k):
+            if codes.count(min(codes)) > 1:
+                assert necklace_min(codes) == necklace_min_all_readings(list(codes))
+
+
+def test_necklace_codes_match_the_parse_on_every_listed_key():
+    keys = 0
+    for n in range(3, 12):
+        for seq in _free_tree_level_sequences(n):
+            for _, key in _chord_necklaces(_level_sequence_tree(seq)):
+                assert necklace_code(n, key) == necklace_code_by_parse(n, key)
+                keys += 1
+    assert keys == 9_111
+
+
+# Rooted trees on one to four vertices.
+_ROOTED = _CODES + ["(()()())", "(()(()))", "((()()))", "(((())))"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_necklace_codes_match_the_parse_on_random_necklaces(data):
+    k = data.draw(st.integers(3, 13))
+    spare = MAX_VERTICES - k  # vertices beyond the cycle's
+    codes = []
+    for _ in range(k):
+        code = data.draw(st.sampled_from([c for c in _ROOTED if len(c) // 2 - 1 <= spare]))
+        spare -= len(code) // 2 - 1
+        codes.append(code)
+    n = sum(len(c) // 2 for c in codes)
+    for necklace in (tuple(codes), necklace_min(codes)):
+        assert necklace_code(n, necklace) == necklace_code_by_parse(n, necklace)
 
 
 def test_graphs_of_twins_relabeled_get_one_code():

@@ -295,6 +295,18 @@ def test_orbit_pruning_keeps_every_key_and_its_first_chord():
             assert _first_chords(pruned) == _first_chords(full)
 
 
+def test_pruning_keys_no_more_chords_than_the_path_rule():
+    # 49,985 chords are keyed at n = 13 when an end v is skipped only for
+    # the branch codes along its path from u; equal branch codes give equal
+    # readings, so skipping v for its reading keys no more.
+    keyed = sum(
+        1
+        for seq in enumeration._free_tree_level_sequences(13)
+        for _ in _chord_necklaces(_level_sequence_tree(seq))
+    )
+    assert keyed <= 49_985
+
+
 def test_necklace_keys_agree_with_canonical_codes():
     rng = random.Random(20121)
     outcomes = {True: 0, False: 0}
