@@ -5,10 +5,10 @@ add up to k, so each maximum is written once, as the edge types (sum,
 count) of the extremal graphs of :mod:`sumconn.construct` on either side of
 ``is_large_delta``.  ``_value`` packs them as a profile of
 :mod:`sumconn.indices`, where equal sums (d + 2 = 4 at d = 2) add by
-themselves, and values it, for at most 255 edges: bounds are exact values.
-The top-two unicyclic ranking is the paper's deduction: the n-cycle is the
-only unicyclic graph with d = 2, and the maximum falls as d grows, so the
-runner-up is the maximum at d = 3.
+themselves, and values it, to the n of ``construct.RANGES``: bounds are
+exact values.  The top-two unicyclic ranking is the paper's deduction: the
+n-cycle is the only unicyclic graph with d = 2, and the maximum falls as d
+grows, so the runner-up is the maximum at d = 3.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construct import GraphClassSpec, extremal_family, is_large_delta
-from .graphs import Graph, SizeLimitError
+from .construct import TOP_TWO, TOP_TWO_DEGREES, GraphClassSpec, is_large_delta
 from .indices import _PROFILE_BITS, profile_value
 from .radicals import RadicalValue
 
@@ -47,8 +46,6 @@ def _unicyclic_edge_types(n: int, delta: int) -> tuple[tuple[int, int], ...]:
 
 def _value(edge_types: tuple[tuple[int, int], ...]) -> RadicalValue:
     """Exact sum of count/sqrt(sum) over edge types: their profile's value."""
-    if sum(c for _, c in edge_types) >> _PROFILE_BITS:
-        raise SizeLimitError("bounds are valued for at most 255 edges")
     return profile_value(sum(c << (_PROFILE_BITS * s) for s, c in edge_types))
 
 
@@ -83,22 +80,15 @@ def unicyclic_bound_profile(n: int, x: float) -> float:
 
 @dataclass(frozen=True)
 class TopTwoBound:
-    """Closed-form top-two ranking of unicyclic graphs by sum-connectivity."""
+    """Closed-form top-two values of unicyclic graphs by sum-connectivity."""
 
     n: int
     first_value: RadicalValue
-    first_graphs: tuple[Graph, ...]
     second_value: RadicalValue
-    second_graphs: tuple[Graph, ...]
 
 
 def unicyclic_top_two(n: int) -> TopTwoBound:
     """The two largest sum-connectivity values among n-vertex unicyclic
-    graphs with their graphs: the maxima at delta = 2 and delta = 3."""
-    if n < 4:
-        raise ValueError(f"top-two ranking needs n >= 4, got {n}")
-    first, second = (
-        (unicyclic_max_bound(n, d), tuple(extremal_family(GraphClassSpec(n, d, "unicyclic"))))
-        for d in (2, 3)
-    )
-    return TopTwoBound(n, *first, *second)
+    graphs: the maxima at the degrees ``TOP_TWO_DEGREES``, 2 and 3."""
+    TOP_TWO.check_n(n, "values")
+    return TopTwoBound(n, *(unicyclic_max_bound(n, d) for d in TOP_TWO_DEGREES))

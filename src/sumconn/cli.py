@@ -5,6 +5,8 @@ export.  Human-readable tables go to stdout; ``--json`` switches to a
 stable JSON rendering (``--json -`` or bare ``--json`` for stdout, or a
 file path).  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 input error.  Identical invocations produce identical bytes.
+Ranges come from ``construct.RANGES``: ``bound`` to n = 256 (trees) and
+255 (unicyclic), ``enumerate --class unicyclic`` to 14, the rest to 16.
 """
 
 from __future__ import annotations
@@ -200,6 +202,13 @@ def _print_extremal_report(report) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # Of --n and --delta, each kind of run needs some and refuses the others.
+    kind = "all" if args.all and args.graph_class != "transforms" else args.graph_class
+    needs = {"all": (), "transforms": (), "toptwo": ("n",)}.get(kind, ("n", "delta"))
+    for flag in ("n", "delta"):
+        if (getattr(args, flag) is None) == (flag in needs):
+            run = "--all" if kind == "all" else f"--class {kind}"
+            raise ValueError(f"verify {run} {'needs' if flag in needs else 'takes no'} --{flag}")
     if args.graph_class == "transforms":
         report = transform_monotonicity_suite(args.trials, seed=args.seed)
         if args.json:
@@ -228,8 +237,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0 if result.passed else MISMATCH
 
     if args.graph_class == "toptwo":
-        if args.n is None:
-            raise ValueError("verify --class toptwo needs --n")
         report = verify_top_two(args.n)
         if args.json:
             _emit_json(report.to_json_dict(), args.json)
@@ -240,8 +247,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"result: {'PASS' if report.passed else 'FAIL'}")
         return 0 if report.passed else MISMATCH
 
-    if args.n is None or args.delta is None:
-        raise ValueError("verify needs --n and --delta (or --all)")
     fn = verify_tree_max if args.graph_class == "tree" else verify_unicyclic_max
     report = fn(args.n, args.delta)
     if args.json:
@@ -260,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
     r = chi_r_correlation(args.n, args.max_delta)
-    count = len(enumerate_trees(args.n, None if args.max_delta is None else (1, args.max_delta)))
+    count = len(enumerate_trees(args.n, None if args.max_delta is None else (0, args.max_delta)))
     if args.json:
         _emit_json(
             {

@@ -13,8 +13,8 @@ complements are exactly d <= floor((n-1)/2) and d <= floor((n+1)/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator
 
 from .canon import canonical_code
 from .graphs import (
@@ -26,29 +26,63 @@ from .graphs import (
     cycle_graph,
     graph_from_edges,
 )
+from .indices import _CAPACITY
 
 
 class DeltaRangeError(ValueError):
     """Maximum degree incompatible with the requested family."""
 
 
+def _check(error: type[ValueError], what: str, value: int, least: int, largest: int) -> None:
+    if not least <= value <= largest:
+        raise error(f"{what} must lie in [{least}, {largest}], got {value}")
+
+
+@dataclass(frozen=True)
+class ClassRange:
+    """The one place a class's ranges are written: its least n and least exact
+    degree filter, and the largest n of each use: ``values`` (n - 1 or n edges
+    fit a profile's ``_CAPACITY``), ``graphs`` and ``listing`` (held in memory)."""
+
+    name: str
+    least_n: int
+    least_delta: int
+    values: int
+    listing: int
+    graphs = MAX_VERTICES  # the same for every class
+
+    def check_n(self, n: int, use: str) -> None:
+        _check(SizeLimitError, f"{self.name} {use}: n", n, self.least_n, getattr(self, use))
+
+    def check_delta(self, n: int, delta: int) -> None:
+        least = min(self.least_delta, n - 1)  # a tree on one vertex has degree 0
+        _check(DeltaRangeError, f"{self.name} delta for n={n}", delta, least, n - 1)
+
+
+RANGES = {
+    "tree": ClassRange("tree", 1, 1, values=_CAPACITY + 1, listing=MAX_VERTICES),
+    "unicyclic": ClassRange("unicyclic", 3, 2, values=_CAPACITY, listing=14),
+}
+
+# The degrees whose unicyclic maxima rank first and second, both below n.
+TOP_TWO_DEGREES = (2, 3)
+TOP_TWO = replace(RANGES["unicyclic"], name="top-two ranking", least_n=TOP_TWO_DEGREES[-1] + 1)
+
+
 @dataclass(frozen=True)
 class GraphClassSpec:
-    """Selects a family: n vertices, maximum degree delta, tree or unicyclic."""
+    """Selects a family: n vertices, maximum degree delta, tree or unicyclic.
+    Families start at a path or a cycle, 2 <= delta <= n-1, so n >= 3."""
 
     n: int
     delta: int
     graph_class: str
 
     def __post_init__(self) -> None:
-        if self.graph_class not in ("tree", "unicyclic"):
+        if self.graph_class not in RANGES:
             raise ValueError(f"unknown graph class {self.graph_class!r}")
-        if self.n < 3:
-            raise DeltaRangeError(f"families need n >= 3, got n={self.n}")
-        if not 2 <= self.delta <= self.n - 1:
-            raise DeltaRangeError(
-                f"delta must lie in [2, n-1] = [2, {self.n - 1}], got {self.delta}"
-            )
+        _check(DeltaRangeError, f"{self.graph_class} family delta", self.delta, 2, self.n - 1)
+        RANGES[self.graph_class].check_n(self.n, "values")
 
 
 def is_large_delta(graph_class: str, n: int, delta: int) -> bool:
@@ -56,6 +90,14 @@ def is_large_delta(graph_class: str, n: int, delta: int) -> bool:
     delta >= ceil(n/2) for trees, delta >= ceil((n+2)/2) for unicyclic
     graphs."""
     return delta >= ((n + 1) // 2 if graph_class == "tree" else (n + 3) // 2)
+
+
+def _check_family(family: str, spec: GraphClassSpec, large: bool) -> None:
+    """Before ``family`` builds a graph: the graph limit, and its side of ``is_large_delta``."""
+    RANGES[spec.graph_class].check_n(spec.n, "graphs")
+    if is_large_delta(spec.graph_class, spec.n, spec.delta) != large:
+        side = "large" if large else "small"
+        raise DeltaRangeError(f"{family} takes {side} delta, got n={spec.n}, delta={spec.delta}")
 
 
 def attach_path(g: Graph, u: int, r: int) -> Graph:
@@ -79,39 +121,26 @@ def attach_path(g: Graph, u: int, r: int) -> Graph:
     return _graph_from_sorted_edges(g.n + r, tuple(edges))
 
 
+def _grow(g: Graph, legs: Iterable[int]) -> Graph:
+    """``g`` with a path on each of ``legs`` vertices attached at vertex 0."""
+    for leg in legs:
+        g = attach_path(g, 0, leg)
+    return g
+
+
 def tree_extremal(n: int, delta: int) -> Graph:
     """The unique maximum tree for delta >= ceil(n/2): a center (label 0)
     with 2*delta+1-n pendant vertices and n-delta-1 paths of length two."""
-    if n < 3 or delta > n - 1 or not is_large_delta("tree", n, delta):
-        raise DeltaRangeError(
-            f"tree_extremal needs ceil(n/2) <= delta <= n-1, got n={n}, delta={delta}"
-        )
-    pendants = 2 * delta + 1 - n
-    twos = n - delta - 1
-    g = graph_from_edges(1, [])
-    for _ in range(pendants):
-        g = attach_path(g, 0, 1)
-    for _ in range(twos):
-        g = attach_path(g, 0, 2)
-    return g
+    _check_family("tree_extremal", GraphClassSpec(n, delta, "tree"), True)
+    return _grow(graph_from_edges(1, []), [1] * (2 * delta + 1 - n) + [2] * (n - delta - 1))
 
 
 def unicyclic_extremal(n: int, delta: int) -> Graph:
     """The unique maximum unicyclic graph for delta >= ceil((n+2)/2): a
     triangle vertex (label 0) with 2*delta-n-1 pendants and n-delta-1
     paths of length two."""
-    if n < 3 or delta > n - 1 or not is_large_delta("unicyclic", n, delta):
-        raise DeltaRangeError(
-            f"unicyclic_extremal needs ceil((n+2)/2) <= delta <= n-1, got n={n}, delta={delta}"
-        )
-    pendants = 2 * delta - n - 1
-    twos = n - delta - 1
-    g = cycle_graph(3)
-    for _ in range(pendants):
-        g = attach_path(g, 0, 1)
-    for _ in range(twos):
-        g = attach_path(g, 0, 2)
-    return g
+    _check_family("unicyclic_extremal", GraphClassSpec(n, delta, "unicyclic"), True)
+    return _grow(cycle_graph(3), [1] * (2 * delta - n - 1) + [2] * (n - delta - 1))
 
 
 def _leg_multisets(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
@@ -128,15 +157,10 @@ def _leg_multisets(total: int, parts: int, minimum: int) -> Iterator[tuple[int, 
 def spider_family(n: int, delta: int) -> list[Graph]:
     """All non-isomorphic trees made of ``delta`` paths of length >= 2
     sharing a center: the maximum family for delta <= floor((n-1)/2)."""
-    if delta < 2 or is_large_delta("tree", n, delta):
-        raise DeltaRangeError(
-            f"spider_family needs 2 <= delta <= floor((n-1)/2), got n={n}, delta={delta}"
-        )
+    _check_family("spider_family", GraphClassSpec(n, delta, "tree"), False)
     out: dict[bytes, Graph] = {}
     for legs in _leg_multisets(n - 1, delta, 2):
-        g = graph_from_edges(1, [])
-        for leg in legs:
-            g = attach_path(g, 0, leg)
+        g = _grow(graph_from_edges(1, []), legs)
         out.setdefault(canonical_code(g), g)
     return [out[code] for code in sorted(out)]
 
@@ -146,19 +170,12 @@ def cycle_spider_family(n: int, delta: int) -> list[Graph]:
     paths of length >= 2 attached to one cycle vertex, over every cycle
     length: the maximum family for delta <= floor((n+1)/2).  For delta = 2
     this is just the n-cycle."""
-    if delta < 2 or is_large_delta("unicyclic", n, delta):
-        raise DeltaRangeError(
-            f"cycle_spider_family needs 2 <= delta <= floor((n+1)/2), got n={n}, delta={delta}"
-        )
-    if delta == 2:
-        return [cycle_graph(n)]
+    _check_family("cycle_spider_family", GraphClassSpec(n, delta, "unicyclic"), False)
     out: dict[bytes, Graph] = {}
     legs_needed = delta - 2
     for girth in range(3, n - 2 * legs_needed + 1):
         for legs in _leg_multisets(n - girth, legs_needed, 2):
-            g = cycle_graph(girth)
-            for leg in legs:
-                g = attach_path(g, 0, leg)
+            g = _grow(cycle_graph(girth), legs)
             out.setdefault(canonical_code(g), g)
     return [out[code] for code in sorted(out)]
 

@@ -49,18 +49,9 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .canon import level_sequence_code, level_sequence_edges, necklace_code, necklace_min
-from .construct import DeltaRangeError
-from .graphs import (
-    MAX_VERTICES,
-    Graph,
-    SizeLimitError,
-    _graph_from_sorted_edges,
-    _graph_with_edge,
-)
+from .construct import RANGES
+from .graphs import Graph, _graph_from_sorted_edges, _graph_with_edge
 from .indices import _UNIT
-
-MAX_TREE_VERTICES = 16
-MAX_UNICYCLIC_VERTICES = 14
 
 DeltaFilter = int | tuple[int, int] | None
 
@@ -139,18 +130,12 @@ def _level_sequence_tree(seq: Sequence[int]) -> Graph:
     return _graph_from_sorted_edges(len(seq), tuple(level_sequence_edges(seq)))
 
 
-def _check_tree_size(n: int) -> None:
-    if not 1 <= n <= MAX_TREE_VERTICES:
-        raise SizeLimitError(f"tree enumeration supports 1 <= n <= {MAX_TREE_VERTICES}")
-
-
 @lru_cache(maxsize=None)
 def _tree_records(n: int) -> tuple[tuple[int, bytes], ...]:
     """``(max degree, level sequence)`` of every free tree on n vertices,
     in canonical-code order.  A code is the byte n, which is no vertex
     label, then each edge's two ends, so a vertex's degree is its count in
     the code."""
-    _check_tree_size(n)
     seqs = map(bytes, _free_tree_level_sequences(n))
     keyed = [(level_sequence_code(seq), seq) for seq in seqs]
     keyed.sort(key=itemgetter(0))
@@ -369,8 +354,7 @@ def unicyclic_bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]
     trees' own profiles plus one ``root_i + root_(i+1)`` per cycle edge,
     and the maximum degree is the largest of the trees' ``top``s.
     """
-    if not 3 <= n <= MAX_VERTICES:
-        raise SizeLimitError(f"unicyclic bracelets support 3 <= n <= {MAX_VERTICES}")
+    RANGES["unicyclic"].check_n(n, "graphs")
     return _bracelets(n)
 
 
@@ -432,20 +416,18 @@ class _LazyGraphs(Sequence[Graph]):
         return map(self._build, self._records)
 
 
-def _select(records: tuple, delta: DeltaFilter, lowest: int, n: int, build) -> _LazyGraphs:
-    """The records whose maximum degree, their first field, ``delta``
-    admits, read lazily through ``build``.  An exact degree must lie in
-    [lowest, n-1]; a range is taken as given."""
-    if delta is not None:
-        if not isinstance(delta, tuple):
-            if not lowest <= delta <= n - 1:
-                raise DeltaRangeError(
-                    f"delta must lie in [{lowest}, {n - 1}] for n={n}, got {delta}"
-                )
-            delta = (delta, delta)
-        lo, hi = delta
-        records = tuple(r for r in records if lo <= r[0] <= hi)
-    return _LazyGraphs(records, build)
+def _select(graph_class: str, n: int, delta: DeltaFilter, records, build) -> _LazyGraphs:
+    """The records of ``records(n)`` whose maximum degree, their first field,
+    ``delta`` admits, read through ``build``; ``RANGES`` checks n and a degree."""
+    limits = RANGES[graph_class]
+    limits.check_n(n, "listing")
+    if delta is None:
+        return _LazyGraphs(records(n), build)
+    if not isinstance(delta, tuple):
+        limits.check_delta(n, delta)
+        delta = (delta, delta)
+    lo, hi = delta
+    return _LazyGraphs(tuple(r for r in records(n) if lo <= r[0] <= hi), build)
 
 
 def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
@@ -457,7 +439,7 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     by degree from their records, and each tree is built from its level
     sequence when it is read.
     """
-    return _select(_tree_records(n), delta, min(1, n - 1), n, _tree_graph)
+    return _select("tree", n, delta, _tree_records, _tree_graph)
 
 
 def tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -468,7 +450,7 @@ def tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
     The trees come straight off the generator, in its order, with no
     canonical code and no sort: unlike the listing, a caller must not
     depend on their order."""
-    _check_tree_size(n)
+    RANGES["tree"].check_n(n, "graphs")
     return _tree_profiles(n)
 
 
@@ -487,8 +469,4 @@ def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     selected by degree from their records, and each graph is built from
     its tree and chord when it is read.
     """
-    if not 3 <= n <= MAX_UNICYCLIC_VERTICES:
-        raise SizeLimitError(
-            f"unicyclic enumeration supports 3 <= n <= {MAX_UNICYCLIC_VERTICES}"
-        )
-    return _select(_unicyclic_records(n), delta, 2, n, _unicyclic_graph)
+    return _select("unicyclic", n, delta, _unicyclic_records, _unicyclic_graph)

@@ -6,10 +6,10 @@ are exact ``RadicalValue`` numbers; call ``float()`` on them for a view.
 
 So an index is a function of the edge-type profile, the count c_s of the
 edges with radicand s, written one way: the integer ``sum c_s << (8*s)``.
-No count exceeds the edge count, and no profile valued here has 256 edges
-(graphs have at most 16 vertices, 120 edges; ``bounds`` stops at 255), so
-none carries into the next byte and profiles add as count vectors.  A
-value is its own exact key: equal values have equal integer fields.
+No count exceeds the edge count, and no profile has more than ``_CAPACITY``
+= 255 edges (graphs have at most 120; ``construct.RANGES`` stops bounds
+there), so none carries and profiles add as count vectors.  A value is its
+own exact key: equal values have equal integer fields.
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ import operator
 from enum import Enum
 from functools import lru_cache
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 from .radicals import RadicalValue
 
 _PROFILE_BITS = 8
+_CAPACITY = (1 << _PROFILE_BITS) - 1
 
 # ``_UNIT[s]`` is the profile of one edge of radicand s, ``1 << (8*s)``, for
-# every radicand on 16 vertices: degrees are at most 15, so a sum is at
-# most 30 and a product at most 225.
-_UNIT = [1 << (_PROFILE_BITS * s) for s in range(15 * 15 + 1)]
+# every radicand a graph has: degrees are at most MAX_VERTICES - 1, so a
+# product, the larger radicand, is at most its square.
+_UNIT = [1 << (_PROFILE_BITS * s) for s in range((MAX_VERTICES - 1) ** 2 + 1)]
 
 
 class IndexKind(Enum):

@@ -449,16 +449,6 @@ def _decide(sa: float, aa: float, sb: float, ab: float) -> int:
     return 0
 
 
-def _float_sign(a: RadicalValue, b: RadicalValue) -> int:
-    """Sign of ``a - b`` decided in doubles, or 0 when undecided:
-    ``_decide`` on the two sides' enclosures, computed afresh.  Values make
-    the same decision on the enclosures they keep."""
-    ea, eb = _enclosure(a._coords, a._den), _enclosure(b._coords, b._den)
-    if ea is None or eb is None:
-        return 0
-    return _decide(*ea, *eb)
-
-
 def _exact_sign(coords: tuple[tuple[int, int], ...]) -> int:
     """Sign of a nonempty sum ``sum p*sqrt(s)`` over integer coordinates
     ``(s, p)``, a value's sign (its denominator is positive), by interval

@@ -15,11 +15,11 @@ per-degree maxima read it, and top-two merges the unicyclic groups
 arrive: graph6 strings and ``k_profile`` are serialized sorted, and
 argmax sets are compared as sets of canonical codes.
 
-Verification reaches n = 16 for trees, unicyclic graphs and top-two.  The
-range checks live in ``tree_profiles`` and ``unicyclic_bracelets``
-(``SizeLimitError``), in ``GraphClassSpec`` and in ``unicyclic_top_two``,
-not here.  ``run_sweeps`` defaults to the standard sweep (trees n = 4..12,
-unicyclic graphs and top-two n = 4..11);
+Verification reaches n = 16 (``graphs.MAX_VERTICES``) for trees,
+unicyclic graphs and top-two.  No range is written here: each is read from
+``construct.RANGES`` or ``TOP_TWO``, through ``GraphClassSpec``, the profile
+listings and ``extremal_family``.  ``run_sweeps`` defaults to the standard
+sweep (trees n = 4..12, unicyclic graphs and top-two n = 4..11);
 ``run_sweeps(range(4, 17), range(4, 15), range(4, 15))`` is the extended
 one, pinned in CI.
 """
@@ -35,7 +35,8 @@ from typing import Iterable
 
 from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_code, canonical_form
-from .construct import GraphClassSpec, attach_path, extremal_family
+from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, DeltaRangeError, GraphClassSpec
+from .construct import attach_path, extremal_family
 from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
 from .enumeration import unicyclic_bracelets
 from .graph6 import emit_graph6
@@ -301,8 +302,12 @@ def _merge_top_two(
 
 def verify_top_two(n: int) -> TopTwoReport:
     """Rank every n-vertex unicyclic graph by exact index value and compare
-    the two leading groups against the closed-form prediction."""
-    expected = unicyclic_top_two(n)  # owns n >= 4, so two value groups exist
+    the two leading groups against the closed-form values and families."""
+    TOP_TWO.check_n(n, "graphs")  # from n = 4, so two value groups exist
+    expected = unicyclic_top_two(n)
+    first_family, second_family = (
+        extremal_family(GraphClassSpec(n, d, "unicyclic")) for d in TOP_TWO_DEGREES
+    )
     total, [(first_value, first), (second_value, second)] = _merge_top_two(
         _ranking("unicyclic", n).values()
     )
@@ -315,9 +320,9 @@ def verify_top_two(n: int) -> TopTwoReport:
         second=tuple(second),
         expected=expected,
         first_value_match=first_value == expected.first_value,
-        first_set_match=_same_classes(first, expected.first_graphs),
+        first_set_match=_same_classes(first, first_family),
         second_value_match=second_value == expected.second_value,
-        second_set_match=_same_classes(second, expected.second_graphs),
+        second_set_match=_same_classes(second, second_family),
     )
 
 
@@ -431,7 +436,10 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
 def chi_r_correlation(n: int, max_delta: int | None = None) -> float:
     """Pearson correlation of the two indices over enumerated trees on n
     vertices with maximum degree at most ``max_delta``."""
-    delta_filter = None if max_delta is None else (1, max_delta)
+    least = RANGES["tree"].least_delta
+    if max_delta is not None and max_delta < least:
+        raise DeltaRangeError(f"tree max_delta must be at least {least}, got {max_delta}")
+    delta_filter = None if max_delta is None else (0, max_delta)
     members = enumerate_trees(n, delta_filter)
     if len(members) < 3:
         raise FamilyTooSmallError(

@@ -58,7 +58,7 @@ from typing import Iterator
 import mpmath
 
 from sumconn.indices import sum_connectivity
-from sumconn.radicals import RadicalValue
+from sumconn.radicals import RadicalValue, _decide, _enclosure
 
 Edge = tuple[int, int]
 
@@ -688,3 +688,13 @@ def generic_canonical_edges_unpruned(g) -> list[Edge]:
     search(_refine(g.adjacency, [0] * n))
     assert best is not None
     return best
+
+
+def _float_sign(a: RadicalValue, b: RadicalValue) -> int:
+    """Sign of ``a - b`` decided in doubles, or 0 when undecided:
+    ``_decide`` on the two sides' enclosures, computed afresh.  Values make
+    the same decision on the enclosures they keep."""
+    ea, eb = _enclosure(a._coords, a._den), _enclosure(b._coords, b._den)
+    if ea is None or eb is None:
+        return 0
+    return _decide(*ea, *eb)

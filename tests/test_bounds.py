@@ -145,12 +145,22 @@ def test_top_two_equals_the_printed_closed_forms():
         assert unicyclic_max_bound(n, 2).terms == first.terms
         assert unicyclic_max_bound(n, 3).terms == second.terms
     for n in range(4, 17):  # graphs stop at 16 vertices
+        first_graphs, second_graphs = (
+            extremal_family(GraphClassSpec(n, d, "unicyclic")) for d in (2, 3)
+        )
+        assert [g.edges for g in first_graphs] == [cycle_graph(n).edges]
+        printed = [unicyclic_extremal(4, 3)] if n == 4 else cycle_spider_family(n, 3)
+        assert [g.edges for g in second_graphs] == [g.edges for g in printed]
+
+
+def test_top_two_values_reach_the_profile_capacity():
+    # values only: no graph is built, so they reach unicyclic n = 255
+    for n in range(4, 256):
         first, second = top_two_as_printed(n)
         t = unicyclic_top_two(n)
-        assert (t.first_value.terms, t.second_value.terms) == (first.terms, second.terms)
-        assert [g.edges for g in t.first_graphs] == [cycle_graph(n).edges]
-        printed = [unicyclic_extremal(4, 3)] if n == 4 else cycle_spider_family(n, 3)
-        assert [g.edges for g in t.second_graphs] == [g.edges for g in printed]
+        assert (t.n, t.first_value.terms, t.second_value.terms) == (n, first.terms, second.terms)
+    with pytest.raises(SizeLimitError, match="top-two.*256"):
+        unicyclic_top_two(256)
 
 
 def test_profile_matches_integer_bound():
@@ -175,19 +185,23 @@ def test_profile_domain_error():
         unicyclic_bound_profile(8, 1.9)
 
 
+def _second_graphs(n):
+    return extremal_family(GraphClassSpec(n, 3, "unicyclic"))
+
+
 def test_top_two_closed_form():
     t4 = unicyclic_top_two(4)
     assert t4.first_value == Fraction(2)
     assert t4.second_value == 1 + _rs(5) * 2
-    assert len(t4.second_graphs) == 1
+    assert len(_second_graphs(4)) == 1
     t5 = unicyclic_top_two(5)
     assert t5.second_value == Fraction(1, 2) + _rs(3) + _rs(5) * 3
     assert float(t5.second_value) == pytest.approx(2.41899, abs=5e-6)
-    assert {canonical_code(g) for g in t5.second_graphs} == {
+    assert {canonical_code(g) for g in _second_graphs(5)} == {
         canonical_code(g) for g in cycle_spider_family(5, 3)
     }
     t7 = unicyclic_top_two(7)
-    assert len(t7.second_graphs) == 3
+    assert len(_second_graphs(7)) == 3
     assert float(t7.second_value) == pytest.approx(3.41899, abs=5e-6)
     with pytest.raises(ValueError):
         unicyclic_top_two(3)

@@ -13,13 +13,13 @@ from sumconn.radicals import (
     RadicalValue,
     _decide,
     _exact_sign,
-    _float_sign,
     _from_canonical,
     squarefree_decompose,
 )
 from sumconn.verify import run_sweeps
 
 from oracles import (
+    _float_sign,
     fraction_terms,
     squarefree_by_trial_division,
     terms_hash,

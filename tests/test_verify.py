@@ -90,14 +90,14 @@ def test_attachment_count_profile():
 
 
 def test_verification_range_checks():
-    # the enumerators own the upper limits, unicyclic_top_two owns n >= 4
+    # construct.RANGES and construct.TOP_TWO own every limit
     with pytest.raises(SizeLimitError):
         verify_tree_max(17, 4)
     with pytest.raises(SizeLimitError):
         verify_unicyclic_max(17, 4)
     with pytest.raises(SizeLimitError):
         verify_top_two(17)
-    with pytest.raises(ValueError, match="needs n >= 4"):
+    with pytest.raises(ValueError, match=r"top-two ranking graphs: n must lie in \[4, 16\], got 3"):
         verify_top_two(3)
 
 
