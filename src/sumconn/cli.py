@@ -22,9 +22,8 @@ from .construct import GraphClassSpec, extremal_family
 from .enumeration import enumerate_trees, enumerate_unicyclic
 from .graph6 import emit_graph6, parse_graph6, to_dot
 from .graphs import Graph, GraphError, graph_from_edges, max_degree
-from .indices import EdgelessGraphError, IndexKind, connectivity_index
+from .indices import IndexKind, connectivity_index
 from .radicals import RadicalValue
-from .transforms import TransformError
 from .verify import (
     chi_r_correlation,
     run_sweeps,
@@ -36,6 +35,7 @@ from .verify import (
 
 USAGE_ERROR = 2
 MISMATCH = 1
+TRIALS = 1000  # the transform suite's trials when --trials is not given
 
 
 def _read_edge_file(path: str) -> Graph:
@@ -202,15 +202,19 @@ def _print_extremal_report(report) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Of --n and --delta, each kind of run needs some and refuses the others.
-    kind = "all" if args.all and args.graph_class != "transforms" else args.graph_class
-    needs = {"all": (), "transforms": (), "toptwo": ("n",)}.get(kind, ("n", "delta"))
-    for flag in ("n", "delta"):
-        if (getattr(args, flag) is None) == (flag in needs):
-            run = "--all" if kind == "all" else f"--class {kind}"
+    # Each kind of run needs some flags, takes others and refuses the rest.
+    kind = "all" if args.all else args.graph_class or "tree"
+    needs, takes = {"all": ((), ()), "transforms": ((), ("trials", "seed")),
+                    "toptwo": (("n",), ())}.get(kind, (("n", "delta"), ()))
+    given = {"class": args.graph_class if args.all else None, "n": args.n, "delta": args.delta,
+             "trials": args.trials, "seed": args.seed}
+    for flag, value in given.items():
+        if flag not in takes and (value is None) == (flag in needs):
+            run = "--all" if args.all else f"--class {kind}"
             raise ValueError(f"verify {run} {'needs' if flag in needs else 'takes no'} --{flag}")
-    if args.graph_class == "transforms":
-        report = transform_monotonicity_suite(args.trials, seed=args.seed)
+    if kind == "transforms":
+        trials = TRIALS if args.trials is None else args.trials
+        report = transform_monotonicity_suite(trials, seed=args.seed or 0)
         if args.json:
             _emit_json(report.to_json_dict(), args.json)
         else:
@@ -224,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(f"warning: {report.warning}")
         return 0 if report.passed else MISMATCH
 
-    if args.all:
+    if kind == "all":
         result = run_sweeps()
         if args.json:
             _emit_json(result.to_json_dict(), args.json)
@@ -236,7 +240,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"overall: {'PASS' if result.passed else 'FAIL'}")
         return 0 if result.passed else MISMATCH
 
-    if args.graph_class == "toptwo":
+    if kind == "toptwo":
         report = verify_top_two(args.n)
         if args.json:
             _emit_json(report.to_json_dict(), args.json)
@@ -247,7 +251,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"result: {'PASS' if report.passed else 'FAIL'}")
         return 0 if report.passed else MISMATCH
 
-    fn = verify_tree_max if args.graph_class == "tree" else verify_unicyclic_max
+    fn = verify_tree_max if kind == "tree" else verify_unicyclic_max
     report = fn(args.n, args.delta)
     if args.json:
         _emit_json(report.to_json_dict(), args.json)
@@ -365,13 +369,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--class",
         dest="graph_class",
         choices=["tree", "unicyclic", "toptwo", "transforms"],
-        default="tree",
+        help="the class to verify (default tree)",
     )
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--all", action="store_true", help="run the full standard sweep")
-    p.add_argument("--trials", type=int, default=1000, help="transform suite trials")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help=f"transform suite trials (default {TRIALS})")
+    p.add_argument("--seed", type=int, help="transform suite seed (default 0)")
     _add_json_flag(p)
     p.set_defaults(fn=_cmd_verify)
 
@@ -399,7 +403,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (GraphError, TransformError, EdgelessGraphError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -22,7 +22,6 @@ from .graphs import (
     Graph,
     SizeLimitError,
     VertexRangeError,
-    _graph_from_sorted_edges,
     cycle_graph,
     graph_from_edges,
 )
@@ -118,7 +117,7 @@ def attach_path(g: Graph, u: int, r: int) -> Graph:
     edges.sort()
     # Trusted build: u < g.n is checked and the larger ends of the new edges
     # are the distinct new vertices, so no pair is out of range, a loop or a repeat.
-    return _graph_from_sorted_edges(g.n + r, tuple(edges))
+    return Graph(g.n + r, tuple(edges))
 
 
 def _grow(g: Graph, legs: Iterable[int]) -> Graph:

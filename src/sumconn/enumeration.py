@@ -17,14 +17,15 @@ class gives its representative.
 The listings order classes by canonical code so that repeated runs and
 CLI output are reproducible; a unicyclic class's code is joined from its
 key by ``canon.necklace_code`` out of one byte segment per pendant tree,
-with no edge sort.  Both classes are kept as records that start
-with the maximum degree: a tree as its level sequence, whose code is read
-off the depths (``canon.level_sequence_code``); a unicyclic class as its
-tree's graph plus a chord.  ``enumerate_trees`` and ``enumerate_unicyclic``
-filter the records by degree and return a lazy sequence that builds each
-graph when it is read, a tree from its sequence's parent array and a
-unicyclic graph from its tree plus the chord, with no validation, BFS or
-AHU sort; memory holds the records and not the graphs.
+with no edge sort.  A tree is kept as its level sequence, whose code is
+read off the depths (``canon.level_sequence_code``), and its maximum
+degree is computed only for a degree filter, once per n; a unicyclic
+class is kept as its maximum degree, its tree's graph and a chord.
+``enumerate_trees`` and ``enumerate_unicyclic`` filter the records by
+degree when asked and return a lazy sequence that builds each graph when
+it is read, a tree from its sequence's parent array and a unicyclic graph
+from its tree plus the chord, with no validation, BFS or AHU sort; memory
+holds the records and not the graphs.
 
 Verification reads both classes as edge-type profiles, packed integers in
 the format ``indices`` defines and values, with no graph and in
@@ -44,13 +45,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .canon import level_sequence_code, level_sequence_edges, necklace_code, necklace_min
 from .construct import RANGES
-from .graphs import Graph, _graph_from_sorted_edges, _graph_with_edge
+from .graphs import Graph, _graph_with_edge
 from .indices import _UNIT
 
 DeltaFilter = int | tuple[int, int] | None
@@ -127,19 +128,32 @@ def _free_tree_level_sequences(n: int) -> Iterator[list[int]]:
 
 def _level_sequence_tree(seq: Sequence[int]) -> Graph:
     """The tree whose vertex ``v`` has depth ``seq[v]`` in preorder."""
-    return _graph_from_sorted_edges(len(seq), tuple(level_sequence_edges(seq)))
+    return Graph(len(seq), tuple(level_sequence_edges(seq)))
 
 
 @lru_cache(maxsize=None)
-def _tree_records(n: int) -> tuple[tuple[int, bytes], ...]:
-    """``(max degree, level sequence)`` of every free tree on n vertices,
-    in canonical-code order.  A code is the byte n, which is no vertex
-    label, then each edge's two ends, so a vertex's degree is its count in
-    the code."""
-    seqs = map(bytes, _free_tree_level_sequences(n))
-    keyed = [(level_sequence_code(seq), seq) for seq in seqs]
-    keyed.sort(key=itemgetter(0))
-    return tuple((max(map(code.count, range(n))), seq) for code, seq in keyed)
+def _tree_records(n: int) -> tuple[bytes, ...]:
+    """The level sequence of every free tree on n vertices, in
+    canonical-code order."""
+    return tuple(sorted(map(bytes, _free_tree_level_sequences(n)), key=level_sequence_code))
+
+
+def _level_max_degree(seq: bytes) -> int:
+    """Largest degree of the tree whose vertex v has depth ``seq[v]`` in
+    preorder: its child count, plus one but at the root."""
+    last = [0] * len(seq)  # the latest vertex seen at each depth
+    degree = [1] * len(seq)
+    degree[0] = 0
+    for v in range(1, len(seq)):
+        degree[last[seq[v] - 1]] += 1
+        last[seq[v]] = v
+    return max(degree)
+
+
+@lru_cache(maxsize=None)
+def _tree_degrees(n: int) -> tuple[int, ...]:
+    """The maximum degree of each tree of ``_tree_records(n)``, in order."""
+    return tuple(map(_level_max_degree, _tree_records(n)))
 
 
 def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
@@ -250,9 +264,10 @@ def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
     from their key; the keys are dropped once sorted.
     """
     found: dict[tuple[str, ...], tuple[int, Graph, int, int]] = {}
-    for top, seq in _tree_records(n):
+    for seq in _tree_records(n):
         tree = _level_sequence_tree(seq)
         adj = tree.adjacency
+        top = max(map(len, adj))
         for (u, v), key in _chord_necklaces(tree):
             if key not in found:
                 found[key] = (max(top, len(adj[u]) + 1, len(adj[v]) + 1), tree, u, v)
@@ -382,11 +397,11 @@ def bracelet_graph(word: Sequence[_Letter]) -> Graph:
     edges += zip(roots, roots[1:])
     edges.append((0, roots[-1]))
     edges.sort()
-    return _graph_from_sorted_edges(at, tuple(edges))
+    return Graph(at, tuple(edges))
 
 
-def _tree_graph(record: tuple[int, bytes]) -> Graph:
-    return _level_sequence_tree(record[1])
+def _unicyclic_degrees(n: int) -> Iterator[int]:
+    return map(itemgetter(0), _unicyclic_records(n))
 
 
 def _unicyclic_graph(record: tuple[int, Graph, int, int]) -> Graph:
@@ -416,8 +431,8 @@ class _LazyGraphs(Sequence[Graph]):
         return map(self._build, self._records)
 
 
-def _select(graph_class: str, n: int, delta: DeltaFilter, records, build) -> _LazyGraphs:
-    """The records of ``records(n)`` whose maximum degree, their first field,
+def _select(graph_class: str, n: int, delta: DeltaFilter, records, degrees, build) -> _LazyGraphs:
+    """The records of ``records(n)`` whose maximum degree, in ``degrees(n)``,
     ``delta`` admits, read through ``build``; ``RANGES`` checks n and a degree."""
     limits = RANGES[graph_class]
     limits.check_n(n, "listing")
@@ -427,7 +442,7 @@ def _select(graph_class: str, n: int, delta: DeltaFilter, records, build) -> _La
         limits.check_delta(n, delta)
         delta = (delta, delta)
     lo, hi = delta
-    return _LazyGraphs(tuple(r for r in records(n) if lo <= r[0] <= hi), build)
+    return _LazyGraphs(tuple(compress(records(n), [lo <= d <= hi for d in degrees(n)])), build)
 
 
 def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
@@ -439,7 +454,7 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     by degree from their records, and each tree is built from its level
     sequence when it is read.
     """
-    return _select("tree", n, delta, _tree_records, _tree_graph)
+    return _select("tree", n, delta, _tree_records, _tree_degrees, _level_sequence_tree)
 
 
 def tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
@@ -469,4 +484,4 @@ def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     selected by degree from their records, and each graph is built from
     its tree and chord when it is read.
     """
-    return _select("unicyclic", n, delta, _unicyclic_records, _unicyclic_graph)
+    return _select("unicyclic", n, delta, _unicyclic_records, _unicyclic_degrees, _unicyclic_graph)

@@ -2,14 +2,14 @@
 
 Vertices are labeled ``0..n-1``.  Graphs are values: construction
 normalizes and validates the edge set once, after which a graph can be
-shared freely (including across threads).  All structural transforms in
-this package build new graphs rather than mutating.
+shared freely (including across threads).  Its value is its vertex count
+and sorted edge tuple; the adjacency lists are filled on first read.  All
+structural transforms in this package build new graphs rather than mutating.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 16
@@ -43,13 +43,30 @@ class NotUnicyclicError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count, sorted edge list, adjacency."""
+    """Simple undirected graph, unchecked: ``edges`` are strictly increasing
+    pairs ``(u, v)``, ``0 <= u < v < n`` (``graph_from_edges`` checks).
+    Appending them in order fills each ``adjacency`` list sorted, smaller
+    neighbours (pairs ending in v) before larger ones (pairs starting at v);
+    two threads reading it first may both build it, to equal tuples."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "edges", "_adjacency")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        try:
+            return self._adjacency
+        except AttributeError:
+            adj: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            object.__setattr__(self, "_adjacency", tuple(map(tuple, adj)))
+            return self._adjacency
 
     @property
     def m(self) -> int:
@@ -59,7 +76,28 @@ class Graph:
         return len(self.adjacency[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self.adjacency))
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return Graph, (self.n, self.edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
@@ -86,40 +124,15 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
-    return _graph_from_sorted_edges(n, tuple(sorted(seen)))
-
-
-def _graph_from_sorted_edges(n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
-    """A graph from an edge tuple already in normalized form (unchecked).
-
-    ``edges`` must be strictly increasing pairs ``(u, v)`` with
-    ``0 <= u < v < n``.  Appending in that order fills each adjacency list
-    sorted: a vertex's smaller neighbors arrive first, from the pairs that
-    end in it, in increasing order, then its larger ones, from the pairs
-    that start with it, also in increasing order.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n=n, edges=edges, adjacency=tuple(map(tuple, adj)))
+    return Graph(n, tuple(sorted(seen)))
 
 
 def _graph_with_edge(g: Graph, u: int, v: int) -> Graph:
-    """``g`` plus the edge (u, v), ``u < v``, not already in ``g`` (unchecked).
-
-    Only the edge tuple and the two endpoint lists change; each takes the
-    new entry at its sorted position, so the result equals what
-    ``_graph_from_sorted_edges`` builds from the extended edge tuple.
-    """
+    """``g`` plus the edge (u, v), ``u < v``, not already in ``g`` (unchecked),
+    inserted at its sorted position."""
     edges = g.edges
     at = bisect(edges, (u, v))
-    adj = list(g.adjacency)
-    au, av = adj[u], adj[v]
-    i, j = bisect(au, v), bisect(av, u)
-    adj[u] = au[:i] + (v,) + au[i:]
-    adj[v] = av[:j] + (u,) + av[j:]
-    return Graph(n=g.n, edges=edges[:at] + ((u, v),) + edges[at:], adjacency=tuple(adj))
+    return Graph(g.n, edges[:at] + ((u, v),) + edges[at:])
 
 
 def path_graph(n: int) -> Graph:
@@ -160,7 +173,7 @@ def is_unicyclic(g: Graph) -> bool:
 
 
 def max_degree(g: Graph) -> int:
-    return max((len(nbrs) for nbrs in g.adjacency), default=0)
+    return max(g.degrees())
 
 
 def unique_cycle(g: Graph) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ caller's job.  Vertex and edge counts are always preserved.
 
 from __future__ import annotations
 
-from .graphs import Graph, VertexRangeError, _graph_from_sorted_edges, is_connected
+from .graphs import Graph, VertexRangeError, is_connected
 
 
 class TransformError(ValueError):
@@ -98,7 +98,7 @@ def merge_pendant_paths(g: Graph, u: int, p1: int, p2: int) -> Graph:
     edges.sort()
     # Trusted build: the chain's vertices are distinct (u has degree >= 3, so it
     # is on neither disjoint path) and each of its edges touches a removed vertex.
-    return _graph_from_sorted_edges(g.n, tuple(edges))
+    return Graph(g.n, tuple(edges))
 
 
 def reattach_to_pendant(h: Graph, u: int, u2: int, u_prime: int) -> Graph:
@@ -136,4 +136,4 @@ def reattach_to_pendant(h: Graph, u: int, u2: int, u_prime: int) -> Graph:
     edges.sort()
     # Trusted build: u2 is off the path (only path_start touches u), so it is
     # neither u_prime nor u_prime's one neighbour: no loop, no repeat.
-    return _graph_from_sorted_edges(h.n, tuple(edges))
+    return Graph(h.n, tuple(edges))

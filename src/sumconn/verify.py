@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .bounds import TopTwoBound, tree_max_bound, unicyclic_max_bound, unicyclic_top_two
+from .bounds import tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_code, canonical_form
 from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, DeltaRangeError, GraphClassSpec
 from .construct import attach_path, extremal_family
@@ -239,7 +239,6 @@ class TopTwoReport:
     first: tuple[Graph, ...]
     second_value: RadicalValue
     second: tuple[Graph, ...]
-    expected: TopTwoBound
     first_value_match: bool
     first_set_match: bool
     second_value_match: bool
@@ -318,7 +317,6 @@ def verify_top_two(n: int) -> TopTwoReport:
         first=tuple(first),
         second_value=second_value,
         second=tuple(second),
-        expected=expected,
         first_value_match=first_value == expected.first_value,
         first_set_match=_same_classes(first, first_family),
         second_value_match=second_value == expected.second_value,

@@ -12,11 +12,14 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Nine references are kept for a different purpose: they are the earlier,
+Ten references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
-output for output.  ``level_sequence_trees`` builds every WROM level
-sequence's tree through ``graph_from_edges`` and sorts by the package's
-``canonical_code``; ``eager_level_sequence_trees`` builds the same trees
+output for output.  ``adjacency_with_edge`` splices a chord into a tree's
+adjacency lists, as a tree plus a chord was built when every graph made
+its lists up front (other graphs appended each edge to both endpoint
+lists, as ``adjacency_from_edges`` does); ``level_sequence_trees``
+builds every WROM level sequence's tree through ``graph_from_edges`` and
+sorts by the package's ``canonical_code``; ``eager_level_sequence_trees`` builds the same trees
 with the enumerator's own ``_level_sequence_tree``, all at once, and sorts
 them the same way; ``chord_dedup_unicyclic`` builds every tree-plus-chord
 graph and deduplicates by ``canonical_code``; ``chord_necklaces_unpruned``
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -89,6 +93,19 @@ def adjacency_from_edges(n: int, edges: list[Edge]) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
+
+
+def adjacency_with_edge(
+    adj: tuple[tuple[int, ...], ...], u: int, v: int
+) -> tuple[tuple[int, ...], ...]:
+    """``adj`` with the edge (u, v) inserted at its sorted position in both
+    endpoint lists."""
+    out = list(adj)
+    au, av = out[u], out[v]
+    i, j = bisect(au, v), bisect(av, u)
+    out[u] = au[:i] + (v,) + au[i:]
+    out[v] = av[:j] + (u,) + av[j:]
+    return tuple(out)
 
 
 def _centers(adj: list[list[int]]) -> list[int]:

@@ -170,6 +170,33 @@ def test_verify_needs_arguments(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--all", "--class", "transforms", "--trials", "2"], "verify --all takes no --class"),
+        (["--all", "--class", "toptwo"], "verify --all takes no --class"),
+        (["--all", "--class", "tree"], "verify --all takes no --class"),
+        (["--all", "--trials", "2"], "verify --all takes no --trials"),
+        (["--all", "--seed", "1"], "verify --all takes no --seed"),
+        (["--class", "toptwo", "--n", "5", "--trials", "2"], "verify --class toptwo takes no --trials"),
+        (["--class", "toptwo", "--n", "5", "--seed", "1"], "verify --class toptwo takes no --seed"),
+        (["--class", "unicyclic", "--n", "5", "--delta", "2", "--trials", "2"],
+         "verify --class unicyclic takes no --trials"),
+        (["--n", "5", "--delta", "2", "--seed", "0"], "verify --class tree takes no --seed"),
+    ],
+)
+def test_verify_refuses_a_flag_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_transforms_defaults(capsys):
+    _, given, _ = run(capsys, "verify", "--class", "transforms", "--trials", "5", "--seed", "0", "--json")
+    _, default_seed, _ = run(capsys, "verify", "--class", "transforms", "--trials", "5", "--json")
+    assert given == default_seed
+    assert json.loads(given)["merge"]["trials"] == 5
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "verify", "--class", "toptwo", "--n", "6", "--json")
     _, second, _ = run(capsys, "verify", "--class", "toptwo", "--n", "6", "--json")

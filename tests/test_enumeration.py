@@ -10,6 +10,7 @@ import pytest
 import sumconn
 import sumconn.enumeration as enumeration
 from sumconn.canon import canonical_code
+from sumconn.cli import dispatch
 from sumconn.enumeration import (
     _chord_necklaces,
     _level_sequence_tree,
@@ -105,12 +106,38 @@ def test_lazy_tree_sequence(monkeypatch):
 
 
 def test_tree_degree_filters_partition_the_class():
-    for n in range(1, 13):
+    for n in range(1, 17):
         trees = list(enumerate_trees(n))
+        degrees = list(map(max_degree, trees))
         parts = [list(enumerate_trees(n, d)) for d in range(min(1, n - 1), n)]
         assert sum(map(len, parts)) == len(trees)
         for d, part in zip(range(min(1, n - 1), n), parts):
-            assert part == [g for g in trees if max_degree(g) == d]
+            assert part == [g for g, top in zip(trees, degrees) if top == d]
+
+
+def test_an_unfiltered_tree_listing_computes_no_degree(monkeypatch):
+    def refuse(seq):
+        raise AssertionError("a tree degree was computed")
+
+    enumeration._tree_degrees.cache_clear()
+    monkeypatch.setattr(enumeration, "_level_max_degree", refuse)
+    trees = enumerate_trees(12)
+    assert len(list(trees)) == len(trees) == FREE_TREE_COUNTS[12]
+    assert trees[3:9] == list(trees)[3:9]
+    with pytest.raises(AssertionError, match="degree was computed"):
+        enumerate_trees(12, 4)
+
+
+def test_tree_counts_compute_each_degree_once(monkeypatch, capsys):
+    seen = []
+    degree = enumeration._level_max_degree
+    monkeypatch.setattr(enumeration, "_level_max_degree", lambda seq: seen.append(seq) or degree(seq))
+    enumeration._tree_degrees.cache_clear()
+    for argv in (["--count-only"], ["--count-only", "--delta", "4"], ["--delta", "4"]):
+        assert dispatch(["enumerate", "--class", "tree", "--n", "12", *argv]) == 0
+        assert sorted(seen) == sorted(enumeration._tree_records(12))
+    out = capsys.readouterr().out
+    assert "total=551" in out and "delta=4 count=220\ntotal=220" in out
 
 
 def test_unicyclic_counts():

@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumconn.graphs import (
     DuplicateEdgeError,
+    Graph,
     SelfLoopError,
     SizeLimitError,
     NotUnicyclicError,
@@ -19,6 +23,10 @@ from sumconn.graphs import (
     unique_cycle,
 )
 from sumconn.construct import attach_path, tree_extremal, unicyclic_extremal
+from sumconn.enumeration import _unicyclic_records, enumerate_trees, enumerate_unicyclic
+from sumconn.verify import transform_monotonicity_suite
+
+from oracles import adjacency_from_edges, adjacency_with_edge
 
 
 def test_graph_from_edges_basic():
@@ -114,3 +122,59 @@ def test_graph_is_value_like():
     assert a == b
     assert hash(a) == hash(b)
     assert {a, b} == {a}
+    assert a != graph_from_edges(3, [(0, 1)]) and a != graph_from_edges(4, [(0, 1), (1, 2)])
+    assert a != (3, a.edges)
+
+
+def test_reading_the_adjacency_leaves_the_value_unchanged():
+    a = graph_from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    b = graph_from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    before = (hash(a), repr(a))
+    assert a.adjacency == ((1,), (0, 2, 3), (1,), (1, 4), (3,))
+    assert a == b and b == a
+    assert (hash(a), repr(a)) == before == (hash(b), repr(b))
+    assert a.adjacency is a.adjacency  # filled once, then kept
+
+
+def test_graph_attributes_cannot_be_set():
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    for name, value in (("n", 4), ("edges", ()), ("adjacency", ()), ("_adjacency", ()), ("label", 1)):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    for name in ("n", "edges"):
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g == graph_from_edges(3, [(0, 1), (1, 2)])
+    assert g.adjacency == ((1,), (0, 2), (1,))
+
+
+def test_graphs_copy_and_pickle():
+    g = graph_from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.adjacency == g.adjacency
+
+
+def _check_derived(g):
+    assert g.adjacency == tuple(map(tuple, adjacency_from_edges(g.n, g.edges)))
+    assert g.degrees() == tuple(map(len, g.adjacency))
+
+
+def test_adjacency_and_degrees_match_the_eager_build(monkeypatch):
+    for n in range(1, 11):
+        for g in enumerate_trees(n):
+            _check_derived(g)
+    for n in range(3, 10):
+        for (top, tree, u, v), g in zip(_unicyclic_records(n), enumerate_unicyclic(n)):
+            assert g.adjacency == adjacency_with_edge(tree.adjacency, u, v)
+            assert max(g.degrees()) == top
+            _check_derived(g)
+    # Every graph the transform suite makes for one seed.
+    made = []
+    make = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda g, n, edges: made.append(g) or make(g, n, edges))
+    assert transform_monotonicity_suite(40, seed=5).passed
+    monkeypatch.undo()
+    assert len(made) > 200
+    for g in made:
+        _check_derived(g)

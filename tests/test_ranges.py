@@ -111,7 +111,7 @@ def test_requests_past_the_range_edges_are_refused(monkeypatch, capsys, call, ar
     def no_graph(*args):
         raise AssertionError("a graph was built for a refused request")
 
-    for name in ("graph_from_edges", "cycle_graph", "_graph_from_sorted_edges"):
+    for name in ("graph_from_edges", "cycle_graph", "Graph"):
         monkeypatch.setattr(construct, name, no_graph)
     with pytest.raises(error) as raised:
         call()
