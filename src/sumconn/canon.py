@@ -21,6 +21,7 @@ from .graphs import (
     SizeLimitError,
     graph_from_edges,
     is_connected,
+    peel_leaves,
     peel_to_cycle,
 )
 
@@ -66,30 +67,10 @@ def canonical_form(g: Graph) -> Graph:
 # -- trees ---------------------------------------------------------------
 
 
-def _tree_centers(adj: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The one or two middle vertices left after repeated leaf peeling."""
-    n = len(adj)
-    if n <= 2:
-        return list(range(n))
-    deg = [len(nbrs) for nbrs in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt: list[int] = []
-        for u in layer:
-            deg[u] = 0
-            for w in adj[u]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return layer
-
-
-def _rooted_code(adj, root: int, parent: int) -> str:
-    children = sorted(_rooted_code(adj, w, root) for w in adj[root] if w != parent)
+def _rooted_code(adj, root: int, skip) -> str:
+    """AHU string of the tree at ``root``, leaving out the root's neighbours
+    in ``skip`` and, below the root, each vertex's parent."""
+    children = sorted(_rooted_code(adj, w, (root,)) for w in adj[root] if w not in skip)
     return "(" + "".join(children) + ")"
 
 
@@ -118,7 +99,7 @@ def _parse_paren(code: str, first_label: int) -> tuple[int, list[tuple[int, int]
 
 
 def _tree_canonical_edges(g: Graph) -> list[tuple[int, int]]:
-    best = min(_rooted_code(g.adjacency, c, -1) for c in _tree_centers(g.adjacency))
+    best = min(_rooted_code(g.adjacency, c, ()) for c in peel_leaves(g))
     _, edges, _ = _parse_paren(best, 0)
     return edges
 
@@ -203,15 +184,12 @@ def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
 
 
 def _pendant_codes(g: Graph) -> list[str]:
-    """AHU code of the pendant tree rooted at each cycle vertex, in cycle order."""
+    """AHU code of the pendant tree rooted at each cycle vertex, in cycle
+    order: a root skips its cycle neighbours, and a branch off the cycle
+    holds no cycle vertex."""
     cycle = peel_to_cycle(g)
     on_cycle = set(cycle)
-    # Cycle edges masked out so the cycle neighbors do not count as children.
-    forest_adj = tuple(
-        tuple(w for w in g.adjacency[v] if not (v in on_cycle and w in on_cycle))
-        for v in range(g.n)
-    )
-    return [_rooted_code(forest_adj, c, -1) for c in cycle]
+    return [_rooted_code(g.adjacency, c, on_cycle) for c in cycle]
 
 
 def necklace_min(codes: Sequence[str]) -> tuple[str, ...]:

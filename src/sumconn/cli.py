@@ -19,7 +19,7 @@ from typing import Sequence
 from .bounds import tree_max_bound, unicyclic_max_bound
 from .canon import canonical_form
 from .construct import GraphClassSpec, extremal_family
-from .enumeration import enumerate_trees, enumerate_unicyclic
+from .enumeration import _degree_counts, enumerate_trees, enumerate_unicyclic
 from .graph6 import emit_graph6, parse_graph6, to_dot
 from .graphs import Graph, GraphError, graph_from_edges, max_degree
 from .indices import IndexKind, connectivity_index
@@ -159,9 +159,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     enumerate_fn = enumerate_trees if args.graph_class == "tree" else enumerate_unicyclic
     graphs = enumerate_fn(args.n, args.delta)
     if args.count_only:
-        # Counted from the records' degrees: the degree filters build no graph.
-        degrees = range(args.n) if args.delta is None else [args.delta]
-        counts = {d: c for d in degrees if (c := len(enumerate_fn(args.n, (d, d))))}
+        # Counted from the records' degrees: no graph is built.
+        counts = _degree_counts(args.graph_class, args.n)
+        counts = {d: c for d, c in counts.items() if args.delta in (None, d)}
         if args.json:
             _emit_json(
                 {

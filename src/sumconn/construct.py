@@ -153,15 +153,20 @@ def _leg_multisets(total: int, parts: int, minimum: int) -> Iterator[tuple[int, 
             yield (first,) + rest
 
 
+def _by_code(graphs: Iterable[Graph]) -> list[Graph]:
+    """The first of ``graphs`` in each isomorphism class, by canonical code."""
+    out: dict[bytes, Graph] = {}
+    for g in graphs:
+        out.setdefault(canonical_code(g), g)
+    return [out[code] for code in sorted(out)]
+
+
 def spider_family(n: int, delta: int) -> list[Graph]:
     """All non-isomorphic trees made of ``delta`` paths of length >= 2
     sharing a center: the maximum family for delta <= floor((n-1)/2)."""
     _check_family("spider_family", GraphClassSpec(n, delta, "tree"), False)
-    out: dict[bytes, Graph] = {}
-    for legs in _leg_multisets(n - 1, delta, 2):
-        g = _grow(graph_from_edges(1, []), legs)
-        out.setdefault(canonical_code(g), g)
-    return [out[code] for code in sorted(out)]
+    center = graph_from_edges(1, [])
+    return _by_code(_grow(center, legs) for legs in _leg_multisets(n - 1, delta, 2))
 
 
 def cycle_spider_family(n: int, delta: int) -> list[Graph]:
@@ -170,13 +175,12 @@ def cycle_spider_family(n: int, delta: int) -> list[Graph]:
     length: the maximum family for delta <= floor((n+1)/2).  For delta = 2
     this is just the n-cycle."""
     _check_family("cycle_spider_family", GraphClassSpec(n, delta, "unicyclic"), False)
-    out: dict[bytes, Graph] = {}
     legs_needed = delta - 2
-    for girth in range(3, n - 2 * legs_needed + 1):
-        for legs in _leg_multisets(n - girth, legs_needed, 2):
-            g = _grow(cycle_graph(girth), legs)
-            out.setdefault(canonical_code(g), g)
-    return [out[code] for code in sorted(out)]
+    return _by_code(
+        _grow(cycle_graph(girth), legs)
+        for girth in range(3, n - 2 * legs_needed + 1)
+        for legs in _leg_multisets(n - girth, legs_needed, 2)
+    )
 
 
 def extremal_family(spec: GraphClassSpec) -> list[Graph]:

@@ -43,6 +43,7 @@ is the reference the bracelets are checked against.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, compress, product
@@ -443,6 +444,13 @@ def _select(graph_class: str, n: int, delta: DeltaFilter, records, degrees, buil
         delta = (delta, delta)
     lo, hi = delta
     return _LazyGraphs(tuple(compress(records(n), [lo <= d <= hi for d in degrees(n)])), build)
+
+
+def _degree_counts(graph_class: str, n: int) -> dict[int, int]:
+    """The class count at each maximum degree on n vertices (already
+    checked), ascending, from one pass over the degrees filters read."""
+    degrees = _tree_degrees if graph_class == "tree" else _unicyclic_degrees
+    return dict(sorted(Counter(degrees(n)).items()))
 
 
 def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:

@@ -186,31 +186,35 @@ def unique_cycle(g: Graph) -> tuple[int, ...]:
     return peel_to_cycle(g)
 
 
+def peel_leaves(g: Graph) -> list[int]:
+    """The vertices left, ascending, after stripping the leaves of a
+    connected graph layer by layer while more than two vertices remain and
+    some leaf is left: a tree's one or two centers, a unicyclic graph's
+    cycle."""
+    deg = list(g.degrees())
+    alive = [True] * g.n
+    layer = [v for v in range(g.n) if deg[v] == 1]
+    remaining = g.n
+    while remaining > 2 and layer:
+        remaining -= len(layer)
+        nxt = []
+        for u in layer:
+            alive[u] = False
+            for w in g.adjacency[u]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return [v for v in range(g.n) if alive[v]]
+
+
 def peel_to_cycle(g: Graph) -> tuple[int, ...]:
     """``unique_cycle`` for a graph already known to be unicyclic (unchecked)."""
-    deg = list(g.degrees())
-    leaves = [v for v in range(g.n) if deg[v] == 1]
-    alive = [True] * g.n
-    while leaves:
-        v = leaves.pop()
-        alive[v] = False
-        deg[v] = 0
-        for w in g.adjacency[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaves.append(w)
-    members = [v for v in range(g.n) if alive[v]]
-    start = min(members)
-    on_cycle = set(members)
-    # Deterministic orientation: step to the smaller-labeled cycle neighbor.
-    order = [start]
-    prev = -1
-    cur = start
-    while True:
-        nxt = min(w for w in g.adjacency[cur] if w in on_cycle and w != prev)
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
+    cycle = peel_leaves(g)
+    # Deterministic orientation: from the least label, step to the smaller
+    # cycle neighbour, then on to the cycle neighbour not just left.
+    order = [cycle[0], min(w for w in g.adjacency[cycle[0]] if w in cycle)]
+    while len(order) < len(cycle):
+        order.append(next(w for w in g.adjacency[order[-1]] if w in cycle and w != order[-2]))
     return tuple(order)

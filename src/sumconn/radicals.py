@@ -17,8 +17,8 @@ Representation.  A value keeps its terms as integer coordinates over one
 denominator: q_b = n_b/den, with ``_coords`` the pairs ``(b, n_b)``
 sorted by b, each b squarefree and each n_b a nonzero int, and ``_den``
 the int den >= 1, where gcd(den, every n_b) = 1.  The form is unique, so
-equal values have equal fields: equality and hashing read integers, and
-building a value takes one lcm and one gcd and no ``Fraction``.
+equal values have equal fields: equality reads integers, and building a
+value takes one lcm and one gcd and no ``Fraction``.
 ``terms`` and iteration give the q_b back as Fractions in lowest terms.
 
 ``float()`` sums n_b / den * sqrt(b), and is bit-identical to summing
@@ -28,10 +28,8 @@ correctly rounded value of the same rational, whether or not n_b/den is
 in lowest terms; so the two are the same double.
 
 A value equal to a rational hashes like that rational, and any other
-like the tuple of its (b, q_b) pairs with Fraction q_b.  Both come from
-the integers: Python hashes a rational n/d as |n| times the inverse of d
-modulo ``sys.hash_info.modulus``, negated with n, -1 read as -2 (see
-"Hashing of numeric types" in the library reference).
+like the tuple of its (b, q_b) pairs with Fraction q_b: both hashes are
+Python's own, of the ``Fraction`` q_b.
 
 Values are normalized once, by the public constructor and the builders.
 Arithmetic merges operands that are already canonical: it scales them to
@@ -43,7 +41,6 @@ them, so comparing or grouping a value again repeats neither.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, inf, isqrt, lcm, sqrt
@@ -67,8 +64,6 @@ _FILTER_MAX_RADICAND = 1 << 53
 _FILTER_TINY = 2.0**-900
 _FILTER_HUGE = 2.0**900
 _FILTER_MARGIN = 2.0**-48
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -299,20 +294,13 @@ class RadicalValue:
         # else of the tuple of its (b, Fraction q_b) pairs.
         h = self._hash
         if h is None:
-            coords, den = self._coords, self._den
-            if den % _HASH_MODULUS:
-                inv = pow(den, -1, _HASH_MODULUS)
-                hashes = [(b, _rational_hash(n, inv)) for b, n in coords]
+            pairs = tuple(self)
+            if not pairs:
+                h = 0
+            elif len(pairs) == 1 and pairs[0][0] == 1:
+                h = hash(pairs[0][1])
             else:
-                hashes = [(b, hash(Fraction(n, den))) for b, n in coords]
-            if not hashes:
-                h = hash(0)
-            elif len(hashes) == 1 and hashes[0][0] == 1:
-                h = hashes[0][1]
-            else:
-                # An int h that is a hash hashes to itself (-1 is none),
-                # so this is the hash of the Fraction pairs.
-                h = hash(tuple(hashes))
+                h = hash(pairs)
             self._hash = h
         return h
 
@@ -378,13 +366,6 @@ def _reduced(coords: dict[int, int], den: int) -> RadicalValue:
     return _from_canonical(tuple(sorted([(b, n // g) for b, n in coords.items() if n])), den // g)
 
 
-def _rational_hash(n: int, inv: int) -> int:
-    """``hash(Fraction(n, d))`` for ``inv`` the inverse of d modulo
-    ``_HASH_MODULUS``."""
-    h = hash(hash(abs(n)) * inv)
-    return h if n >= 0 else (-2 if h == 1 else -h)
-
-
 def _enclosure(coords: tuple[tuple[int, int], ...], den: int) -> tuple[float, float] | None:
     """Float enclosure ``(S, A)`` of x = sum n_b/den * sqrt(b), a value's
     fields, or None when a guard fails: S is the ``fsum`` of the per-term
@@ -419,9 +400,6 @@ def _enclosure(coords: tuple[tuple[int, int], ...], den: int) -> tuple[float, fl
         f = [n / den * sqrt(b) for b, n in coords]
     except OverflowError:
         return None
-    if _FILTER_TINY < min(f) and max(f) < _FILTER_HUGE:  # all positive
-        s = fsum(f)
-        return s, s
     a = list(map(abs, f))
     if not (_FILTER_TINY < min(a) and max(a) < _FILTER_HUGE):
         return None

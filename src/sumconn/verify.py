@@ -40,7 +40,7 @@ from .construct import attach_path, extremal_family
 from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
 from .enumeration import unicyclic_bracelets
 from .graph6 import emit_graph6
-from .graphs import Graph, graph_from_edges, is_unicyclic, peel_to_cycle
+from .graphs import Graph, graph_from_edges, is_unicyclic, peel_leaves
 from .indices import product_connectivity, profile_value, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
@@ -62,7 +62,7 @@ def degree_two_attachment_count(g: Graph) -> int:
     """
     deg = g.degrees()
     top = max(deg)
-    cycle = set(peel_to_cycle(g)) if is_unicyclic(g) else set()
+    cycle = set(peel_leaves(g)) if is_unicyclic(g) else set()
     best = 0
     for v in range(g.n):
         if deg[v] != top:

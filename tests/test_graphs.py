@@ -19,6 +19,7 @@ from sumconn.graphs import (
     is_unicyclic,
     max_degree,
     path_graph,
+    peel_leaves,
     star_graph,
     unique_cycle,
 )
@@ -26,7 +27,7 @@ from sumconn.construct import attach_path, tree_extremal, unicyclic_extremal
 from sumconn.enumeration import _unicyclic_records, enumerate_trees, enumerate_unicyclic
 from sumconn.verify import transform_monotonicity_suite
 
-from oracles import adjacency_from_edges, adjacency_with_edge
+from oracles import _centers, _cycle_by_dfs, adjacency_from_edges, adjacency_with_edge
 
 
 def test_graph_from_edges_basic():
@@ -178,3 +179,21 @@ def test_adjacency_and_degrees_match_the_eager_build(monkeypatch):
     assert len(made) > 200
     for g in made:
         _check_derived(g)
+
+
+def _both_labelings(g):
+    """``g`` and its relabeling v -> n - 1 - v, so that the peel is not
+    only seen on canonical labels."""
+    flipped = graph_from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges])
+    return g, flipped
+
+
+def test_peel_leaves_leaves_tree_centers_and_the_unicyclic_cycle():
+    for n in range(1, 11):
+        for tree in enumerate_trees(n):
+            for g in _both_labelings(tree):
+                assert peel_leaves(g) == _centers(g.adjacency)
+    for n in range(3, 10):
+        for unicyclic in enumerate_unicyclic(n):
+            for g in _both_labelings(unicyclic):
+                assert peel_leaves(g) == sorted(_cycle_by_dfs(g.adjacency))

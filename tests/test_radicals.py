@@ -495,6 +495,10 @@ def test_representation_matches_the_fraction_term_formula(start, operations):
 )
 def test_hash_with_a_denominator_divisible_by_the_hash_modulus(terms):
     # 2**61 - 1 is the modulus on 64-bit builds: such a denominator has no
-    # inverse modulo it, and the hash falls back to the Fractions.
+    # inverse modulo it, and Python hashes the Fraction as infinity.
     value = RadicalValue(terms)
     assert hash(value) == terms_hash(fraction_terms(terms.items()))
+
+
+def test_zero_hashes_like_the_rational_zero():
+    assert hash(RadicalValue.zero()) == hash(0) == hash(Fraction(0))
