@@ -1,11 +1,14 @@
 """Canonical codes for connected graphs: equal codes iff isomorphic.
 
 A code is the byte encoding of a canonically relabeled edge set, prefixed
-by the vertex count.  Trees use a center-rooted AHU encoding (read
-straight off a WROM level sequence by ``level_sequence_code``); unicyclic
-graphs canonicalize the cycle under rotation and reflection with AHU codes
-for the subtrees hanging off each cycle vertex; everything else falls back
-to individualization-refinement search.  The specialized paths keep the
+by the vertex count.  A rooted tree's code is its canonical level
+sequence, ``bytes`` of depths in preorder (``_rooted_code``), the format
+the generators in ``enumeration`` emit.  Trees are labeled by the
+greatest such sequence over their centers (read straight off a WROM level
+sequence by ``level_sequence_code``); unicyclic graphs canonicalize the
+cycle under rotation and reflection with the codes of the subtrees
+hanging off each cycle vertex; everything else falls back to
+individualization-refinement search.  The specialized paths keep the
 enumeration workloads fast; the generic path is a safety net.
 """
 
@@ -41,7 +44,7 @@ def canonical_code(g: Graph) -> CanonicalCode:
         raise NotConnectedError("canonical codes are defined for connected graphs only")
     # Connected, so the edge count alone tells trees and unicyclic graphs.
     if g.m == g.n:
-        return necklace_code(g.n, necklace_min(_pendant_codes(g)))
+        return necklace_code(g.n, necklace_max(_pendant_codes(g)))
     if g.m == g.n - 1:
         edges = _tree_canonical_edges(g)
     else:
@@ -67,41 +70,34 @@ def canonical_form(g: Graph) -> Graph:
 # -- trees ---------------------------------------------------------------
 
 
-def _rooted_code(adj, root: int, skip) -> str:
-    """AHU string of the tree at ``root``, leaving out the root's neighbours
-    in ``skip`` and, below the root, each vertex's parent."""
-    children = sorted(_rooted_code(adj, w, (root,)) for w in adj[root] if w not in skip)
-    return "(" + "".join(children) + ")"
+def _rooted_code(adj, root: int, skip) -> bytes:
+    """Canonical level sequence of the tree at ``root``, leaving out the
+    root's neighbours in ``skip`` and, below the root, each vertex's
+    parent: the root's depth 0, then its children's sequences one level
+    deeper, in non-increasing order (Beyer-Hedetniemi's canonical form).
 
-
-def _parse_paren(code: str, first_label: int) -> tuple[int, list[tuple[int, int]], int]:
-    """Rebuild the rooted tree a paren string denotes.
-
-    Returns (root label, edges, next free label); children are created in
-    the order they appear, which is the sorted order the encoder used.
+    It is the AHU code written as depths.  The paren string of a depth
+    sequence (root first, depth 0, every later vertex deeper) puts
+    ``s[i] + 1 - s[i + 1]`` closing parens between the opening ones of
+    vertices i and i + 1, and ``s[-1] + 1`` after the last.  Where two
+    sequences first differ, the larger depth gives ``(`` against ``)``;
+    where one ends first, the other goes on with an opening paren that the
+    ended one closes.  As ``'(' < ')'``, one sequence is greater (Python's
+    order, a proper prefix being smaller) exactly when its paren string is
+    smaller.  So children in non-increasing sequence order are children in
+    ascending AHU order, this sequence's paren string is the AHU string,
+    and the greatest sequence over a tree's centers is its least AHU
+    string.  Reading the AHU string as a preorder, each vertex joined to
+    the innermost vertex still open, gives ``level_sequence_edges``: the
+    innermost open vertex is the latest before it one level up, as a depth
+    sequence rises by at most one per step.
     """
-    stack: list[int] = []
-    edges: list[tuple[int, int]] = []
-    nxt = first_label
-    root = first_label
-    for ch in code:
-        if ch == "(":
-            v = nxt
-            nxt += 1
-            if stack:
-                edges.append((stack[-1], v))
-            else:
-                root = v
-            stack.append(v)
-        else:
-            stack.pop()
-    return root, edges, nxt
+    children = [_rooted_code(adj, w, (root,)) for w in adj[root] if w not in skip]
+    return b"\x00" + b"".join(sorted(children, reverse=True)).translate(_DEEPER)
 
 
 def _tree_canonical_edges(g: Graph) -> list[tuple[int, int]]:
-    best = min(_rooted_code(g.adjacency, c, ()) for c in peel_leaves(g))
-    _, edges, _ = _parse_paren(best, 0)
-    return edges
+    return level_sequence_edges(max(_rooted_code(g.adjacency, c, ()) for c in peel_leaves(g)))
 
 
 def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
@@ -135,36 +131,17 @@ def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
       where h2 is the height of the second root subtree (-1 if there is
       none).  So h1 is h2 or h2 + 1.  With h1 = h2 the root is the only
       center; with h1 = h2 + 1 the centers are the root and vertex 1.
-    * The paren string of a depth sequence (root first, depth 0, every
-      later vertex at depth 1 or more) puts ``s[i] + 1 - s[i + 1]``
-      closing parens between the opening ones of vertices i and i + 1,
-      and ``s[-1] + 1`` after the last.  Where two sequences first differ,
-      the larger depth gives ``(`` against ``)``; where one ends first,
-      the other goes on with an opening paren that the ended one closes.
-      As ``'(' < ')'``, one sequence is greater (Python's order, a proper
-      prefix being smaller) exactly when its paren string is smaller.  The
-      paren string of a canonical sequence is its AHU string, each
-      vertex's children listed in ascending string order; so the root's
-      AHU string, ``_rooted_code`` at vertex 0, is that of ``seq``.
-    * ``_parse_paren`` on a paren string labels the vertices in the order
-      of their opening parens, the sequence's preorder, and joins each new
-      vertex to the top of its stack.  When vertex v opens, the stack holds
-      one open vertex per depth below ``s[v]``, and its top is the last
-      vertex before v at depth ``s[v] - 1``: that vertex is still open,
-      because a depth sequence rises by at most one per step, so every
-      vertex between it and v is deeper.  The parse thus yields exactly
-      the edges ``level_sequence_edges`` reads off the parent array,
-      ``(last[depth - 1], v)``, and those are encoded with no string.
+    * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
+      canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0.
     * For a bicentral tree, the canonical sequence rooted at vertex 1 is
       0 followed by blocks in descending order: the subtree of each child
       of vertex 1 (depths ``seq[v] - 1``, already canonical and in order)
       and the root-side branch, vertex 0 at depth 1 with the other root
       subtrees below it (depths ``seq[v] + 1``, canonical and in order as
-      well).  Its paren string is the AHU string at vertex 1.
+      well).  So it is ``_rooted_code`` at vertex 1.
 
-    ``canonical_code`` parses the least AHU string over the centers, the
-    paren string of the greatest of these sequences, so this encodes that
-    sequence's parent-array edges.
+    ``canonical_code`` encodes the parent-array edges of the greatest
+    ``_rooted_code`` over the centers, the greater of these sequences.
     """
     seq = bytes(seq)
     n = len(seq)
@@ -183,42 +160,45 @@ def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
 # -- unicyclic graphs ------------------------------------------------------
 
 
-def _pendant_codes(g: Graph) -> list[str]:
-    """AHU code of the pendant tree rooted at each cycle vertex, in cycle
-    order: a root skips its cycle neighbours, and a branch off the cycle
-    holds no cycle vertex."""
+def _pendant_codes(g: Graph) -> list[bytes]:
+    """Canonical level sequence of the pendant tree rooted at each cycle
+    vertex, in cycle order: a root skips its cycle neighbours, and a branch
+    off the cycle holds no cycle vertex."""
     cycle = peel_to_cycle(g)
     on_cycle = set(cycle)
     return [_rooted_code(g.adjacency, c, on_cycle) for c in cycle]
 
 
-def necklace_min(codes: Sequence[str]) -> tuple[str, ...]:
-    """Least rotation or reflection of a cyclic sequence of pendant codes.
+def necklace_max(codes: Sequence[bytes]) -> tuple[bytes, ...]:
+    """Greatest rotation or reflection of a cyclic sequence of pendant codes.
 
     A unicyclic graph is determined up to isomorphism by the cyclic
     sequence of its pendant-tree codes read in either direction, and the
-    minimum over all 2k readings does not depend on where or which way the
+    maximum over all 2k readings does not depend on where or which way the
     cycle was walked.  So two unicyclic graphs are isomorphic exactly when
-    their necklace minima are equal.
+    their necklace maxima are equal.  Readings are tuples of k codes,
+    compared element by element, so a map that reverses the order of codes
+    reverses that of readings: written as AHU strings (``_rooted_code``),
+    the greatest reading is the least.
 
-    Only readings that start at an occurrence of the least code are
+    Only readings that start at an occurrence of the greatest code are
     compared: a reading's first element is the code it starts at, so a
     reading starting anywhere else is beaten at its first element by one
-    that starts at the least code, and the minimum is among the rest.  The
-    reading from position i is ``t[i:] + t[:i]``, for ``t`` the codes or
-    their reverse.  When the least code occurs once, at i, exactly two
-    readings start there: forwards, ``t[i:] + t[:i]``, and backwards,
+    that starts at the greatest code, and the maximum is among the rest.
+    The reading from position i is ``t[i:] + t[:i]``, for ``t`` the codes
+    or their reverse.  When the greatest code occurs once, at i, exactly
+    two readings start there: forwards, ``t[i:] + t[:i]``, and backwards,
     ``t[i::-1] + t[:i:-1]``, which is ``t[i], ..., t[0]`` and then
     ``t[k-1], ..., t[i+1]``.  Only those two are compared.
     """
     forward = tuple(codes)
-    least = min(forward)
-    if forward.count(least) == 1:
-        i = forward.index(least)
-        return min(forward[i:] + forward[:i], forward[i::-1] + forward[:i:-1])
+    top = max(forward)
+    if forward.count(top) == 1:
+        i = forward.index(top)
+        return max(forward[i:] + forward[:i], forward[i::-1] + forward[:i:-1])
     backward = forward[::-1]
-    return min(
-        [seq[i:] + seq[:i] for seq in (forward, backward) for i, c in enumerate(seq) if c == least]
+    return max(
+        [seq[i:] + seq[:i] for seq in (forward, backward) for i, c in enumerate(seq) if c == top]
     )
 
 
@@ -227,27 +207,25 @@ _SHIFT = [bytes(range(f, 256)) + bytes(f) for f in range(MAX_VERTICES)]
 
 
 @lru_cache(maxsize=1 << 8)
-def _segment(code: str) -> bytes:
-    """Edge bytes of the pendant tree a paren code denotes, its vertices
-    labeled 0.. in preorder: the sorted edges at the root, then the cycle
-    edge to the next root, ``(0, s)`` for a tree of s vertices, then the
-    other edges, sorted.  So the bytes are 2s long and the byte s occurs
-    once, in the cycle edge.
+def _segment(seq: bytes) -> bytes:
+    """Edge bytes of the pendant tree with level sequence ``seq``, its
+    vertices labeled 0.. in preorder: the sorted edges at the root, then
+    the cycle edge to the next root, ``(0, s)`` for a tree of s vertices,
+    then the other edges, sorted.  So the bytes are 2s long and the byte s
+    occurs once, in the cycle edge.
 
     The memo keeps the latest 256 codes: small pendant trees recur in
     nearly every key, while most large ones occur in one key only (at
     n = 13, each of the 1,842 trees on 11 vertices)."""
-    _, edges, size = _parse_paren(code, 0)
-    edges.sort()
-    cut = len([1 for a, _ in edges if a == 0])
-    edges.insert(cut, (0, size))
+    edges = level_sequence_edges(seq)
+    edges.insert(seq.count(1), (0, len(seq)))  # after the root's child edges
     return bytes([x for edge in edges for x in edge])
 
 
-def necklace_code(n: int, necklace: tuple[str, ...]) -> CanonicalCode:
+def necklace_code(n: int, necklace: tuple[bytes, ...]) -> CanonicalCode:
     """Canonical code of the unicyclic graph on ``n`` vertices whose
     pendant codes, read around the cycle, are ``necklace`` (a
-    ``necklace_min`` result): the pendant trees are labeled in necklace
+    ``necklace_max`` result): the pendant trees are labeled in necklace
     order, each in preorder from its root, and consecutive roots are
     joined into the cycle.
 

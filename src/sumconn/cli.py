@@ -66,11 +66,9 @@ def _read_edge_file(path: str) -> Graph:
 
 
 def _input_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "g6", None):
+    if args.g6 is not None:
         return parse_graph6(args.g6)
-    if getattr(args, "edges", None):
-        return _read_edge_file(args.edges)
-    raise GraphError("provide a graph with --g6 or --edges")
+    return _read_edge_file(args.edges)
 
 
 def _emit_json(payload: dict, target: str) -> None:
@@ -312,7 +310,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_json_flag(p: argparse.ArgumentParser) -> None:
+def _add_json_flag(p) -> None:
     p.add_argument(
         "--json",
         nargs="?",
@@ -324,8 +322,15 @@ def _add_json_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g6", help="graph6 string")
-    p.add_argument("--edges", help="edge-list file, one 'u v' pair per line")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--g6", help="graph6 string")
+    given.add_argument("--edges", help="edge-list file, one 'u v' pair per line")
+
+
+def _add_dot_or_json(p: argparse.ArgumentParser) -> None:
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--dot", action="store_true", help="emit DOT instead of graph6")
+    _add_json_flag(output)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="graph_class", choices=["tree", "unicyclic"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of graph6")
-    _add_json_flag(p)
+    _add_dot_or_json(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("bound", help="closed-form maximum value")
@@ -387,9 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="convert a graph between formats")
     _add_graph_input(p)
-    p.add_argument("--dot", action="store_true")
     p.add_argument("--canonical", action="store_true", help="canonically relabel first")
-    _add_json_flag(p)
+    _add_dot_or_json(p)
     p.set_defaults(fn=_cmd_export)
 
     return parser

@@ -8,7 +8,10 @@ the rest of the tree.  Unicyclic graphs are produced by adding chords to
 free trees.  A chord is deduplicated by the pendant-code necklace of the
 cycle it closes: one BFS from each chord end extends the codes of the path
 to a vertex's parent by one memoized code, so each cycle's codes cost one
-list copy.  Before a chord is keyed, it is skipped when a tree
+list copy.  A pendant code is the tree's canonical level sequence
+(``canon._rooted_code``), the one rooted-tree format of the package: the
+generators below emit it too, so a bracelet letter's bytes are its
+pendant code.  Before a chord is keyed, it is skipped when a tree
 automorphism maps its first end to a smaller vertex, or when its cycle
 reads, from the same first end, as an already keyed chord's; no candidate
 graph is built or canonically coded, and the first chord seen for each
@@ -24,7 +27,7 @@ class is kept as its maximum degree, its tree's graph and a chord.
 ``enumerate_trees`` and ``enumerate_unicyclic`` filter the records by
 degree when asked and return a lazy sequence that builds each graph when
 it is read, a tree from its sequence's parent array and a unicyclic graph
-from its tree plus the chord, with no validation, BFS or AHU sort; memory
+from its tree plus the chord, with no validation, BFS or sort; memory
 holds the records and not the graphs.
 
 Verification reads both classes as edge-type profiles, packed integers in
@@ -50,7 +53,7 @@ from itertools import combinations, compress, product
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
-from .canon import level_sequence_code, level_sequence_edges, necklace_code, necklace_min
+from .canon import _DEEPER, level_sequence_code, level_sequence_edges, necklace_code, necklace_max
 from .construct import RANGES
 from .graphs import Graph, _graph_with_edge
 from .indices import _UNIT
@@ -157,19 +160,20 @@ def _tree_degrees(n: int) -> tuple[int, ...]:
     return tuple(map(_level_max_degree, _tree_records(n)))
 
 
-def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, ...]]]:
+def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes, ...]]]:
     """Chords ``(u, v)``, ``u < v``, of ``tree`` in lexicographic order,
     with the necklace key of ``tree + (u, v)``, skipping chords whose key
     an earlier chord is sure to have.
 
     The chord closes the cycle formed by the tree path from u to v.  The
-    pendant code of a cycle vertex w is ``"(" + sorted(branch(c, w) for c
-    off the cycle) + ")"``, where ``branch(c, w)`` is the AHU code of c's
+    pendant code of a cycle vertex w is the depth 0 and then, one level
+    deeper, ``branch(c, w)`` for each c off the cycle, in non-increasing
+    order, where ``branch(c, w)`` is the canonical level sequence of c's
     side of the tree edge (c, w) rooted at c.  That side holds no cycle
-    vertex, so the chord leaves it unchanged, and the string is exactly
-    what ``canon._pendant_codes`` computes for the unicyclic graph.  The
-    key is ``necklace_min`` of those codes in path order, the necklace from
-    which ``canonical_code`` builds its bytes, so equal keys mean equal
+    vertex, so the chord leaves it unchanged, and the code is exactly what
+    ``canon._pendant_codes`` computes for the unicyclic graph.  The key is
+    ``necklace_max`` of those codes in path order, the necklace from which
+    ``canonical_code`` builds its bytes, so equal keys mean equal
     canonical codes and, conversely, isomorphic graphs get equal keys.
 
     The paths are read off one BFS per u: the path from u to y is the path
@@ -177,13 +181,13 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
     with x now coded between its parent and y, plus y's code as an end
     vertex, ``branch(y, x)`` (its other cycle neighbour is the chord).
     Branch codes are memoized per directed edge, and each vertex keeps
-    them sorted, so a pendant code is a filtered join, memoized per
-    (vertex, path neighbours).
+    them in non-increasing order, so a pendant code is a filtered join,
+    memoized per (vertex, path neighbours).
 
     Pruning.  Two rules skip a chord only when an earlier chord has its
     key:
 
-    - u is skipped when its rooted code, the join of its sorted branch
+    - u is skipped when its rooted code, the join of its ordered branch
       codes, was seen at a smaller vertex u' (orbit pruning, McKay,
       "Isomorph-free exhaustive generation", J. Algorithms 1998).  Equal
       rooted codes give an automorphism s of the tree with s(u) = u'.  It
@@ -191,8 +195,8 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
       graph is isomorphic, hence has the same key, and whose smaller end
       is below u.
     - v is skipped when its reading from u, the pendant codes along the
-      path before ``necklace_min``, equals that of a chord (u, v') keyed
-      before it.  Equal readings have equal minima, so (u, v') has the
+      path before ``necklace_max``, equals that of a chord (u, v') keyed
+      before it.  Equal readings have equal maxima, so (u, v') has the
       key of (u, v) and comes first, as v' < v.  This skips every v that
       an automorphism fixing u maps to some v' with u < v' < v: it maps
       the path to v onto the path to v', so the two read alike, and v'
@@ -205,31 +209,31 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
     """
     n = tree.n
     adj = tree.adjacency
-    branches: dict[tuple[int, int], str] = {}
+    branches: dict[tuple[int, int], bytes] = {}
 
-    def branch(c: int, w: int) -> str:
+    def branch(c: int, w: int) -> bytes:
         code = branches.get((c, w))
         if code is None:
-            code = "(" + "".join(sorted(branch(d, c) for d in adj[c] if d != w)) + ")"
-            branches[(c, w)] = code
+            below = sorted([branch(d, c) for d in adj[c] if d != w], reverse=True)
+            code = branches[c, w] = b"\x00" + b"".join(below).translate(_DEEPER)
         return code
 
     # Every directed edge's branch code is in ``branches`` from here on.
-    around = [sorted((branch(c, w), c) for c in adj[w]) for w in range(n)]
+    around = [sorted([(branch(c, w), c) for c in adj[w]], reverse=True) for w in range(n)]
     # pendants[w, a, b]: code of w's pendant tree when its path neighbours
     # are a and b.
-    pendants: dict[tuple[int, int, int], str] = {}
+    pendants: dict[tuple[int, int, int], bytes] = {}
 
-    rooted: set[str] = set()
+    rooted: set[bytes] = set()
     for u in range(n - 1):
-        code = "".join([bc for bc, _ in around[u]])
+        code = b"".join([bc for bc, _ in around[u]])
         if code in rooted:
             continue
         rooted.add(code)
         # prefix[y]: codes of the path from u up to, not including, y;
         # u's missing path neighbour is -1.
         parent = [-1] * n
-        prefix: list[tuple[str, ...]] = [()] * n
+        prefix: list[tuple[bytes, ...]] = [()] * n
         order = [u]
         for x in order:
             px = parent[x]
@@ -238,19 +242,18 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[str, 
                     parent[y] = x
                     code = pendants.get((x, px, y))
                     if code is None:
-                        code = pendants[x, px, y] = (
-                            "(" + "".join([bc for bc, c in around[x] if c != px and c != y]) + ")"
-                        )
+                        below = b"".join([bc for bc, c in around[x] if c != px and c != y])
+                        code = pendants[x, px, y] = b"\x00" + below.translate(_DEEPER)
                     prefix[y] = prefix[x] + (code,)
                     order.append(y)
-        keyed: set[tuple[str, ...]] = set()
+        keyed: set[tuple[bytes, ...]] = set()
         for v in range(u + 1, n):
             p = parent[v]
             if p != u:
                 reading = prefix[v] + (branches[v, p],)
                 if reading not in keyed:
                     keyed.add(reading)
-                    yield (u, v), necklace_min(reading)
+                    yield (u, v), necklace_max(reading)
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +267,7 @@ def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
     keys are computed.  Classes are ordered by the canonical code built
     from their key; the keys are dropped once sorted.
     """
-    found: dict[tuple[str, ...], tuple[int, Graph, int, int]] = {}
+    found: dict[tuple[bytes, ...], tuple[int, Graph, int, int]] = {}
     for seq in _tree_records(n):
         tree = _level_sequence_tree(seq)
         adj = tree.adjacency

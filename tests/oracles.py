@@ -3,7 +3,12 @@
 Everything here is deliberately written from scratch rather than imported
 from the package: labeled-tree enumeration via Prufer sequences, a
 separate AHU-style string encoder, a separate unicyclic class key, and
-brute-force isomorphism classes by permutation-orbit closure.  Counts and
+brute-force isomorphism classes by permutation-orbit closure.  The
+package writes a rooted tree as its canonical level sequence;
+``rooted_paren_codes`` lists every rooted tree as an AHU paren string
+instead, and ``paren_to_level_sequence`` converts a paren string to
+depths with a counter, so tests reach the package's format from strings
+it never made.  Counts and
 class structures computed here cross-check the production enumerators and
 canonical codes without sharing their code paths.
 
@@ -23,12 +28,13 @@ sorts by the package's ``canonical_code``; ``eager_level_sequence_trees`` builds
 with the enumerator's own ``_level_sequence_tree``, all at once, and sorts
 them the same way; ``chord_dedup_unicyclic`` builds every tree-plus-chord
 graph and deduplicates by ``canonical_code``; ``chord_necklaces_unpruned``
-keys every chord of a tree, with no orbit pruning;
+keys every chord of a tree, with no orbit pruning, in AHU strings;
 ``squarefree_by_trial_division`` trial-divides up to the square root;
 ``graph6_by_pair_probe`` tests every vertex pair for an edge and packs the
 bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
 readings of a cyclic sequence; ``necklace_code_by_parse`` parses every
-pendant code of a necklace and sorts the whole edge list;
+pendant AHU string of a necklace with its own parser and sorts the whole
+edge list;
 ``generic_canonical_edges_unpruned`` branches on every vertex of the target
 cell, twins included.
 
@@ -353,11 +359,12 @@ def chord_necklaces_unpruned(tree) -> Iterator[tuple[tuple[int, int], tuple[str,
     pendant code of a cycle vertex w is ``"(" + sorted(branch(c, w) for c
     off the cycle) + ")"``, where ``branch(c, w)`` is the AHU code of c's
     side of the tree edge (c, w) rooted at c.  That side holds no cycle
-    vertex, so the chord leaves it unchanged, and the string is exactly
-    what ``canon._pendant_codes`` computes for the unicyclic graph.  The
-    key is ``necklace_min`` of those codes in path order, the necklace from
-    which ``canonical_code`` builds its bytes, so equal keys mean equal
-    canonical codes and, conversely, isomorphic graphs get equal keys.
+    vertex, so the chord leaves it unchanged, and the string is the AHU
+    form of what ``canon._pendant_codes`` computes for the unicyclic
+    graph.  The key is ``necklace_min_all_readings`` of those codes in path
+    order, so equal keys mean isomorphic graphs and, conversely, isomorphic
+    graphs get equal keys; ``paren_to_level_sequence`` of each of its codes
+    is the key ``enumeration._chord_necklaces`` gives.
 
     The paths are read off one BFS per u: the path from u to y is the path
     to y's BFS parent x plus y, so its codes are those of the path to x,
@@ -367,8 +374,6 @@ def chord_necklaces_unpruned(tree) -> Iterator[tuple[tuple[int, int], tuple[str,
     them sorted, so a pendant code is a filtered join, memoized per
     (vertex, path neighbours).
     """
-    from sumconn.canon import necklace_min
-
     n = tree.n
     adj = tree.adjacency
     branches: dict[tuple[int, int], str] = {}
@@ -407,7 +412,7 @@ def chord_necklaces_unpruned(tree) -> Iterator[tuple[tuple[int, int], tuple[str,
         for v in range(u + 1, n):
             p = parent[v]
             if p != u:
-                yield (u, v), necklace_min(prefix[v] + [branch(v, p)])
+                yield (u, v), necklace_min_all_readings(prefix[v] + [branch(v, p)])
 
 
 def rooted_tree_counts(n_max: int) -> list[int]:
@@ -604,22 +609,64 @@ def necklace_min_all_readings(codes: list[str]) -> tuple[str, ...]:
 
 def necklace_code_by_parse(n: int, necklace: tuple[str, ...]) -> bytes:
     """Canonical code of the unicyclic graph on ``n`` vertices whose
-    pendant codes, read around the cycle, are ``necklace`` (a
-    ``necklace_min`` result): the pendant trees are relabeled in necklace
-    order and consecutive roots are joined into the cycle."""
-    from sumconn.canon import _encode, _parse_paren
-
+    pendant AHU strings, read around the cycle, are ``necklace`` (a
+    ``necklace_min_all_readings`` result): each string is parsed, its
+    vertices labeled in the order of their opening parens after those of
+    the trees before it, consecutive roots are joined into the cycle, and
+    the whole edge list is sorted."""
     edges: list[tuple[int, int]] = []
     roots: list[int] = []
     nxt = 0
     for code in necklace:
-        root, sub_edges, nxt = _parse_paren(code, nxt)
-        roots.append(root)
-        edges.extend(sub_edges)
+        stack: list[int] = []
+        for ch in code:
+            if ch == "(":
+                if stack:
+                    edges.append((stack[-1], nxt))
+                else:
+                    roots.append(nxt)
+                stack.append(nxt)
+                nxt += 1
+            else:
+                stack.pop()
     k = len(roots)
     for i in range(k):
         edges.append((roots[i], roots[(i + 1) % k]))
-    return _encode(n, edges)
+    return bytes([n, *[x for edge in sorted(edges) for x in edge]])
+
+
+def paren_to_level_sequence(code: str) -> bytes:
+    """The depths, in order of their opening parens, of the vertices of the
+    rooted tree a paren string denotes."""
+    depths = []
+    depth = 0
+    for ch in code:
+        if ch == "(":
+            depths.append(depth)
+            depth += 1
+        else:
+            depth -= 1
+    return bytes(depths)
+
+
+@lru_cache(maxsize=None)
+def rooted_paren_codes(s: int) -> tuple[str, ...]:
+    """The AHU string of every rooted tree on s >= 1 vertices, ascending:
+    a root around each multiset of subtrees whose sizes add up to s - 1,
+    the subtrees' strings in ascending order."""
+
+    def forests(size: int, least: str) -> Iterator[str]:
+        # Ascending lists of subtree strings, none below ``least``.
+        if size == 0:
+            yield ""
+            return
+        for k in range(1, size + 1):
+            for first in rooted_paren_codes(k):
+                if first >= least:
+                    for rest in forests(size - k, first):
+                        yield first + rest
+
+    return tuple(sorted("(" + forest + ")" for forest in forests(s - 1, "")))
 
 
 def _rsqrt(s: int) -> RadicalValue:

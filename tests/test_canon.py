@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from sumconn.canon import (
     _generic_canonical_edges,
+    _rooted_code,
     canonical_code,
     canonical_form,
     level_sequence_code,
     necklace_code,
-    necklace_min,
+    necklace_max,
 )
 from sumconn.enumeration import (
     _chord_necklaces,
     _free_tree_level_sequences,
     _level_sequence_tree,
+    _rooted_letters,
     enumerate_trees,
     enumerate_unicyclic,
 )
@@ -32,10 +34,13 @@ from sumconn.graphs import (
 )
 
 from oracles import (
+    chord_necklaces_unpruned,
     connected_graph_orbit_classes,
     generic_canonical_edges_unpruned,
     necklace_code_by_parse,
     necklace_min_all_readings,
+    paren_to_level_sequence,
+    rooted_paren_codes,
 )
 
 
@@ -145,6 +150,35 @@ def test_cycles_of_different_length_differ():
     assert len(codes) == 7
 
 
+def test_rooted_codes_are_the_letters_level_sequences():
+    # Every rooted tree on up to 10 vertices, rooted at its vertex 0.
+    trees = 0
+    for s in range(1, 11):
+        for *_, seq in _rooted_letters(s):
+            assert _rooted_code(_level_sequence_tree(seq).adjacency, 0, ()) == seq
+            trees += 1
+    assert trees == 1_205
+
+
+def test_paren_order_is_the_reverse_of_level_sequence_order():
+    parens = [code for s in range(1, 8) for code in rooted_paren_codes(s)]
+    seqs = [paren_to_level_sequence(code) for code in parens]
+    assert set(seqs) == {letter[-1] for s in range(1, 8) for letter in _rooted_letters(s)}
+    assert len(set(seqs)) == len(seqs) == 85
+    for a, sa in zip(parens, seqs):
+        for b, sb in zip(parens, seqs):
+            assert (a < b) == (sa > sb)
+
+
+def _sequences(codes) -> tuple[bytes, ...]:
+    return tuple(map(paren_to_level_sequence, codes))
+
+
+def _assert_necklace_max_is_the_least_paren_reading(codes):
+    # The greatest reading of level sequences is the least of AHU strings.
+    assert necklace_max(_sequences(codes)) == _sequences(necklace_min_all_readings(list(codes)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
@@ -155,10 +189,11 @@ def test_cycles_of_different_length_differ():
     )
 )
 def test_necklace_min_matches_all_readings(codes):
-    assert necklace_min(codes) == necklace_min_all_readings(codes)
+    _assert_necklace_max_is_the_least_paren_reading(codes)
 
 
-# Four rooted trees; the least code is "((()))", as "(" sorts before ")".
+# Four rooted trees as AHU strings; the least is "((()))", as "(" sorts
+# before ")", and its level sequence is the greatest.
 _CODES = ["()", "(())", "(()())", "((()))"]
 
 
@@ -171,22 +206,24 @@ def test_necklace_min_with_one_least_code_at_each_position():
             for _ in range(20):
                 codes = [rng.choice(others) for _ in range(k)]
                 codes[i] = least
-                assert necklace_min(codes) == necklace_min_all_readings(codes)
+                _assert_necklace_max_is_the_least_paren_reading(codes)
 
 
 def test_necklace_min_with_repeated_least_codes():
     for k in range(3, 8):
         for codes in product(_CODES[:3], repeat=k):
             if codes.count(min(codes)) > 1:
-                assert necklace_min(codes) == necklace_min_all_readings(list(codes))
+                _assert_necklace_max_is_the_least_paren_reading(codes)
 
 
 def test_necklace_codes_match_the_parse_on_every_listed_key():
     keys = 0
     for n in range(3, 12):
         for seq in _free_tree_level_sequences(n):
-            for _, key in _chord_necklaces(_level_sequence_tree(seq)):
-                assert necklace_code(n, key) == necklace_code_by_parse(n, key)
+            tree = _level_sequence_tree(seq)
+            parens = dict(chord_necklaces_unpruned(tree))
+            for chord, key in _chord_necklaces(tree):
+                assert necklace_code(n, key) == necklace_code_by_parse(n, parens[chord])
                 keys += 1
     assert keys == 9_111
 
@@ -206,8 +243,9 @@ def test_necklace_codes_match_the_parse_on_random_necklaces(data):
         spare -= len(code) // 2 - 1
         codes.append(code)
     n = sum(len(c) // 2 for c in codes)
-    for necklace in (tuple(codes), necklace_min(codes)):
-        assert necklace_code(n, necklace) == necklace_code_by_parse(n, necklace)
+    assert necklace_code(n, _sequences(codes)) == necklace_code_by_parse(n, codes)
+    least = necklace_min_all_readings(codes)
+    assert necklace_code(n, necklace_max(_sequences(codes))) == necklace_code_by_parse(n, least)
 
 
 def test_graphs_of_twins_relabeled_get_one_code():

@@ -36,6 +36,30 @@ def test_compute_requires_graph(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["compute", "export"])
+@pytest.mark.parametrize("graph", [(), ("--g6", "Bw", "--edges", "/nonexistent")])
+def test_a_graph_comes_from_exactly_one_of_g6_and_edges(capsys, command, graph):
+    # Neither flag or both: a usage error naming the two, nothing ignored.
+    code, out, err = run(capsys, command, *graph)
+    assert code == 2 and out == ""
+    assert "--g6" in err and "--edges" in err
+
+
+def test_an_empty_g6_string_is_a_graph6_error(capsys):
+    code, out, err = run(capsys, "compute", "--g6", "")
+    assert code == 2 and out == ""
+    assert err == "error: empty graph6 string\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("construct", "--class", "tree", "--n", "6", "--delta", "3"), ("export", "--g6", "Bw")]
+)
+def test_dot_and_json_exclude_each_other(capsys, argv):
+    code, out, err = run(capsys, *argv, "--dot", "--json")
+    assert code == 2 and out == ""
+    assert "argument --json: not allowed with argument --dot" in err
+
+
 def test_bound_output(capsys):
     code, out, _ = run(capsys, "bound", "--class", "tree", "--n", "7", "--delta", "4")
     assert code == 0

@@ -42,6 +42,7 @@ from oracles import (
     labeled_tree_classes,
     labeled_unicyclic_class_count,
     level_sequence_trees,
+    paren_to_level_sequence,
     prufer_decode,
     unicyclic_counts,
 )
@@ -313,10 +314,15 @@ def _first_chords(pairs):
 
 
 def test_orbit_pruning_keeps_every_key_and_its_first_chord():
+    # The reference keys in AHU strings; each converted key must be the
+    # production key, so the order reversal is checked on every key.
     for n in range(1, 11):
         for tree in enumerate_trees(n):
             pruned = list(_chord_necklaces(tree))
-            full = list(chord_necklaces_unpruned(tree))
+            full = [
+                (chord, tuple(map(paren_to_level_sequence, key)))
+                for chord, key in chord_necklaces_unpruned(tree)
+            ]
             assert set(pruned) <= set(full)
             assert [chord for chord, _ in pruned] == sorted(chord for chord, _ in pruned)
             assert _first_chords(pruned) == _first_chords(full)
