@@ -5,7 +5,7 @@ by the vertex count.  A rooted tree's code is its canonical level
 sequence, ``bytes`` of depths in preorder (``_rooted_code``), the format
 the generators in ``enumeration`` emit.  Trees are labeled by the
 greatest such sequence over their centers (read straight off a WROM level
-sequence by ``level_sequence_code``); unicyclic graphs canonicalize the
+sequence by ``canonical_level_sequence``); unicyclic graphs canonicalize the
 cycle under rotation and reflection with the codes of the subtrees
 hanging off each cycle vertex; everything else falls back to
 individualization-refinement search.  The specialized paths keep the
@@ -15,6 +15,7 @@ enumeration workloads fast; the generic path is a safety net.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .graphs import (
@@ -53,10 +54,9 @@ def canonical_code(g: Graph) -> CanonicalCode:
 
 
 def _encode(n: int, edges: list[tuple[int, int]]) -> CanonicalCode:
-    out = [n]
-    for edge in sorted(edges):
-        out += edge
-    return bytes(out)
+    """The byte n, then each edge's two ends; ``edges`` come sorted, as
+    ``level_sequence_edges`` and ``_generic_canonical_edges`` return them."""
+    return bytes([n, *chain.from_iterable(edges)])
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -114,9 +114,10 @@ def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
-    """``canonical_code`` of the free tree a WROM level sequence denotes,
-    read off the depths.
+def canonical_level_sequence(seq: bytes) -> bytes:
+    """The greatest ``_rooted_code`` over the centers of the free tree a
+    WROM level sequence denotes: ``seq`` itself, or its re-rooting at
+    vertex 1 when that is greater.
 
     ``seq[i]`` is the depth of vertex i, the vertices numbered in preorder
     from the root, as the Wright-Richmond-Odlyzko-McKay generator emits
@@ -140,21 +141,28 @@ def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
       subtrees below it (depths ``seq[v] + 1``, canonical and in order as
       well).  So it is ``_rooted_code`` at vertex 1.
 
-    ``canonical_code`` encodes the parent-array edges of the greatest
-    ``_rooted_code`` over the centers, the greater of these sequences.
+    When both are equal, ``seq`` itself is returned.
     """
-    seq = bytes(seq)
     n = len(seq)
     cut = seq.find(1, 2)  # the second child of the root, if any
     if cut < 0:
         cut = n
-    if max(seq[1:cut], default=0) > max(seq[cut:], default=0):
-        starts = [v for v in range(2, cut) if seq[v] == 2] + [cut]
-        blocks = [seq[a:b].translate(_SHALLOWER) for a, b in zip(starts, starts[1:])]
-        blocks.append(b"\x01" + seq[cut:].translate(_DEEPER))
-        blocks.sort(reverse=True)
-        seq = max(seq, b"\x00" + b"".join(blocks))
-    return _encode(n, level_sequence_edges(seq))
+    if max(seq[1:cut], default=0) <= max(seq[cut:], default=0):
+        return seq
+    # Each block without its first depth, 1: split at the children of
+    # vertex 1, a block's other depths being at least 2.
+    blocks = seq[2:cut].translate(_SHALLOWER).split(b"\x01")[1:]
+    blocks.append(seq[cut:].translate(_DEEPER))
+    blocks.sort(reverse=True)
+    return max(seq, b"\x00\x01" + b"\x01".join(blocks))
+
+
+def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
+    """``canonical_code`` of the free tree a WROM level sequence denotes,
+    read off the depths: the parent-array edges of
+    ``canonical_level_sequence``, the greatest ``_rooted_code`` over the
+    centers, which ``canonical_code`` encodes."""
+    return _encode(len(seq), level_sequence_edges(canonical_level_sequence(bytes(seq))))
 
 
 # -- unicyclic graphs ------------------------------------------------------

@@ -1,12 +1,13 @@
 """Isomorph-free exhaustive generation of trees and unicyclic graphs.
 
 Free trees come from the Wright/Richmond/Odlyzko/McKay successor algorithm
-on level sequences: a rooted tree is the list of depths in preorder, and a
-level sequence represents a free tree exactly when the root's first
-subtree is no "larger" (height, then size, then lexicographic order) than
-the rest of the tree.  Unicyclic graphs are produced by adding chords to
-free trees.  A chord is deduplicated by the pendant-code necklace of the
-cycle it closes: one BFS from each chord end extends the codes of the path
+on level sequences: a rooted tree is the ``bytes`` of its depths in
+preorder, and a level sequence represents a free tree exactly when the
+root's first subtree is no "larger" (height, then size, then lexicographic
+order) than the rest of the tree.  Each step copies and slices bytes and
+reports the least position it rewrote.  Unicyclic graphs are produced by
+adding chords to free trees.  A chord is deduplicated by the pendant-code
+necklace of the cycle it closes: one BFS from each chord end extends the codes of the path
 to a vertex's parent by one memoized code, so each cycle's codes cost one
 list copy.  A pendant code is the tree's canonical level sequence
 (``canon._rooted_code``), the one rooted-tree format of the package: the
@@ -20,15 +21,19 @@ class gives its representative.
 The listings order classes by canonical code so that repeated runs and
 CLI output are reproducible; a unicyclic class's code is joined from its
 key by ``canon.necklace_code`` out of one byte segment per pendant tree,
-with no edge sort.  A tree is kept as its level sequence, whose code is
-read off the depths (``canon.level_sequence_code``), and its maximum
-degree is computed only for a degree filter, once per n; a unicyclic
-class is kept as its maximum degree, its tree's graph and a chord.
-``enumerate_trees`` and ``enumerate_unicyclic`` filter the records by
-degree when asked and return a lazy sequence that builds each graph when
-it is read, a tree from its sequence's parent array and a unicyclic graph
-from its tree plus the chord, with no validation, BFS or sort; memory
-holds the records and not the graphs.
+with no edge sort.  A tree is kept as the bytes of its sorted edges under
+the WROM labeling, and only the edges of the rewritten suffix are decoded
+per step, since a vertex's parent is the latest vertex before it one
+level up; that record is the edge part of its canonical code unless the
+tree is bicentral and re-rooting it gives a greater sequence
+(``canon.canonical_level_sequence``).  Its maximum degree is computed only
+for a degree filter, once per n; a unicyclic class is kept as its maximum
+degree, its tree's graph and a chord.  ``enumerate_trees`` and
+``enumerate_unicyclic`` filter the records by degree when asked and return
+a lazy sequence that builds each graph when it is read, a tree by pairing
+its record's bytes and a unicyclic graph from its tree plus the chord,
+with no validation, BFS or sort; memory holds the records and not the
+graphs.
 
 Verification reads both classes as edge-type profiles, packed integers in
 the format ``indices`` defines and values, with no graph and in
@@ -51,9 +56,11 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, compress, product
 from operator import itemgetter
+from struct import Struct
 from typing import Any, Callable, Iterator
 
-from .canon import _DEEPER, level_sequence_code, level_sequence_edges, necklace_code, necklace_max
+from .canon import _DEEPER, _SHALLOWER, canonical_level_sequence, level_sequence_edges
+from .canon import necklace_code, necklace_max
 from .construct import RANGES
 from .graphs import Graph, _graph_with_edge
 from .indices import _UNIT
@@ -61,73 +68,62 @@ from .indices import _UNIT
 DeltaFilter = int | tuple[int, int] | None
 
 
-def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
-    """Beyer-Hedetniemi successor of a rooted-tree level sequence."""
+def _next_rooted(seq: bytes, p: int | None = None) -> tuple[bytes, int] | None:
+    """Beyer-Hedetniemi successor of a rooted-tree level sequence and the
+    least position it rewrote, p, or None after the last sequence.
+
+    p is the last depth above 1 unless given: the depth there drops by one
+    and the tail repeats the block from q, the latest vertex before p one
+    level up (its parent), to p."""
     if p is None:
-        p = len(seq) - 1
-        while seq[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while seq[q] != seq[p] - 1:
-        q -= 1
-    out = list(seq)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
-    return out
+        p = len(seq.rstrip(b"\x01")) - 1
+        if p == 0:
+            return None
+    q = seq.rfind(seq[p] - 1, 0, p)
+    tail = len(seq) - p
+    return seq[:p] + (seq[q:p] * tail)[:tail], p
 
 
-def _split_first_subtree(seq: list[int]) -> tuple[list[int], list[int]]:
-    """First subtree of the root (depths shifted up) and the remainder."""
-    cut = len(seq)
-    seen_one = False
-    for i, depth in enumerate(seq):
-        if depth == 1:
-            if seen_one:
-                cut = i
-                break
-            seen_one = True
-    left = [seq[i] - 1 for i in range(1, cut)]
-    rest = [0] + seq[cut:]
-    return left, rest
+def _free_trees(n: int) -> Iterator[tuple[bytes, int]]:
+    """The WROM level sequence of every free tree on n >= 1 vertices, with
+    the least position at which it may differ from the one before (1 for
+    the first: the root's depth 0 never changes).
 
-
-def _next_free(candidate: list[int]) -> list[int] | None:
-    """Advance a rooted level sequence to the next valid free-tree form."""
-    left, rest = _split_first_subtree(candidate)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
-        return candidate
-    p = len(left)
-    successor = _next_rooted(candidate, p)
-    if candidate[p] > 2:
-        assert successor is not None
-        new_left, _ = _split_first_subtree(successor)
-        suffix = list(range(1, max(new_left) + 2))
-        successor[-len(suffix) :] = suffix
-    return successor
-
-
-def _free_tree_level_sequences(n: int) -> Iterator[list[int]]:
-    """The WROM level sequence of every free tree on n >= 1 vertices."""
+    A rooted successor is kept when the root's first subtree, from vertex 1
+    up to the root's second child at ``cut``, is no larger than the rest of
+    the tree: no higher; if as high, with no more vertices; if as many too,
+    no greater lexicographically.  Else it jumps: the rooted successor from
+    the first subtree's last vertex and, if that vertex was deeper than 2,
+    the tail replaced by a path one longer than the new first subtree's
+    height."""
     if n == 1:
-        yield [0]  # the successor rule needs a root with a subtree
+        yield b"\x00", 1  # the successor rule needs a root with a subtree
         return
-    seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while seq is not None:
-        seq = _next_free(seq)
-        if seq is None:
+    seq = bytes([*range(n // 2 + 1), *range(1, (n + 1) // 2)])
+    p = 1
+    while True:
+        cut = seq.find(1, 2)
+        if cut < 0:
+            cut = n
+        left = max(seq[1:cut]) - 1  # the first subtree's height
+        rest = max(seq[cut:], default=0)
+        if left > rest or left == rest and (
+            2 * cut > n + 2
+            or 2 * cut == n + 2 and seq[1:cut].translate(_SHALLOWER) > b"\x00" + seq[cut:]
+        ):
+            jump, _ = _next_rooted(seq, cut - 1)
+            p = min(p, cut - 1)
+            if seq[cut - 1] > 2:
+                cut = jump.find(1, 2)
+                path = bytes(range(1, max(jump[1 : cut if cut > 0 else n]) + 1))
+                jump = jump[: n - len(path)] + path
+                p = min(p, n - len(path))
+            seq = jump
+        yield seq, p
+        step = _next_rooted(seq)
+        if step is None:
             return
-        yield seq
-        seq = _next_rooted(seq)
+        seq, p = step
 
 
 def _level_sequence_tree(seq: Sequence[int]) -> Graph:
@@ -137,27 +133,58 @@ def _level_sequence_tree(seq: Sequence[int]) -> Graph:
 
 @lru_cache(maxsize=None)
 def _tree_records(n: int) -> tuple[bytes, ...]:
-    """The level sequence of every free tree on n vertices, in
-    canonical-code order."""
-    return tuple(sorted(map(bytes, _free_tree_level_sequences(n)), key=level_sequence_code))
+    """Every free tree on n vertices as the bytes of its sorted edges under
+    its WROM labeling, each edge (parent, child), in canonical-code order.
+
+    A vertex's parent is the latest vertex before it one level up, so a
+    step of the generator changes the parents of the vertices it rewrote
+    and of none before them: only those edges are read again.  A tree's
+    sort key is its record, the code's edge bytes, unless re-rooting it
+    at vertex 1 gives a greater sequence (``canonical_level_sequence``);
+    then it is that sequence's edge bytes.  Keys are distinct, so the
+    sorted keys are mapped back to their records through the few that
+    differ."""
+    pack = Struct(f">{n - 1}H").pack
+
+    def edges(seq: bytes, start: int) -> list[int]:
+        """Edge (parent, v) as ``parent << 8 | v`` for each v >= start."""
+        return [seq.rfind(seq[v] - 1, 0, v) << 8 | v for v in range(start, n)]
+
+    above = [0] * (n - 1)  # above[v - 1]: the edge to v from its parent
+    keys = []
+    rerooted = {}
+    for seq, p in _free_trees(n):
+        above[p - 1 :] = edges(seq, p)
+        record = pack(*sorted(above))
+        top = canonical_level_sequence(seq)
+        if top is not seq:
+            key = pack(*sorted(edges(top, 1)))
+            rerooted[key] = record
+            record = key
+        keys.append(record)
+    keys.sort()
+    return tuple(map(rerooted.get, keys, keys))
 
 
-def _level_max_degree(seq: bytes) -> int:
-    """Largest degree of the tree whose vertex v has depth ``seq[v]`` in
-    preorder: its child count, plus one but at the root."""
-    last = [0] * len(seq)  # the latest vertex seen at each depth
-    degree = [1] * len(seq)
-    degree[0] = 0
-    for v in range(1, len(seq)):
-        degree[last[seq[v] - 1]] += 1
-        last[seq[v]] = v
-    return max(degree)
+def _record_tree(record: bytes) -> Graph:
+    """The tree whose sorted edges are the bytes ``record``, two per edge.
+
+    The edges go through a list: a tuple of known length is taken from
+    the interpreter's free list, where one grown from an iterator is
+    allocated anew and, once freed, left there, up to 2,000 of them."""
+    return Graph(len(record) // 2 + 1, tuple([*zip(record[0::2], record[1::2])]))
+
+
+def _record_max_degree(record: bytes) -> int:
+    """Largest degree of the tree of ``record``: a vertex's degree is the
+    number of its edges, the times its label occurs."""
+    return max(map(record.count, range(len(record) // 2 + 1)))
 
 
 @lru_cache(maxsize=None)
 def _tree_degrees(n: int) -> tuple[int, ...]:
     """The maximum degree of each tree of ``_tree_records(n)``, in order."""
-    return tuple(map(_level_max_degree, _tree_records(n)))
+    return tuple(map(_record_max_degree, _tree_records(n)))
 
 
 def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes, ...]]]:
@@ -268,8 +295,8 @@ def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
     from their key; the keys are dropped once sorted.
     """
     found: dict[tuple[bytes, ...], tuple[int, Graph, int, int]] = {}
-    for seq in _tree_records(n):
-        tree = _level_sequence_tree(seq)
+    for record in _tree_records(n):
+        tree = _record_tree(record)
         adj = tree.adjacency
         top = max(map(len, adj))
         for (u, v), key in _chord_necklaces(tree):
@@ -318,11 +345,13 @@ def _rooted_letters(s: int) -> tuple[_Letter, ...]:
     on that tree alone, so the profile of all edges that do not join two
     cycle vertices is read here, with no graph."""
     letters = []
-    seq: list[int] | None = list(range(s))
-    while seq is not None:
-        letters.append((len(letters), *_level_profile(seq, 2), bytes(seq)))
-        seq = _next_rooted(seq)
-    return tuple(letters)
+    seq = bytes(range(s))
+    while True:
+        letters.append((len(letters), *_level_profile(seq, 2), seq))
+        step = _next_rooted(seq)
+        if step is None:
+            return tuple(letters)
+        seq, _ = step
 
 
 def _bracelet_compositions(n: int) -> Iterator[tuple[tuple[int, ...], list[Callable]]]:
@@ -465,10 +494,10 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     by degree from their records, and each tree is built from its level
     sequence when it is read.
     """
-    return _select("tree", n, delta, _tree_records, _tree_degrees, _level_sequence_tree)
+    return _select("tree", n, delta, _tree_records, _tree_degrees, _record_tree)
 
 
-def tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
+def tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
     """``(max degree, profile, level sequence)`` of every free tree on n
     vertices, read with no graph; ``_level_sequence_tree`` builds a tree's
     graph.
@@ -480,8 +509,8 @@ def tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
     return _tree_profiles(n)
 
 
-def _tree_profiles(n: int) -> Iterator[tuple[int, int, list[int]]]:
-    for seq in _free_tree_level_sequences(n):
+def _tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
+    for seq, _ in _free_trees(n):
         profile, top, _ = _level_profile(seq, 0)
         yield top, profile, seq
 

@@ -17,16 +17,18 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Ten references are kept for a different purpose: they are the earlier,
+Eleven references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``adjacency_with_edge`` splices a chord into a tree's
 adjacency lists, as a tree plus a chord was built when every graph made
 its lists up front (other graphs appended each edge to both endpoint
-lists, as ``adjacency_from_edges`` does); ``level_sequence_trees``
-builds every WROM level sequence's tree through ``graph_from_edges`` and
-sorts by the package's ``canonical_code``; ``eager_level_sequence_trees`` builds the same trees
-with the enumerator's own ``_level_sequence_tree``, all at once, and sorts
-them the same way; ``chord_dedup_unicyclic`` builds every tree-plus-chord
+lists, as ``adjacency_from_edges`` does); ``free_tree_level_sequences``
+runs the WROM generator on lists, with a full successor, subtree split
+and validity check per step; ``level_sequence_trees`` builds the tree of
+each of its sequences through ``graph_from_edges`` and sorts by the
+package's ``canonical_code``; ``eager_level_sequence_trees`` builds the
+same trees with the enumerator's own ``_level_sequence_tree``, all at
+once, and sorts them the same way; ``chord_dedup_unicyclic`` builds every tree-plus-chord
 graph and deduplicates by ``canonical_code``; ``chord_necklaces_unpruned``
 keys every chord of a tree, with no orbit pruning, in AHU strings;
 ``squarefree_by_trial_division`` trial-divides up to the square root;
@@ -115,26 +117,22 @@ def adjacency_with_edge(
 
 
 def _centers(adj: list[list[int]]) -> list[int]:
-    """Vertices of minimum eccentricity, via one BFS per vertex."""
+    """The one or two middle vertices of a tree's longest paths, ascending:
+    strip all leaves, round after round, until at most two are left."""
     n = len(adj)
-    ecc = [0] * n
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        ecc[s] = max(dist)
-    radius = min(ecc)
-    return [v for v in range(n) if ecc[v] == radius]
+    degree = [len(a) for a in adj]
+    leaves = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(leaves)
+        inner = []
+        for v in leaves:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    inner.append(w)
+        leaves = inner
+    return sorted(leaves)
 
 
 def tree_key(adj: list[list[int]]) -> str:
@@ -291,17 +289,86 @@ def _level_sequence_edges(seq: list[int]) -> list[Edge]:
     return edges
 
 
+def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
+    """Beyer-Hedetniemi successor of a rooted-tree level sequence."""
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    out = list(seq)
+    for i in range(p, len(out)):
+        out[i] = out[i - p + q]
+    return out
+
+
+def _split_first_subtree(seq: list[int]) -> tuple[list[int], list[int]]:
+    """First subtree of the root (depths shifted up) and the remainder."""
+    cut = len(seq)
+    seen_one = False
+    for i, depth in enumerate(seq):
+        if depth == 1:
+            if seen_one:
+                cut = i
+                break
+            seen_one = True
+    left = [seq[i] - 1 for i in range(1, cut)]
+    rest = [0] + seq[cut:]
+    return left, rest
+
+
+def _next_free(candidate: list[int]) -> list[int] | None:
+    """Advance a rooted level sequence to the next valid free-tree form."""
+    left, rest = _split_first_subtree(candidate)
+    left_height = max(left)
+    rest_height = max(rest)
+    valid = rest_height >= left_height
+    if valid and rest_height == left_height:
+        if len(left) > len(rest):
+            valid = False
+        elif len(left) == len(rest) and left > rest:
+            valid = False
+    if valid:
+        return candidate
+    p = len(left)
+    successor = _next_rooted(candidate, p)
+    if candidate[p] > 2:
+        assert successor is not None
+        new_left, _ = _split_first_subtree(successor)
+        suffix = list(range(1, max(new_left) + 2))
+        successor[-len(suffix) :] = suffix
+    return successor
+
+
+def free_tree_level_sequences(n: int) -> Iterator[list[int]]:
+    """The WROM level sequence of every free tree on n >= 1 vertices, as
+    lists, one full successor and validity check per step."""
+    if n == 1:
+        yield [0]  # the successor rule needs a root with a subtree
+        return
+    seq: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while seq is not None:
+        seq = _next_free(seq)
+        if seq is None:
+            return
+        yield seq
+        seq = _next_rooted(seq)
+
+
 def level_sequence_trees(n: int) -> list[tuple[Edge, ...]]:
     """Free trees (edge tuples) on n vertices: the tree of every WROM level
     sequence, built by ``graph_from_edges`` and sorted by canonical code."""
     from sumconn.canon import canonical_code
-    from sumconn.enumeration import _free_tree_level_sequences
     from sumconn.graphs import graph_from_edges
 
     if n == 1:
         return [()]
     graphs = [
-        graph_from_edges(n, _level_sequence_edges(seq)) for seq in _free_tree_level_sequences(n)
+        graph_from_edges(n, _level_sequence_edges(seq)) for seq in free_tree_level_sequences(n)
     ]
     graphs.sort(key=canonical_code)
     return [g.edges for g in graphs]
@@ -312,11 +379,11 @@ def eager_level_sequence_trees(n: int) -> list:
     sequence's tree built by ``_level_sequence_tree``, sorted by canonical
     code."""
     from sumconn.canon import canonical_code
-    from sumconn.enumeration import _free_tree_level_sequences, _level_sequence_tree
+    from sumconn.enumeration import _level_sequence_tree
 
     if n == 1:
         return [_level_sequence_tree([0])]
-    trees = [_level_sequence_tree(seq) for seq in _free_tree_level_sequences(n)]
+    trees = [_level_sequence_tree(seq) for seq in free_tree_level_sequences(n)]
     trees.sort(key=canonical_code)
     return trees
 

@@ -16,7 +16,7 @@ from sumconn.canon import (
 )
 from sumconn.enumeration import (
     _chord_necklaces,
-    _free_tree_level_sequences,
+    _free_trees,
     _level_sequence_tree,
     _rooted_letters,
     enumerate_trees,
@@ -101,7 +101,7 @@ def test_level_sequence_codes_are_canonical_codes():
     # Every free tree the enumerator generates, unicentral and bicentral.
     assert level_sequence_code([0]) == canonical_code(graph_from_edges(1, []))
     for n in range(2, 17):
-        for seq in _free_tree_level_sequences(n):
+        for seq, _ in _free_trees(n):
             assert level_sequence_code(seq) == canonical_code(_level_sequence_tree(seq))
 
 
@@ -219,7 +219,7 @@ def test_necklace_min_with_repeated_least_codes():
 def test_necklace_codes_match_the_parse_on_every_listed_key():
     keys = 0
     for n in range(3, 12):
-        for seq in _free_tree_level_sequences(n):
+        for seq, _ in _free_trees(n):
             tree = _level_sequence_tree(seq)
             parens = dict(chord_necklaces_unpruned(tree))
             for chord, key in _chord_necklaces(tree):

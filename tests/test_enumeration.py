@@ -3,13 +3,14 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
 import sumconn
 import sumconn.enumeration as enumeration
-from sumconn.canon import canonical_code
+from sumconn.canon import canonical_code, level_sequence_code, level_sequence_edges
 from sumconn.cli import dispatch
 from sumconn.enumeration import (
     _chord_necklaces,
@@ -39,6 +40,7 @@ from oracles import (
     connected_graph_orbit_classes,
     eager_level_sequence_trees,
     free_tree_counts,
+    free_tree_level_sequences,
     labeled_tree_classes,
     labeled_unicyclic_class_count,
     level_sequence_trees,
@@ -83,6 +85,21 @@ def test_trees_match_level_sequence_reference():
         assert all(g == graph_from_edges(g.n, g.edges) for g in trees)
 
 
+def test_free_trees_match_the_list_reference():
+    # The bytes generator against the list one it replaced, step for step,
+    # and the records against the sort and edges of its sequences.
+    for n in range(1, 17):
+        reference = list(map(bytes, free_tree_level_sequences(n)))
+        steps = list(enumeration._free_trees(n))
+        assert [seq for seq, _ in steps] == reference
+        for (before, _), (seq, p) in zip(steps, steps[1:]):
+            assert 1 <= p < n and seq[:p] == before[:p]
+        assert list(enumeration._tree_records(n)) == [
+            bytes(chain.from_iterable(level_sequence_edges(seq)))
+            for seq in sorted(reference, key=level_sequence_code)
+        ]
+
+
 def test_lazy_trees_match_the_eager_reference():
     for n in range(1, 13):
         assert list(enumerate_trees(n)) == eager_level_sequence_trees(n)
@@ -90,10 +107,8 @@ def test_lazy_trees_match_the_eager_reference():
 
 def test_lazy_tree_sequence(monkeypatch):
     built = []
-    build = enumeration._level_sequence_tree
-    monkeypatch.setattr(
-        enumeration, "_level_sequence_tree", lambda seq: built.append(seq) or build(seq)
-    )
+    build = enumeration._record_tree
+    monkeypatch.setattr(enumeration, "_record_tree", lambda rec: built.append(rec) or build(rec))
     trees = enumerate_trees(12)
     assert len(trees) == FREE_TREE_COUNTS[12]
     assert not built  # len builds no graph
@@ -117,11 +132,11 @@ def test_tree_degree_filters_partition_the_class():
 
 
 def test_an_unfiltered_tree_listing_computes_no_degree(monkeypatch):
-    def refuse(seq):
+    def refuse(record):
         raise AssertionError("a tree degree was computed")
 
     enumeration._tree_degrees.cache_clear()
-    monkeypatch.setattr(enumeration, "_level_max_degree", refuse)
+    monkeypatch.setattr(enumeration, "_record_max_degree", refuse)
     trees = enumerate_trees(12)
     assert len(list(trees)) == len(trees) == FREE_TREE_COUNTS[12]
     assert trees[3:9] == list(trees)[3:9]
@@ -131,8 +146,10 @@ def test_an_unfiltered_tree_listing_computes_no_degree(monkeypatch):
 
 def test_tree_counts_compute_each_degree_once(monkeypatch, capsys):
     seen = []
-    degree = enumeration._level_max_degree
-    monkeypatch.setattr(enumeration, "_level_max_degree", lambda seq: seen.append(seq) or degree(seq))
+    degree = enumeration._record_max_degree
+    monkeypatch.setattr(
+        enumeration, "_record_max_degree", lambda rec: seen.append(rec) or degree(rec)
+    )
     enumeration._tree_degrees.cache_clear()
     for argv in (["--count-only"], ["--count-only", "--delta", "4"], ["--delta", "4"]):
         assert dispatch(["enumerate", "--class", "tree", "--n", "12", *argv]) == 0
@@ -334,7 +351,7 @@ def test_pruning_keys_no_more_chords_than_the_path_rule():
     # readings, so skipping v for its reading keys no more.
     keyed = sum(
         1
-        for seq in enumeration._free_tree_level_sequences(13)
+        for seq, _ in enumeration._free_trees(13)
         for _ in _chord_necklaces(_level_sequence_tree(seq))
     )
     assert keyed <= 49_985
