@@ -8,7 +8,8 @@ count) of the extremal graphs of :mod:`sumconn.construct` on either side of
 themselves, and values it, to the n of ``construct.RANGES``: bounds are
 exact values.  The top-two unicyclic ranking is the paper's deduction: the
 n-cycle is the only unicyclic graph with d = 2, and the maximum falls as d
-grows, so the runner-up is the maximum at d = 3.
+grows, so the runner-up is the maximum at d = 3.  ``degree_order_failures``
+checks that fall exactly, at every n the values reach.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construct import TOP_TWO, TOP_TWO_DEGREES, GraphClassSpec, is_large_delta
+from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, GraphClassSpec, is_large_delta
 from .indices import _PROFILE_BITS, profile_value
 from .radicals import RadicalValue
 
@@ -61,6 +62,25 @@ def unicyclic_max_bound(n: int, delta: int) -> RadicalValue:
     and maximum degree delta.  ``GraphClassSpec`` checks the range."""
     GraphClassSpec(n, delta, "unicyclic")
     return _value(_unicyclic_edge_types(n, delta))
+
+
+def degree_order_failures(graph_class: str) -> list[tuple[int, int]]:
+    """Each (n, delta) at which M(n, delta) > M(n, delta + 1) fails, for
+    2 <= delta <= n - 2 at every n of the class's ``values`` range, M being
+    its closed-form maximum and the comparison exact: empty when the
+    maximum falls strictly as the maximum degree grows, as the top-two
+    ranking deduces.
+
+    The check tests order alone.  A wrong edge type that keeps the order,
+    such as the large-degree unicyclic type (4, 1) written (5, 1), passes
+    it: the exhaustive reports catch such a change, this check does not.
+    """
+    bound = tree_max_bound if graph_class == "tree" else unicyclic_max_bound
+    failures = []
+    for n in range(3, RANGES[graph_class].values + 1):
+        values = [bound(n, delta) for delta in range(2, n)]
+        failures += [(n, d) for d, (a, b) in enumerate(zip(values, values[1:]), 2) if not a > b]
+    return failures
 
 
 def unicyclic_bound_profile(n: int, x: float) -> float:

@@ -4,11 +4,11 @@ A code is the byte encoding of a canonically relabeled edge set, prefixed
 by the vertex count.  A rooted tree's code is its canonical level
 sequence, ``bytes`` of depths in preorder (``_rooted_code``), the format
 the generators in ``enumeration`` emit.  Trees are labeled by the
-greatest such sequence over their centers (read straight off a WROM level
-sequence by ``canonical_level_sequence``); unicyclic graphs canonicalize the
-cycle under rotation and reflection with the codes of the subtrees
-hanging off each cycle vertex; everything else falls back to
-individualization-refinement search.  The specialized paths keep the
+greatest such sequence over their centers (the tree listing reads it
+off a WROM level sequence, ``enumeration._tree_records``); unicyclic
+graphs canonicalize the cycle under rotation and reflection with the
+codes of the subtrees hanging off each cycle vertex; everything else
+falls back to individualization-refinement search.  The specialized paths keep the
 enumeration workloads fast; the generic path is a safety net.
 """
 
@@ -112,57 +112,6 @@ def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
         last[depth] = v
     edges.sort()
     return edges
-
-
-def canonical_level_sequence(seq: bytes) -> bytes:
-    """The greatest ``_rooted_code`` over the centers of the free tree a
-    WROM level sequence denotes: ``seq`` itself, or its re-rooting at
-    vertex 1 when that is greater.
-
-    ``seq[i]`` is the depth of vertex i, the vertices numbered in preorder
-    from the root, as the Wright-Richmond-Odlyzko-McKay generator emits
-    them.  Soundness:
-
-    * The root is a center.  A Beyer-Hedetniemi canonical sequence lists
-      every vertex's subtrees in non-increasing level-sequence order, and
-      each subtree's sequence starts with its longest root path, so a
-      taller subtree sorts first: the first root subtree, at vertex 1, is
-      the tallest, of height h1 below vertex 1.  WROM accepts a sequence
-      only when h1 is at most h2 + 1, the height of the rest of the tree,
-      where h2 is the height of the second root subtree (-1 if there is
-      none).  So h1 is h2 or h2 + 1.  With h1 = h2 the root is the only
-      center; with h1 = h2 + 1 the centers are the root and vertex 1.
-    * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
-      canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0.
-    * For a bicentral tree, the canonical sequence rooted at vertex 1 is
-      0 followed by blocks in descending order: the subtree of each child
-      of vertex 1 (depths ``seq[v] - 1``, already canonical and in order)
-      and the root-side branch, vertex 0 at depth 1 with the other root
-      subtrees below it (depths ``seq[v] + 1``, canonical and in order as
-      well).  So it is ``_rooted_code`` at vertex 1.
-
-    When both are equal, ``seq`` itself is returned.
-    """
-    n = len(seq)
-    cut = seq.find(1, 2)  # the second child of the root, if any
-    if cut < 0:
-        cut = n
-    if max(seq[1:cut], default=0) <= max(seq[cut:], default=0):
-        return seq
-    # Each block without its first depth, 1: split at the children of
-    # vertex 1, a block's other depths being at least 2.
-    blocks = seq[2:cut].translate(_SHALLOWER).split(b"\x01")[1:]
-    blocks.append(seq[cut:].translate(_DEEPER))
-    blocks.sort(reverse=True)
-    return max(seq, b"\x00\x01" + b"\x01".join(blocks))
-
-
-def level_sequence_code(seq: Sequence[int]) -> CanonicalCode:
-    """``canonical_code`` of the free tree a WROM level sequence denotes,
-    read off the depths: the parent-array edges of
-    ``canonical_level_sequence``, the greatest ``_rooted_code`` over the
-    centers, which ``canonical_code`` encodes."""
-    return _encode(len(seq), level_sequence_edges(canonical_level_sequence(bytes(seq))))
 
 
 # -- unicyclic graphs ------------------------------------------------------

@@ -25,15 +25,17 @@ with no edge sort.  A tree is kept as the bytes of its sorted edges under
 the WROM labeling, and only the edges of the rewritten suffix are decoded
 per step, since a vertex's parent is the latest vertex before it one
 level up; that record is the edge part of its canonical code unless the
-tree is bicentral and re-rooting it gives a greater sequence
-(``canon.canonical_level_sequence``).  Its maximum degree is computed only
-for a degree filter, once per n; a unicyclic class is kept as its maximum
-degree, its tree's graph and a chord.  ``enumerate_trees`` and
-``enumerate_unicyclic`` filter the records by degree when asked and return
-a lazy sequence that builds each graph when it is read, a tree by pairing
-its record's bytes and a unicyclic graph from its tree plus the chord,
-with no validation, BFS or sort; memory holds the records and not the
-graphs.
+tree is bicentral and re-rooting it at vertex 1 gives a greater sequence,
+which one comparison of the two halves at the central edge tells.  Then
+the code's edges are the record's own, relabeled by one ``bytes.translate``
+and joined in another order (``_tree_records``), with no second decode
+or sort.  Its maximum degree is computed only for a degree filter, once
+per n; a unicyclic class is kept as its maximum degree, its tree's graph
+and a chord.  ``enumerate_trees`` and ``enumerate_unicyclic`` filter the
+records by degree when asked and return a lazy sequence that builds each
+graph when it is read, a tree by unpacking its record's bytes and a
+unicyclic graph from its tree plus the chord, with no validation, BFS or
+sort; memory holds the records and not the graphs.
 
 Verification reads both classes as edge-type profiles, packed integers in
 the format ``indices`` defines and values, with no graph and in
@@ -59,7 +61,7 @@ from operator import itemgetter
 from struct import Struct
 from typing import Any, Callable, Iterator
 
-from .canon import _DEEPER, _SHALLOWER, canonical_level_sequence, level_sequence_edges
+from .canon import _DEEPER, _SHALLOWER, level_sequence_edges
 from .canon import necklace_code, necklace_max
 from .construct import RANGES
 from .graphs import Graph, _graph_with_edge
@@ -132,6 +134,16 @@ def _level_sequence_tree(seq: Sequence[int]) -> Graph:
 
 
 @lru_cache(maxsize=None)
+def _reroot_table(n: int, cut: int) -> bytes:
+    """``bytes.translate`` table from the labels of a WROM tree on n
+    vertices whose root's second child is ``cut`` to its labels in
+    preorder from vertex 1: vertices 0 and 1 swap, the root's other
+    subtrees, ``cut`` to n - 1, follow as 2 to n - cut + 1, and vertex 1's
+    descendants, 2 to cut - 1, as n - cut + 2 to n - 1."""
+    return bytes([1, 0, *range(n - cut + 2, n), *range(2, n - cut + 2), *range(n, 256)])
+
+
+@lru_cache(maxsize=None)
 def _tree_records(n: int) -> tuple[bytes, ...]:
     """Every free tree on n vertices as the bytes of its sorted edges under
     its WROM labeling, each edge (parent, child), in canonical-code order.
@@ -139,31 +151,75 @@ def _tree_records(n: int) -> tuple[bytes, ...]:
     A vertex's parent is the latest vertex before it one level up, so a
     step of the generator changes the parents of the vertices it rewrote
     and of none before them: only those edges are read again.  A tree's
-    sort key is its record, the code's edge bytes, unless re-rooting it
-    at vertex 1 gives a greater sequence (``canonical_level_sequence``);
-    then it is that sequence's edge bytes.  Keys are distinct, so the
-    sorted keys are mapped back to their records through the few that
-    differ."""
+    sort key is the edge bytes of its canonical code: the parent-array
+    edges of the greatest canonical level sequence over its centers
+    (``canon._rooted_code``).  Keys are distinct, so the sorted keys are
+    mapped back to their records through the few that differ.
+
+    Which center.  Let ``seq`` be a WROM sequence, ``cut`` the root's
+    second child (n if none), A = ``seq[1:cut]`` one level shallower, the
+    half at vertex 1 of the edge (0, 1), and B = 0 + ``seq[cut:]``, the
+    root's half:
+
+    * The root is a center.  A Beyer-Hedetniemi canonical sequence lists
+      every vertex's subtrees in non-increasing order, and a subtree's
+      sequence starts with its longest root path, so the first root
+      subtree, A, is the tallest.  WROM accepts a sequence only when A is
+      no taller than B.  So either A is lower, and the root is the only
+      center, or both halves have one height, and the centers are the
+      root and vertex 1 (``max(seq[1:cut]) > max(seq[cut:])``).
+    * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
+      canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0,
+      that is 0, then A one level deeper, then B's subtrees.
+    * Rooted at vertex 1, a bicentral tree's canonical sequence is 0, then
+      B one level deeper, then A's subtrees: B is as tall as A, so it is
+      taller than every subtree of A and sorts first, and A's subtrees
+      keep their canonical order.  Its preorder labels are
+      ``_reroot_table``'s.
+    * The two sequences first differ where A and B do, one level deeper,
+      and then by the same sign.  If one half is a proper prefix of the
+      other, the longer one goes on deeper than 1 where the shorter one's
+      sequence reaches its next root subtree at depth 1, or ends, so the
+      longer half wins again.  So the re-rooted sequence is greater
+      exactly when B > A, and for equal halves the two are equal.
+
+    The re-rooted key relabels the record.  Its sorted edges come by
+    parent: the new root's, (0, 1) and then vertex 1's child edges; the
+    old root's other child edges, now from 1; the root side's inner
+    edges; vertex 1's side's inner edges.  The record holds each of these
+    runs, in the same order within the run, since the relabeling is
+    increasing on each side: ``(0, 1)``, the root's other child edges,
+    vertex 1's child edges, vertex 1's side's inner edges and then the
+    root side's.  So the key is the bytes 0 and 1, then the record's runs,
+    relabeled, in the new order."""
     pack = Struct(f">{n - 1}H").pack
-
-    def edges(seq: bytes, start: int) -> list[int]:
-        """Edge (parent, v) as ``parent << 8 | v`` for each v >= start."""
-        return [seq.rfind(seq[v] - 1, 0, v) << 8 | v for v in range(start, n)]
-
     above = [0] * (n - 1)  # above[v - 1]: the edge to v from its parent
     keys = []
     rerooted = {}
     for seq, p in _free_trees(n):
-        above[p - 1 :] = edges(seq, p)
+        above[p - 1 :] = [seq.rfind(seq[v] - 1, 0, v) << 8 | v for v in range(p, n)]
         record = pack(*sorted(above))
-        top = canonical_level_sequence(seq)
-        if top is not seq:
-            key = pack(*sorted(edges(top, 1)))
+        cut = seq.find(1, 2)
+        if cut < 0:
+            cut = n
+        if max(seq[1:cut], default=0) > max(seq[cut:], default=0) and (
+            b"\x00" + seq[cut:] > seq[1:cut].translate(_SHALLOWER)
+        ):
+            # Byte offsets where the runs end: the root's edges at r,
+            # vertex 1's child edges at k, vertex 1's side's edges at a.
+            r = 2 * seq.count(1)
+            k = r + 2 * seq.count(2, 2, cut)
+            a = r + 2 * cut - 4
+            t = record.translate(_reroot_table(n, cut))
+            key = b"\x00\x01" + t[r:k] + t[2:r] + t[a:] + t[k:a]
             rerooted[key] = record
             record = key
         keys.append(record)
     keys.sort()
     return tuple(map(rerooted.get, keys, keys))
+
+
+_EDGE = Struct("BB")
 
 
 def _record_tree(record: bytes) -> Graph:
@@ -172,7 +228,7 @@ def _record_tree(record: bytes) -> Graph:
     The edges go through a list: a tuple of known length is taken from
     the interpreter's free list, where one grown from an iterator is
     allocated anew and, once freed, left there, up to 2,000 of them."""
-    return Graph(len(record) // 2 + 1, tuple([*zip(record[0::2], record[1::2])]))
+    return Graph(len(record) // 2 + 1, tuple([*_EDGE.iter_unpack(record)]))
 
 
 def _record_max_degree(record: bytes) -> int:

@@ -65,7 +65,10 @@ class Graph:
             for u, v in self.edges:
                 adj[u].append(v)
                 adj[v].append(u)
-            object.__setattr__(self, "_adjacency", tuple(map(tuple, adj)))
+            # The outer tuple goes through a list: a tuple of known length
+            # is taken from the interpreter's free list, where one grown
+            # from an iterator is allocated anew and, once freed, left there.
+            object.__setattr__(self, "_adjacency", tuple([*map(tuple, adj)]))
             return self._adjacency
 
     @property
@@ -153,11 +156,12 @@ def star_graph(n: int) -> Graph:
 def is_connected(g: Graph) -> bool:
     if g.n == 1:
         return True
+    adj = g.adjacency
     seen = {0}
     stack = [0]
     while stack:
         v = stack.pop()
-        for w in g.adjacency[v]:
+        for w in adj[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

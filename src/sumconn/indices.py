@@ -8,18 +8,22 @@ So an index is a function of the edge-type profile, the count c_s of the
 edges with radicand s, written one way: the integer ``sum c_s << (8*s)``.
 No count exceeds the edge count, and no profile has more than ``_CAPACITY``
 = 255 edges (graphs have at most 120; ``construct.RANGES`` stops bounds
-there), so none carries and profiles add as count vectors.  A value is its
-own exact key: equal values have equal integer fields.
+there), so none carries and profiles add as count vectors.  A profile is
+the histogram ``radicals`` packs one byte per radicand, and
+``profile_value`` values it lazily: the value compares by a float
+enclosure of its counts and is made exact, with equal values having equal
+integer fields, only when its fields are first read.  So a profile that
+loses every comparison, as most do in a ranking pass or a maximum,
+never pays for an exact form.
 """
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from functools import lru_cache
 
 from .graphs import MAX_VERTICES, Graph
-from .radicals import RadicalValue
+from .radicals import RadicalValue, packed_counts
 
 _PROFILE_BITS = 8
 _CAPACITY = (1 << _PROFILE_BITS) - 1
@@ -47,15 +51,16 @@ def edge_contribution(d_u: int, d_v: int, kind: IndexKind) -> RadicalValue:
     return RadicalValue.reciprocal_sqrt(s)
 
 
-def profile_counts(profile: int) -> dict[int, int]:
-    """``{s: c_s}``: the nonzero counts of a packed profile, byte s being c_s."""
-    packed = profile.to_bytes((profile.bit_length() + 7) // 8, "little")
-    return {s: c for s, c in enumerate(packed) if c}
+# ``{s: c_s}``: the nonzero counts of a packed profile, byte s being c_s.
+profile_counts = packed_counts
 
 
 def profile_value(profile: int) -> RadicalValue:
-    """Exact ``sum c_s/sqrt(s)`` over the counts of a packed profile."""
-    return RadicalValue.reciprocal_sqrt_sum(profile_counts(profile))
+    """Exact ``sum c_s/sqrt(s)`` over the counts of a packed profile, made
+    exact when first read: it compares by a float enclosure of the counts
+    and builds its exact fields only when a comparison, its text or its
+    arithmetic reads them (``RadicalValue.reciprocal_sqrt_packed``)."""
+    return RadicalValue.reciprocal_sqrt_packed(profile)
 
 
 _memoized_value = lru_cache(maxsize=1 << 14)(profile_value)
@@ -65,8 +70,10 @@ def connectivity_index(g: Graph, kind: IndexKind) -> RadicalValue:
     if g.m == 0:
         raise EdgelessGraphError("graph has no edges")
     deg = g.degrees()
-    radicand = operator.add if kind is IndexKind.SUM else operator.mul
-    profile = sum([_UNIT[radicand(deg[u], deg[v])] for u, v in g.edges])
+    if kind is IndexKind.SUM:
+        profile = sum([_UNIT[deg[u] + deg[v]] for u, v in g.edges])
+    else:
+        profile = sum([_UNIT[deg[u] * deg[v]] for u, v in g.edges])
     return _memoized_value(profile)
 
 

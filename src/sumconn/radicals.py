@@ -37,6 +37,14 @@ a common denominator, adds integers and divides out one gcd
 (``_reduced``), with no squarefree factoring.  Each value computes its
 float enclosure (``_enclosure``) and its hash on first use and keeps
 them, so comparing or grouping a value again repeats neither.
+
+A value built from a packed histogram of radicands
+(``reciprocal_sqrt_packed``, an index value from its edge-type profile)
+becomes exact only when read: it keeps the histogram and a float
+enclosure read off its counts (``_packed_enclosure``), and builds its
+terms by ``reciprocal_sqrt_sum`` on their first read.  Comparisons that
+the enclosures decide, ``<`` and ``==`` alike, read no term, so a value
+that only loses comparisons never builds them.
 """
 
 from __future__ import annotations
@@ -101,12 +109,20 @@ class RadicalValue:
     A value equal to a rational hashes like it.
 
     ``_coords`` and ``_den`` hold the terms, as the module docstring sets
-    out.  Besides them, a value keeps its float enclosure ``(S, A)`` in
-    ``_sum`` and ``_abs`` and its hash in ``_hash``, each filled on first
-    use; ``None`` in ``_abs`` or ``_hash`` marks one not yet computed.
+    out, in the slots ``_c`` and ``_d``.  Besides them, a value keeps its
+    float enclosure ``(S, A)`` in ``_sum`` and ``_abs`` and its hash in
+    ``_hash``, each filled on first use; ``None`` in ``_abs`` or ``_hash``
+    marks one not yet computed.  A value from ``reciprocal_sqrt_packed``
+    keeps its histogram in ``_profile`` and ``None`` in ``_c`` until its
+    terms are first read.
+
+    The terms are read through properties rather than a ``__getattr__``
+    fallback on unset slots: a class with ``__getattr__`` loses the
+    interpreter's fast reads of every attribute, which made comparisons
+    about twice as slow.
     """
 
-    __slots__ = ("_coords", "_den", "_sum", "_abs", "_hash")
+    __slots__ = ("_c", "_d", "_sum", "_abs", "_hash", "_profile")
 
     def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -119,10 +135,10 @@ class RadicalValue:
         # some q_b, so p divides neither that term's scale den //
         # denominator nor its numerator.
         den = lcm(*(q.denominator for q in acc.values()))
-        self._coords = tuple(
+        self._c = tuple(
             sorted((b, q.numerator * (den // q.denominator)) for b, q in acc.items() if q)
         )
-        self._den = den
+        self._d = den
         self._abs = self._hash = None
 
     # -- constructors -----------------------------------------------------
@@ -159,6 +175,42 @@ class RadicalValue:
             a, b = squarefree_decompose(s)
             coords[b] = coords.get(b, 0) + k * (den // (a * b))
         return _reduced(coords, den)
+
+    @classmethod
+    def reciprocal_sqrt_packed(cls, packed: int) -> "RadicalValue":
+        """Exact ``sum k/sqrt(s)`` over a histogram packed one byte per
+        radicand, ``packed_counts(packed)``, made exact when first read.
+
+        The value holds ``packed`` and its enclosure, both S and A the
+        ``_packed_enclosure``; its terms are built when first read.
+        """
+        value = object.__new__(RadicalValue)
+        value._profile = packed
+        value._c = value._d = None
+        value._sum = value._abs = _packed_enclosure(packed)
+        value._hash = None
+        return value
+
+    @property
+    def _coords(self) -> tuple[tuple[int, int], ...]:
+        if self._c is None:
+            self._make_exact()
+        return self._c
+
+    @property
+    def _den(self) -> int:
+        if self._c is None:
+            self._make_exact()
+        return self._d
+
+    def _make_exact(self) -> None:
+        """Build and keep the terms of a ``reciprocal_sqrt_packed`` value,
+        by ``reciprocal_sqrt_sum`` from its histogram.  ``_d`` is set
+        first, so a thread that sees ``_c`` set finds both; two threads
+        may both build them, to equal terms."""
+        exact = RadicalValue.reciprocal_sqrt_sum(packed_counts(self._profile))
+        self._d = exact._d
+        self._c = exact._c
 
     # -- views -------------------------------------------------------------
 
@@ -259,10 +311,22 @@ class RadicalValue:
         )
 
     def __eq__(self, other: object) -> bool:
+        """Equal terms, or early: the same object is equal, and two
+        enclosures at hand that ``_decide`` separates are not (a
+        ``reciprocal_sqrt_packed`` value's always is at hand), with no
+        term read."""
         if type(other) is not RadicalValue:
             if not isinstance(other, (RadicalValue, int, Fraction)):
                 return NotImplemented
             other = self._coerce(other)
+        if self is other:
+            return True
+        if (
+            self._abs is not None
+            and other._abs is not None
+            and _decide(self._sum, self._abs, other._sum, other._abs)
+        ):
+            return False
         return self._den == other._den and self._coords == other._coords
 
     def __lt__(self, other: "RadicalValue" | Rational) -> bool:
@@ -352,8 +416,8 @@ def _from_canonical(coords: tuple[tuple[int, int], ...], den: int) -> RadicalVal
     together; nothing is checked.
     """
     value = object.__new__(RadicalValue)
-    value._coords = coords
-    value._den = den
+    value._c = coords
+    value._d = den
     value._abs = value._hash = None
     return value
 
@@ -404,6 +468,32 @@ def _enclosure(coords: tuple[tuple[int, int], ...], den: int) -> tuple[float, fl
     if not (_FILTER_TINY < min(a) and max(a) < _FILTER_HUGE):
         return None
     return fsum(f), fsum(a)
+
+
+def packed_counts(packed: int) -> dict[int, int]:
+    """``{s: k}``: the nonzero counts of a histogram packed one byte per
+    radicand, byte s of ``packed`` (little-endian) being k."""
+    counts = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    return {s: k for s, k in enumerate(counts) if k}
+
+
+def _packed_enclosure(packed: int) -> float:
+    """Float enclosure of x = sum k/sqrt(s) over ``packed_counts(packed)``:
+    S = A = the ``fsum`` of the doubles k / sqrt(s), and |S - x| <= 3.01u*A
+    (u = 2**-53), within the 4.1u*A that ``_decide`` assumes.
+
+    Soundness.  A radicand s is a byte's index, far below 2**53, so it is
+    an exact double and IEEE sqrt rounds sqrt(s) correctly; a count k is
+    an exact double in [1, 255], and k / sqrt(s) is one more correctly
+    rounded operation.  So f = x_s*(1+d2)/(1+d1) with |d1|, |d2| <= u,
+    and |f - x_s| <= 2u(1+u)/(1-u)**2 * f.  Every f lies in [2**-27, 255],
+    far from the subnormal and overflow ranges, and is positive, so the
+    fsum of the absolute values is S itself.  math.fsum rounds correctly:
+    S is within u*sum(f) of sum(f), and sum(f) <= S/(1-u).  Hence
+    |S - x| <= (2u(1+u)/(1-u)**2 + u)/(1-u) * S <= 3.01u*A.  The empty
+    histogram gives 0, exact.
+    """
+    return fsum([k / sqrt(s) for s, k in packed_counts(packed).items()])
 
 
 def _decide(sa: float, aa: float, sb: float, ab: float) -> int:

@@ -17,7 +17,7 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Eleven references are kept for a different purpose: they are the earlier,
+Thirteen references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``adjacency_with_edge`` splices a chord into a tree's
 adjacency lists, as a tree plus a chord was built when every graph made
@@ -38,7 +38,10 @@ readings of a cyclic sequence; ``necklace_code_by_parse`` parses every
 pendant AHU string of a necklace with its own parser and sorts the whole
 edge list;
 ``generic_canonical_edges_unpruned`` branches on every vertex of the target
-cell, twins included.
+cell, twins included; ``canonical_level_sequence`` re-roots a bicentral
+WROM sequence at vertex 1 by splitting, sorting and joining its blocks,
+and ``level_sequence_code`` writes the canonical code of its edges, the
+key the tree listing sorts by.
 
 The Fraction-term functions (``fraction_terms`` and ``reciprocal_sqrt_terms``
 with ``terms_hash``, ``terms_str``, ``terms_json`` and ``mp_terms``) keep
@@ -287,6 +290,42 @@ def _level_sequence_edges(seq: list[int]) -> list[Edge]:
             edges.append((stack[-1], v))
         stack.append(v)
     return edges
+
+
+# ``bytes.translate`` tables that move every depth one level up or down.
+_ONE_UP = bytes([0, *range(255)])
+_ONE_DOWN = bytes([*range(1, 256), 255])
+
+
+def canonical_level_sequence(seq: bytes) -> bytes:
+    """The greatest canonical level sequence over the centers of the free
+    tree a WROM level sequence denotes: ``seq`` itself, or its re-rooting
+    at vertex 1 when that is greater.
+
+    The root is a center, and vertex 1 is the other one exactly when the
+    root's first subtree, up to its second child ``cut``, reaches as deep
+    as the rest.  Rooted at vertex 1, the canonical sequence is 0 and then
+    the blocks of vertex 1's subtrees, one level shallower, and of the
+    root's side, one level deeper, in descending order."""
+    n = len(seq)
+    cut = seq.find(1, 2)
+    if cut < 0:
+        cut = n
+    if max(seq[1:cut], default=0) <= max(seq[cut:], default=0):
+        return seq
+    # Each block without its first depth, 1: split at the children of
+    # vertex 1, a block's other depths being at least 2.
+    blocks = seq[2:cut].translate(_ONE_UP).split(b"\x01")[1:]
+    blocks.append(seq[cut:].translate(_ONE_DOWN))
+    blocks.sort(reverse=True)
+    return max(seq, b"\x00\x01" + b"\x01".join(blocks))
+
+
+def level_sequence_code(seq) -> bytes:
+    """The canonical code of the free tree a WROM level sequence denotes:
+    the byte n, then the sorted edges of ``canonical_level_sequence``."""
+    top = canonical_level_sequence(bytes(seq))
+    return bytes([len(top), *[x for edge in sorted(_level_sequence_edges(top)) for x in edge]])
 
 
 def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:

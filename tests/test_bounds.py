@@ -6,6 +6,7 @@ from sumconn import bounds
 from sumconn.bounds import (
     _tree_edge_types,
     _unicyclic_edge_types,
+    degree_order_failures,
     tree_max_bound,
     unicyclic_bound_profile,
     unicyclic_max_bound,
@@ -205,3 +206,10 @@ def test_top_two_closed_form():
     assert float(t7.second_value) == pytest.approx(3.41899, abs=5e-6)
     with pytest.raises(ValueError):
         unicyclic_top_two(3)
+
+
+def test_closed_form_maxima_fall_as_the_degree_grows():
+    # M(n, delta) > M(n, delta + 1) exactly, at every n the values reach:
+    # the order from which the top-two ranking is deduced.
+    assert degree_order_failures("tree") == []
+    assert degree_order_failures("unicyclic") == []

@@ -10,7 +10,6 @@ from sumconn.canon import (
     _rooted_code,
     canonical_code,
     canonical_form,
-    level_sequence_code,
     necklace_code,
     necklace_max,
 )
@@ -37,6 +36,7 @@ from oracles import (
     chord_necklaces_unpruned,
     connected_graph_orbit_classes,
     generic_canonical_edges_unpruned,
+    level_sequence_code,
     necklace_code_by_parse,
     necklace_min_all_readings,
     paren_to_level_sequence,

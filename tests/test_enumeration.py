@@ -10,7 +10,7 @@ import pytest
 
 import sumconn
 import sumconn.enumeration as enumeration
-from sumconn.canon import canonical_code, level_sequence_code, level_sequence_edges
+from sumconn.canon import canonical_code, level_sequence_edges
 from sumconn.cli import dispatch
 from sumconn.enumeration import (
     _chord_necklaces,
@@ -43,6 +43,7 @@ from oracles import (
     free_tree_level_sequences,
     labeled_tree_classes,
     labeled_unicyclic_class_count,
+    level_sequence_code,
     level_sequence_trees,
     paren_to_level_sequence,
     prufer_decode,

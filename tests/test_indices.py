@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from sumconn.canon import canonical_code
 from sumconn.construct import unicyclic_extremal
-from sumconn.enumeration import enumerate_trees
+from sumconn.enumeration import enumerate_trees, tree_profiles, unicyclic_bracelets
 from sumconn.graphs import cycle_graph, graph_from_edges, path_graph, star_graph
 from sumconn.indices import (
     EdgelessGraphError,
@@ -21,7 +24,7 @@ from sumconn.indices import (
     profile_value,
     sum_connectivity,
 )
-from sumconn import indices, radicals
+from sumconn import indices, radicals, verify
 from sumconn.radicals import RadicalValue, _decide, _exact_sign
 
 from oracles import mp_terms, reciprocal_sqrt_terms, terms_hash
@@ -235,3 +238,112 @@ def test_value_keys_take_the_exact_path_on_near_ties(monkeypatch):
     assert len(exact) == 1
     _assert_keys_agree(a, b)
     _assert_keys_agree(b, a)
+
+
+# -- values made exact when read ----------------------------------------------
+
+_U = 2.0**-53
+
+
+def _exact(value: RadicalValue) -> bool:
+    """Whether a value's terms are built, read past the ``_coords`` property."""
+    return value._c is not None
+
+
+def _packed(counts: dict[int, int]) -> int:
+    return sum(k << (indices._PROFILE_BITS * s) for s, k in counts.items())
+
+
+# Distinct profiles with equal values: 2/sqrt(8) = 3/sqrt(18) = 1/sqrt(2),
+# 2/sqrt(4) = 3/sqrt(9) = 1, 1/sqrt(3) = 2/sqrt(12), 2/sqrt(7) = 4/sqrt(28).
+_EQUAL_PROFILES = [
+    ({8: 2}, {18: 3}),
+    ({2: 1}, {8: 2}),
+    ({4: 2}, {9: 3}),
+    ({1: 1}, {16: 4}),
+    ({3: 1, 8: 2}, {12: 2, 2: 1}),
+    ({5: 1, 7: 2}, {20: 2, 28: 4}),
+    ({3: 3, 4: 5}, {12: 6, 16: 10}),
+]
+
+
+def _listed_profiles() -> list[int]:
+    """Every distinct profile of the trees with n <= 12 and the unicyclic
+    graphs with n <= 11, ascending."""
+    profiles = {p for n in range(2, 13) for _, p, _ in tree_profiles(n)}
+    profiles.update(p for n in range(3, 12) for _, p, _ in unicyclic_bracelets(n))
+    return sorted(profiles)
+
+
+def test_profile_values_hold_their_enclosures_and_compare_as_exact_values():
+    profiles = _listed_profiles()
+    profiles += [_packed(c) for pair in _EQUAL_PROFILES for c in pair]
+    lazy = [profile_value(p) for p in profiles]
+    eager = [RadicalValue.reciprocal_sqrt_sum(profile_counts(p)) for p in profiles]
+    assert not any(map(_exact, lazy))
+    # The enclosure, read off the counts, holds the value within 3.01u*A,
+    # inside the 4.1u*A that ``_decide`` assumes.
+    with mpmath.workdps(60):
+        for p, value in zip(profiles, lazy):
+            x = mpmath.fsum(k / mpmath.sqrt(s) for s, k in profile_counts(p).items())
+            assert value._sum == value._abs
+            assert abs(mpmath.mpf(value._sum) - x) <= mpmath.mpf(3.01 * _U) * value._abs
+    # ``<`` orders both lists alike, and neighbours in that order are equal,
+    # and compare, alike lazy or eager, on either side.
+    order = sorted(range(len(profiles)), key=eager.__getitem__)
+    assert sorted(range(len(profiles)), key=lazy.__getitem__) == order
+    for i, j in zip(order, order[1:]):
+        for a, b in ((lazy[i], lazy[j]), (lazy[i], eager[j]), (eager[i], lazy[j])):
+            assert (a == b) == (eager[i] == eager[j]) == (b == a)
+            assert (a < b) == (eager[i] < eager[j]) and (b < a) == (eager[j] < eager[i])
+    for a, b in _EQUAL_PROFILES:
+        x, y = profile_value(_packed(a)), profile_value(_packed(b))
+        assert x == y and not x < y and not y < x and x <= y and x >= y
+    # Hashes and fields, built on first read, are the eager ones.
+    for value, reference in zip(lazy, eager):
+        assert hash(value) == hash(reference)
+        assert (value._coords, value._den) == (reference._coords, reference._den)
+        assert value == reference and str(value) == str(reference)
+
+
+def test_profile_values_are_made_exact_only_when_read(monkeypatch, capsys):
+    built = []
+    sums = RadicalValue.reciprocal_sqrt_sum.__func__
+
+    def counted_sums(cls, counts):
+        built.append(counts)
+        return sums(cls, counts)
+
+    monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
+    # The trees-n16 workload reads the exact fields of its maximum, the
+    # path's value, and of no other value.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "trees_n16.py"
+    spec = importlib.util.spec_from_file_location("trees_n16", path)
+    workload = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workload)
+    indices._memoized_value.cache_clear()
+    assert workload.main() == 0
+    assert json.loads(capsys.readouterr().out)["max"] == [[1, "13/2"], [3, "2/3"]]
+    assert built == [{3: 2, 4: 13}]
+    # A cold ranking pass builds none for a profile it rejects.
+    made = []
+
+    def kept_value(profile):
+        made.append(profile_value(profile))
+        return made[-1]
+
+    rejected = []
+    admit = verify._admit
+
+    def counted_admit(lead, seen, profile):
+        members = admit(lead, seen, profile)
+        if members is None:
+            rejected.append(made[-1])
+        return members
+
+    monkeypatch.setattr(verify, "profile_value", kept_value)
+    monkeypatch.setattr(verify, "_admit", counted_admit)
+    verify._ranking.cache_clear()
+    verify._ranking("unicyclic", 11)
+    verify._ranking.cache_clear()
+    assert rejected and not any(map(_exact, rejected))

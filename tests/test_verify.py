@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from sumconn import bounds
 from sumconn.bounds import unicyclic_top_two
 from sumconn.canon import canonical_code
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
@@ -11,7 +12,7 @@ from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
 from sumconn.enumeration import tree_profiles, unicyclic_bracelets
 from sumconn.graphs import SizeLimitError, cycle_graph, star_graph
 from sumconn import verify
-from sumconn.indices import profile_counts, sum_connectivity
+from sumconn.indices import profile_counts, profile_value, sum_connectivity
 from sumconn.radicals import RadicalValue
 from sumconn.verify import (
     FamilyTooSmallError,
@@ -168,32 +169,34 @@ def test_top_two_values_nothing_the_degree_checks_valued(monkeypatch):
     # once it has run, a check values its closed forms and nothing else.
     n = 10
     _ranking.cache_clear()
-    none = {"sums": 0, "graphs": 0}
+    none = {"values": 0, "graphs": 0}
     calls = dict(none)
-    sums = RadicalValue.reciprocal_sqrt_sum.__func__
 
-    def counted_sums(cls, counts):
-        calls["sums"] += 1
-        return sums(cls, counts)
+    def counted_values(profile):
+        calls["values"] += 1
+        return profile_value(profile)
 
     def counted_graphs(g):
         calls["graphs"] += 1
         return sum_connectivity(g)
 
-    monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
+    # ``indices.profile_value`` is where profiles are valued, as the
+    # ranking pass and ``bounds`` each look it up.
+    monkeypatch.setattr(verify, "profile_value", counted_values)
+    monkeypatch.setattr(bounds, "profile_value", counted_values)
     monkeypatch.setattr(verify, "sum_connectivity", counted_graphs)
     assert verify_unicyclic_max(n, 4).passed
-    assert calls["sums"] > 0
+    assert calls["values"] > 0
     passes = _ranking.cache_info().misses
     calls.update(none)
     assert verify_top_two(n).passed
-    assert calls == {"sums": 2, "graphs": 0}  # the first and second closed forms
+    assert calls == {"values": 2, "graphs": 0}  # the first and second closed forms
     assert verify_tree_max(n, 3).passed
-    assert calls["sums"] > 0 and _ranking.cache_info().misses == passes + 1
+    assert calls["values"] > 0 and _ranking.cache_info().misses == passes + 1
     calls.update(none)
     others = [d for d in range(2, n) if d != 3]
     assert all(verify_tree_max(n, d).passed for d in others)
-    assert calls == {"sums": len(others), "graphs": 0}
+    assert calls == {"values": len(others), "graphs": 0}
     assert _ranking.cache_info().misses == passes + 1
 
 
@@ -236,13 +239,12 @@ def test_ranking_values_each_degree_profile_pair_once(monkeypatch):
     # exactly once, and its value is its group's key: nothing is valued
     # again at the end of the pass.
     valued = []
-    sums = RadicalValue.reciprocal_sqrt_sum.__func__
 
-    def counted_sums(cls, counts):
-        valued.append(counts)
-        return sums(cls, counts)
+    def counted_values(profile):
+        valued.append(profile)
+        return profile_value(profile)
 
-    monkeypatch.setattr(RadicalValue, "reciprocal_sqrt_sum", classmethod(counted_sums))
+    monkeypatch.setattr(verify, "profile_value", counted_values)
     for graph_class, ns in (("tree", range(4, 13)), ("unicyclic", range(4, 12))):
         for n in ns:
             _ranking.cache_clear()
