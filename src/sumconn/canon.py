@@ -31,9 +31,10 @@ from .graphs import (
 
 CanonicalCode = bytes
 
-# ``bytes.translate`` tables that move every depth one level up or down.
-_SHALLOWER = bytes([0, *range(255)])
+# ``bytes.translate`` tables that move every depth one level down, and d
+# levels up (``_LIFT[d]``, for the depths of a tree on n <= 16 vertices).
 _DEEPER = bytes([*range(1, 256), 255])
+_LIFT = [bytes(d) + bytes(range(256 - d)) for d in range(MAX_VERTICES)]
 
 
 @lru_cache(maxsize=1 << 18)
@@ -147,7 +148,14 @@ def necklace_max(codes: Sequence[bytes]) -> tuple[bytes, ...]:
     two readings start there: forwards, ``t[i:] + t[:i]``, and backwards,
     ``t[i::-1] + t[:i:-1]``, which is ``t[i], ..., t[0]`` and then
     ``t[k-1], ..., t[i+1]``.  Only those two are compared.
+
+    Three codes are sorted.  The three rotations and three reflections of
+    a triangle are all six permutations of its positions, so the readings
+    are every order of the codes, and the greatest is the non-increasing
+    one.
     """
+    if len(codes) == 3:
+        return tuple(sorted(codes, reverse=True))
     forward = tuple(codes)
     top = max(forward)
     if forward.count(top) == 1:

@@ -7,12 +7,19 @@ root's first subtree is no "larger" (height, then size, then lexicographic
 order) than the rest of the tree.  Each step copies and slices bytes and
 reports the least position it rewrote.  Unicyclic graphs are produced by
 adding chords to free trees.  A chord is deduplicated by the pendant-code
-necklace of the cycle it closes: one BFS from each chord end extends the codes of the path
-to a vertex's parent by one memoized code, so each cycle's codes cost one
-list copy.  A pendant code is the tree's canonical level sequence
-(``canon._rooted_code``), the one rooted-tree format of the package: the
-generators below emit it too, so a bracelet letter's bytes are its
-pendant code.  Before a chord is keyed, it is skipped when a tree
+necklace of the cycle it closes.  A pendant code is the tree's canonical
+level sequence (``canon._rooted_code``), the one rooted-tree format of the
+package: the generators below emit it too, so a bracelet letter's bytes
+are its pendant code.  The trees keyed are the listing's, in WROM
+labeling, a preorder whose depths are a Beyer-Hedetniemi canonical level
+sequence at vertex 0.  Every subtree of a canonical sequence is canonical,
+and siblings come in non-increasing order, so the code of the lower side
+of each tree edge is a slice of the sequence, and one pass from the root
+down joins the upper sides (``_tree_sides``).  From each first end u, a
+walk reaches every larger label v through the path to v's parent plus one
+code, entering only sides that hold a label above u: a side holding none
+holds no second end, so every chord and its reading are as in a walk of
+the whole tree.  Before a chord is keyed, it is skipped when a tree
 automorphism maps its first end to a smaller vertex, or when its cycle
 reads, from the same first end, as an already keyed chord's; no candidate
 graph is built or canonically coded, and the first chord seen for each
@@ -61,7 +68,7 @@ from operator import itemgetter
 from struct import Struct
 from typing import Any, Callable, Iterator
 
-from .canon import _DEEPER, _SHALLOWER, level_sequence_edges
+from .canon import _DEEPER, _LIFT, level_sequence_edges
 from .canon import necklace_code, necklace_max
 from .construct import RANGES
 from .graphs import Graph, _graph_with_edge
@@ -111,7 +118,7 @@ def _free_trees(n: int) -> Iterator[tuple[bytes, int]]:
         rest = max(seq[cut:], default=0)
         if left > rest or left == rest and (
             2 * cut > n + 2
-            or 2 * cut == n + 2 and seq[1:cut].translate(_SHALLOWER) > b"\x00" + seq[cut:]
+            or 2 * cut == n + 2 and seq[1:cut].translate(_LIFT[1]) > b"\x00" + seq[cut:]
         ):
             jump, _ = _next_rooted(seq, cut - 1)
             p = min(p, cut - 1)
@@ -203,7 +210,7 @@ def _tree_records(n: int) -> tuple[bytes, ...]:
         if cut < 0:
             cut = n
         if max(seq[1:cut], default=0) > max(seq[cut:], default=0) and (
-            b"\x00" + seq[cut:] > seq[1:cut].translate(_SHALLOWER)
+            b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1])
         ):
             # Byte offsets where the runs end: the root's edges at r,
             # vertex 1's child edges at k, vertex 1's side's edges at a.
@@ -243,29 +250,101 @@ def _tree_degrees(n: int) -> tuple[int, ...]:
     return tuple(map(_record_max_degree, _tree_records(n)))
 
 
+def _rooted_join(around: dict[int, bytes], a: int, b: int = -1) -> bytes:
+    """Canonical level sequence of a vertex's side away from its
+    neighbours a and b, from ``around``, its neighbours' branch codes in
+    non-increasing order: depth 0, then the others' codes one level
+    deeper."""
+    below = b"".join([code for c, code in around.items() if c != a and c != b])
+    return b"\x00" + below.translate(_DEEPER)
+
+
+def _tree_sides(tree: Graph) -> tuple[list[int], list[int], list[dict[int, bytes]]]:
+    """``(parent, end, around)`` of a tree in WROM labeling, as the tree
+    listing emits it: ``parent[v]`` is v's parent (-1 at the root 0),
+    ``end[v]`` the first label after v's subtree, and ``around[w]`` maps
+    each neighbour c of w to ``branch(c, w)``, the canonical level
+    sequence of c's side of the edge (c, w) rooted at c, in non-increasing
+    order of the codes.
+
+    The labels are a preorder, so a vertex's parent is its one smaller
+    neighbour, and its subtree is the labels from it up to ``end``.  The
+    depths in label order are the tree's WROM level sequence, which is
+    Beyer-Hedetniemi canonical at vertex 0: every vertex's subtrees follow
+    in non-increasing order, and each subtree's own sequence is canonical
+    too.  So the branch code of a child c is its slice, ``seq[c:end[c]]``
+    lifted by c's depth, and children come in non-increasing order.  The
+    code of a parent's side, ``branch(p, c)``, is p's depth 0 and then the
+    codes around p but c's, one level deeper: it is joined when c's turn
+    comes, p's codes being done, and put in its place among c's."""
+    n = tree.n
+    adj = tree.adjacency
+    parent = [-1] + [a[0] for a in adj[1:]]
+    depth = [0] * n
+    end = list(range(1, n + 1))
+    for v in range(1, n):
+        depth[v] = depth[parent[v]] + 1
+    for v in range(n - 1, 0, -1):  # each subtree before its parent
+        p = parent[v]
+        if end[v] > end[p]:
+            end[p] = end[v]
+    seq = bytes(depth)
+    around: list[dict[int, bytes]] = []
+    for x in range(n):
+        # A leaf's code is the one constant b"\x00" rather than a new
+        # object per leaf, which the kept keys would each hold on to.
+        sides = [
+            (seq[c : end[c]].translate(_LIFT[depth[c]]) if end[c] > c + 1 else b"\x00", c)
+            for c in adj[x]
+            if c > x
+        ]
+        if x:
+            sides.append((_rooted_join(around[parent[x]], x), parent[x]))
+            sides.sort(reverse=True)
+        around.append({c: code for code, c in sides})
+    return parent, end, around
+
+
 def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes, ...]]]:
     """Chords ``(u, v)``, ``u < v``, of ``tree`` in lexicographic order,
     with the necklace key of ``tree + (u, v)``, skipping chords whose key
-    an earlier chord is sure to have.
+    an earlier chord is sure to have.  ``tree`` must be in WROM labeling
+    (``_tree_sides``).
 
     The chord closes the cycle formed by the tree path from u to v.  The
     pendant code of a cycle vertex w is the depth 0 and then, one level
     deeper, ``branch(c, w)`` for each c off the cycle, in non-increasing
-    order, where ``branch(c, w)`` is the canonical level sequence of c's
-    side of the tree edge (c, w) rooted at c.  That side holds no cycle
-    vertex, so the chord leaves it unchanged, and the code is exactly what
-    ``canon._pendant_codes`` computes for the unicyclic graph.  The key is
-    ``necklace_max`` of those codes in path order, the necklace from which
-    ``canonical_code`` builds its bytes, so equal keys mean equal
-    canonical codes and, conversely, isomorphic graphs get equal keys.
+    order.  That side holds no cycle vertex, so the chord leaves it
+    unchanged, and the code is exactly what ``canon._pendant_codes``
+    computes for the unicyclic graph.  The key is ``necklace_max`` of
+    those codes in path order, the necklace from which ``canonical_code``
+    builds its bytes, so equal keys mean equal canonical codes and,
+    conversely, isomorphic graphs get equal keys.
 
-    The paths are read off one BFS per u: the path from u to y is the path
-    to y's BFS parent x plus y, so its codes are those of the path to x,
-    with x now coded between its parent and y, plus y's code as an end
-    vertex, ``branch(y, x)`` (its other cycle neighbour is the chord).
-    Branch codes are memoized per directed edge, and each vertex keeps
-    them in non-increasing order, so a pendant code is a filtered join,
-    memoized per (vertex, path neighbours).
+    The paths are read off one walk from each u: the path from u to y is
+    the path to the vertex x before it plus y, so its codes are those of
+    the path to x, with x now coded between its path neighbours, plus
+    y's code as an end vertex, ``branch(y, x)`` (its other cycle
+    neighbour is the chord).  The walk enters a neighbour y of x only when
+    y's side of the edge holds a label above u, as the ends keyed from u
+    are: a side holding none is on no path to an end.  A child y's side is
+    its subtree, the labels y to ``end[y] - 1``, which holds a label above
+    u exactly when y > u: a child y < u lies on the path to u, or is an
+    earlier sibling of u or of one of its ancestors, whose subtree ends at
+    or before u.  The parent's side is entered only from u and its
+    ancestors, whose subtrees hold u; it is every label below x or from
+    ``end[x]`` on, and holds one above u exactly when ``end[x] < n``.  So
+    the walk climbs from u while ``end[x] < n`` and then reaches each
+    v > u from its parent, in label order.  Every end v > u is reached by
+    its one path from u and reads the same codes as in a walk of the
+    whole tree, so the same chords are keyed.
+
+    A pendant code depends on the vertex and its two path neighbours, not
+    on their order.  A vertex labeled above u, or one the climb passes,
+    lies between its parent and a child c: its code is ``mid[c]``, one
+    join per vertex.  u, with one path neighbour y, reads
+    ``branch(u, y)``.  An ancestor of u between two of its children is a
+    join memoized per pair.
 
     Pruning.  Two rules skip a chord only when an earlier chord has its
     key:
@@ -291,52 +370,42 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes
     it would without the pruning.
     """
     n = tree.n
-    adj = tree.adjacency
-    branches: dict[tuple[int, int], bytes] = {}
-
-    def branch(c: int, w: int) -> bytes:
-        code = branches.get((c, w))
-        if code is None:
-            below = sorted([branch(d, c) for d in adj[c] if d != w], reverse=True)
-            code = branches[c, w] = b"\x00" + b"".join(below).translate(_DEEPER)
-        return code
-
-    # Every directed edge's branch code is in ``branches`` from here on.
-    around = [sorted([(branch(c, w), c) for c in adj[w]], reverse=True) for w in range(n)]
-    # pendants[w, a, b]: code of w's pendant tree when its path neighbours
-    # are a and b.
-    pendants: dict[tuple[int, int, int], bytes] = {}
-
+    parent, end, around = _tree_sides(tree)
+    mid = [b""] + [_rooted_join(around[parent[v]], v, parent[parent[v]]) for v in range(1, n)]
+    forks: dict[tuple[int, int], bytes] = {}  # (c, v): their parent between them
+    came = [-1] * n  # came[y]: the child of y the climb entered it from
+    # prefix[y]: codes of the path from u up to, not including, y
+    prefix: list[tuple[bytes, ...]] = [()] * n
     rooted: set[bytes] = set()
     for u in range(n - 1):
-        code = b"".join([bc for bc, _ in around[u]])
+        code = b"".join(around[u].values())
         if code in rooted:
             continue
         rooted.add(code)
-        # prefix[y]: codes of the path from u up to, not including, y;
-        # u's missing path neighbour is -1.
-        parent = [-1] * n
-        prefix: list[tuple[bytes, ...]] = [()] * n
-        order = [u]
-        for x in order:
-            px = parent[x]
-            for y in adj[x]:
-                if y != px:
-                    parent[y] = x
-                    code = pendants.get((x, px, y))
-                    if code is None:
-                        below = b"".join([bc for bc, c in around[x] if c != px and c != y])
-                        code = pendants[x, px, y] = b"\x00" + below.translate(_DEEPER)
-                    prefix[y] = prefix[x] + (code,)
-                    order.append(y)
+        prefix[u] = ()
+        x = u
+        while end[x] < n:
+            y = parent[x]
+            prefix[y] = prefix[x] + (mid[came[x]] if x != u else around[y][u],)
+            came[y] = x
+            x = y
         keyed: set[tuple[bytes, ...]] = set()
         for v in range(u + 1, n):
             p = parent[v]
-            if p != u:
-                reading = prefix[v] + (branches[v, p],)
-                if reading not in keyed:
-                    keyed.add(reading)
-                    yield (u, v), necklace_max(reading)
+            if p == u:  # adjacent to u: no chord
+                prefix[v] = (around[v][u],)
+                continue
+            if p > u:
+                code = mid[v]
+            else:  # an ancestor of u, between two of its children
+                code = forks.get((came[p], v))
+                if code is None:
+                    code = forks[came[p], v] = _rooted_join(around[p], came[p], v)
+            prefix[v] = path = prefix[p] + (code,)
+            reading = path + (around[p][v],)
+            if reading not in keyed:
+                keyed.add(reading)
+                yield (u, v), necklace_max(reading)
 
 
 @lru_cache(maxsize=None)

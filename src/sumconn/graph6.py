@@ -10,6 +10,7 @@ form is needed here since n never exceeds 16.
 from __future__ import annotations
 
 from binascii import b2a_base64
+from functools import lru_cache
 
 from .graphs import Graph, MAX_VERTICES, SizeLimitError, graph_from_edges
 
@@ -25,24 +26,35 @@ class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[dict[tuple[int, int], int], int, int]:
+    """``(bits, chars, nbytes)`` for n vertices: the integer with only the
+    bit of the pair (i, j) set, for every pair i < j < n; the number of
+    6-bit characters; and the bytes of whole 3-byte base64 blocks that
+    hold them."""
+    chars = (n * (n - 1) // 2 + 5) // 6
+    nbytes = (chars + 3) // 4 * 3
+    top = 8 * nbytes - 1
+    bits = {(i, j): 1 << (top - (j * (j - 1) >> 1) - i) for j in range(n) for i in range(j)}
+    return bits, chars, nbytes
+
+
 def emit_graph6(g: Graph) -> str:
     """graph6 string of ``g``, built from its edge list in O(m) steps.
 
     The pair (i, j), i < j, is bit ``j*(j-1)/2 + i`` of the column-order
-    bit string, counted from its most significant end, so each edge sets
-    one bit of a single integer.  graph6 and base64 both cut a bit string
-    into 6-bit groups, most significant first, and differ only in the
-    alphabet; so the integer, zero-padded to whole 3-byte base64 blocks,
-    is base64-encoded, cut to the needed number of characters (the cut
-    drops only padding), and translated to ``value + 63``.
+    bit string, counted from its most significant end, so each edge is
+    one bit of a single integer, read from a table per n (``_layout``);
+    the edges are distinct, so the sum of their bits sets each of them.
+    graph6 and base64 both cut a bit string into 6-bit groups, most
+    significant first, and differ only in the alphabet; so the integer,
+    zero-padded to whole 3-byte base64 blocks, is base64-encoded, cut to
+    the needed number of characters (the cut drops only padding), and
+    translated to ``value + 63``.
     """
     n = g.n
-    chars = (n * (n - 1) // 2 + 5) // 6
-    nbytes = (chars + 3) // 4 * 3
-    top = 8 * nbytes - 1
-    value = 0
-    for i, j in g.edges:
-        value |= 1 << (top - (j * (j - 1) >> 1) - i)
+    bits, chars, nbytes = _layout(n)
+    value = sum(map(bits.__getitem__, g.edges))
     body = b2a_base64(value.to_bytes(nbytes, "big"), newline=False)[:chars]
     return chr(n + 63) + body.translate(_FROM_BASE64).decode("ascii")
 

@@ -311,10 +311,12 @@ class RadicalValue:
         )
 
     def __eq__(self, other: object) -> bool:
-        """Equal terms, or early: the same object is equal, and two
-        enclosures at hand that ``_decide`` separates are not (a
-        ``reciprocal_sqrt_packed`` value's always is at hand), with no
-        term read."""
+        """Equal terms, or early: the same object is equal, and, when a
+        side's terms are not built yet, two enclosures at hand that
+        ``_decide`` separates are not (a ``reciprocal_sqrt_packed``
+        value's always is at hand), with no term built.  Values whose
+        terms are both built compare them alone: that is cheaper than
+        the float test."""
         if type(other) is not RadicalValue:
             if not isinstance(other, (RadicalValue, int, Fraction)):
                 return NotImplemented
@@ -322,7 +324,8 @@ class RadicalValue:
         if self is other:
             return True
         if (
-            self._abs is not None
+            (self._c is None or other._c is None)
+            and self._abs is not None
             and other._abs is not None
             and _decide(self._sum, self._abs, other._sum, other._abs)
         ):

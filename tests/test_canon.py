@@ -216,6 +216,12 @@ def test_necklace_min_with_repeated_least_codes():
                 _assert_necklace_max_is_the_least_paren_reading(codes)
 
 
+def test_necklace_max_of_three_codes_over_every_triple():
+    # Three codes take the sorted order, not a comparison of readings.
+    for codes in product(_CODES, repeat=3):
+        _assert_necklace_max_is_the_least_paren_reading(codes)
+
+
 def test_necklace_codes_match_the_parse_on_every_listed_key():
     keys = 0
     for n in range(3, 12):

@@ -10,11 +10,12 @@ import pytest
 
 import sumconn
 import sumconn.enumeration as enumeration
-from sumconn.canon import canonical_code, level_sequence_edges
+from sumconn.canon import _rooted_code, canonical_code, level_sequence_edges
 from sumconn.cli import dispatch
 from sumconn.enumeration import (
     _chord_necklaces,
     _level_sequence_tree,
+    _tree_sides,
     bracelet_graph,
     enumerate_trees,
     enumerate_unicyclic,
@@ -291,7 +292,7 @@ def test_tree_verification_at_the_limit_in_bounded_memory():
 
 def test_unicyclic_matches_chord_dedup_reference():
     # Same representatives (edge for edge) in the same order.
-    for n in range(3, 11):
+    for n in range(3, 13):
         unicyclic = enumerate_unicyclic(n)
         assert [g.edges for g in unicyclic] == chord_dedup_unicyclic(n)
         assert all(g == graph_from_edges(g.n, g.edges) for g in unicyclic)
@@ -334,7 +335,7 @@ def _first_chords(pairs):
 def test_orbit_pruning_keeps_every_key_and_its_first_chord():
     # The reference keys in AHU strings; each converted key must be the
     # production key, so the order reversal is checked on every key.
-    for n in range(1, 11):
+    for n in range(1, 13):
         for tree in enumerate_trees(n):
             pruned = list(_chord_necklaces(tree))
             full = [
@@ -344,6 +345,27 @@ def test_orbit_pruning_keeps_every_key_and_its_first_chord():
             assert set(pruned) <= set(full)
             assert [chord for chord, _ in pruned] == sorted(chord for chord, _ in pruned)
             assert _first_chords(pruned) == _first_chords(full)
+
+
+def test_branch_codes_from_slices_are_the_rooted_codes():
+    # Every directed edge (c, w) of every tree in WROM labeling up to
+    # n = 12: c's side, read off the level sequence, is rooted_code's.
+    edges = 0
+    for n in range(1, 13):
+        for seq, _ in enumeration._free_trees(n):
+            tree = _level_sequence_tree(seq)
+            adj = tree.adjacency
+            parent, end, around = _tree_sides(tree)
+            assert parent == [-1] + [seq.rfind(seq[v] - 1, 0, v) for v in range(1, n)]
+            assert end == [next((i for i in range(v + 1, n) if seq[i] <= seq[v]), n) for v in range(n)]
+            for w, sides in enumerate(around):
+                assert sorted(sides) == list(adj[w])
+                codes = list(sides.values())
+                assert codes == sorted(codes, reverse=True)
+                for c, code in sides.items():
+                    assert code == _rooted_code(adj, c, (w,))
+                    edges += 1
+    assert edges == sum(2 * (n - 1) * FREE_TREE_COUNTS[n] for n in range(1, 13))
 
 
 def test_pruning_keys_no_more_chords_than_the_path_rule():

@@ -354,6 +354,26 @@ def test_cached_comparisons_agree_cold_and_warm(t1, t2, t3, extra_bits, offset):
                 assert _cached_decision(w, z) == _float_sign(w, z)
 
 
+def test_equality_runs_the_float_test_only_for_unbuilt_terms(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _decide(*args)
+
+    monkeypatch.setattr(radicals, "_decide", counted)
+    a, b, c = RadicalValue.sqrt(2) + 1, RadicalValue.sqrt(3), RadicalValue({2: 1, 1: 1})
+    assert b < a and c <= a  # every enclosure filled
+    calls.clear()
+    assert a != b and not a == b and a == c and c == a
+    assert calls == []
+    # Packed values, byte s of the histogram counting 1/sqrt(s): 1/sqrt(2)
+    # and 1/sqrt(3) are told apart by their enclosures, with no term built.
+    x, y = RadicalValue.reciprocal_sqrt_packed(1 << 16), RadicalValue.reciprocal_sqrt_packed(1 << 24)
+    assert not x == y
+    assert len(calls) == 1 and x._c is None and y._c is None
+
+
 def test_exact_path_runs_on_near_ties_only(monkeypatch):
     calls = []
 
