@@ -62,10 +62,13 @@ def _encode(n: int, edges: list[tuple[int, int]]) -> CanonicalCode:
 
 def canonical_form(g: Graph) -> Graph:
     """Canonically relabeled copy of ``g`` (identical for isomorphic inputs)."""
-    code = canonical_code(g)
-    n = code[0]
-    edges = [(code[i], code[i + 1]) for i in range(1, len(code), 2)]
-    return graph_from_edges(n, edges)
+    return code_graph(canonical_code(g))
+
+
+def code_graph(code: CanonicalCode) -> Graph:
+    """The graph a code spells: its vertex count, then its edges' ends,
+    normalized, as ``necklace_code`` writes the wrap edge larger end first."""
+    return graph_from_edges(code[0], zip(code[1::2], code[2::2]))
 
 
 # -- trees ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from typing import Sequence
 
@@ -412,6 +413,10 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # Python ignores SIGPIPE, so a write to a closed stdout would raise
+        # and exit 2, as a usage error; end as other filters do instead.
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(dispatch(sys.argv[1:]))
 
 

@@ -36,13 +36,14 @@ tree is bicentral and re-rooting it at vertex 1 gives a greater sequence,
 which one comparison of the two halves at the central edge tells.  Then
 the code's edges are the record's own, relabeled by one ``bytes.translate``
 and joined in another order (``_tree_records``), with no second decode
-or sort.  Its maximum degree is computed only for a degree filter, once
-per n; a unicyclic class is kept as its maximum degree, its tree's graph
-and a chord.  ``enumerate_trees`` and ``enumerate_unicyclic`` filter the
-records by degree when asked and return a lazy sequence that builds each
-graph when it is read, a tree by unpacking its record's bytes and a
-unicyclic graph from its tree plus the chord, with no validation, BFS or
-sort; memory holds the records and not the graphs.
+or sort.  A unicyclic class is kept in the same format: its tree's record
+with the chord's two bytes inserted at their sorted place.  A record's
+maximum degree is the most times a label occurs in it, computed only for
+a degree filter or a count, once per class and n.  ``enumerate_trees``
+and ``enumerate_unicyclic`` filter the records by degree when asked and
+return one lazy sequence that builds each graph when it is read, by
+unpacking its record's bytes, with no validation, BFS or sort; memory
+holds the records and not the graphs.
 
 Verification reads both classes as edge-type profiles, packed integers in
 the format ``indices`` defines and values, with no graph and in
@@ -60,18 +61,19 @@ is the reference the bracelets are checked against.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations, compress, product, repeat
 from operator import itemgetter
 from struct import Struct
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
-from .canon import _DEEPER, _LIFT, level_sequence_edges
+from .canon import _DEEPER, _LIFT, code_graph, level_sequence_edges
 from .canon import necklace_code, necklace_max
 from .construct import RANGES
-from .graphs import Graph, _graph_with_edge
+from .graphs import Graph
 from .indices import _UNIT
 
 DeltaFilter = int | tuple[int, int] | None
@@ -229,25 +231,22 @@ def _tree_records(n: int) -> tuple[bytes, ...]:
 _EDGE = Struct("BB")
 
 
-def _record_tree(record: bytes) -> Graph:
-    """The tree whose sorted edges are the bytes ``record``, two per edge.
+def _record_tree(record: bytes, n: int) -> Graph:
+    """The graph on n vertices whose sorted edges are the bytes ``record``,
+    two per edge.
 
     The edges go through a list: a tuple of known length is taken from
     the interpreter's free list, where one grown from an iterator is
     allocated anew and, once freed, left there, up to 2,000 of them."""
-    return Graph(len(record) // 2 + 1, tuple([*_EDGE.iter_unpack(record)]))
+    return Graph(n, tuple([*_EDGE.iter_unpack(record)]))
 
 
 def _record_max_degree(record: bytes) -> int:
-    """Largest degree of the tree of ``record``: a vertex's degree is the
-    number of its edges, the times its label occurs."""
+    """Largest degree of the graph of ``record``: a vertex's degree is the
+    number of its edges, the times its label occurs.  Labels 0 to the edge
+    count are counted: a tree's n labels, or a unicyclic graph's n and the
+    label n, which occurs in no edge."""
     return max(map(record.count, range(len(record) // 2 + 1)))
-
-
-@lru_cache(maxsize=None)
-def _tree_degrees(n: int) -> tuple[int, ...]:
-    """The maximum degree of each tree of ``_tree_records(n)``, in order."""
-    return tuple(map(_record_max_degree, _tree_records(n)))
 
 
 def _rooted_join(around: dict[int, bytes], a: int, b: int = -1) -> bytes:
@@ -409,24 +408,24 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes
 
 
 @lru_cache(maxsize=None)
-def _unicyclic_records(n: int) -> tuple[tuple[int, Graph, int, int], ...]:
-    """``(max degree, tree, u, v)`` of every class: the class of the tree
-    plus the chord (u, v).  The trees are those of ``_tree_records(n)``,
-    each built once and shared by the records of its classes.
+def _unicyclic_records(n: int) -> tuple[bytes, ...]:
+    """Every class as the bytes of its sorted edges: a tree's record of
+    ``_tree_records(n)`` with a chord (u, v), ``u < v``, inserted at its
+    sorted place.  Each tree's graph is built to key its chords and
+    dropped after.
 
     Trees and chords are visited in a fixed order and a class keeps the
     first chord found for it, so the representatives do not depend on how
     keys are computed.  Classes are ordered by the canonical code built
     from their key; the keys are dropped once sorted.
     """
-    found: dict[tuple[bytes, ...], tuple[int, Graph, int, int]] = {}
+    found: dict[tuple[bytes, ...], bytes] = {}
     for record in _tree_records(n):
-        tree = _record_tree(record)
-        adj = tree.adjacency
-        top = max(map(len, adj))
+        tree = _record_tree(record, n)
         for (u, v), key in _chord_necklaces(tree):
             if key not in found:
-                found[key] = (max(top, len(adj[u]) + 1, len(adj[v]) + 1), tree, u, v)
+                at = 2 * bisect(tree.edges, (u, v))
+                found[key] = record[:at] + bytes((u, v)) + record[at:]
     return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
 
 
@@ -544,70 +543,64 @@ def _bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]]:
 
 def bracelet_graph(word: Sequence[_Letter]) -> Graph:
     """The graph of a bracelet word: each tree's vertices numbered in
-    preorder after the trees before it, the roots joined in word order."""
-    edges: list[tuple[int, int]] = []
-    roots = []
-    at = 0
-    for *_, seq in word:
-        roots.append(at)
-        edges += [(at + u, at + v) for u, v in level_sequence_edges(seq)]
-        at += len(seq)
-    edges += zip(roots, roots[1:])
-    edges.append((0, roots[-1]))
-    edges.sort()
-    return Graph(at, tuple(edges))
+    preorder after the trees before it, the roots joined in word order,
+    the layout ``canon.necklace_code`` writes."""
+    seqs = tuple([letter[-1] for letter in word])
+    return code_graph(necklace_code(sum(map(len, seqs)), seqs))
 
 
-def _unicyclic_degrees(n: int) -> Iterator[int]:
-    return map(itemgetter(0), _unicyclic_records(n))
+_RECORDS = {"tree": _tree_records, "unicyclic": _unicyclic_records}
 
 
-def _unicyclic_graph(record: tuple[int, Graph, int, int]) -> Graph:
-    _, tree, u, v = record
-    return _graph_with_edge(tree, u, v)
+@lru_cache(maxsize=None)
+def _max_degrees(graph_class: str, n: int) -> tuple[int, ...]:
+    """The maximum degree of each record of the class on n vertices, in
+    order, computed only for a degree filter or a count."""
+    return tuple(map(_record_max_degree, _RECORDS[graph_class](n)))
 
 
 class _LazyGraphs(Sequence[Graph]):
-    """Records read as graphs: each graph is built from its record by
-    ``build`` when it is read, and not kept."""
+    """Records of graphs on n vertices read as graphs: each graph is built
+    from its record when it is read, and not kept."""
 
-    __slots__ = ("_records", "_build")
+    __slots__ = ("_records", "_n")
 
-    def __init__(self, records: tuple, build: Callable[[Any], Graph]):
+    def __init__(self, records: tuple[bytes, ...], n: int):
         self._records = records
-        self._build = build
+        self._n = n
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self._build(r) for r in self._records[i]]
-        return self._build(self._records[i])
+            return [_record_tree(r, self._n) for r in self._records[i]]
+        return _record_tree(self._records[i], self._n)
 
     def __iter__(self) -> Iterator[Graph]:
-        return map(self._build, self._records)
+        return map(_record_tree, self._records, repeat(self._n))
 
 
-def _select(graph_class: str, n: int, delta: DeltaFilter, records, degrees, build) -> _LazyGraphs:
-    """The records of ``records(n)`` whose maximum degree, in ``degrees(n)``,
-    ``delta`` admits, read through ``build``; ``RANGES`` checks n and a degree."""
+def _select(graph_class: str, n: int, delta: DeltaFilter) -> _LazyGraphs:
+    """The class's records on n vertices whose maximum degree ``delta``
+    admits, read as graphs; ``RANGES`` checks n and a degree."""
     limits = RANGES[graph_class]
     limits.check_n(n, "listing")
+    records = _RECORDS[graph_class](n)
     if delta is None:
-        return _LazyGraphs(records(n), build)
+        return _LazyGraphs(records, n)
     if not isinstance(delta, tuple):
         limits.check_delta(n, delta)
         delta = (delta, delta)
     lo, hi = delta
-    return _LazyGraphs(tuple(compress(records(n), [lo <= d <= hi for d in degrees(n)])), build)
+    degrees = _max_degrees(graph_class, n)
+    return _LazyGraphs(tuple(compress(records, [lo <= d <= hi for d in degrees])), n)
 
 
 def _degree_counts(graph_class: str, n: int) -> dict[int, int]:
     """The class count at each maximum degree on n vertices (already
-    checked), ascending, from one pass over the degrees filters read."""
-    degrees = _tree_degrees if graph_class == "tree" else _unicyclic_degrees
-    return dict(sorted(Counter(degrees(n)).items()))
+    checked), ascending, from the degrees filters read."""
+    return dict(sorted(Counter(_max_degrees(graph_class, n)).items()))
 
 
 def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
@@ -616,10 +609,10 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
     n = 1, or inclusive range), ordered by canonical code.
 
     The result is a lazy, re-iterable ``Sequence``: the trees are selected
-    by degree from their records, and each tree is built from its level
-    sequence when it is read.
+    by degree from their records, and each tree is built from its record's
+    edge bytes when it is read.
     """
-    return _select("tree", n, delta, _tree_records, _tree_degrees, _record_tree)
+    return _select("tree", n, delta)
 
 
 def tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
@@ -647,6 +640,6 @@ def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
 
     The result is a lazy, re-iterable ``Sequence``: the classes are
     selected by degree from their records, and each graph is built from
-    its tree and chord when it is read.
+    its record's edge bytes when it is read.
     """
-    return _select("unicyclic", n, delta, _unicyclic_records, _unicyclic_degrees, _unicyclic_graph)
+    return _select("unicyclic", n, delta)

@@ -9,7 +9,6 @@ structural transforms in this package build new graphs rather than mutating.
 
 from __future__ import annotations
 
-from bisect import bisect
 from typing import Iterable, Sequence
 
 MAX_VERTICES = 16
@@ -128,14 +127,6 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
             raise DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
     return Graph(n, tuple(sorted(seen)))
-
-
-def _graph_with_edge(g: Graph, u: int, v: int) -> Graph:
-    """``g`` plus the edge (u, v), ``u < v``, not already in ``g`` (unchecked),
-    inserted at its sorted position."""
-    edges = g.edges
-    at = bisect(edges, (u, v))
-    return Graph(g.n, edges[:at] + ((u, v),) + edges[at:])
 
 
 def path_graph(n: int) -> Graph:

@@ -17,12 +17,9 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Thirteen references are kept for a different purpose: they are the earlier,
+Twelve references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
-output for output.  ``adjacency_with_edge`` splices a chord into a tree's
-adjacency lists, as a tree plus a chord was built when every graph made
-its lists up front (other graphs appended each edge to both endpoint
-lists, as ``adjacency_from_edges`` does); ``free_tree_level_sequences``
+output for output.  ``free_tree_level_sequences``
 runs the WROM generator on lists, with a full successor, subtree split
 and validity check per step; ``level_sequence_trees`` builds the tree of
 each of its sequences through ``graph_from_edges`` and sorts by the
@@ -64,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -104,19 +100,6 @@ def adjacency_from_edges(n: int, edges: list[Edge]) -> list[list[int]]:
         adj[u].append(v)
         adj[v].append(u)
     return adj
-
-
-def adjacency_with_edge(
-    adj: tuple[tuple[int, ...], ...], u: int, v: int
-) -> tuple[tuple[int, ...], ...]:
-    """``adj`` with the edge (u, v) inserted at its sorted position in both
-    endpoint lists."""
-    out = list(adj)
-    au, av = out[u], out[v]
-    i, j = bisect(au, v), bisect(av, u)
-    out[u] = au[:i] + (v,) + au[i:]
-    out[v] = av[:j] + (u,) + av[j:]
-    return tuple(out)
 
 
 def _centers(adj: list[list[int]]) -> list[int]:

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumconn
 from sumconn.cli import dispatch
 from sumconn.graph6 import parse_graph6
 from sumconn.graphs import is_tree, max_degree
@@ -319,3 +325,21 @@ def test_verify_mismatch_exit_code(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "--class", "tree", "--n", "5", "--delta", "2", "--json")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_closed_stdout_ends_the_script_as_it_ends_a_filter():
+    # The reader is gone before the first write: the script is ended by
+    # SIGPIPE, with nothing on stderr, not exit 2, the usage error code.
+    src = str(Path(sumconn.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumconn.cli", "bound", "--class", "tree", "--n", "16", "--delta", "4"],
+            stdout=write, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == -signal.SIGPIPE

@@ -107,20 +107,39 @@ def test_lazy_trees_match_the_eager_reference():
         assert list(enumerate_trees(n)) == eager_level_sequence_trees(n)
 
 
-def test_lazy_tree_sequence(monkeypatch):
+# Both listings share one record format, decoder and lazy sequence; each
+# is checked at a size where it is quick: (listing, n, classes, classes of
+# maximum degree 4).
+_LISTINGS = {
+    "tree": (enumerate_trees, 12, FREE_TREE_COUNTS[12], 220),
+    "unicyclic": (enumerate_unicyclic, 10, UNICYCLIC_COUNTS[10], 295),
+}
+
+
+def _check_lazy_sequence(monkeypatch, graph_class):
+    listing, n, count, _ = _LISTINGS[graph_class]
+    enumeration._RECORDS[graph_class](n)  # generated, and chords keyed, before the watch
     built = []
     build = enumeration._record_tree
-    monkeypatch.setattr(enumeration, "_record_tree", lambda rec: built.append(rec) or build(rec))
-    trees = enumerate_trees(12)
-    assert len(trees) == FREE_TREE_COUNTS[12]
+    monkeypatch.setattr(enumeration, "_record_tree", lambda rec, size: built.append(rec) or build(rec, size))
+    graphs = listing(n)
+    assert len(graphs) == count
     assert not built  # len builds no graph
-    first = list(trees)
-    assert list(trees) == first  # re-iterable, equal graphs each time
+    first = list(graphs)
+    assert list(graphs) == first  # re-iterable, equal graphs each time
     assert len(built) == 2 * len(first)
-    assert trees[5:40:3] == first[5:40:3]
-    assert trees[::-1] == first[::-1]
-    assert trees[-1] == first[-1]
-    assert list(enumerate_trees(12, 4)[:7]) == [g for g in first if max_degree(g) == 4][:7]
+    assert graphs[5:40:3] == first[5:40:3]
+    assert graphs[::-1] == first[::-1]
+    assert graphs[-1] == first[-1]
+    assert list(listing(n, 4)[:7]) == [g for g in first if max_degree(g) == 4][:7]
+
+
+def test_lazy_tree_sequence(monkeypatch):
+    _check_lazy_sequence(monkeypatch, "tree")
+
+
+def test_lazy_unicyclic_sequence(monkeypatch):
+    _check_lazy_sequence(monkeypatch, "unicyclic")
 
 
 def test_tree_degree_filters_partition_the_class():
@@ -133,31 +152,50 @@ def test_tree_degree_filters_partition_the_class():
             assert part == [g for g, top in zip(trees, degrees) if top == d]
 
 
-def test_an_unfiltered_tree_listing_computes_no_degree(monkeypatch):
+def _check_unfiltered_listing_computes_no_degree(monkeypatch, graph_class):
+    listing, n, count, _ = _LISTINGS[graph_class]
+
     def refuse(record):
-        raise AssertionError("a tree degree was computed")
+        raise AssertionError(f"a {graph_class} degree was computed")
 
-    enumeration._tree_degrees.cache_clear()
+    enumeration._max_degrees.cache_clear()
     monkeypatch.setattr(enumeration, "_record_max_degree", refuse)
-    trees = enumerate_trees(12)
-    assert len(list(trees)) == len(trees) == FREE_TREE_COUNTS[12]
-    assert trees[3:9] == list(trees)[3:9]
+    graphs = listing(n)
+    assert len(list(graphs)) == len(graphs) == count
+    assert graphs[3:9] == list(graphs)[3:9]
     with pytest.raises(AssertionError, match="degree was computed"):
-        enumerate_trees(12, 4)
+        listing(n, 4)
 
 
-def test_tree_counts_compute_each_degree_once(monkeypatch, capsys):
+def test_an_unfiltered_tree_listing_computes_no_degree(monkeypatch):
+    _check_unfiltered_listing_computes_no_degree(monkeypatch, "tree")
+
+
+def test_an_unfiltered_unicyclic_listing_computes_no_degree(monkeypatch):
+    _check_unfiltered_listing_computes_no_degree(monkeypatch, "unicyclic")
+
+
+def _check_counts_compute_each_degree_once(monkeypatch, capsys, graph_class):
+    _, n, count, at_four = _LISTINGS[graph_class]
     seen = []
     degree = enumeration._record_max_degree
     monkeypatch.setattr(
         enumeration, "_record_max_degree", lambda rec: seen.append(rec) or degree(rec)
     )
-    enumeration._tree_degrees.cache_clear()
+    enumeration._max_degrees.cache_clear()
     for argv in (["--count-only"], ["--count-only", "--delta", "4"], ["--delta", "4"]):
-        assert dispatch(["enumerate", "--class", "tree", "--n", "12", *argv]) == 0
-        assert sorted(seen) == sorted(enumeration._tree_records(12))
+        assert dispatch(["enumerate", "--class", graph_class, "--n", str(n), *argv]) == 0
+        assert sorted(seen) == sorted(enumeration._RECORDS[graph_class](n))
     out = capsys.readouterr().out
-    assert "total=551" in out and "delta=4 count=220\ntotal=220" in out
+    assert f"total={count}" in out and f"delta=4 count={at_four}\ntotal={at_four}" in out
+
+
+def test_tree_counts_compute_each_degree_once(monkeypatch, capsys):
+    _check_counts_compute_each_degree_once(monkeypatch, capsys, "tree")
+
+
+def test_unicyclic_counts_compute_each_degree_once(monkeypatch, capsys):
+    _check_counts_compute_each_degree_once(monkeypatch, capsys, "unicyclic")
 
 
 def test_unicyclic_counts():

@@ -24,10 +24,10 @@ from sumconn.graphs import (
     unique_cycle,
 )
 from sumconn.construct import attach_path, tree_extremal, unicyclic_extremal
-from sumconn.enumeration import _unicyclic_records, enumerate_trees, enumerate_unicyclic
+from sumconn.enumeration import _max_degrees, enumerate_trees, enumerate_unicyclic
 from sumconn.verify import transform_monotonicity_suite
 
-from oracles import _centers, _cycle_by_dfs, adjacency_from_edges, adjacency_with_edge
+from oracles import _centers, _cycle_by_dfs, adjacency_from_edges
 
 
 def test_graph_from_edges_basic():
@@ -166,8 +166,7 @@ def test_adjacency_and_degrees_match_the_eager_build(monkeypatch):
         for g in enumerate_trees(n):
             _check_derived(g)
     for n in range(3, 10):
-        for (top, tree, u, v), g in zip(_unicyclic_records(n), enumerate_unicyclic(n)):
-            assert g.adjacency == adjacency_with_edge(tree.adjacency, u, v)
+        for top, g in zip(_max_degrees("unicyclic", n), enumerate_unicyclic(n)):
             assert max(g.degrees()) == top
             _check_derived(g)
     # Every graph the transform suite makes for one seed.
