@@ -33,7 +33,9 @@ the WROM labeling, and only the edges of the rewritten suffix are decoded
 per step, since a vertex's parent is the latest vertex before it one
 level up; that record is the edge part of its canonical code unless the
 tree is bicentral and re-rooting it at vertex 1 gives a greater sequence,
-which one comparison of the two halves at the central edge tells.  Then
+which one comparison of the two halves at the central edge tells.  The
+generator yields the root's second child, where the halves meet, and
+whether they are equally tall, as its own validity test measured them.  Then
 the code's edges are the record's own, relabeled by one ``bytes.translate``
 and joined in another order (``_tree_records``), with no second decode
 or sort.  A unicyclic class is kept in the same format: its tree's record
@@ -53,20 +55,24 @@ the generator emits it, with no canonical code and no sort.
 ``unicyclic_bracelets`` lists each unicyclic class once, to n = 16
 (``graphs.MAX_VERTICES``), as a bracelet of rooted trees (orderly
 generation after Read, "Every one a winner", 1978, and Sawada's bracelets,
-SIAM J. Comput. 2001), and reads its profile off the trees'.  Both decode
-level sequences through ``_level_profile``.  The unicyclic listing keeps
-the tree+chord generator, whose representatives' labels are pinned, and
-is the reference the bracelets are checked against.
+SIAM J. Comput. 2001), and reads its profile off the trees'.  Free and
+rooted trees alike get parents and degrees stepped along the successor
+(``_level_profiles``): only the suffix the step rewrote is derived again.
+A bracelet's words are built position by position, each prefix's running
+profile, top degree and last root shared by every word that extends it,
+and the last letter closes the cycle.  The unicyclic listing keeps the
+tree+chord generator, whose representatives' labels are pinned, and is
+the reference the bracelets are checked against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import combinations, compress, product, repeat
-from operator import itemgetter
+from itertools import combinations, compress, repeat
+from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterator
 
@@ -95,28 +101,39 @@ def _next_rooted(seq: bytes, p: int | None = None) -> tuple[bytes, int] | None:
     return seq[:p] + (seq[q:p] * tail)[:tail], p
 
 
-def _free_trees(n: int) -> Iterator[tuple[bytes, int]]:
-    """The WROM level sequence of every free tree on n >= 1 vertices, with
-    the least position at which it may differ from the one before (1 for
-    the first: the root's depth 0 never changes).
+def _free_trees(n: int) -> Iterator[tuple[bytes, int, int, bool]]:
+    """``(seq, p, cut, bicentral)`` for every free tree on n >= 1 vertices:
+    its WROM level sequence; the least position at which it may differ from
+    the one before (1 for the first: the root's depth 0 never changes); the
+    root's second child (n if none); and whether the root's first subtree,
+    ``seq[1:cut]``, is as tall as the rest, which makes the tree bicentral
+    with centers 0 and 1 (``_tree_records``).
 
-    A rooted successor is kept when the root's first subtree, from vertex 1
-    up to the root's second child at ``cut``, is no larger than the rest of
-    the tree: no higher; if as high, with no more vertices; if as many too,
-    no greater lexicographically.  Else it jumps: the rooted successor from
-    the first subtree's last vertex and, if that vertex was deeper than 2,
-    the tail replaced by a path one longer than the new first subtree's
-    height."""
+    A rooted successor is kept when the root's first subtree is no larger
+    than the rest of the tree: no higher; if as high, with no more
+    vertices; if as many too, no greater lexicographically.  Else it
+    jumps: the rooted successor from the first subtree's last vertex and,
+    if that vertex was deeper than 2, the tail replaced by a path one
+    longer than the new first subtree's height.  A jump lands on the next
+    free tree, which the test, run again, keeps.
+
+    The test's measures are the ones yielded, and each is taken again only
+    when a step rewrote what it reads.  A step from p > ``cut`` leaves the
+    first subtree and the cut as they were, so only the rest's height is
+    measured again; a jump rewrites from below the cut, so the test after
+    it measures both halves."""
     if n == 1:
-        yield b"\x00", 1  # the successor rule needs a root with a subtree
+        yield b"\x00", 1, 1, False  # the successor rule needs a root with a subtree
         return
     seq = bytes([*range(n // 2 + 1), *range(1, (n + 1) // 2)])
     p = 1
+    cut = n
     while True:
-        cut = seq.find(1, 2)
-        if cut < 0:
-            cut = n
-        left = max(seq[1:cut]) - 1  # the first subtree's height
+        if p <= cut:
+            cut = seq.find(1, 2)
+            if cut < 0:
+                cut = n
+            left = max(seq[1:cut]) - 1  # the first subtree's height
         rest = max(seq[cut:], default=0)
         if left > rest or left == rest and (
             2 * cut > n + 2
@@ -125,12 +142,13 @@ def _free_trees(n: int) -> Iterator[tuple[bytes, int]]:
             jump, _ = _next_rooted(seq, cut - 1)
             p = min(p, cut - 1)
             if seq[cut - 1] > 2:
-                cut = jump.find(1, 2)
-                path = bytes(range(1, max(jump[1 : cut if cut > 0 else n]) + 1))
+                second = jump.find(1, 2)
+                path = bytes(range(1, max(jump[1 : second if second > 0 else n]) + 1))
                 jump = jump[: n - len(path)] + path
                 p = min(p, n - len(path))
             seq = jump
-        yield seq, p
+            continue
+        yield seq, p, cut, left == rest
         step = _next_rooted(seq)
         if step is None:
             return
@@ -176,7 +194,8 @@ def _tree_records(n: int) -> tuple[bytes, ...]:
       subtree, A, is the tallest.  WROM accepts a sequence only when A is
       no taller than B.  So either A is lower, and the root is the only
       center, or both halves have one height, and the centers are the
-      root and vertex 1 (``max(seq[1:cut]) > max(seq[cut:])``).
+      root and vertex 1 (``_free_trees`` yields this as ``bicentral``,
+      with ``cut``, from its own test).
     * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
       canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0,
       that is 0, then A one level deeper, then B's subtrees.
@@ -205,15 +224,10 @@ def _tree_records(n: int) -> tuple[bytes, ...]:
     above = [0] * (n - 1)  # above[v - 1]: the edge to v from its parent
     keys = []
     rerooted = {}
-    for seq, p in _free_trees(n):
+    for seq, p, cut, bicentral in _free_trees(n):
         above[p - 1 :] = [seq.rfind(seq[v] - 1, 0, v) << 8 | v for v in range(p, n)]
         record = pack(*sorted(above))
-        cut = seq.find(1, 2)
-        if cut < 0:
-            cut = n
-        if max(seq[1:cut], default=0) > max(seq[cut:], default=0) and (
-            b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1])
-        ):
+        if bicentral and b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1]):
             # Byte offsets where the runs end: the root's edges at r,
             # vertex 1's child edges at k, vertex 1's side's edges at a.
             r = 2 * seq.count(1)
@@ -431,24 +445,37 @@ def _unicyclic_records(n: int) -> tuple[bytes, ...]:
 
 # -- edge-type profiles and unicyclic bracelets of rooted trees ------------------
 
-def _level_profile(seq: Sequence[int], root_edges: int) -> tuple[int, int, int]:
-    """``(profile, largest degree, root degree)`` of the tree whose vertex v
-    has depth ``seq[v]`` in preorder and whose root has ``root_edges`` more
-    edges outside it: a non-root vertex has degree ``children(v) + 1``,
-    the root ``children + root_edges``; the profile packs the degree sums
-    of the tree's edges as ``sum 1 << (8*s)``."""
-    s = len(seq)
+def _level_profiles(
+    steps: Iterable[tuple], s: int, root_edges: int
+) -> Iterator[tuple[int, int, int, bytes]]:
+    """``(profile, largest degree, root degree, seq)`` for each step of a
+    level-sequence generator on s vertices, ``(seq, p, ...)`` with p the
+    least position ``seq`` rewrote, read along the steps.  A vertex has
+    degree ``children(v) + 1``, the root ``children + root_edges``, its
+    edges outside the tree counted; the profile packs the degree sums of
+    the tree's edges as ``sum 1 << (8*s)``.
+
+    Only the suffix from p is derived again.  A vertex's parent is the
+    latest vertex before it one level up, so a vertex before p keeps its
+    parent, and its degree changes only by children from p on.  A step
+    takes each old suffix vertex off its old parent's degree and adds it
+    to its new parent's; then every parent and degree is the new tree's.
+    The state before the first step is the star, every parent 0, which the
+    first step (p = 1) rewrites whole.  The profile and largest degree are
+    read over all edges, by C-level maps."""
     parent = [0] * s
-    last = [0] * s  # the latest vertex seen at each depth
-    children = [0] * s
-    for v in range(1, s):
-        parent[v] = p = last[seq[v] - 1]
-        last[seq[v]] = v
-        children[p] += 1
-    degree = [c + 1 for c in children]
-    degree[0] += root_edges - 1
-    profile = sum([_UNIT[degree[parent[v]] + degree[v]] for v in range(1, s)])
-    return profile, max(degree), degree[0]
+    degree = [s - 1 + root_edges] + [1] * (s - 1)
+    unit = _UNIT.__getitem__
+    for step in steps:
+        seq = step[0]
+        p = step[1]
+        for v in range(p, s):
+            degree[parent[v]] -= 1
+            parent[v] = q = seq.rfind(seq[v] - 1, 0, v)
+            degree[q] += 1
+        # Every pair (parent[v], v), the root's (0, 0) taken off again.
+        profile = sum(map(unit, map(add, map(degree.__getitem__, parent), degree)))
+        yield profile - _UNIT[2 * degree[0]], max(degree), degree[0], seq
 
 
 # A letter is a rooted tree hung at a cycle vertex, as the tuple
@@ -460,6 +487,19 @@ def _level_profile(seq: Sequence[int], root_edges: int) -> tuple[int, int, int]:
 _Letter = tuple[int, int, int, int, bytes]
 
 
+def _rooted_trees(s: int) -> Iterator[tuple[bytes, int]]:
+    """Every rooted tree on s >= 1 vertices in Beyer-Hedetniemi order, the
+    path first, with the least position it rewrote (1 for the first)."""
+    seq = bytes(range(s))
+    p = 1
+    while True:
+        yield seq, p
+        step = _next_rooted(seq)
+        if step is None:
+            return
+        seq, p = step
+
+
 @lru_cache(maxsize=None)
 def _rooted_letters(s: int) -> tuple[_Letter, ...]:
     """Every rooted tree on s vertices, in Beyer-Hedetniemi order.
@@ -468,14 +508,8 @@ def _rooted_letters(s: int) -> tuple[_Letter, ...]:
     the tree.  An edge lies in one tree and its two ends' degrees depend
     on that tree alone, so the profile of all edges that do not join two
     cycle vertices is read here, with no graph."""
-    letters = []
-    seq = bytes(range(s))
-    while True:
-        letters.append((len(letters), *_level_profile(seq, 2), seq))
-        step = _next_rooted(seq)
-        if step is None:
-            return tuple(letters)
-        seq, _ = step
+    profiles = _level_profiles(_rooted_trees(s), s, 2)
+    return tuple([(index, *letter) for index, letter in enumerate(profiles)])
 
 
 def _bracelet_compositions(n: int) -> Iterator[tuple[tuple[int, ...], list[Callable]]]:
@@ -531,14 +565,44 @@ def unicyclic_bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]
 
 
 def _bracelets(n: int) -> Iterator[tuple[int, int, tuple[_Letter, ...]]]:
+    """``unicyclic_bracelets``'s words, each composition's built position
+    by position in ``itertools.product`` order.  A word shares its prefix's
+    running profile, top and last root with every word that extends it, so
+    each letter is added once per prefix, not once per word; the last
+    letter also closes the cycle edge back to the first root."""
     for comp, symmetries in _bracelet_compositions(n):
-        for word in product(*map(_rooted_letters, comp)):
-            if symmetries and any(word > g(word) for g in symmetries):
-                continue
-            _, profiles, tops, roots, _ = zip(*word)
-            yield max(tops), sum(profiles) + sum(
-                [_UNIT[a + b] for a, b in zip(roots, roots[1:] + roots[:1])]
-            ), word
+        first, *middle, last = map(_rooted_letters, comp)
+        words = [(letter[1], letter[2], letter[3], (letter,)) for letter in first]
+        for letters in middle:
+            words = _extend(words, letters)
+        for profile, top, root, word in words:
+            first_root = word[0][3]
+            for letter in last:
+                whole = word + (letter,)
+                if symmetries and any(whole > g(whole) for g in symmetries):
+                    continue
+                _, own, high, last_root, _ = letter
+                yield (
+                    high if high > top else top,
+                    profile + own + _UNIT[root + last_root] + _UNIT[last_root + first_root],
+                    whole,
+                )
+
+
+def _extend(
+    words: Iterable[tuple[int, int, int, tuple[_Letter, ...]]], letters: tuple[_Letter, ...]
+) -> Iterator[tuple[int, int, int, tuple[_Letter, ...]]]:
+    """Each word prefix ``(profile, top, last root, word)`` followed by
+    each of ``letters`` in turn, its running sums carried one letter on:
+    the letter's profile plus the cycle edge from the last root to the
+    letter's, and the larger top.  A function, so that each position
+    binds its own letters."""
+    return (
+        (profile + own + _UNIT[root + new_root], high if high > top else top, new_root, word + (letter,))
+        for profile, top, root, word in words
+        for letter in letters
+        for _, own, high, new_root, _ in [letter]
+    )
 
 
 def bracelet_graph(word: Sequence[_Letter]) -> Graph:
@@ -628,8 +692,7 @@ def tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
 
 
 def _tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
-    for seq, _ in _free_trees(n):
-        profile, top, _ = _level_profile(seq, 0)
+    for profile, top, _, seq in _level_profiles(_free_trees(n), n, 0):
         yield top, profile, seq
 
 

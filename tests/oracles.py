@@ -17,9 +17,13 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Twelve references are kept for a different purpose: they are the earlier,
+Fourteen references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
-output for output.  ``free_tree_level_sequences``
+output for output.  ``level_profile`` decodes a level sequence's parents
+and degrees whole, where the package steps them along the generator;
+``bracelets_by_product`` takes each bracelet word whole from
+``itertools.product`` and sums it from scratch, where the package shares
+each prefix's sums.  ``free_tree_level_sequences``
 runs the WROM generator on lists, with a full successor, subtree split
 and validity check per step; ``level_sequence_trees`` builds the tree of
 each of its sequences through ``graph_from_edges`` and sorts by the
@@ -408,6 +412,46 @@ def eager_level_sequence_trees(n: int) -> list:
     trees = [_level_sequence_tree(seq) for seq in free_tree_level_sequences(n)]
     trees.sort(key=canonical_code)
     return trees
+
+
+def level_profile(seq, root_edges: int) -> tuple[int, int, int]:
+    """``(profile, largest degree, root degree)`` of the tree whose vertex v
+    has depth ``seq[v]`` in preorder and whose root has ``root_edges`` more
+    edges outside it, decoded whole: a non-root vertex has degree
+    ``children(v) + 1``, the root ``children + root_edges``; the profile
+    packs the degree sums of the tree's edges as ``sum 1 << (8*s)``."""
+    from sumconn.indices import _UNIT
+
+    s = len(seq)
+    parent = [0] * s
+    last = [0] * s  # the latest vertex seen at each depth
+    children = [0] * s
+    for v in range(1, s):
+        parent[v] = p = last[seq[v] - 1]
+        last[seq[v]] = v
+        children[p] += 1
+    degree = [c + 1 for c in children]
+    degree[0] += root_edges - 1
+    profile = sum([_UNIT[degree[parent[v]] + degree[v]] for v in range(1, s)])
+    return profile, max(degree), degree[0]
+
+
+def bracelets_by_product(n: int) -> Iterator[tuple[int, int, tuple]]:
+    """``(max degree, profile, word)`` of every unicyclic bracelet on n
+    vertices: each least composition's words from ``itertools.product``,
+    whole, filtered by its symmetries, their letters unzipped and their
+    profiles and cycle edges summed from scratch per word."""
+    from sumconn.enumeration import _bracelet_compositions, _rooted_letters
+    from sumconn.indices import _UNIT
+
+    for comp, symmetries in _bracelet_compositions(n):
+        for word in product(*map(_rooted_letters, comp)):
+            if symmetries and any(word > g(word) for g in symmetries):
+                continue
+            _, profiles, tops, roots, _ = zip(*word)
+            yield max(tops), sum(profiles) + sum(
+                [_UNIT[a + b] for a, b in zip(roots, roots[1:] + roots[:1])]
+            ), word
 
 
 def leading_groups_by_value(graphs, k: int) -> tuple[int, list[tuple[RadicalValue, list]]]:

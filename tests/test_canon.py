@@ -101,7 +101,7 @@ def test_level_sequence_codes_are_canonical_codes():
     # Every free tree the enumerator generates, unicentral and bicentral.
     assert level_sequence_code([0]) == canonical_code(graph_from_edges(1, []))
     for n in range(2, 17):
-        for seq, _ in _free_trees(n):
+        for seq, *_ in _free_trees(n):
             assert level_sequence_code(seq) == canonical_code(_level_sequence_tree(seq))
 
 
@@ -225,7 +225,7 @@ def test_necklace_max_of_three_codes_over_every_triple():
 def test_necklace_codes_match_the_parse_on_every_listed_key():
     keys = 0
     for n in range(3, 12):
-        for seq, _ in _free_trees(n):
+        for seq, *_ in _free_trees(n):
             tree = _level_sequence_tree(seq)
             parens = dict(chord_necklaces_unpruned(tree))
             for chord, key in _chord_necklaces(tree):

@@ -36,6 +36,7 @@ from sumconn.construct import unicyclic_extremal
 from sumconn.indices import profile_counts, sum_connectivity
 
 from oracles import (
+    bracelets_by_product,
     chord_dedup_unicyclic,
     chord_necklaces_unpruned,
     connected_graph_orbit_classes,
@@ -45,9 +46,11 @@ from oracles import (
     labeled_tree_classes,
     labeled_unicyclic_class_count,
     level_sequence_code,
+    level_profile,
     level_sequence_trees,
     paren_to_level_sequence,
     prufer_decode,
+    rooted_tree_counts,
     unicyclic_counts,
 )
 
@@ -89,17 +92,48 @@ def test_trees_match_level_sequence_reference():
 
 def test_free_trees_match_the_list_reference():
     # The bytes generator against the list one it replaced, step for step,
-    # and the records against the sort and edges of its sequences.
+    # and the records against the sort and edges of its sequences.  The
+    # cut and equal-height flag, taken from the generator's own test and
+    # measured again only where a step rewrote them, are each tree's.
     for n in range(1, 17):
         reference = list(map(bytes, free_tree_level_sequences(n)))
         steps = list(enumeration._free_trees(n))
-        assert [seq for seq, _ in steps] == reference
-        for (before, _), (seq, p) in zip(steps, steps[1:]):
+        assert [seq for seq, *_ in steps] == reference
+        for (before, *_), (seq, p, *_) in zip(steps, steps[1:]):
             assert 1 <= p < n and seq[:p] == before[:p]
+        for seq, _, cut, bicentral in steps:
+            second = seq.find(1, 2)
+            assert cut == (n if second < 0 else second)
+            assert bicentral == (max(seq[1:cut], default=0) > max(seq[cut:], default=0))
         assert list(enumeration._tree_records(n)) == [
             bytes(chain.from_iterable(level_sequence_edges(seq)))
             for seq in sorted(reference, key=level_sequence_code)
         ]
+
+
+def test_stepped_profiles_match_the_whole_decode():
+    # Parents and degrees stepped along the successor from its rewritten
+    # position, against a decode of each level sequence whole.
+    for n in range(1, 17):
+        steps = list(enumeration._free_trees(n))
+        profiles = list(enumeration._level_profiles(steps, n, 0))
+        assert [seq for *_, seq in profiles] == [seq for seq, *_ in steps]
+        assert [(p, top, root) for p, top, root, _ in profiles] == [
+            level_profile(seq, 0) for seq, *_ in steps
+        ]
+    counts = rooted_tree_counts(14)
+    for s in range(1, 15):
+        letters = enumeration._rooted_letters(s)
+        assert len(letters) == counts[s]
+        for index, profile, top, root, seq in letters:
+            assert (profile, top, root) == level_profile(seq, 2)
+
+
+def test_bracelets_match_the_product_reference():
+    # Words built position by position, sums shared by prefix, against each
+    # word taken whole from itertools.product and summed from scratch.
+    for n in range(3, 15):
+        assert list(enumeration._bracelets(n)) == list(bracelets_by_product(n))
 
 
 def test_lazy_trees_match_the_eager_reference():
@@ -390,7 +424,7 @@ def test_branch_codes_from_slices_are_the_rooted_codes():
     # n = 12: c's side, read off the level sequence, is rooted_code's.
     edges = 0
     for n in range(1, 13):
-        for seq, _ in enumeration._free_trees(n):
+        for seq, *_ in enumeration._free_trees(n):
             tree = _level_sequence_tree(seq)
             adj = tree.adjacency
             parent, end, around = _tree_sides(tree)
@@ -412,7 +446,7 @@ def test_pruning_keys_no_more_chords_than_the_path_rule():
     # readings, so skipping v for its reading keys no more.
     keyed = sum(
         1
-        for seq, _ in enumeration._free_trees(13)
+        for seq, *_ in enumeration._free_trees(13)
         for _ in _chord_necklaces(_level_sequence_tree(seq))
     )
     assert keyed <= 49_985
