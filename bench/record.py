@@ -13,20 +13,20 @@ root::
     python3 bench/record.py --pr 8 --base HEAD~1 --seconds 8
 
 The base revision is exported with ``git archive`` into a temporary
-directory (under ``$TMPDIR``), removed afterwards with the bytecode below;
+directory (under ``$TMPDIR``), removed afterwards;
 each side runs its own ``perfbench/run.py`` on its own ``src/``.  Only the
 committed files of the base count, while the working tree is measured as
 it stands: the report names its HEAD commit and whether uncommitted
 changes were on top of it.  A base that is the working tree's own clean
 HEAD is refused, since it would compare a commit with itself.
 
-Both sides run with the same bytecode state.  Each side writes and reads
-its bytecode in a fresh directory of its own (``PYTHONPYCACHEPREFIX``, with
-``PYTHONDONTWRITEBYTECODE`` unset), and one discarded run per workload and
-side compiles it before the timed pairs.  Otherwise an exported base, which
-never has a ``__pycache__``, compiles ``sumconn`` from source in every
-process when the caller's environment forbids writing bytecode, while the
-working tree reads whatever bytecode it has.
+Both sides run with no ``sumconn`` bytecode: every process compiles it
+from source, as in a fresh checkout where bytecode is never written.  Runs
+set ``PYTHONDONTWRITEBYTECODE=1`` and drop any ``PYTHONPYCACHEPREFIX``, and
+every ``__pycache__`` under the working tree's ``src/`` is removed first;
+an exported base has none.  A fresh prefix would hide the standard
+library's own bytecode too, which such a checkout reads.  One discarded
+run per workload and side warms the file cache before the timed pairs.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import workloads  # noqa: E402  (perfbench/workloads.py of the working tree)
 
 SIDES = ("base", "change")
 PAIRS = 10
-BYTECODE = ("written to and read from a fresh PYTHONPYCACHEPREFIX per side, "
-            "PYTHONDONTWRITEBYTECODE unset; one discarded run per workload and side first")
+BYTECODE = ("none for sumconn: PYTHONDONTWRITEBYTECODE=1, no PYTHONPYCACHEPREFIX, no "
+            "__pycache__ under either side's src/; one discarded run per workload and side first")
 
 
 def _git(*args: str) -> str:
@@ -72,12 +72,18 @@ def export(rev: str, target: Path) -> None:
         tar.extractall(target, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
-def side_env(pycache: Path) -> dict[str, str]:
-    """The environment of every run on one side: bytecode written to and
-    read from ``pycache``, whatever the caller's setting."""
-    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
+def run_env() -> dict[str, str]:
+    """The environment of every run: no bytecode written, and the standard
+    library's read from its own ``__pycache__``, whatever the caller's setting."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
     return env
+
+
+def remove_bytecode(tree: Path) -> None:
+    """Delete every ``__pycache__`` under ``tree/src``, so that no run reads one."""
+    for cache in list((tree / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
 
 
 def run_once(tree: Path, env: dict[str, str], workload: str, seed: int, seconds: float) -> dict:
@@ -98,15 +104,15 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def record(trees: dict[str, Path], envs: dict[str, dict[str, str]], seconds: float) -> dict:
+def record(trees: dict[str, Path], env: dict[str, str], seconds: float) -> dict:
     out = {}
     for workload in workloads.WORKLOADS:
         for side in SIDES:
-            run_once(trees[side], envs[side], workload, 0, 0)  # compiles the bytecode
+            run_once(trees[side], env, workload, 0, 0)  # warms the file cache
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
         for i in range(PAIRS):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                result = run_once(trees[side], envs[side], workload, i, seconds)
+                result = run_once(trees[side], env, workload, i, seconds)
                 runs[side].append(result)
                 print(f"{workload} pair {i} {side}: "
                       + " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()),
@@ -147,8 +153,8 @@ def main(argv: list[str]) -> int:
     try:
         trees = {"base": scratch / "base", "change": ROOT}
         export(base, trees["base"])
-        envs = {side: side_env(scratch / f"pycache-{side}") for side in SIDES}
-        results = record(trees, envs, args.seconds)
+        remove_bytecode(ROOT)
+        results = record(trees, run_env(), args.seconds)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     report = {

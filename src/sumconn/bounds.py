@@ -15,7 +15,7 @@ checks that fall exactly, at every n the values reach.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, GraphClassSpec, is_large_delta
 from .indices import _PROFILE_BITS, profile_value
@@ -98,8 +98,7 @@ def unicyclic_bound_profile(n: int, x: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class TopTwoBound:
+class TopTwoBound(NamedTuple):
     """Closed-form top-two values of unicyclic graphs by sum-connectivity."""
 
     n: int

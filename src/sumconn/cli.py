@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--all", action="store_true", help="run the full standard sweep")
     p.add_argument("--trials", type=int, help=f"transform suite trials (default {TRIALS})")
-    p.add_argument("--seed", type=int, help="transform suite seed (default 0)")
+    p.add_argument("--seed", type=int, help="transform suite seed, nonnegative (default 0)")
     _add_json_flag(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -13,8 +13,7 @@ complements are exactly d <= floor((n-1)/2) and d <= floor((n+1)/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .canon import canonical_code
 from .graphs import (
@@ -37,8 +36,7 @@ def _check(error: type[ValueError], what: str, value: int, least: int, largest: 
         raise error(f"{what} must lie in [{least}, {largest}], got {value}")
 
 
-@dataclass(frozen=True)
-class ClassRange:
+class ClassRange(NamedTuple):
     """The one place a class's ranges are written: its least n and least exact
     degree filter, and the largest n of each use: ``values`` (n - 1 or n edges
     fit a profile's ``_CAPACITY``), ``graphs`` and ``listing`` (held in memory)."""
@@ -65,23 +63,27 @@ RANGES = {
 
 # The degrees whose unicyclic maxima rank first and second, both below n.
 TOP_TWO_DEGREES = (2, 3)
-TOP_TWO = replace(RANGES["unicyclic"], name="top-two ranking", least_n=TOP_TWO_DEGREES[-1] + 1)
+TOP_TWO = RANGES["unicyclic"]._replace(name="top-two ranking", least_n=TOP_TWO_DEGREES[-1] + 1)
 
 
-@dataclass(frozen=True)
-class GraphClassSpec:
-    """Selects a family: n vertices, maximum degree delta, tree or unicyclic.
-    Families start at a path or a cycle, 2 <= delta <= n-1, so n >= 3."""
-
+class _Spec(NamedTuple):
     n: int
     delta: int
     graph_class: str
 
-    def __post_init__(self) -> None:
-        if self.graph_class not in RANGES:
-            raise ValueError(f"unknown graph class {self.graph_class!r}")
-        _check(DeltaRangeError, f"{self.graph_class} family delta", self.delta, 2, self.n - 1)
-        RANGES[self.graph_class].check_n(self.n, "values")
+
+class GraphClassSpec(_Spec):
+    """Selects a family: n vertices, maximum degree delta, tree or unicyclic.
+    Families start at a path or a cycle, 2 <= delta <= n-1, so n >= 3."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, delta: int, graph_class: str) -> GraphClassSpec:
+        if graph_class not in RANGES:
+            raise ValueError(f"unknown graph class {graph_class!r}")
+        _check(DeltaRangeError, f"{graph_class} family delta", delta, 2, n - 1)
+        RANGES[graph_class].check_n(n, "values")
+        return super().__new__(cls, n, delta, graph_class)
 
 
 def is_large_delta(graph_class: str, n: int, delta: int) -> bool:

@@ -55,7 +55,9 @@ the generator emits it, with no canonical code and no sort.
 ``unicyclic_bracelets`` lists each unicyclic class once, to n = 16
 (``graphs.MAX_VERTICES``), as a bracelet of rooted trees (orderly
 generation after Read, "Every one a winner", 1978, and Sawada's bracelets,
-SIAM J. Comput. 2001), and reads its profile off the trees'.  Free and
+SIAM J. Comput. 2001), and reads its profile off the trees'.  Its size
+sequences are generated as necklaces (Fredricksen-Kessler-Maiorana) and
+kept when no reflection is smaller.  Free and
 rooted trees alike get parents and degrees stepped along the successor
 (``_level_profiles``): only the suffix the step rewrote is derived again.
 A bracelet's words are built position by position, each prefix's running
@@ -71,7 +73,7 @@ from bisect import bisect
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import combinations, compress, repeat
+from itertools import compress, repeat
 from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterator
@@ -512,19 +514,44 @@ def _rooted_letters(s: int) -> tuple[_Letter, ...]:
     return tuple([(index, *letter) for index, letter in enumerate(profiles)])
 
 
+def _necklace_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Each composition of n into k parts that is least among its k
+    rotations, in lexicographic order: the Fredricksen-Kessler-Maiorana
+    recursion, which extends only prenecklaces.  With p the length of the
+    prefix's longest Lyndon prefix, part t is at least part t - p (equal
+    keeps p, larger makes the prefix Lyndon), and the word is a necklace
+    when p divides k.  Every part is at least the first, so each part is at
+    most what leaves the first's value for every later one."""
+    comp = [0] * k
+
+    def extend(t: int, p: int, left: int) -> Iterator[tuple[int, ...]]:
+        # Parts t..k-1 are still to place and sum to ``left``.
+        least = comp[t - p]
+        if t == k - 1:
+            if left > least or (left == least and k % p == 0):
+                comp[t] = left
+                yield tuple(comp)
+            return
+        for part in range(least, left - comp[0] * (k - 1 - t) + 1):
+            comp[t] = part
+            yield from extend(t + 1, p if part == least else t + 1, left - part)
+
+    for first in range(1, n // k + 1):
+        comp[0] = first
+        yield from extend(1, 1, n - first)
+
+
 def _bracelet_compositions(n: int) -> Iterator[tuple[tuple[int, ...], list[Callable]]]:
     """Each composition of n into k >= 3 parts that is least among its 2k
     dihedral readings, with the readings other than itself that fix it, as
-    position getters."""
+    position getters: of each k's necklace compositions, in lexicographic
+    order, those that no reflection makes smaller."""
     for k in range(3, n + 1):
         # Reading r of the 2k starts at position r forwards, then at k-1-r
         # backwards: slices of the doubled forward and backward sequences.
         getters = [itemgetter(*[(r + j) % k for j in range(k)]) for r in range(k)]
         getters += [itemgetter(*[(k - 1 - r - j) % k for j in range(k)]) for r in range(k)]
-        for cuts in combinations(range(1, n), k - 1):
-            comp = tuple([b - a for a, b in zip((0, *cuts), (*cuts, n))])
-            if comp[0] != min(comp):
-                continue
+        for comp in _necklace_compositions(n, k):
             both = comp + comp, comp[::-1] * 2
             images = [twice[r : r + k] for twice in both for r in range(k)]
             if min(images) == comp:

@@ -26,12 +26,10 @@ one, pinned in CI.
 
 from __future__ import annotations
 
-import random
-import statistics
+from bisect import bisect
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .bounds import tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_code, canonical_form
@@ -40,10 +38,13 @@ from .construct import attach_path, extremal_family
 from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
 from .enumeration import unicyclic_bracelets
 from .graph6 import emit_graph6
-from .graphs import Graph, graph_from_edges, is_unicyclic, peel_leaves
+from .graphs import Graph, is_unicyclic, peel_leaves
 from .indices import product_connectivity, profile_value, sum_connectivity
 from .radicals import RadicalValue
 from .transforms import merge_pendant_paths, reattach_to_pendant
+
+if TYPE_CHECKING:
+    from random import Random
 
 # Largest graph the randomized rewrite suite builds.
 REWRITE_MAX_VERTICES = 12
@@ -84,8 +85,7 @@ def _same_classes(a: Iterable[Graph], b: Iterable[Graph]) -> bool:
     return {canonical_code(g) for g in a} == {canonical_code(g) for g in b}
 
 
-@dataclass
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Outcome of one family verification."""
 
     spec: GraphClassSpec
@@ -229,8 +229,7 @@ def verify_unicyclic_max(n: int, delta: int) -> ExtremalReport:
     return _verify_max("unicyclic", n, delta)
 
 
-@dataclass
-class TopTwoReport:
+class TopTwoReport(NamedTuple):
     """Outcome of the exhaustive top-two ranking check."""
 
     n: int
@@ -327,15 +326,27 @@ def verify_top_two(n: int) -> TopTwoReport:
 # -- randomized transform checks ----------------------------------------------
 
 
-@dataclass
 class MonotonicityReport:
-    """Counterexample tally for the two index-increasing rewrites."""
+    """Counterexample tally for the two index-increasing rewrites; the suite
+    fills it in as it runs.  Each violation list defaults to a new one."""
 
-    merge_trials: int
-    merge_violations: list[str] = field(default_factory=list)
-    reattach_trials: int = 0
-    reattach_violations: list[str] = field(default_factory=list)
-    warning: str | None = None
+    __slots__ = (
+        "merge_trials", "merge_violations", "reattach_trials", "reattach_violations", "warning"
+    )
+
+    def __init__(
+        self,
+        merge_trials: int,
+        merge_violations: list[str] | None = None,
+        reattach_trials: int = 0,
+        reattach_violations: list[str] | None = None,
+        warning: str | None = None,
+    ) -> None:
+        self.merge_trials = merge_trials
+        self.merge_violations = [] if merge_violations is None else merge_violations
+        self.reattach_trials = reattach_trials
+        self.reattach_violations = [] if reattach_violations is None else reattach_violations
+        self.warning = warning
 
     @property
     def passed(self) -> bool:
@@ -354,20 +365,32 @@ class MonotonicityReport:
         }
 
 
-def _random_connected_base(rng: random.Random, n: int) -> Graph:
-    """Random tree from a uniform parent array, plus an optional chord."""
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    tree = graph_from_edges(n, edges)
+def _random_connected_base(rng: Random, n: int) -> Graph:
+    """Random tree from a uniform parent array, plus, for n >= 3, a chord
+    with probability 1/2: the i-th of the tree's (n - 1)(n - 2)/2 non-edges
+    in lexicographic order, i drawn as ``rng.choice`` would draw it from
+    their list, which is not built."""
+    edges = sorted([(rng.randrange(v), v) for v in range(1, n)])
+    # Trusted build: each pair's larger end is its own v, so no pair is out
+    # of range, a loop or a repeat.
+    tree = Graph(n, tuple(edges))
     if n >= 3 and rng.random() < 0.5:
-        non_edges = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if v not in tree.adjacency[u]
-        ]
-        if non_edges:
-            chord = rng.choice(non_edges)
-            return graph_from_edges(n, list(tree.edges) + [chord])
+        i = rng.randrange((n - 1) * (n - 2) // 2)
+        adj = tree.adjacency
+        for u in range(n):  # row u holds the non-edges (u, v), v > u
+            row = adj[u]
+            free = n - 1 - u - (len(row) - bisect(row, u))
+            if i < free:
+                break
+            i -= free
+        for v in range(u + 1, n):
+            if v not in row:
+                if not i:
+                    break
+                i -= 1
+        edges.append((u, v))
+        edges.sort()
+        return Graph(n, tuple(edges))
     return tree
 
 
@@ -377,10 +400,16 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
     increases the exact sum-connectivity index.
 
     With ``trials = 0`` the report passes vacuously and carries a warning.
+    A negative ``seed`` raises ValueError: ``random.Random(-s)`` draws
+    exactly as ``Random(s)``, so it would rerun seed s.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
-    rng = random.Random(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    from random import Random  # here, its one use, so that importing sumconn does not load it
+
+    rng = Random(seed)
     report = MonotonicityReport(merge_trials=trials, reattach_trials=trials)
     if trials == 0:
         report.warning = "no trials requested; vacuous pass"
@@ -405,11 +434,10 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
         for _attempt in range(200):
             base_n = rng.randint(3, REWRITE_MAX_VERTICES - 1)
             base = _random_connected_base(rng, base_n)
+            adj = base.adjacency
+            deg = [len(row) for row in adj]
             candidates = [
-                v
-                for v in range(base_n)
-                if base.degree(v) == 2
-                and min(base.degree(w) for w in base.adjacency[v]) <= 4
+                v for v, row in enumerate(adj) if len(row) == 2 and min(deg[row[0]], deg[row[1]]) <= 4
             ]
             if not candidates:
                 continue
@@ -417,7 +445,7 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
             a = rng.randint(1, REWRITE_MAX_VERTICES - base_n)
             h = attach_path(base, u, a)
             u_prime = base_n + a - 1
-            u2 = rng.choice(sorted(w for w in base.adjacency[u]))
+            u2 = rng.choice(adj[u])  # rows are sorted
             break
         if h is None:
             raise RuntimeError("failed to sample a rewrite instance")
@@ -447,14 +475,15 @@ def chi_r_correlation(n: int, max_delta: int | None = None) -> float:
     for g in members:  # one pass: each tree is built when it is read
         chis.append(float(sum_connectivity(g)))
         rs.append(float(product_connectivity(g)))
-    return statistics.correlation(chis, rs)
+    from statistics import correlation  # here, its one use, as ``random`` above
+
+    return correlation(chis, rs)
 
 
 # -- sweeps --------------------------------------------------------------------
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     """Reports for a full run over verification ranges."""
 
     tree_reports: list[ExtremalReport]

@@ -17,9 +17,11 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Fourteen references are kept for a different purpose: they are the earlier,
+Fifteen references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
-output for output.  ``level_profile`` decodes a level sequence's parents
+output for output.  ``bracelet_compositions_by_scan`` tests every
+composition of n for dihedral leastness, where the package generates only
+necklaces.  ``level_profile`` decodes a level sequence's parents
 and degrees whole, where the package steps them along the generator;
 ``bracelets_by_product`` takes each bracelet word whole from
 ``itertools.product`` and sums it from scratch, where the package shares
@@ -68,6 +70,7 @@ import math
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from typing import Iterator
 
 import mpmath
@@ -434,6 +437,26 @@ def level_profile(seq, root_edges: int) -> tuple[int, int, int]:
     degree[0] += root_edges - 1
     profile = sum([_UNIT[degree[parent[v]] + degree[v]] for v in range(1, s)])
     return profile, max(degree), degree[0]
+
+
+def bracelet_compositions_by_scan(n: int) -> Iterator[tuple[tuple[int, ...], list]]:
+    """Each composition of n into k >= 3 parts that is least among its 2k
+    dihedral readings, with the readings other than itself that fix it, as
+    position getters: every composition of n into k parts, in
+    lexicographic order, tested whole."""
+    for k in range(3, n + 1):
+        # Reading r of the 2k starts at position r forwards, then at k-1-r
+        # backwards: slices of the doubled forward and backward sequences.
+        getters = [itemgetter(*[(r + j) % k for j in range(k)]) for r in range(k)]
+        getters += [itemgetter(*[(k - 1 - r - j) % k for j in range(k)]) for r in range(k)]
+        for cuts in combinations(range(1, n), k - 1):
+            comp = tuple([b - a for a, b in zip((0, *cuts), (*cuts, n))])
+            if comp[0] != min(comp):
+                continue
+            both = comp + comp, comp[::-1] * 2
+            images = [twice[r : r + k] for twice in both for r in range(k)]
+            if min(images) == comp:
+                yield comp, [g for g, image in zip(getters[1:], images[1:]) if image == comp]
 
 
 def bracelets_by_product(n: int) -> Iterator[tuple[int, int, tuple]]:

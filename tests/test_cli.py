@@ -220,6 +220,11 @@ def test_verify_refuses_a_flag_it_would_ignore(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_verify_transforms_refuses_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "--class", "transforms", "--trials", "2", "--seed", "-5")
+    assert (code, out, err) == (2, "", "error: seed must be nonnegative, got -5\n")
+
+
 def test_verify_transforms_defaults(capsys):
     _, given, _ = run(capsys, "verify", "--class", "transforms", "--trials", "5", "--seed", "0", "--json")
     _, default_seed, _ = run(capsys, "verify", "--class", "transforms", "--trials", "5", "--json")
@@ -343,3 +348,23 @@ def test_a_closed_stdout_ends_the_script_as_it_ends_a_filter():
         os.close(write)
     assert proc.stderr == b""
     assert proc.returncode == -signal.SIGPIPE
+
+
+LAYERS = ("canon", "construct", "enumeration", "graph6", "graphs", "indices", "radicals",
+          "transforms", "bounds", "verify")
+
+
+def test_cli_imports_every_layer_and_no_dataclasses():
+    # A fresh interpreter, so that nothing this process imported counts:
+    # the modules that importing the CLI adds to those it starts with.
+    src = str(Path(sumconn.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import sumconn.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    added = set(subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    ).stdout.split())
+    assert not added & {"dataclasses", "inspect", "statistics"}
+    assert {f"sumconn.{layer}" for layer in LAYERS} <= added

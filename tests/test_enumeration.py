@@ -36,6 +36,7 @@ from sumconn.construct import unicyclic_extremal
 from sumconn.indices import profile_counts, sum_connectivity
 
 from oracles import (
+    bracelet_compositions_by_scan,
     bracelets_by_product,
     chord_dedup_unicyclic,
     chord_necklaces_unpruned,
@@ -127,6 +128,19 @@ def test_stepped_profiles_match_the_whole_decode():
         assert len(letters) == counts[s]
         for index, profile, top, root, seq in letters:
             assert (profile, top, root) == level_profile(seq, 2)
+
+
+def test_bracelet_compositions_match_the_scan_reference():
+    # Necklaces generated in order and tested for reflections, against every
+    # composition tested whole: the same compositions in the same order,
+    # each with the same symmetries, compared as the positions they read.
+    for n in range(3, 17):
+        fast = list(enumeration._bracelet_compositions(n))
+        slow = list(bracelet_compositions_by_scan(n))
+        assert [comp for comp, _ in fast] == [comp for comp, _ in slow]
+        for (comp, symmetries), (_, reference) in zip(fast, slow):
+            positions = tuple(range(len(comp)))
+            assert [g(positions) for g in symmetries] == [g(positions) for g in reference]
 
 
 def test_bracelets_match_the_product_reference():

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -312,6 +313,41 @@ def test_monotonicity_suite_vacuous():
 def test_monotonicity_suite_rejects_negative():
     with pytest.raises(ValueError):
         transform_monotonicity_suite(-1)
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+def test_monotonicity_suite_rejects_a_negative_seed(seed):
+    # random.Random(-s) is seeded exactly as Random(s): -5 would rerun seed 5.
+    with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
+        transform_monotonicity_suite(10, seed=seed)
+
+
+def _instance_digest(monkeypatch, seed: int) -> str:
+    """sha256 of every (graph, witnesses) the suite passes to either rewrite,
+    in call order, over 1000 trials of each."""
+    digest = hashlib.sha256()
+    for name in ("merge_pendant_paths", "reattach_to_pendant"):
+        def record(g, *witnesses, _name=name, _rewrite=getattr(verify, name)):
+            digest.update(f"{_name} {g.n} {g.edges} {witnesses}\n".encode())
+            return _rewrite(g, *witnesses)
+
+        monkeypatch.setattr(verify, name, record)
+    assert transform_monotonicity_suite(1000, seed).passed
+    monkeypatch.undo()
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (0, "2561b34ee58321452c44294ed27ccaf073627bf40fe0f3c362c035c0766d2b9c"),
+        (1, "ae649f78e93db4228230e880a9093e69e3e5bdf4a44bf1733a0a5cb51b49d707"),
+    ],
+)
+def test_monotonicity_suite_instances_are_pinned(monkeypatch, seed, expected):
+    # The sampler may change how it finds a chord or a candidate, not which
+    # random numbers it draws or in what order: the instances stay these.
+    assert _instance_digest(monkeypatch, seed) == expected
 
 
 def test_correlation():
