@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, GraphClassSpec, is_large_delta
-from .indices import _PROFILE_BITS, profile_value
+from .indices import _PACKED_BITS, profile_value
 from .radicals import RadicalValue
 
 
@@ -47,7 +47,7 @@ def _unicyclic_edge_types(n: int, delta: int) -> tuple[tuple[int, int], ...]:
 
 def _value(edge_types: tuple[tuple[int, int], ...]) -> RadicalValue:
     """Exact sum of count/sqrt(sum) over edge types: their profile's value."""
-    return profile_value(sum(c << (_PROFILE_BITS * s) for s, c in edge_types))
+    return profile_value(sum(c << (_PACKED_BITS * s) for s, c in edge_types))
 
 
 def tree_max_bound(n: int, delta: int) -> RadicalValue:

@@ -8,8 +8,12 @@ greatest such sequence over their centers (the tree listing reads it
 off a WROM level sequence, ``enumeration._tree_records``); unicyclic
 graphs canonicalize the cycle under rotation and reflection with the
 codes of the subtrees hanging off each cycle vertex; everything else
-falls back to individualization-refinement search.  The specialized paths keep the
-enumeration workloads fast; the generic path is a safety net.
+falls back to individualization-refinement search.  No enumerator calls
+``canonical_code``: the listings key their classes by codes their
+generators emit, with ``necklace_code`` and the level-sequence helpers
+here.  The specialized paths serve the families ``construct`` builds and
+``verify`` compares and renders in its reports, and ``export
+--canonical``; the generic path is a safety net.
 """
 
 from __future__ import annotations

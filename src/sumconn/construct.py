@@ -81,6 +81,10 @@ class GraphClassSpec(_Spec):
     def __new__(cls, n: int, delta: int, graph_class: str) -> GraphClassSpec:
         if graph_class not in RANGES:
             raise ValueError(f"unknown graph class {graph_class!r}")
+        if n < 3:  # no delta fits [2, n-1]
+            raise DeltaRangeError(
+                f"{graph_class} family: n must be at least 3 for a delta in [2, n-1], got {n}"
+            )
         _check(DeltaRangeError, f"{graph_class} family delta", delta, 2, n - 1)
         RANGES[graph_class].check_n(n, "values")
         return super().__new__(cls, n, delta, graph_class)

@@ -5,10 +5,11 @@ degree sum for the former, of the degree product for the latter.  Values
 are exact ``RadicalValue`` numbers; call ``float()`` on them for a view.
 
 So an index is a function of the edge-type profile, the count c_s of the
-edges with radicand s, written one way: the integer ``sum c_s << (8*s)``.
-No count exceeds the edge count, and no profile has more than ``_CAPACITY``
-= 255 edges (graphs have at most 120; ``construct.RANGES`` stops bounds
-there), so none carries and profiles add as count vectors.  A profile is
+edges with radicand s, written one way: the integer ``sum c_s << (8*s)``,
+8 being the count width ``radicals._PACKED_BITS``.  No count exceeds the
+edge count, and no profile has more than ``_CAPACITY`` = 255 edges
+(graphs have at most 120; ``construct.RANGES`` stops bounds there), so
+none carries and profiles add as count vectors.  A profile is
 the histogram ``radicals`` packs one byte per radicand, and
 ``profile_value`` values it lazily: the value compares by a float
 enclosure of its counts and is made exact, with equal values having equal
@@ -23,15 +24,14 @@ from enum import Enum
 from functools import lru_cache
 
 from .graphs import MAX_VERTICES, Graph
-from .radicals import RadicalValue, packed_counts
+from .radicals import _PACKED_BITS, RadicalValue, packed_counts
 
-_PROFILE_BITS = 8
-_CAPACITY = (1 << _PROFILE_BITS) - 1
+_CAPACITY = (1 << _PACKED_BITS) - 1
 
 # ``_UNIT[s]`` is the profile of one edge of radicand s, ``1 << (8*s)``, for
 # every radicand a graph has: degrees are at most MAX_VERTICES - 1, so a
 # product, the larger radicand, is at most its square.
-_UNIT = [1 << (_PROFILE_BITS * s) for s in range((MAX_VERTICES - 1) ** 2 + 1)]
+_UNIT = [1 << (_PACKED_BITS * s) for s in range((MAX_VERTICES - 1) ** 2 + 1)]
 
 
 class IndexKind(Enum):

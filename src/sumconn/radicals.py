@@ -8,10 +8,11 @@ independent over the rationals, so two values are equal exactly when
 their terms coincide, and the sign of a nonzero value can always be
 pinned down by refining integer-square-root intervals.  That is what lets
 argmax ties and "equality iff" claims be decided exactly, with no
-floating-point tolerance: a comparison trusts the difference of two float
-enclosures only when it lies outside a proven error bound (see the
-soundness argument in ``_decide``) and refines the rest with integer
-square roots.
+floating-point tolerance.  Every sign is decided by that refinement
+(``_exact_sign``).  The one float filter is for index values packed as
+histograms, below: two of them compare by their float enclosures when
+the difference lies outside a proven error bound (see the soundness
+argument in ``_decide``), and by their exact forms otherwise.
 
 Representation.  A value keeps its terms as integer coordinates over one
 denominator: q_b = n_b/den, with ``_coords`` the pairs ``(b, n_b)``
@@ -35,23 +36,25 @@ Values are normalized once, by the public constructor and the builders.
 Arithmetic merges operands that are already canonical: it scales them to
 a common denominator, adds integers and divides out one gcd
 (``_reduced``), with no squarefree factoring.  Each value computes its
-float enclosure (``_enclosure``) and its hash on first use and keeps
-them, so comparing or grouping a value again repeats neither.
+hash on first use and keeps it, so grouping a value again does not
+repeat it.
 
 A value built from a packed histogram of radicands
 (``reciprocal_sqrt_packed``, an index value from its edge-type profile)
 becomes exact only when read: it keeps the histogram and a float
 enclosure read off its counts (``_packed_enclosure``), and builds its
-terms by ``reciprocal_sqrt_sum`` on their first read.  Comparisons that
-the enclosures decide, ``<`` and ``==`` alike, read no term, so a value
-that only loses comparisons never builds them.
+terms by ``reciprocal_sqrt_sum`` on their first read.  Comparisons of two
+such values that the enclosures decide, ``<`` and ``==`` alike, read no
+term, so a value that only loses comparisons never builds them.  Any
+other comparison reads terms: equal fields, or the exact sign of the
+difference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum, gcd, inf, isqrt, lcm, sqrt
+from math import fsum, gcd, isqrt, lcm, sqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -65,12 +68,8 @@ _MAX_SIGN_BITS = 1 << 13
 # most 16 vertices; the bound only keeps odd inputs from growing the memo.
 _MEMO_SIZE = 1 << 12
 
-# ``_enclosure`` takes radicands that are exact doubles, and terms whose
-# magnitudes stay far from overflow and from the subnormal range;
-# ``_decide`` trusts a difference of enclosures beyond this relative margin.
-_FILTER_MAX_RADICAND = 1 << 53
-_FILTER_TINY = 2.0**-900
-_FILTER_HUGE = 2.0**900
+# ``_decide`` trusts a difference of packed enclosures beyond this relative
+# margin.
 _FILTER_MARGIN = 2.0**-48
 
 
@@ -110,11 +109,10 @@ class RadicalValue:
 
     ``_coords`` and ``_den`` hold the terms, as the module docstring sets
     out, in the slots ``_c`` and ``_d``.  Besides them, a value keeps its
-    float enclosure ``(S, A)`` in ``_sum`` and ``_abs`` and its hash in
-    ``_hash``, each filled on first use; ``None`` in ``_abs`` or ``_hash``
-    marks one not yet computed.  A value from ``reciprocal_sqrt_packed``
-    keeps its histogram in ``_profile`` and ``None`` in ``_c`` until its
-    terms are first read.
+    hash in ``_hash``, filled on first use (``None`` until then).  A value
+    from ``reciprocal_sqrt_packed`` keeps its histogram in ``_profile``,
+    its float enclosure in ``_enc`` and ``None`` in ``_c`` until its terms
+    are first read; every other value has ``None`` in ``_enc``.
 
     The terms are read through properties rather than a ``__getattr__``
     fallback on unset slots: a class with ``__getattr__`` loses the
@@ -122,7 +120,7 @@ class RadicalValue:
     about twice as slow.
     """
 
-    __slots__ = ("_c", "_d", "_sum", "_abs", "_hash", "_profile")
+    __slots__ = ("_c", "_d", "_enc", "_hash", "_profile")
 
     def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -139,7 +137,7 @@ class RadicalValue:
             sorted((b, q.numerator * (den // q.denominator)) for b, q in acc.items() if q)
         )
         self._d = den
-        self._abs = self._hash = None
+        self._enc = self._hash = None
 
     # -- constructors -----------------------------------------------------
 
@@ -181,13 +179,13 @@ class RadicalValue:
         """Exact ``sum k/sqrt(s)`` over a histogram packed one byte per
         radicand, ``packed_counts(packed)``, made exact when first read.
 
-        The value holds ``packed`` and its enclosure, both S and A the
-        ``_packed_enclosure``; its terms are built when first read.
+        The value holds ``packed`` and its ``_packed_enclosure``; its terms
+        are built when first read.
         """
         value = object.__new__(RadicalValue)
         value._profile = packed
         value._c = value._d = None
-        value._sum = value._abs = _packed_enclosure(packed)
+        value._enc = _packed_enclosure(packed)
         value._hash = None
         return value
 
@@ -275,48 +273,32 @@ class RadicalValue:
 
     # -- exact comparison ----------------------------------------------------
 
-    def _enclose(self) -> None:
-        """Fill the cached enclosure.  A value ``_enclosure`` refuses gets
-        ``(0.0, inf)``: its margin is infinite, so ``_decide`` never
-        trusts it and every comparison with it takes the exact path."""
-        enclosure = _enclosure(self._coords, self._den)
-        self._sum, self._abs = (0.0, inf) if enclosure is None else enclosure
-
     def sign(self) -> int:
-        """Exact sign (-1, 0, +1).
-
-        The cached float enclosure decides the sign only when it lies
-        outside a proven error bound (see ``_decide`` for the argument);
-        every other value goes to exact interval refinement in scaled
-        integers.
-        """
-        if not self._coords:
-            return 0
-        if self._abs is None:
-            self._enclose()
-        return _decide(self._sum, self._abs, 0.0, 0.0) or _exact_sign(self._coords)
+        """Exact sign (-1, 0, +1), by interval refinement in scaled
+        integers (``_exact_sign``)."""
+        coords = self._coords
+        return _exact_sign(coords) if coords else 0
 
     def _cmp(self, other: "RadicalValue" | Rational) -> int | None:
+        """Sign of ``self - other``: by ``_decide`` when both sides are
+        packed and their enclosures are far enough apart, else 0 for equal
+        fields and the exact sign of the difference for the rest."""
         rhs = other if type(other) is RadicalValue else self._coerce(other)
         if rhs is None:
             return None
         if self is rhs:
             return 0
-        if self._abs is None:
-            self._enclose()
-        if rhs._abs is None:
-            rhs._enclose()
-        return _decide(self._sum, self._abs, rhs._sum, rhs._abs) or (
+        sa, sb = self._enc, rhs._enc
+        return (sa is not None and sb is not None and _decide(sa, sb)) or (
             0 if self._den == rhs._den and self._coords == rhs._coords else (self - rhs).sign()
         )
 
     def __eq__(self, other: object) -> bool:
-        """Equal terms, or early: the same object is equal, and, when a
-        side's terms are not built yet, two enclosures at hand that
-        ``_decide`` separates are not (a ``reciprocal_sqrt_packed``
-        value's always is at hand), with no term built.  Values whose
-        terms are both built compare them alone: that is cheaper than
-        the float test."""
+        """Equal terms, or early: the same object is equal, and, when both
+        sides are packed and a side's terms are not built yet, two
+        enclosures that ``_decide`` separates are not, with no term built.
+        Values whose terms are both built compare them alone: that is
+        cheaper than the float test."""
         if type(other) is not RadicalValue:
             if not isinstance(other, (RadicalValue, int, Fraction)):
                 return NotImplemented
@@ -325,9 +307,9 @@ class RadicalValue:
             return True
         if (
             (self._c is None or other._c is None)
-            and self._abs is not None
-            and other._abs is not None
-            and _decide(self._sum, self._abs, other._sum, other._abs)
+            and self._enc is not None
+            and other._enc is not None
+            and _decide(self._enc, other._enc)
         ):
             return False
         return self._den == other._den and self._coords == other._coords
@@ -421,7 +403,7 @@ def _from_canonical(coords: tuple[tuple[int, int], ...], den: int) -> RadicalVal
     value = object.__new__(RadicalValue)
     value._c = coords
     value._d = den
-    value._abs = value._hash = None
+    value._enc = value._hash = None
     return value
 
 
@@ -433,44 +415,11 @@ def _reduced(coords: dict[int, int], den: int) -> RadicalValue:
     return _from_canonical(tuple(sorted([(b, n // g) for b, n in coords.items() if n])), den // g)
 
 
-def _enclosure(coords: tuple[tuple[int, int], ...], den: int) -> tuple[float, float] | None:
-    """Float enclosure ``(S, A)`` of x = sum n_b/den * sqrt(b), a value's
-    fields, or None when a guard fails: S is the ``fsum`` of the per-term
-    doubles and A the ``fsum`` of their absolute values (A = S when every
-    term is positive, as an index value's are), and |S - x| <= 4.1u*A
-    (u = 2**-53).
-
-    ``coords`` are sorted by radicand, as a value's are.  For the empty
-    sum both are 0, and exact.
-
-    Soundness.  Let x_b = (n_b/den)*sqrt(b) exactly and f_b =
-    (n_b / den) * sqrt(b) evaluated in doubles.  n_b / den is Python's
-    int/int true division, which rounds the exact rational n_b/den
-    correctly (in lowest terms or not), as float(q_b) does.  sqrt(b) is
-    IEEE sqrt of b, an exact double since b < 2**53, so it is correctly
-    rounded too, and so is their product.  While nothing is subnormal or
-    overflows, f_b = x_b*(1+d1)*(1+d2)*(1+d3) with every |d_j| <= u, so
-    |f_b - x_b| <= ((1+u)**3 - 1)*|x_b| <= 3.01u*|f_b|.  math.fsum is
-    correctly rounded too: S is within u*sum|f_b| of sum(f_b), and
-    A >= (1-u)*sum|f_b|.  Hence |S - x| <= 4.1u*A.  Requiring every
-    |f_b| in (2**-900, 2**900) keeps n_b / den (sqrt(b) lies in
-    [1, 2**26.5]), each product and each fsum normal and finite: every f_b
-    is a multiple of 2**-952, so S is 0 or at least that large.  A
-    quotient too large for a double raises OverflowError, which also
-    returns None.
-    """
-    if not coords:
-        return 0.0, 0.0
-    if coords[-1][0] >= _FILTER_MAX_RADICAND:
-        return None
-    try:
-        f = [n / den * sqrt(b) for b, n in coords]
-    except OverflowError:
-        return None
-    a = list(map(abs, f))
-    if not (_FILTER_TINY < min(a) and max(a) < _FILTER_HUGE):
-        return None
-    return fsum(f), fsum(a)
+# The width of one count in a packed histogram: one byte per radicand, as
+# ``packed_counts`` decodes it with ``int.to_bytes``.  Every packer shifts
+# by it, and its largest count, 255, is the k <= 255 that
+# ``_packed_enclosure`` assumes.
+_PACKED_BITS = 8
 
 
 def packed_counts(packed: int) -> dict[int, int]:
@@ -482,40 +431,38 @@ def packed_counts(packed: int) -> dict[int, int]:
 
 def _packed_enclosure(packed: int) -> float:
     """Float enclosure of x = sum k/sqrt(s) over ``packed_counts(packed)``:
-    S = A = the ``fsum`` of the doubles k / sqrt(s), and |S - x| <= 3.01u*A
-    (u = 2**-53), within the 4.1u*A that ``_decide`` assumes.
+    S = the ``fsum`` of the doubles k / sqrt(s), and |S - x| <= 3.01u*S
+    (u = 2**-53), the bound ``_decide`` assumes.
 
     Soundness.  A radicand s is a byte's index, far below 2**53, so it is
     an exact double and IEEE sqrt rounds sqrt(s) correctly; a count k is
     an exact double in [1, 255], and k / sqrt(s) is one more correctly
     rounded operation.  So f = x_s*(1+d2)/(1+d1) with |d1|, |d2| <= u,
     and |f - x_s| <= 2u(1+u)/(1-u)**2 * f.  Every f lies in [2**-27, 255],
-    far from the subnormal and overflow ranges, and is positive, so the
-    fsum of the absolute values is S itself.  math.fsum rounds correctly:
-    S is within u*sum(f) of sum(f), and sum(f) <= S/(1-u).  Hence
-    |S - x| <= (2u(1+u)/(1-u)**2 + u)/(1-u) * S <= 3.01u*A.  The empty
-    histogram gives 0, exact.
+    far from the subnormal and overflow ranges, and is positive.
+    math.fsum rounds correctly: S is within u*sum(f) of sum(f), and
+    sum(f) <= S/(1-u).  Hence |S - x| <= (2u(1+u)/(1-u)**2 + u)/(1-u) * S
+    <= 3.01u*S.  The empty histogram gives 0, exact.
     """
     return fsum([k / sqrt(s) for s, k in packed_counts(packed).items()])
 
 
-def _decide(sa: float, aa: float, sb: float, ab: float) -> int:
-    """Sign of x_a - x_b from enclosures ``(sa, aa)`` of x_a and
-    ``(sb, ab)`` of x_b, or 0 when undecided.
+def _decide(sa: float, sb: float) -> int:
+    """Sign of x_a - x_b from the ``_packed_enclosure``s ``sa`` of x_a and
+    ``sb`` of x_b, or 0 when undecided.
 
-    Soundness.  By ``_enclosure``, |S - x| <= 4.1u*A on each side, so
-    |(sa - sb) - (x_a - x_b)| <= 4.1u*(aa + ab).  D = sa - sb and
-    M = aa + ab each add one rounding: D = (sa - sb)*(1+e1) and
-    M = (aa + ab)*(1+e2) with |e1|, |e2| <= u (a difference that lands
+    Soundness.  By ``_packed_enclosure``, |S - x| <= 3.01u*S with S >= 0
+    on each side, so |(sa - sb) - (x_a - x_b)| <= 3.01u*(sa + sb).
+    D = sa - sb and M = sa + sb each add one rounding: D = (sa - sb)*(1+e1)
+    and M = (sa + sb)*(1+e2) with |e1|, |e2| <= u (a difference that lands
     below the normal range is exact), and 2**-48*M = 32u*M is exact.  If
-    |D| > 32u*M, then |sa - sb| >= |D|/(1+u) > 32u*(1-u)/(1+u)*(aa + ab),
-    and 32u*(1-u)/(1+u) > 8.2u, twice the 4.1u*(aa + ab) by which
-    sa - sb can miss x_a - x_b; so x_a - x_b has the sign of sa - sb,
-    which rounding gives D too.  An infinite A (a value ``_enclosure``
-    refused) makes the margin infinite and the decision 0.
+    |D| > 32u*M, then |sa - sb| >= |D|/(1+u) > 32u*(1-u)/(1+u)*(sa + sb),
+    and 32u*(1-u)/(1+u) > 31u, over ten times the 3.01u*(sa + sb) by
+    which sa - sb can miss x_a - x_b; so x_a - x_b has the sign of sa - sb,
+    which rounding gives D too.
     """
     d = sa - sb
-    if abs(d) > _FILTER_MARGIN * (aa + ab):
+    if abs(d) > _FILTER_MARGIN * (sa + sb):
         return 1 if d > 0 else -1
     return 0
 

@@ -76,7 +76,7 @@ from typing import Iterator
 import mpmath
 
 from sumconn.indices import sum_connectivity
-from sumconn.radicals import RadicalValue, _decide, _enclosure
+from sumconn.radicals import RadicalValue, _decide
 
 Edge = tuple[int, int]
 
@@ -910,11 +910,28 @@ def generic_canonical_edges_unpruned(g) -> list[Edge]:
     return best
 
 
-def _float_sign(a: RadicalValue, b: RadicalValue) -> int:
-    """Sign of ``a - b`` decided in doubles, or 0 when undecided:
-    ``_decide`` on the two sides' enclosures, computed afresh.  Values make
-    the same decision on the enclosures they keep."""
-    ea, eb = _enclosure(a._coords, a._den), _enclosure(b._coords, b._den)
-    if ea is None or eb is None:
-        return 0
-    return _decide(*ea, *eb)
+def packed_counts_by_shift(packed: int) -> dict[int, int]:
+    """``{s: k}`` of a histogram packed one byte per radicand, byte s read
+    by shift and mask, with no ``int.to_bytes``."""
+    counts = {}
+    s = 0
+    while packed >> (8 * s):
+        k = (packed >> (8 * s)) & 0xFF
+        if k:
+            counts[s] = k
+        s += 1
+    return counts
+
+
+def _float_sign(a: int, b: int) -> int:
+    """Sign of x_a - x_b for the histograms ``a`` and ``b`` packed one byte
+    per radicand (byte s counting 1/sqrt(s)), decided in doubles, or 0 when
+    undecided: ``_decide`` on enclosures summed here as ``fsum`` of
+    k / sqrt(s) over ``packed_counts_by_shift``.  Values from
+    ``reciprocal_sqrt_packed`` keep the same enclosures, so their
+    comparisons make the same decision."""
+
+    def enclosure(packed: int) -> float:
+        return math.fsum(k / math.sqrt(s) for s, k in packed_counts_by_shift(packed).items())
+
+    return _decide(enclosure(a), enclosure(b))

@@ -23,7 +23,7 @@ from sumconn.construct import (
     unicyclic_extremal,
 )
 from sumconn.graphs import SizeLimitError, cycle_graph, path_graph
-from sumconn.indices import _PROFILE_BITS, profile_value, sum_connectivity
+from sumconn.indices import _PACKED_BITS, profile_value, sum_connectivity
 from sumconn.radicals import RadicalValue
 
 from oracles import (
@@ -116,7 +116,7 @@ def test_extremal_graphs_have_exactly_the_bound_edge_types(monkeypatch):
                 expected = valued.pop()
                 for g in extremal_family(GraphClassSpec(n, delta, graph_class)):
                     deg = g.degrees()
-                    profile = sum(1 << (_PROFILE_BITS * (deg[u] + deg[v])) for u, v in g.edges)
+                    profile = sum(1 << (_PACKED_BITS * (deg[u] + deg[v])) for u, v in g.edges)
                     assert profile == expected, (graph_class, n, delta)
 
 

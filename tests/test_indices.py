@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumconn.bounds import tree_max_bound, unicyclic_max_bound
 from sumconn.canon import canonical_code
 from sumconn.construct import unicyclic_extremal
 from sumconn.enumeration import enumerate_trees, tree_profiles, unicyclic_bracelets
@@ -27,7 +28,7 @@ from sumconn.indices import (
 from sumconn import indices, radicals, verify
 from sumconn.radicals import RadicalValue, _decide, _exact_sign
 
-from oracles import mp_terms, reciprocal_sqrt_terms, terms_hash
+from oracles import mp_terms, packed_counts_by_shift, reciprocal_sqrt_terms, terms_hash
 
 
 def test_edge_contribution():
@@ -218,14 +219,12 @@ def test_value_keys_agree_with_exact_values(pair):
 
 
 def test_value_keys_take_the_exact_path_on_near_ties(monkeypatch):
-    # Values 1.7e-22 apart relative to their size, found by an integer
-    # relation search (mpmath.pslq): their enclosures round to the same
-    # double, so only the filter's margin sends the comparison to the
-    # exact sign.
-    a = _radicands({5: 200, 19: 300, 22: 231, 26: 81})
-    b = _radicands({3: 180, 30: 377, 31: 282})
-    va = RadicalValue.reciprocal_sqrt_sum(Counter(a))
-    vb = RadicalValue.reciprocal_sqrt_sum(Counter(b))
+    # Profiles inside the capacity whose values are 4.0e-22 apart relative
+    # to their size, found by an integer relation search (mpmath.pslq):
+    # their enclosures round to the same double, so only the filter's
+    # margin sends the comparison to the exact sign.
+    ca, cb = {66: 53, 138: 65, 199: 39, 211: 96, 214: 54}, {33: 49, 41: 95, 73: 15}
+    va, vb = profile_value(_packed(ca)), profile_value(_packed(cb))
     exact = []
 
     def counted(coords):
@@ -233,9 +232,14 @@ def test_value_keys_take_the_exact_path_on_near_ties(monkeypatch):
         return _exact_sign(coords)
 
     monkeypatch.setattr(radicals, "_exact_sign", counted)
+    assert va._enc == vb._enc and _decide(va._enc, vb._enc) == 0
     assert va > vb and not float(va) > float(vb)
-    assert _decide(va._sum, va._abs, vb._sum, vb._abs) == 0
     assert len(exact) == 1
+    _assert_keys_agree(_radicands(ca), _radicands(cb))
+    # Values 1.7e-22 apart past the capacity (counts 377 and 282), built
+    # from integer coordinates: no enclosure, so the exact sign decides.
+    a = _radicands({5: 200, 19: 300, 22: 231, 26: 81})
+    b = _radicands({3: 180, 30: 377, 31: 282})
     _assert_keys_agree(a, b)
     _assert_keys_agree(b, a)
 
@@ -251,7 +255,7 @@ def _exact(value: RadicalValue) -> bool:
 
 
 def _packed(counts: dict[int, int]) -> int:
-    return sum(k << (indices._PROFILE_BITS * s) for s, k in counts.items())
+    return sum(k << (indices._PACKED_BITS * s) for s, k in counts.items())
 
 
 # Distinct profiles with equal values: 2/sqrt(8) = 3/sqrt(18) = 1/sqrt(2),
@@ -275,19 +279,31 @@ def _listed_profiles() -> list[int]:
     return sorted(profiles)
 
 
+def _capacity_profiles() -> list[int]:
+    """Profiles at the edge of the enclosure's capacity: K16's sum and
+    product profiles (120 edges at radicand 30, and at 225), a count of 255
+    at radicand 2 and at 225, and the bound profiles at n = 256 for trees
+    and n = 255 for unicyclic graphs, every delta."""
+    profiles = [_packed(c) for c in ({30: 120}, {225: 120}, {2: 255}, {225: 255})]
+    profiles += [tree_max_bound(256, d)._profile for d in range(2, 256)]
+    profiles += [unicyclic_max_bound(255, d)._profile for d in range(2, 255)]
+    return profiles
+
+
 def test_profile_values_hold_their_enclosures_and_compare_as_exact_values():
-    profiles = _listed_profiles()
+    profiles = _listed_profiles() + _capacity_profiles()
     profiles += [_packed(c) for pair in _EQUAL_PROFILES for c in pair]
     lazy = [profile_value(p) for p in profiles]
     eager = [RadicalValue.reciprocal_sqrt_sum(profile_counts(p)) for p in profiles]
     assert not any(map(_exact, lazy))
-    # The enclosure, read off the counts, holds the value within 3.01u*A,
-    # inside the 4.1u*A that ``_decide`` assumes.
+    # The enclosure, read off the counts, holds the value within 3.01u*S,
+    # the bound ``_decide`` assumes; the counts are read here apart.
     with mpmath.workdps(60):
         for p, value in zip(profiles, lazy):
-            x = mpmath.fsum(k / mpmath.sqrt(s) for s, k in profile_counts(p).items())
-            assert value._sum == value._abs
-            assert abs(mpmath.mpf(value._sum) - x) <= mpmath.mpf(3.01 * _U) * value._abs
+            counts = packed_counts_by_shift(p)
+            assert profile_counts(p) == counts
+            x = mpmath.fsum(k / mpmath.sqrt(s) for s, k in counts.items())
+            assert abs(mpmath.mpf(value._enc) - x) <= mpmath.mpf(3.01 * _U) * value._enc
     # ``<`` orders both lists alike, and neighbours in that order are equal,
     # and compare, alike lazy or eager, on either side.
     order = sorted(range(len(profiles)), key=eager.__getitem__)

@@ -210,7 +210,6 @@ def _assert_paths_agree(value: RadicalValue, expected: int) -> None:
     assert value.sign() == expected
     if expected:
         assert _exact_sign(value._coords) == expected
-        assert _float_sign(value, RadicalValue.zero()) in (0, expected)
     else:
         assert value.is_zero()
 
@@ -235,8 +234,8 @@ _near_tie_strategy = (
 @settings(max_examples=200, deadline=None)
 @given(_term_strategy, *_near_tie_strategy)
 def test_near_ties_agree_with_exact_refinement_and_oracle(terms, extra_bits, offset):
-    # x - r with r a dyadic rational within 2**-60*|x| of x: the float
-    # filter must step aside and the integer refinement decide.
+    # x - r with r a dyadic rational within 2**-60*|x| of x: no double
+    # holds the sign, and the integer refinement must decide it.
     x = RadicalValue(terms)
     if x.is_zero():
         return
@@ -247,6 +246,9 @@ def test_near_ties_agree_with_exact_refinement_and_oracle(terms, extra_bits, off
 @settings(max_examples=100, deadline=None)
 @given(_term_strategy, _term_strategy)
 def test_exact_equalities_and_filter_agree_with_oracle(t1, t2):
+    # Values built by arithmetic pass no float filter: the exact sign and
+    # the fields against mpmath.  ``test_packed_filter_agrees_with_exact_sign_and_oracle``
+    # checks the one filter, on packed values.
     a, b = RadicalValue(t1), RadicalValue(t2)
     assert _fields((a + b) - b - a) == ((), 1)
     assert ((a + b) - b - a).sign() == 0
@@ -258,9 +260,6 @@ def _assert_comparisons_agree(a, b, dps: int = 60) -> None:
     diff = a - b
     expected = diff.sign()
     assert expected == _oracle_sign(diff, dps)
-    lhs, rhs = RadicalValue._coerce(a), RadicalValue._coerce(b)
-    if _fields(lhs) != _fields(rhs):
-        assert _float_sign(lhs, rhs) in (0, expected)
     assert (a < b, a <= b, a > b, a >= b, a == b) == (
         expected < 0, expected <= 0, expected > 0, expected >= 0, expected == 0
     )
@@ -299,18 +298,15 @@ _BIG_PRIME = 2**61 - 1
     ],
 )
 def test_sign_outside_filter_range(terms):
+    # Values no double can hold: each comparison is exact, the same cold
+    # and warm, against small values too.
     den = math.lcm(*(q.denominator for _, q in terms))
     value = _from_canonical(tuple((s, q.numerator * (den // q.denominator)) for s, q in terms), den)
-    assert _float_sign(value, RadicalValue.zero()) == 0
-    assert _float_sign(RadicalValue.zero(), value) == 0  # the same guards on the subtracted side
     expected = _oracle_sign(value, dps=1000)
     assert expected != 0
     assert value.sign() == expected
     assert (-value).sign() == -expected
     assert (RadicalValue.zero() < value) == (expected > 0)
-    # Through the cached enclosure: refused, so every comparison is exact,
-    # the same cold and warm, against values inside the filter's range too.
-    assert value._abs == math.inf
     for other in (RadicalValue.zero(), -value, RadicalValue.sqrt(2), Fraction(-7, 3)):
         cold = _operator_sign(value, other)
         assert cold == _oracle_sign(value - other, dps=1000)
@@ -327,10 +323,6 @@ def _operator_sign(a, b) -> int:
     return sign
 
 
-def _cached_decision(a: RadicalValue, b: RadicalValue) -> int:
-    return _decide(a._sum, a._abs, b._sum, b._abs)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_term_strategy, _term_strategy, _term_strategy, *_near_tie_strategy)
 def test_cached_comparisons_agree_cold_and_warm(t1, t2, t3, extra_bits, offset):
@@ -344,14 +336,54 @@ def test_cached_comparisons_agree_cold_and_warm(t1, t2, t3, extra_bits, offset):
         assert _operator_sign(x, y) == expected  # cold, or warm for a in its second pair
         assert _operator_sign(x, y) == expected  # warm: the same objects again
         assert _operator_sign(y, x) == -expected
-        decision = _cached_decision(x, y)
-        assert decision == _float_sign(x, y)
-        assert decision in (0, expected)
         for z in (c, x, y):  # each warm value against a third, and itself
             for w in (x, y):
                 assert _operator_sign(w, z) == _oracle_sign(w - z, dps=120)
-                assert _cached_decision(w, z) in (0, _operator_sign(w, z))
-                assert _cached_decision(w, z) == _float_sign(w, z)
+                assert _operator_sign(w, z) == -_operator_sign(z, w)
+
+
+# Histograms inside the capacity of ``_packed_enclosure``: radicands up to
+# 225, the largest a graph on 16 vertices has, and counts up to 255.
+_packed_counts = st.dictionaries(st.integers(1, 225), st.integers(1, 255), max_size=8)
+
+
+@st.composite
+def _packed_pairs(draw):
+    """Two histograms: drawn apart, or the second the first with c counts
+    at radicand b moved to m*m*b as c*m counts, an equal value in another
+    form (c/sqrt(b) = c*m/sqrt(m*m*b))."""
+    x = draw(_packed_counts)
+    if draw(st.booleans()):
+        return x, draw(_packed_counts)
+    y = dict(x)
+    b = draw(st.integers(1, 225 // 4))
+    m = draw(st.integers(2, math.isqrt(225 // b)))
+    c = draw(st.integers(0, min(y.get(b, 0), (255 - y.get(m * m * b, 0)) // m)))
+    y[b] = y.get(b, 0) - c
+    y[m * m * b] = y.get(m * m * b, 0) + c * m
+    return x, {s: k for s, k in y.items() if k}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_packed_pairs())
+def test_packed_filter_agrees_with_exact_sign_and_oracle(pair):
+    a, b = (sum(k << (8 * s) for s, k in counts.items()) for counts in pair)
+    exact_a, exact_b = (RadicalValue.reciprocal_sqrt_sum(counts) for counts in pair)
+    expected = (exact_a - exact_b).sign()
+    assert expected == _oracle_sign(exact_a - exact_b)
+    decision = _float_sign(a, b)
+    assert decision in (0, expected)
+    if not expected:
+        assert decision == 0  # equal values are never told apart
+    x, y = RadicalValue.reciprocal_sqrt_packed(a), RadicalValue.reciprocal_sqrt_packed(b)
+    assert _decide(x._enc, y._enc) == decision
+    # Cold: a comparison the enclosures decide builds no term.
+    assert _operator_sign(x, y) == expected
+    assert (x._c is None and y._c is None) == (decision != 0)
+    # Warm, reversed, and against the exact forms.
+    assert _operator_sign(x, y) == expected
+    assert _operator_sign(y, x) == -expected
+    assert _operator_sign(x, exact_b) == _operator_sign(exact_a, y) == expected
 
 
 def test_equality_runs_the_float_test_only_for_unbuilt_terms(monkeypatch):
@@ -362,9 +394,9 @@ def test_equality_runs_the_float_test_only_for_unbuilt_terms(monkeypatch):
         return _decide(*args)
 
     monkeypatch.setattr(radicals, "_decide", counted)
+    # Values built by arithmetic hold no enclosure: fields alone decide.
     a, b, c = RadicalValue.sqrt(2) + 1, RadicalValue.sqrt(3), RadicalValue({2: 1, 1: 1})
-    assert b < a and c <= a  # every enclosure filled
-    calls.clear()
+    assert b < a and c <= a
     assert a != b and not a == b and a == c and c == a
     assert calls == []
     # Packed values, byte s of the histogram counting 1/sqrt(s): 1/sqrt(2)
@@ -372,6 +404,11 @@ def test_equality_runs_the_float_test_only_for_unbuilt_terms(monkeypatch):
     x, y = RadicalValue.reciprocal_sqrt_packed(1 << 16), RadicalValue.reciprocal_sqrt_packed(1 << 24)
     assert not x == y
     assert len(calls) == 1 and x._c is None and y._c is None
+    # Against a value with no enclosure, or once both are exact, the fields.
+    assert x != b and y == b * Fraction(1, 3) and x < a
+    assert x.terms and y.terms  # both exact now
+    assert not x == y
+    assert len(calls) == 1
 
 
 def test_exact_path_runs_on_near_ties_only(monkeypatch):

@@ -15,7 +15,13 @@ from sumconn.cli import dispatch
 from sumconn.construct import DeltaRangeError, GraphClassSpec, extremal_family
 from sumconn.enumeration import enumerate_trees, enumerate_unicyclic, unicyclic_bracelets
 from sumconn.graphs import SizeLimitError
-from sumconn.verify import FamilyTooSmallError, chi_r_correlation, verify_top_two
+from sumconn.verify import (
+    FamilyTooSmallError,
+    chi_r_correlation,
+    verify_top_two,
+    verify_tree_max,
+    verify_unicyclic_max,
+)
 
 
 def _bound(graph_class, n):
@@ -50,6 +56,24 @@ REFUSED = [
      SizeLimitError, ("tree", "got 257", "[1, 256]")),
     ("unicyclic bound n=256", lambda: unicyclic_max_bound(256, 2), _bound("unicyclic", 256),
      SizeLimitError, ("unicyclic", "got 256", "[3, 255]")),
+    # families start at n = 3, whatever the degree
+    ("tree bound n=2", lambda: tree_max_bound(2, 1),
+     ["bound", "--class", "tree", "--n", "2", "--delta", "1"],
+     DeltaRangeError, ("tree", "n must be at least 3", "got 2")),
+    ("tree bound n=1", lambda: tree_max_bound(1, 1),
+     ["bound", "--class", "tree", "--n", "1", "--delta", "1"],
+     DeltaRangeError, ("tree", "n must be at least 3", "got 1")),
+    ("unicyclic bound n=2", lambda: unicyclic_max_bound(2, 2), _bound("unicyclic", 2),
+     DeltaRangeError, ("unicyclic", "n must be at least 3", "got 2")),
+    ("construct tree n=2", lambda: extremal_family(GraphClassSpec(2, 1, "tree")),
+     ["construct", "--class", "tree", "--n", "2", "--delta", "1"],
+     DeltaRangeError, ("tree", "n must be at least 3", "got 2")),
+    ("verify tree n=2", lambda: verify_tree_max(2, 1),
+     ["verify", "--class", "tree", "--n", "2", "--delta", "1"],
+     DeltaRangeError, ("tree", "n must be at least 3", "got 2")),
+    ("verify unicyclic n=2", lambda: verify_unicyclic_max(2, 2),
+     ["verify", "--class", "unicyclic", "--n", "2", "--delta", "2"],
+     DeltaRangeError, ("unicyclic", "n must be at least 3", "got 2")),
     ("tree bound delta=1", lambda: tree_max_bound(7, 1),
      ["bound", "--class", "tree", "--n", "7", "--delta", "1"],
      DeltaRangeError, ("tree", "delta", "got 1", "[2, 6]")),
