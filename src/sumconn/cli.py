@@ -191,78 +191,33 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_extremal_report(report) -> None:
-    d = report.to_json_dict()
-    print(
-        f"{d['class']} n={d['n']} delta={d['delta']}: size={d['class_size']} "
-        f"value_match={d['match']['value']} set_match={d['match']['set']} "
-        f"argmax={len(d['argmax'])}"
-    )
+# Each verify kind: the flags it needs, the flags it also takes, and its run.
+# A run looks its function up in this module when it is called, so a wrapper
+# bound over that name (as perfbench/tracer.py binds one) is the one called.
+_VERIFY_KINDS = {
+    "tree": (("n", "delta"), (), lambda args: verify_tree_max(args.n, args.delta)),
+    "unicyclic": (("n", "delta"), (), lambda args: verify_unicyclic_max(args.n, args.delta)),
+    "toptwo": (("n",), (), lambda args: verify_top_two(args.n)),
+    "transforms": ((), ("trials", "seed"), lambda args: transform_monotonicity_suite(
+        TRIALS if args.trials is None else args.trials, seed=args.seed or 0)),
+    "all": ((), (), lambda args: run_sweeps()),
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Each kind of run needs some flags, takes others and refuses the rest.
     kind = "all" if args.all else args.graph_class or "tree"
-    needs, takes = {"all": ((), ()), "transforms": ((), ("trials", "seed")),
-                    "toptwo": (("n",), ())}.get(kind, (("n", "delta"), ()))
+    needs, takes, run = _VERIFY_KINDS[kind]
     given = {"class": args.graph_class if args.all else None, "n": args.n, "delta": args.delta,
              "trials": args.trials, "seed": args.seed}
     for flag, value in given.items():
         if flag not in takes and (value is None) == (flag in needs):
-            run = "--all" if args.all else f"--class {kind}"
-            raise ValueError(f"verify {run} {'needs' if flag in needs else 'takes no'} --{flag}")
-    if kind == "transforms":
-        trials = TRIALS if args.trials is None else args.trials
-        report = transform_monotonicity_suite(trials, seed=args.seed or 0)
-        if args.json:
-            _emit_json(report.to_json_dict(), args.json)
-        else:
-            print(
-                f"transforms: merge {report.merge_trials} trials "
-                f"({len(report.merge_violations)} violations), "
-                f"reattach {report.reattach_trials} trials "
-                f"({len(report.reattach_violations)} violations)"
-            )
-            if report.warning:
-                print(f"warning: {report.warning}")
-        return 0 if report.passed else MISMATCH
-
-    if kind == "all":
-        result = run_sweeps()
-        if args.json:
-            _emit_json(result.to_json_dict(), args.json)
-        else:
-            for r in result.tree_reports + result.unicyclic_reports:
-                _print_extremal_report(r)
-            for r in result.top_two_reports:
-                print(f"top-two n={r.n}: passed={r.passed}")
-            print(f"overall: {'PASS' if result.passed else 'FAIL'}")
-        return 0 if result.passed else MISMATCH
-
-    if kind == "toptwo":
-        report = verify_top_two(args.n)
-        if args.json:
-            _emit_json(report.to_json_dict(), args.json)
-        else:
-            print(f"top-two ranking over {report.total} unicyclic graphs on {report.n} vertices")
-            print(f"  rank 1: {report.first_value} (~{float(report.first_value)!r}), {len(report.first)} graph(s)")
-            print(f"  rank 2: {report.second_value} (~{float(report.second_value)!r}), {len(report.second)} graph(s)")
-            print(f"result: {'PASS' if report.passed else 'FAIL'}")
-        return 0 if report.passed else MISMATCH
-
-    fn = verify_tree_max if kind == "tree" else verify_unicyclic_max
-    report = fn(args.n, args.delta)
+            request = "--all" if args.all else f"--class {kind}"
+            raise ValueError(f"verify {request} {'needs' if flag in needs else 'takes no'} --{flag}")
+    report = run(args)
     if args.json:
         _emit_json(report.to_json_dict(), args.json)
     else:
-        d = report.to_json_dict()
-        print(f"class: {d['class']}  n={d['n']}  delta={d['delta']}  family size: {d['class_size']}")
-        print(f"  formula:   {report.formula_value} (~{float(report.formula_value)!r})")
-        print(f"  brute max: {report.brute_max} (~{float(report.brute_max)!r})")
-        print(f"  argmax ({len(d['argmax'])}): {' '.join(d['argmax'])}")
-        print(f"  expected ({len(d['expected'])}): {' '.join(d['expected'])}")
-        print(f"  match: value={d['match']['value']} set={d['match']['set']}")
-        print(f"result: {'PASS' if report.passed else 'FAIL'}")
+        print(report.to_text())
     return 0 if report.passed else MISMATCH
 
 
@@ -373,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--class",
         dest="graph_class",
-        choices=["tree", "unicyclic", "toptwo", "transforms"],
+        choices=[kind for kind in _VERIFY_KINDS if kind != "all"],
         help="the class to verify (default tree)",
     )
     p.add_argument("--n", type=int, default=None)

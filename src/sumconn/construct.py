@@ -64,6 +64,8 @@ RANGES = {
 # The degrees whose unicyclic maxima rank first and second, both below n.
 TOP_TWO_DEGREES = (2, 3)
 TOP_TWO = RANGES["unicyclic"]._replace(name="top-two ranking", least_n=TOP_TWO_DEGREES[-1] + 1)
+# Families start at a path or a cycle, 2 <= delta <= n - 1, so at n = 3.
+FAMILIES = {name: limits._replace(least_n=3) for name, limits in RANGES.items()}
 
 
 class _Spec(NamedTuple):
@@ -73,20 +75,22 @@ class _Spec(NamedTuple):
 
 
 class GraphClassSpec(_Spec):
-    """Selects a family: n vertices, maximum degree delta, tree or unicyclic.
-    Families start at a path or a cycle, 2 <= delta <= n-1, so n >= 3."""
+    """Selects a family: n vertices, maximum degree delta, tree or unicyclic,
+    n in the class's ``FAMILIES`` range."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, delta: int, graph_class: str) -> GraphClassSpec:
-        if graph_class not in RANGES:
+        limits = FAMILIES.get(graph_class)
+        if limits is None:
             raise ValueError(f"unknown graph class {graph_class!r}")
-        if n < 3:  # no delta fits [2, n-1]
+        if n < limits.least_n:  # no delta fits [2, n-1]
             raise DeltaRangeError(
-                f"{graph_class} family: n must be at least 3 for a delta in [2, n-1], got {n}"
+                f"{graph_class} family: n must be at least {limits.least_n} "
+                f"for a delta in [2, n-1], got {n}"
             )
         _check(DeltaRangeError, f"{graph_class} family delta", delta, 2, n - 1)
-        RANGES[graph_class].check_n(n, "values")
+        limits.check_n(n, "values")
         return super().__new__(cls, n, delta, graph_class)
 
 
@@ -99,7 +103,7 @@ def is_large_delta(graph_class: str, n: int, delta: int) -> bool:
 
 def _check_family(family: str, spec: GraphClassSpec, large: bool) -> None:
     """Before ``family`` builds a graph: the graph limit, and its side of ``is_large_delta``."""
-    RANGES[spec.graph_class].check_n(spec.n, "graphs")
+    FAMILIES[spec.graph_class].check_n(spec.n, "graphs")
     if is_large_delta(spec.graph_class, spec.n, spec.delta) != large:
         side = "large" if large else "small"
         raise DeltaRangeError(f"{family} takes {side} delta, got n={spec.n}, delta={spec.delta}")

@@ -9,17 +9,16 @@ form is needed here since n never exceeds 16.
 
 from __future__ import annotations
 
-from binascii import b2a_base64
+from binascii import a2b_base64, b2a_base64
 from functools import lru_cache
 
 from .graphs import Graph, MAX_VERTICES, SizeLimitError, graph_from_edges
 
 _HEADER = ">>graph6<<"
-# base64 digit v (the alphabet below, in order) -> graph6 character v + 63
-_FROM_BASE64 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+# base64 digit v (the alphabet below, in order) <-> graph6 character v + 63
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 
 
 class Graph6Error(ValueError):
@@ -60,6 +59,13 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
+    """Graph of a short-form graph6 string, an optional header first.
+
+    The inverse of :func:`emit_graph6`, through the same ``_layout``: the
+    characters become base64 digits, zero-padded to whole blocks, and the
+    decoded integer holds an edge for each pair whose bit is set; any
+    other set bit is nonzero padding.
+    """
     data = text.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER) :]
@@ -75,24 +81,15 @@ def parse_graph6(text: str) -> Graph:
         raise SizeLimitError(f"graph6 input has {n} vertices; at most {MAX_VERTICES} supported")
     if n < 1:
         raise Graph6Error("graph6 vertex count must be at least 1")
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = data[1:]
-    if len(body) != need:
-        raise Graph6Error(f"expected {need} data characters for n={n}, got {len(body)}")
-    bits: list[int] = []
-    for c in body:
-        value = ord(c) - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    count = n * (n - 1) // 2
-    if any(bits[count:]):
+    bits, chars, nbytes = _layout(n)
+    body = data[1:].encode("ascii")
+    if len(body) != chars:
+        raise Graph6Error(f"expected {chars} data characters for n={n}, got {len(body)}")
+    digits = body.translate(_TO_BASE64).ljust(nbytes // 3 * 4, b"A")
+    value = int.from_bytes(a2b_base64(digits), "big")
+    edges = [pair for pair, bit in bits.items() if value & bit]
+    if value != sum(map(bits.__getitem__, edges)):
         raise Graph6Error("nonzero padding bits")
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
     return graph_from_edges(n, edges)
 
 

@@ -3,8 +3,10 @@
 Every claim is re-derived from scratch: the relevant family is enumerated
 exhaustively, exact index values are compared, and the leading value
 groups are matched against the characterized graphs by canonical code.
-Comparisons are exact throughout; floats appear only in serialized
-reports.
+Comparisons are exact throughout; floats appear only in rendered reports.
+Each report is an immutable NamedTuple with ``passed`` and its two
+renderings, ``to_json_dict()`` and ``to_text()``, which ``sumconn verify``
+writes as they are.
 
 Both classes are ranked the same way: one cached pass per class and n
 (``_ranking``), over ``tree_profiles`` or ``unicyclic_bracelets``, values
@@ -80,6 +82,15 @@ def _graph6_strings(graphs: Iterable[Graph]) -> list[str]:
     return [emit_graph6(canonical_form(g)) for g in graphs]
 
 
+def _approx(value: RadicalValue) -> str:
+    """A value in report text: exact, then its nearest float."""
+    return f"{value} (~{float(value)!r})"
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
 def _same_classes(a: Iterable[Graph], b: Iterable[Graph]) -> bool:
     """Whether ``a`` and ``b`` cover the same isomorphism classes."""
     return {canonical_code(g) for g in a} == {canonical_code(g) for g in b}
@@ -119,6 +130,20 @@ class ExtremalReport(NamedTuple):
             "k_profile": dict(sorted(self.k_profile.items())),
             "passed": self.passed,
         }
+
+    def to_text(self) -> str:
+        spec = self.spec
+        argmax, expected = (sorted(_graph6_strings(gs)) for gs in (self.argmax, self.expected))
+        return "\n".join([
+            f"class: {spec.graph_class}  n={spec.n}  delta={spec.delta}  "
+            f"class size: {self.class_size}",
+            f"  formula:   {_approx(self.formula_value)}",
+            f"  brute max: {_approx(self.brute_max)}",
+            f"  argmax ({len(argmax)}): {' '.join(argmax)}",
+            f"  expected ({len(expected)}): {' '.join(expected)}",
+            f"  match: value={self.value_match} set={self.set_match}",
+            f"result: {_verdict(self.passed)}",
+        ])
 
 
 # Value groups each maximum degree keeps: two, for ``_merge_top_two``.
@@ -197,10 +222,10 @@ def _admit(
 
 def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:
     spec = GraphClassSpec(n=n, delta=delta, graph_class=graph_class)
+    expected = extremal_family(spec)  # first: it checks n against the graph limit
     formula = (tree_max_bound if graph_class == "tree" else unicyclic_max_bound)(n, delta)
     class_size, groups = _ranking(graph_class, n)[delta]
     brute, argmax = groups[0]
-    expected = extremal_family(spec)
     return ExtremalReport(
         spec=spec,
         class_size=class_size,
@@ -274,6 +299,14 @@ class TopTwoReport(NamedTuple):
             "passed": self.passed,
         }
 
+    def to_text(self) -> str:
+        return "\n".join([
+            f"top-two ranking over {self.total} unicyclic graphs on {self.n} vertices",
+            f"  rank 1: {_approx(self.first_value)}, {len(self.first)} graph(s)",
+            f"  rank 2: {_approx(self.second_value)}, {len(self.second)} graph(s)",
+            f"result: {_verdict(self.passed)}",
+        ])
+
 
 def _merge_top_two(
     ranking: Iterable[tuple[int, list[tuple[RadicalValue, Sequence[Graph]]]]]
@@ -326,27 +359,15 @@ def verify_top_two(n: int) -> TopTwoReport:
 # -- randomized transform checks ----------------------------------------------
 
 
-class MonotonicityReport:
-    """Counterexample tally for the two index-increasing rewrites; the suite
-    fills it in as it runs.  Each violation list defaults to a new one."""
+class MonotonicityReport(NamedTuple):
+    """Counterexample tally for the two index-increasing rewrites: the
+    graph6 of each instance a rewrite did not increase."""
 
-    __slots__ = (
-        "merge_trials", "merge_violations", "reattach_trials", "reattach_violations", "warning"
-    )
-
-    def __init__(
-        self,
-        merge_trials: int,
-        merge_violations: list[str] | None = None,
-        reattach_trials: int = 0,
-        reattach_violations: list[str] | None = None,
-        warning: str | None = None,
-    ) -> None:
-        self.merge_trials = merge_trials
-        self.merge_violations = [] if merge_violations is None else merge_violations
-        self.reattach_trials = reattach_trials
-        self.reattach_violations = [] if reattach_violations is None else reattach_violations
-        self.warning = warning
+    merge_trials: int
+    merge_violations: tuple[str, ...] = ()
+    reattach_trials: int = 0
+    reattach_violations: tuple[str, ...] = ()
+    warning: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -363,6 +384,15 @@ class MonotonicityReport:
             "warning": self.warning,
             "passed": self.passed,
         }
+
+    def to_text(self) -> str:
+        text = (
+            f"transforms: merge {self.merge_trials} trials "
+            f"({len(self.merge_violations)} violations), "
+            f"reattach {self.reattach_trials} trials "
+            f"({len(self.reattach_violations)} violations)"
+        )
+        return f"{text}\nwarning: {self.warning}" if self.warning else text
 
 
 def _random_connected_base(rng: Random, n: int) -> Graph:
@@ -409,12 +439,11 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
         raise ValueError(f"seed must be nonnegative, got {seed}")
     from random import Random  # here, its one use, so that importing sumconn does not load it
 
-    rng = Random(seed)
-    report = MonotonicityReport(merge_trials=trials, reattach_trials=trials)
     if trials == 0:
-        report.warning = "no trials requested; vacuous pass"
-        return report
+        return MonotonicityReport(0, warning="no trials requested; vacuous pass")
 
+    rng = Random(seed)
+    merge_violations = []
     for _ in range(trials):
         base_n = rng.randint(2, REWRITE_MAX_VERTICES - 2)
         base = _random_connected_base(rng, base_n)
@@ -427,8 +456,9 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
         p2 = base_n + a + b - 1
         merged = merge_pendant_paths(g, u, p1, p2)
         if not sum_connectivity(merged) > sum_connectivity(g):
-            report.merge_violations.append(emit_graph6(g))
+            merge_violations.append(emit_graph6(g))
 
+    reattach_violations = []
     for _ in range(trials):
         h = None
         for _attempt in range(200):
@@ -451,9 +481,9 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
             raise RuntimeError("failed to sample a rewrite instance")
         rewired = reattach_to_pendant(h, u, u2, u_prime)
         if not sum_connectivity(rewired) > sum_connectivity(h):
-            report.reattach_violations.append(emit_graph6(h))
+            reattach_violations.append(emit_graph6(h))
 
-    return report
+    return MonotonicityReport(trials, tuple(merge_violations), trials, tuple(reattach_violations))
 
 
 # -- correlation --------------------------------------------------------------
@@ -505,6 +535,17 @@ class SweepResult(NamedTuple):
             "top_two": [r.to_json_dict() for r in self.top_two_reports],
             "passed": self.passed,
         }
+
+    def to_text(self) -> str:
+        """One line per report, then the overall verdict."""
+        lines = [
+            f"{r.spec.graph_class} n={r.spec.n} delta={r.spec.delta}: size={r.class_size} "
+            f"value_match={r.value_match} set_match={r.set_match} argmax={len(r.argmax)}"
+            for r in self.tree_reports + self.unicyclic_reports
+        ]
+        lines += [f"top-two n={r.n}: passed={r.passed}" for r in self.top_two_reports]
+        lines.append(f"overall: {_verdict(self.passed)}")
+        return "\n".join(lines)
 
 
 def run_sweeps(

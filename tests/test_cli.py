@@ -232,6 +232,40 @@ def test_verify_transforms_defaults(capsys):
     assert json.loads(given)["merge"]["trials"] == 5
 
 
+# sha256 of each verify kind's output, as text and as --json.
+VERIFY_OUTPUTS = [
+    (["--all"], "1252a07764dc1820930aae9852f0d42b32404e3eeaa34a99f2e93e25e7c95e36"),
+    (["--all", "--json"], "9ae815cee55bd7052e2babb4d8169ef28c0387206711c06a718b12ff6dbda416"),
+    (["--class", "tree", "--n", "9", "--delta", "3"],
+     "cfc6b9f2bce6dcdff6cfb7cb00bcf7759a83a3c00108a3aed70cef92825bfc2f"),
+    (["--class", "tree", "--n", "9", "--delta", "3", "--json"],
+     "0273474a13786f9f45ee9826093a5d4461ae16387e8dd6ee1506c461a149fe23"),
+    (["--class", "unicyclic", "--n", "7", "--delta", "3"],
+     "3badcec7920f983758a54fc498a1416d94ffd9a7dfa2cb8d4c20d8fb61c956a9"),
+    (["--class", "unicyclic", "--n", "7", "--delta", "3", "--json"],
+     "c740ed136c912f55011a3f484aa1093f77ed6e716d66e320729eb150ef1de875"),
+    (["--class", "toptwo", "--n", "8"],
+     "b428dd0d5c5000dd1ef26cfee348064640e83c6bf683938a8a0dac1e6d96456c"),
+    (["--class", "toptwo", "--n", "8", "--json"],
+     "0f35c41c1ba05e1f65138ad97b8cb7aea8e85e7ab854f0d2177d4d86700ddee7"),
+    (["--class", "transforms", "--trials", "50", "--seed", "2"],
+     "627bdb0e20e757c824678c3db2045646795f2a0b0b7eddd35188c42561a0dc32"),
+    (["--class", "transforms", "--trials", "50", "--seed", "2", "--json"],
+     "718e52156caf0909cf74d2573ee05342a40942991d837c4049f4d0bfd4007e5f"),
+    (["--class", "transforms", "--trials", "0"],
+     "d06411c3e3aab33ca768ed19694c98bb75cdafd0d1d9389197058146a302dd36"),
+    (["--class", "transforms", "--trials", "0", "--json"],
+     "43d79200be30f5a39d7b48ecec6d693cc5b8b97ae5a6ad0877f230ea4bc59f68"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", VERIFY_OUTPUTS, ids=[" ".join(a) for a, _ in VERIFY_OUTPUTS])
+def test_verify_output_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "verify", "--class", "toptwo", "--n", "6", "--json")
     _, second, _ = run(capsys, "verify", "--class", "toptwo", "--n", "6", "--json")

@@ -371,7 +371,7 @@ def test_tree_verification_at_the_limit_in_bounded_memory():
     out, peak_kb = _run_for_peak_rss(
         "-m", "sumconn.cli", "verify", "--class", "tree", "--n", "16", "--delta", "8"
     )
-    assert out[0] == "class: tree  n=16  delta=8  family size: 330"
+    assert out[0] == "class: tree  n=16  delta=8  class size: 330"
     assert out[-1] == "result: PASS"
     assert peak_kb < 40 * 1024
 

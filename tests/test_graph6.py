@@ -52,6 +52,20 @@ def test_malformed_inputs():
         parse_graph6(chr(63 + 30))  # 30 vertices
 
 
+def test_parse_inverts_emit_and_refuses_each_padding_bit():
+    # Every n the package reads: edgeless, complete and a path, each parsed
+    # back to itself; then each padding bit of the last character set alone.
+    for n in range(1, 17):
+        complete = [(i, j) for j in range(n) for i in range(j)]
+        for g in (graph_from_edges(n, []), graph_from_edges(n, complete), path_graph(n)):
+            assert parse_graph6(emit_graph6(g)) == g
+        text = emit_graph6(graph_from_edges(n, complete))
+        for bit in range(-len(complete) % 6):
+            padded = text[:-1] + chr(63 + (ord(text[-1]) - 63 | 1 << bit))
+            with pytest.raises(Graph6Error, match="nonzero padding bits"):
+                parse_graph6(padded)
+
+
 def test_round_trip_on_enumerated_families():
     # Same strings as the pair-probing reference on trees n <= 12 and
     # unicyclic graphs n <= 11.

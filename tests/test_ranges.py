@@ -53,7 +53,7 @@ ACCEPTED = [
 
 REFUSED = [
     ("tree bound n=257", lambda: tree_max_bound(257, 2), _bound("tree", 257),
-     SizeLimitError, ("tree", "got 257", "[1, 256]")),
+     SizeLimitError, ("tree", "got 257", "[3, 256]")),
     ("unicyclic bound n=256", lambda: unicyclic_max_bound(256, 2), _bound("unicyclic", 256),
      SizeLimitError, ("unicyclic", "got 256", "[3, 255]")),
     # families start at n = 3, whatever the degree
@@ -80,7 +80,10 @@ REFUSED = [
     ("top-two values n=256", lambda: unicyclic_top_two(256), None,
      SizeLimitError, ("top-two", "got 256", "[4, 255]")),
     ("construct tree n=17", lambda: extremal_family(GraphClassSpec(17, 9, "tree")),
-     _construct("tree", 17), SizeLimitError, ("tree", "got 17", "[1, 16]")),
+     _construct("tree", 17), SizeLimitError, ("tree", "got 17", "[3, 16]")),
+    ("verify tree n=17", lambda: verify_tree_max(17, 9),
+     ["verify", "--class", "tree", "--n", "17", "--delta", "9"],
+     SizeLimitError, ("tree", "got 17", "[3, 16]")),
     ("construct unicyclic n=17", lambda: extremal_family(GraphClassSpec(17, 9, "unicyclic")),
      _construct("unicyclic", 17), SizeLimitError, ("unicyclic", "got 17", "[3, 16]")),
     ("verify top-two n=17", lambda: verify_top_two(17), ["verify", "--class", "toptwo", "--n", "17"],

@@ -304,6 +304,20 @@ def test_monotonicity_suite():
     assert report.warning is None
 
 
+def test_every_report_is_immutable():
+    reports = [
+        verify_tree_max(5, 2),
+        verify_top_two(4),
+        transform_monotonicity_suite(3, seed=1),
+        verify.run_sweeps([4], [4], [4]),
+    ]
+    for report in reports:
+        for field in report._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, field, getattr(report, field))
+    assert reports[2].merge_violations == reports[2].reattach_violations == ()
+
+
 def test_monotonicity_suite_vacuous():
     report = transform_monotonicity_suite(0)
     assert report.passed
