@@ -11,9 +11,9 @@ codes of the subtrees hanging off each cycle vertex; everything else
 falls back to individualization-refinement search.  No enumerator calls
 ``canonical_code``: the listings key their classes by codes their
 generators emit, with ``necklace_code`` and the level-sequence helpers
-here.  The specialized paths serve the families ``construct`` builds and
-``verify`` compares and renders in its reports, and ``export
---canonical``; the generic path is a safety net.
+here.  ``verify`` canonicalizes each family member and argmax tree once,
+when it builds a report, and ``export --canonical`` its one graph, so
+``canonical_code`` keeps no memo; the generic path is a safety net.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ _DEEPER = bytes([*range(1, 256), 255])
 _LIFT = [bytes(d) + bytes(range(256 - d)) for d in range(MAX_VERTICES)]
 
 
-@lru_cache(maxsize=1 << 18)
 def canonical_code(g: Graph) -> CanonicalCode:
     """Label-invariant identifier of the isomorphism class of ``g``."""
     if g.n > MAX_VERTICES:

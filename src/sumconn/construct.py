@@ -9,13 +9,19 @@ d >= ceil(n/2) for trees and d >= ceil((n+2)/2) for unicyclic graphs; the
 complements are exactly d <= floor((n-1)/2) and d <= floor((n+1)/2).
 ``is_large_delta`` is the one place these boundaries are written, and
 ``extremal_family`` picks the family by them.
+
+A spider family lists one graph per parameter tuple, as generated: cycle
+length, then leg multiset, ascending.  No two are isomorphic.  At delta = 2
+there is one member, the path or the n-cycle.  For delta >= 3 the center is
+the only vertex of degree >= 3, so the graph gives its parameters back: the
+length of its one cycle, and the vertex counts of the paths left off the
+cycle when the center is removed, the legs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .canon import canonical_code
 from .graphs import (
     MAX_VERTICES,
     Graph,
@@ -163,34 +169,28 @@ def _leg_multisets(total: int, parts: int, minimum: int) -> Iterator[tuple[int, 
             yield (first,) + rest
 
 
-def _by_code(graphs: Iterable[Graph]) -> list[Graph]:
-    """The first of ``graphs`` in each isomorphism class, by canonical code."""
-    out: dict[bytes, Graph] = {}
-    for g in graphs:
-        out.setdefault(canonical_code(g), g)
-    return [out[code] for code in sorted(out)]
-
-
 def spider_family(n: int, delta: int) -> list[Graph]:
-    """All non-isomorphic trees made of ``delta`` paths of length >= 2
-    sharing a center: the maximum family for delta <= floor((n-1)/2)."""
+    """The trees made of ``delta`` paths of length >= 2 sharing a center,
+    one per leg multiset, ascending: the maximum family for delta <=
+    floor((n-1)/2).  Any two legs make the path, so delta = 2 takes (2, n-3)."""
     _check_family("spider_family", GraphClassSpec(n, delta, "tree"), False)
     center = graph_from_edges(1, [])
-    return _by_code(_grow(center, legs) for legs in _leg_multisets(n - 1, delta, 2))
+    multisets = [(2, n - 3)] if delta == 2 else _leg_multisets(n - 1, delta, 2)
+    return [_grow(center, legs) for legs in multisets]
 
 
 def cycle_spider_family(n: int, delta: int) -> list[Graph]:
-    """All non-isomorphic unicyclic graphs made of a cycle with ``delta - 2``
-    paths of length >= 2 attached to one cycle vertex, over every cycle
-    length: the maximum family for delta <= floor((n+1)/2).  For delta = 2
-    this is just the n-cycle."""
+    """The unicyclic graphs made of a cycle with ``delta - 2`` paths of
+    length >= 2 attached to one cycle vertex, one per cycle length and leg
+    multiset, ascending in that order: the maximum family for
+    delta <= floor((n+1)/2), the n-cycle alone for delta = 2."""
     _check_family("cycle_spider_family", GraphClassSpec(n, delta, "unicyclic"), False)
     legs_needed = delta - 2
-    return _by_code(
+    return [
         _grow(cycle_graph(girth), legs)
         for girth in range(3, n - 2 * legs_needed + 1)
         for legs in _leg_multisets(n - girth, legs_needed, 2)
-    )
+    ]
 
 
 def extremal_family(spec: GraphClassSpec) -> list[Graph]:

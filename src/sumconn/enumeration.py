@@ -633,10 +633,10 @@ def _extend(
 
 
 def bracelet_graph(word: Sequence[_Letter]) -> Graph:
-    """The graph of a bracelet word: each tree's vertices numbered in
-    preorder after the trees before it, the roots joined in word order,
-    the layout ``canon.necklace_code`` writes."""
-    seqs = tuple([letter[-1] for letter in word])
+    """The canonical form of a bracelet word's graph: its letters' level
+    sequences are their trees' ``_rooted_code``s, and ``canonical_code``
+    lays out their ``necklace_max`` by ``necklace_code``, as here."""
+    seqs = necklace_max([letter[-1] for letter in word])
     return code_graph(necklace_code(sum(map(len, seqs)), seqs))
 
 

@@ -2,7 +2,7 @@
 
 Every claim is re-derived from scratch: the relevant family is enumerated
 exhaustively, exact index values are compared, and the leading value
-groups are matched against the characterized graphs by canonical code.
+groups are matched against the characterized graphs by canonical form.
 Comparisons are exact throughout; floats appear only in rendered reports.
 Each report is an immutable NamedTuple with ``passed`` and its two
 renderings, ``to_json_dict()`` and ``to_text()``, which ``sumconn verify``
@@ -13,9 +13,10 @@ Both classes are ranked the same way: one cached pass per class and n
 packed edge-type profiles, not graphs (``indices.profile_value``), groups
 classes by value and keeps each maximum degree's two leading groups.  The
 per-degree maxima read it, and top-two merges the unicyclic groups
-(``_merge_top_two``).  No report depends on the order in which classes
-arrive: graph6 strings and ``k_profile`` are serialized sorted, and
-argmax sets are compared as sets of canonical codes.
+(``_merge_top_two``).  A report holds canonical forms, made once when it
+is built, so rendering canonicalizes nothing.  No report depends on the
+order in which classes arrive: graph6 strings and ``k_profile`` are
+serialized sorted, and argmax sets are compared as sets of canonical forms.
 
 Verification reaches n = 16 (``graphs.MAX_VERTICES``) for trees,
 unicyclic graphs and top-two.  No range is written here: each is read from
@@ -34,7 +35,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .bounds import tree_max_bound, unicyclic_max_bound, unicyclic_top_two
-from .canon import canonical_code, canonical_form
+from .canon import canonical_form
 from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, DeltaRangeError, GraphClassSpec
 from .construct import attach_path, extremal_family
 from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
@@ -76,10 +77,9 @@ def degree_two_attachment_count(g: Graph) -> int:
     return best
 
 
-def _graph6_strings(graphs: Iterable[Graph]) -> list[str]:
-    """graph6 of each graph's canonical form, in input order: the reports'
-    rendering, which names isomorphism classes rather than labelings."""
-    return [emit_graph6(canonical_form(g)) for g in graphs]
+def _graph6_lines(graphs: Iterable[Graph]) -> list[str]:
+    """Sorted graph6 of canonical forms, which name classes, not labelings."""
+    return sorted(map(emit_graph6, graphs))
 
 
 def _approx(value: RadicalValue) -> str:
@@ -91,13 +91,8 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
-def _same_classes(a: Iterable[Graph], b: Iterable[Graph]) -> bool:
-    """Whether ``a`` and ``b`` cover the same isomorphism classes."""
-    return {canonical_code(g) for g in a} == {canonical_code(g) for g in b}
-
-
 class ExtremalReport(NamedTuple):
-    """Outcome of one family verification."""
+    """Outcome of one family verification; ``k_profile``'s keys are the argmax graph6."""
 
     spec: GraphClassSpec
     class_size: int
@@ -123,8 +118,8 @@ class ExtremalReport(NamedTuple):
             "class_size": self.class_size,
             "formula": self.formula_value.to_json_dict(),
             "brute_max": self.brute_max.to_json_dict(),
-            "argmax": sorted(_graph6_strings(self.argmax)),
-            "expected": sorted(_graph6_strings(self.expected)),
+            "argmax": sorted(self.k_profile),
+            "expected": _graph6_lines(self.expected),
             "match": {"value": self.value_match, "set": self.set_match},
             "bound_holds": self.bound_holds,
             "k_profile": dict(sorted(self.k_profile.items())),
@@ -133,7 +128,7 @@ class ExtremalReport(NamedTuple):
 
     def to_text(self) -> str:
         spec = self.spec
-        argmax, expected = (sorted(_graph6_strings(gs)) for gs in (self.argmax, self.expected))
+        argmax, expected = sorted(self.k_profile), _graph6_lines(self.expected)
         return "\n".join([
             f"class: {spec.graph_class}  n={spec.n}  delta={spec.delta}  "
             f"class size: {self.class_size}",
@@ -156,7 +151,8 @@ def _ranking(
 ) -> dict[int, tuple[int, list[tuple[RadicalValue, tuple[Graph, ...]]]]]:
     """For each maximum degree of the n-vertex trees or unicyclic graphs:
     its number of classes and its (at most) two largest exact index values,
-    largest first, each with the graphs of the classes that attain it.
+    largest first, each with the canonical forms of the classes that
+    attain it.
 
     One pass over ``tree_profiles(n)`` or ``unicyclic_bracelets(n)``, which
     read each class's maximum degree and edge-type profile with no graph,
@@ -170,10 +166,11 @@ def _ranking(
     only rises, so a value that is not kept when a class of it first
     arrives, or is later evicted, is never kept again, and a kept group
     holds every class of its value.  Only the classes of kept groups are
-    held, and graphs are made only for the groups that lead at the end.
+    held, and graphs are made only for the groups that lead at the end,
+    as canonical forms (``bracelet_graph`` builds one).
     """
     if graph_class == "tree":
-        classes, build = tree_profiles(n), _level_sequence_tree
+        classes, build = tree_profiles(n), lambda seq: canonical_form(_level_sequence_tree(seq))
     else:
         classes, build = unicyclic_bracelets(n), bracelet_graph
     counts = dict.fromkeys(range(2, n), 0)
@@ -222,7 +219,8 @@ def _admit(
 
 def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:
     spec = GraphClassSpec(n=n, delta=delta, graph_class=graph_class)
-    expected = extremal_family(spec)  # first: it checks n against the graph limit
+    # First: extremal_family checks n against the graph limit.
+    expected = tuple(map(canonical_form, extremal_family(spec)))
     formula = (tree_max_bound if graph_class == "tree" else unicyclic_max_bound)(n, delta)
     class_size, groups = _ranking(graph_class, n)[delta]
     brute, argmax = groups[0]
@@ -232,11 +230,11 @@ def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:
         formula_value=formula,
         brute_max=brute,
         argmax=argmax,
-        expected=tuple(expected),
+        expected=expected,
         value_match=brute == formula,
-        set_match=_same_classes(argmax, expected),
+        set_match=set(argmax) == set(expected),
         bound_holds=brute <= formula,
-        k_profile=dict(zip(_graph6_strings(argmax), map(degree_two_attachment_count, argmax))),
+        k_profile={emit_graph6(g): degree_two_attachment_count(g) for g in argmax},
     )
 
 
@@ -284,11 +282,11 @@ class TopTwoReport(NamedTuple):
             "total": self.total,
             "first": {
                 "value": self.first_value.to_json_dict(),
-                "graphs": sorted(_graph6_strings(self.first)),
+                "graphs": _graph6_lines(self.first),
             },
             "second": {
                 "value": self.second_value.to_json_dict(),
-                "graphs": sorted(_graph6_strings(self.second)),
+                "graphs": _graph6_lines(self.second),
             },
             "match": {
                 "first_value": self.first_value_match,
@@ -337,7 +335,8 @@ def verify_top_two(n: int) -> TopTwoReport:
     TOP_TWO.check_n(n, "graphs")  # from n = 4, so two value groups exist
     expected = unicyclic_top_two(n)
     first_family, second_family = (
-        extremal_family(GraphClassSpec(n, d, "unicyclic")) for d in TOP_TWO_DEGREES
+        set(map(canonical_form, extremal_family(GraphClassSpec(n, d, "unicyclic"))))
+        for d in TOP_TWO_DEGREES
     )
     total, [(first_value, first), (second_value, second)] = _merge_top_two(
         _ranking("unicyclic", n).values()
@@ -350,9 +349,9 @@ def verify_top_two(n: int) -> TopTwoReport:
         second_value=second_value,
         second=tuple(second),
         first_value_match=first_value == expected.first_value,
-        first_set_match=_same_classes(first, first_family),
+        first_set_match=set(first) == first_family,
         second_value_match=second_value == expected.second_value,
-        second_set_match=_same_classes(second, second_family),
+        second_set_match=set(second) == second_family,
     )
 
 

@@ -84,7 +84,8 @@ def test_exhaustive_ground_truth_small(n):
     """All connected graphs up to n=6: codes equal iff same permutation orbit.
 
     Orbits come from brute-force permutation closure, covering the tree,
-    unicyclic, and generic code paths alike.
+    unicyclic, and generic code paths alike.  Each distinct relabeling is
+    coded once: permutations that give the same labeled graph repeat it.
     """
     reps = connected_graph_orbit_classes(n)
     codes = set()
@@ -93,8 +94,8 @@ def test_exhaustive_ground_truth_small(n):
         rep_code = canonical_code(g)
         assert rep_code not in codes, "distinct orbits must get distinct codes"
         codes.add(rep_code)
-        for perm in permutations(range(n)):
-            assert canonical_code(_permuted(g, perm)) == rep_code
+        for h in {_permuted(g, perm) for perm in permutations(range(n))}:
+            assert canonical_code(h) == rep_code
 
 
 def test_level_sequence_codes_are_canonical_codes():
@@ -107,13 +108,14 @@ def test_level_sequence_codes_are_canonical_codes():
 
 @pytest.mark.parametrize("n", [7])
 def test_exhaustive_permutation_invariance_supported_classes(n):
-    """Every tree and unicyclic class at n=7 under all 5040 relabelings."""
+    """Every tree and unicyclic class at n=7 under all 5040 relabelings,
+    each distinct relabeled graph coded once."""
     classes = list(enumerate_trees(n)) + list(enumerate_unicyclic(n))
     codes = [canonical_code(g) for g in classes]
     assert len(set(codes)) == len(codes)
     for g, code in zip(classes, codes):
-        for perm in permutations(range(n)):
-            assert canonical_code(_permuted(g, perm)) == code
+        for h in {_permuted(g, perm) for perm in permutations(range(n))}:
+            assert canonical_code(h) == code
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from sumconn.construct import (
     tree_extremal,
     unicyclic_extremal,
 )
+from sumconn.graph6 import emit_graph6
 from sumconn.graphs import (
     SizeLimitError,
     VertexRangeError,
@@ -90,7 +92,7 @@ def test_spider_family():
     fam = spider_family(7, 3)
     assert len(fam) == 1
     assert max_degree(fam[0]) == 3 and is_tree(fam[0])
-    # delta=2 spiders are all the path; deduplication collapses them
+    # any two legs make the path, so delta=2 lists one spider
     fam2 = spider_family(7, 2)
     assert len(fam2) == 1 and _iso(fam2[0], path_graph(7))
     fam93 = spider_family(9, 3)
@@ -121,26 +123,39 @@ def test_cycle_spider_family():
 
 
 def test_family_membership_postconditions():
-    for n in range(5, 11):
-        for delta in range(2, (n - 1) // 2 + 1):
-            fam = spider_family(n, delta)
-            assert len({sum_connectivity(g) for g in fam}) == 1
-            assert len({canonical_code(g) for g in fam}) == len(fam)
-            for g in fam:
-                assert is_tree(g) and max_degree(g) == delta and g.n == n
-        for delta in range(2, (n + 1) // 2 + 1):
-            fam = cycle_spider_family(n, delta)
-            assert len({sum_connectivity(g) for g in fam}) == 1
-            assert len({canonical_code(g) for g in fam}) == len(fam)
-            for g in fam:
-                assert is_unicyclic(g) and max_degree(g) == delta and g.n == n
-    for n in range(4, 11):
-        for delta in range((n + 1) // 2, n):
-            g = tree_extremal(n, delta)
-            assert is_tree(g) and max_degree(g) == delta and g.n == n
-        for delta in range((n + 3) // 2, n):
-            g = unicyclic_extremal(n, delta)
-            assert is_unicyclic(g) and max_degree(g) == delta and g.n == n
+    # No member is deduplicated, so this checks the argument that no two are
+    # isomorphic: one vertex of degree >= 3 from which the parameters read back.
+    for n in range(3, 17):
+        for delta in range(2, n):
+            for graph_class, in_class in (("tree", is_tree), ("unicyclic", is_unicyclic)):
+                fam = extremal_family(GraphClassSpec(n, delta, graph_class))
+                assert len({sum_connectivity(g) for g in fam}) == 1
+                assert len({canonical_code(g) for g in fam}) == len(fam)
+                for g in fam:
+                    assert in_class(g) and max_degree(g) == delta and g.n == n
+            if not is_large_delta("tree", n, 2):
+                fam = spider_family(n, 2)
+                assert len(fam) == 1 and _iso(fam[0], path_graph(n))
+
+
+def _families_sha(order) -> str:
+    """sha256 of every family with n <= 16: a line naming (class, n, delta),
+    then its members' graph6 lines, ``order``-ed."""
+    lines = []
+    for graph_class in ("tree", "unicyclic"):
+        for n in range(3, 17):
+            for delta in range(2, n):
+                fam = extremal_family(GraphClassSpec(n, delta, graph_class))
+                lines += [f"{graph_class} {n} {delta}", *order([emit_graph6(g) for g in fam])]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_families_are_pinned_in_parameter_order():
+    # The members, sorted, are those the families had when they were
+    # deduplicated by canonical code and listed in code order.
+    assert _families_sha(sorted) == "e26620e06812c9052d5056d66602ec1860d289da648b1a861c116cd13ed43590"
+    # Listed by parameters: cycle length, then leg multisets ascending.
+    assert _families_sha(list) == "be763b1926cf8726aee8d3ea3244148cc38ba277e091afb694febe27511cd0a7"
 
 
 def test_graph_class_spec_validation():

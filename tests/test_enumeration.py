@@ -10,7 +10,7 @@ import pytest
 
 import sumconn
 import sumconn.enumeration as enumeration
-from sumconn.canon import _rooted_code, canonical_code, level_sequence_edges
+from sumconn.canon import _rooted_code, canonical_code, canonical_form, level_sequence_edges
 from sumconn.cli import dispatch
 from sumconn.enumeration import (
     _chord_necklaces,
@@ -321,6 +321,11 @@ def test_bracelet_graphs_are_the_listed_classes():
         codes = [canonical_code(bracelet_graph(word)) for _, _, word in unicyclic_bracelets(n)]
         assert len(set(codes)) == len(codes)
         assert set(codes) == {canonical_code(g) for g in enumerate_unicyclic(n)}
+    # each is built as its class's canonical form
+    for n in range(3, 11):
+        for _, _, word in unicyclic_bracelets(n):
+            g = bracelet_graph(word)
+            assert g == canonical_form(g)
 
 
 def test_bracelet_profiles_are_read_without_a_graph():

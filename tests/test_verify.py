@@ -5,9 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from sumconn import bounds
+from sumconn import bounds, canon, construct
 from sumconn.bounds import unicyclic_top_two
-from sumconn.canon import canonical_code
+from sumconn.canon import canonical_code, canonical_form
 from sumconn.construct import cycle_spider_family, spider_family, tree_extremal
 from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
 from sumconn.enumeration import tree_profiles, unicyclic_bracelets
@@ -316,6 +316,62 @@ def test_every_report_is_immutable():
             with pytest.raises(AttributeError):
                 setattr(report, field, getattr(report, field))
     assert reports[2].merge_violations == reports[2].reattach_violations == ()
+
+
+def test_reports_hold_canonical_forms_each_made_once(monkeypatch):
+    # From a cold ranking, each graph is canonicalized once, when its report
+    # is built: bracelets are built canonical, and rendering codes nothing.
+    _ranking.cache_clear()
+    code = canon.canonical_code
+    coded = []
+
+    def counted(g):
+        coded.append(g)  # held, so no two of them share an id
+        return code(g)
+
+    monkeypatch.setattr(canon, "canonical_code", counted)
+    sweep = verify.run_sweeps(range(4, 9), range(4, 8), range(4, 8))
+    assert coded and len({id(g) for g in coded}) == len(coded)
+    assert all(g in _families(g.n) for g in coded if g.m == g.n)
+    built = len(coded)
+    sweep.to_json_dict()
+    sweep.to_text()
+    for r in sweep.tree_reports + sweep.unicyclic_reports + sweep.top_two_reports:
+        r.to_json_dict()
+        r.to_text()
+    assert len(coded) == built
+    monkeypatch.undo()
+    held = [
+        *(g for r in sweep.tree_reports + sweep.unicyclic_reports for g in r.argmax + r.expected),
+        *(g for r in sweep.top_two_reports for g in r.first + r.second),
+    ]
+    assert held and all(canonical_form(g) == g for g in held)
+
+
+def _families(n):
+    """Every member of the unicyclic extremal families on n vertices."""
+    return {
+        g
+        for d in range(2, n)
+        for g in construct.extremal_family(construct.GraphClassSpec(n, d, "unicyclic"))
+    }
+
+
+def test_a_missing_family_member_fails_the_set_match(monkeypatch):
+    # Argmax sets are compared with the whole family: one member fewer fails.
+    def short(spec):
+        family = construct.extremal_family(spec)
+        return family[:-1] if spec.delta == dropped else family
+
+    monkeypatch.setattr(verify, "extremal_family", short)
+    dropped = 3
+    report = verify_tree_max(9, 3)  # two spiders
+    assert report.value_match and not report.set_match and not report.passed
+    top = verify_top_two(7)  # three cycle spiders second
+    assert top.first_set_match and not top.second_set_match and not top.passed
+    dropped = 2
+    top = verify_top_two(7)  # the 7-cycle first
+    assert not top.first_set_match and top.second_set_match and not top.passed
 
 
 def test_monotonicity_suite_vacuous():
