@@ -10,12 +10,12 @@ complements are exactly d <= floor((n-1)/2) and d <= floor((n+1)/2).
 ``is_large_delta`` is the one place these boundaries are written, and
 ``extremal_family`` picks the family by them.
 
-A spider family lists one graph per parameter tuple, as generated: cycle
-length, then leg multiset, ascending.  No two are isomorphic.  At delta = 2
-there is one member, the path or the n-cycle.  For delta >= 3 the center is
-the only vertex of degree >= 3, so the graph gives its parameters back: the
-length of its one cycle, and the vertex counts of the paths left off the
-cycle when the center is removed, the legs.
+A spider family lists one graph per parameter tuple, as generated: the
+cycle length of a unicyclic one, then the leg multiset, ascending.  No two
+are isomorphic.  At delta = 2 there is one member, the path or the n-cycle.
+For delta >= 3 the center is the only vertex of degree >= 3, so the graph
+gives its parameters back: its cycle's length, and the legs, the vertex
+counts of the paths that removing the center leaves off any cycle.
 """
 
 from __future__ import annotations
