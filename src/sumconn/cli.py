@@ -6,7 +6,7 @@ stable JSON rendering (``--json -`` or bare ``--json`` for stdout, or a
 file path).  Exit codes: 0 success, 1 verification mismatch, 2 usage or
 input error.  Identical invocations produce identical bytes.
 Ranges come from ``construct.RANGES``: ``bound`` to n = 256 (trees) and
-255 (unicyclic), ``enumerate --class unicyclic`` to 14, the rest to 16.
+255 (unicyclic), the rest to 16.
 """
 
 from __future__ import annotations

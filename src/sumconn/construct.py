@@ -45,13 +45,12 @@ def _check(error: type[ValueError], what: str, value: int, least: int, largest: 
 class ClassRange(NamedTuple):
     """The one place a class's ranges are written: its least n and least exact
     degree filter, and the largest n of each use: ``values`` (n - 1 or n edges
-    fit a profile's ``_CAPACITY``), ``graphs`` and ``listing`` (held in memory)."""
+    fit a profile's ``_CAPACITY``) and ``graphs``."""
 
     name: str
     least_n: int
     least_delta: int
     values: int
-    listing: int
     graphs = MAX_VERTICES  # the same for every class
 
     def check_n(self, n: int, use: str) -> None:
@@ -63,8 +62,8 @@ class ClassRange(NamedTuple):
 
 
 RANGES = {
-    "tree": ClassRange("tree", 1, 1, values=_CAPACITY + 1, listing=MAX_VERTICES),
-    "unicyclic": ClassRange("unicyclic", 3, 2, values=_CAPACITY, listing=14),
+    "tree": ClassRange("tree", 1, 1, values=_CAPACITY + 1),
+    "unicyclic": ClassRange("unicyclic", 3, 2, values=_CAPACITY),
 }
 
 # The degrees whose unicyclic maxima rank first and second, both below n.

@@ -45,21 +45,22 @@ a degree filter or a count, once per class and n.  ``enumerate_trees``
 and ``enumerate_unicyclic`` filter the records by degree when asked and
 return one lazy sequence that builds each graph when it is read, by
 unpacking its record's bytes, with no validation, BFS or sort; memory
-holds the records and not the graphs.
+holds the records and not the graphs, so both listings reach the graph
+limit, n = 16 (``graphs.MAX_VERTICES``), as every function here does.
 
 Verification reads both classes as edge-type profiles, packed integers in
 the format ``indices`` defines and values, with no graph and in
 generation order, as no report depends on order.  ``tree_profiles``
 reads each tree's profile and maximum degree off its level sequence as
 the generator emits it, with no canonical code and no sort.
-``unicyclic_bracelets`` lists each unicyclic class once, to n = 16
-(``graphs.MAX_VERTICES``), as a bracelet of rooted trees (orderly
-generation after Read, "Every one a winner", 1978, and Sawada's bracelets,
-SIAM J. Comput. 2001), and reads its profile off the trees'.  Its size
-sequences are generated as necklaces (Fredricksen-Kessler-Maiorana) and
-kept when no reflection is smaller.  Free and
-rooted trees alike get parents and degrees stepped along the successor
-(``_level_profiles``): only the suffix the step rewrote is derived again.
+``unicyclic_bracelets`` lists each unicyclic class once, as a bracelet
+of rooted trees (orderly generation after Read, "Every one a winner",
+1978, and Sawada's bracelets, SIAM J. Comput. 2001), and reads its
+profile off the trees'.  Its size sequences are generated as necklaces
+(Fredricksen-Kessler-Maiorana) and kept when no reflection is smaller.
+Free and rooted trees alike get parents and degrees stepped along the
+successor (``_level_profiles``): only the suffix the step rewrote is
+derived again.
 A bracelet's words are built position by position, each prefix's running
 profile, top degree and last root shared by every word that extends it,
 and the last letter closes the cycle.  The unicyclic listing keeps the
@@ -676,7 +677,7 @@ def _select(graph_class: str, n: int, delta: DeltaFilter) -> _LazyGraphs:
     """The class's records on n vertices whose maximum degree ``delta``
     admits, read as graphs; ``RANGES`` checks n and a degree."""
     limits = RANGES[graph_class]
-    limits.check_n(n, "listing")
+    limits.check_n(n, "graphs")
     records = _RECORDS[graph_class](n)
     if delta is None:
         return _LazyGraphs(records, n)

@@ -18,8 +18,8 @@ Representation.  A value keeps its terms as integer coordinates over one
 denominator: q_b = n_b/den, with ``_coords`` the pairs ``(b, n_b)``
 sorted by b, each b squarefree and each n_b a nonzero int, and ``_den``
 the int den >= 1, where gcd(den, every n_b) = 1.  The form is unique, so
-equal values have equal fields: equality reads integers, and building a
-value takes one lcm and one gcd and no ``Fraction``.
+equal values have equal fields: equality reads integers, and arithmetic
+takes one lcm and one gcd and no ``Fraction``.
 ``terms`` and iteration give the q_b back as Fractions in lowest terms.
 
 ``float()`` sums n_b / den * sqrt(b), and is bit-identical to summing
@@ -32,12 +32,12 @@ A value equal to a rational hashes like that rational, and any other
 like the tuple of its (b, q_b) pairs with Fraction q_b: both hashes are
 Python's own, of the ``Fraction`` q_b.
 
-Values are normalized once, by the public constructor and the builders.
-Arithmetic merges operands that are already canonical: it scales them to
-a common denominator, adds integers and divides out one gcd
-(``_reduced``), with no squarefree factoring.  Each value computes its
-hash on first use and keeps it, so grouping a value again does not
-repeat it.
+Values are normalized once, by one builder (``_from_reciprocals``) that
+the public constructor and ``reciprocal_sqrt_sum`` share: it splits each
+radicand once, scales every coefficient's numerator to one denominator
+and divides out one gcd (``_reduced``).  Arithmetic merges operands that
+are already canonical: it scales them to a common denominator, adds
+integers and divides out one gcd, with no squarefree factoring.
 
 A value built from a packed histogram of radicands
 (``reciprocal_sqrt_packed``, an index value from its edge-type profile)
@@ -108,11 +108,10 @@ class RadicalValue:
     A value equal to a rational hashes like it.
 
     ``_coords`` and ``_den`` hold the terms, as the module docstring sets
-    out, in the slots ``_c`` and ``_d``.  Besides them, a value keeps its
-    hash in ``_hash``, filled on first use (``None`` until then).  A value
-    from ``reciprocal_sqrt_packed`` keeps its histogram in ``_profile``,
-    its float enclosure in ``_enc`` and ``None`` in ``_c`` until its terms
-    are first read; every other value has ``None`` in ``_enc``.
+    out, in the slots ``_c`` and ``_d``.  A value from
+    ``reciprocal_sqrt_packed`` keeps its histogram in ``_profile``, its
+    float enclosure in ``_enc`` and ``None`` in ``_c`` until its terms are
+    first read; every other value has ``None`` in ``_enc``.
 
     The terms are read through properties rather than a ``__getattr__``
     fallback on unset slots: a class with ``__getattr__`` loses the
@@ -120,24 +119,16 @@ class RadicalValue:
     about twice as slow.
     """
 
-    __slots__ = ("_c", "_d", "_enc", "_hash", "_profile")
+    __slots__ = ("_c", "_d", "_enc", "_profile")
 
     def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
+        """``sum q * sqrt(s)`` over the pairs ``(s, q)``, or the items of
+        ``{s: q}``: q*sqrt(s) is (q*s)/sqrt(s)."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
-        for s, q in items:
-            a, b = squarefree_decompose(s)
-            acc[b] = acc.get(b, 0) + Fraction(q) * a
-        # Over den, the lcm of the lowest-terms denominators, the form is
-        # reduced: a prime p divides den as often as the denominator of
-        # some q_b, so p divides neither that term's scale den //
-        # denominator nor its numerator.
-        den = lcm(*(q.denominator for q in acc.values()))
-        self._c = tuple(
-            sorted((b, q.numerator * (den // q.denominator)) for b, q in acc.items() if q)
-        )
-        self._d = den
-        self._enc = self._hash = None
+        value = _from_reciprocals((s, q * s) for s, q in items)
+        self._c = value._c
+        self._d = value._d
+        self._enc = None
 
     # -- constructors -----------------------------------------------------
 
@@ -161,18 +152,9 @@ class RadicalValue:
 
     @classmethod
     def reciprocal_sqrt_sum(cls, counts: Mapping[int, int]) -> "RadicalValue":
-        """Exact ``sum k/sqrt(s)`` over a histogram ``{s: k}``.
-
-        ``k/sqrt(a*a*b)`` is ``(k/(a*b))*sqrt(b)``.  Over den, the lcm of
-        the a*b, coordinate b is the integer sum of k*(den/(a*b)) over the
-        s that reduce to it; one gcd brings them to lowest terms.
-        """
-        den = lcm(*[a * b for a, b in map(squarefree_decompose, counts)])
-        coords: dict[int, int] = {}
-        for s, k in counts.items():
-            a, b = squarefree_decompose(s)
-            coords[b] = coords.get(b, 0) + k * (den // (a * b))
-        return _reduced(coords, den)
+        """Exact ``sum k/sqrt(s)`` over a histogram ``{s: k}``, by
+        ``_from_reciprocals``."""
+        return _from_reciprocals(counts.items())
 
     @classmethod
     def reciprocal_sqrt_packed(cls, packed: int) -> "RadicalValue":
@@ -186,7 +168,6 @@ class RadicalValue:
         value._profile = packed
         value._c = value._d = None
         value._enc = _packed_enclosure(packed)
-        value._hash = None
         return value
 
     @property
@@ -341,17 +322,12 @@ class RadicalValue:
     def __hash__(self) -> int:
         # Equal to the hash of the rational a value equals, if it is one,
         # else of the tuple of its (b, Fraction q_b) pairs.
-        h = self._hash
-        if h is None:
-            pairs = tuple(self)
-            if not pairs:
-                h = 0
-            elif len(pairs) == 1 and pairs[0][0] == 1:
-                h = hash(pairs[0][1])
-            else:
-                h = hash(pairs)
-            self._hash = h
-        return h
+        pairs = tuple(self)
+        if not pairs:
+            return 0
+        if len(pairs) == 1 and pairs[0][0] == 1:
+            return hash(pairs[0][1])
+        return hash(pairs)
 
     # -- formatting / serialization -------------------------------------------
 
@@ -403,8 +379,30 @@ def _from_canonical(coords: tuple[tuple[int, int], ...], den: int) -> RadicalVal
     value = object.__new__(RadicalValue)
     value._c = coords
     value._d = den
-    value._enc = value._hash = None
+    value._enc = None
     return value
+
+
+def _from_reciprocals(terms: Iterable[tuple[int, Rational]]) -> RadicalValue:
+    """The value ``sum c/sqrt(s)`` over the pairs ``(s, c)``, each s >= 1
+    and each c an int or a ``Fraction``.
+
+    ``c/sqrt(a*a*b)`` is ``(c/(a*b))*sqrt(b)``, split once per s.  Over
+    den, the lcm of the denominators d = c.denominator*a*b, coordinate b
+    is the integer sum of c.numerator*(den/d) over the s that reduce to
+    it; ``_reduced`` brings them to lowest terms.
+    """
+    split: list[tuple[int, int, int]] = []
+    den = 1
+    for s, c in terms:
+        a, b = squarefree_decompose(s)
+        d = c.denominator * a * b
+        split.append((b, c.numerator, d))
+        den = lcm(den, d)
+    coords: dict[int, int] = {}
+    for b, p, d in split:
+        coords[b] = coords.get(b, 0) + p * (den // d)
+    return _reduced(coords, den)
 
 
 def _reduced(coords: dict[int, int], den: int) -> RadicalValue:

@@ -23,8 +23,8 @@ unicyclic graphs and top-two.  No range is written here: each is read from
 ``construct.RANGES`` or ``TOP_TWO``, through ``GraphClassSpec``, the profile
 listings and ``extremal_family``.  ``run_sweeps`` defaults to the standard
 sweep (trees n = 4..12, unicyclic graphs and top-two n = 4..11);
-``run_sweeps(range(4, 17), range(4, 15), range(4, 15))`` is the extended
-one, pinned in CI.
+``run_sweeps(range(4, 17), range(4, 17), range(4, 17))`` is the extended
+one, every n each class accepts, pinned in CI.
 """
 
 from __future__ import annotations

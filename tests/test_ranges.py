@@ -95,9 +95,9 @@ REFUSED = [
     ("tree listing n=17", lambda: enumerate_trees(17), _enumerate("tree", 17),
      SizeLimitError, ("tree", "got 17", "[1, 16]")),
     ("unicyclic listing n=2", lambda: enumerate_unicyclic(2), _enumerate("unicyclic", 2),
-     SizeLimitError, ("unicyclic", "got 2", "[3, 14]")),
-    ("unicyclic listing n=15", lambda: enumerate_unicyclic(15), _enumerate("unicyclic", 15),
-     SizeLimitError, ("unicyclic", "got 15", "[3, 14]")),
+     SizeLimitError, ("unicyclic", "got 2", "[3, 16]")),
+    ("unicyclic listing n=17", lambda: enumerate_unicyclic(17), _enumerate("unicyclic", 17),
+     SizeLimitError, ("unicyclic", "got 17", "[3, 16]")),
     ("bracelets n=17", lambda: unicyclic_bracelets(17),
      ["verify", "--class", "unicyclic", "--n", "17", "--delta", "2"],
      SizeLimitError, ("unicyclic", "got 17", "[3, 16]")),

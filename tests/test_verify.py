@@ -125,7 +125,7 @@ def test_verification_reaches_the_enumeration_limits():
     assert _codes(top.second) == _codes(
         g for g in enumerate_unicyclic(12) if sum_connectivity(g) == top.second_value
     )
-    # past the listing's limit, verification reads bracelets alone
+    # verification reads bracelets alone, with no listing
     assert verify_unicyclic_max(15, 5).passed
     assert -1.0 <= chi_r_correlation(16, 4) <= 1.0
 
