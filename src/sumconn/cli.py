@@ -15,7 +15,8 @@ import argparse
 import json
 import signal
 import sys
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator, Sequence
 
 from .bounds import tree_max_bound, unicyclic_max_bound
 from .canon import canonical_form
@@ -72,13 +73,39 @@ def _input_graph(args: argparse.Namespace) -> Graph:
     return _read_edge_file(args.edges)
 
 
-def _emit_json(payload: dict, target: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(target: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` in turn to stdout (``-``) or the file ``target``."""
     if target == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+
+
+def _render_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit_json(payload: dict, target: str) -> None:
+    _write(target, [_render_json(payload)])
+
+
+def _listing_json(payload: dict, chunks: Iterable[list[str]]) -> Iterator[str]:
+    """``_render_json`` of ``payload`` with ``"graphs"``, the strings of
+    ``chunks``, one piece per chunk: the list is rendered with one
+    placeholder item, and each chunk's strings, JSON-escaped and joined as
+    the rendering joins items, stand in its place."""
+    head, tail = _render_json({**payload, "graphs": ["\0"]}).split(json.dumps("\0"))
+    between = "," + head[head.rindex("\n") :]
+    pieces = (between.join(map(encode_basestring_ascii, chunk)) for chunk in chunks if chunk)
+    first = next(pieces, None)
+    if first is None:  # rendered as []
+        yield head.rstrip() + tail.lstrip()
+        return
+    yield head + first
+    for piece in pieces:
+        yield between + piece
+    yield tail
 
 
 def _print_value(label: str, value: RadicalValue) -> None:
@@ -177,17 +204,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 print(f"delta={d} count={c}")
             print(f"total={len(graphs)}")
     elif args.json:
-        _emit_json(
-            {
-                "kind": "enumerate",
-                "class": args.graph_class,
-                "n": args.n,
-                "graphs": [emit_graph6(g) for g in graphs],
-            },
-            args.json,
-        )
+        # Written a chunk at a time from the records: no graph is built.
+        payload = {"kind": "enumerate", "class": args.graph_class, "n": args.n}
+        _write(args.json, _listing_json(payload, graphs.graph6_chunks()))
     else:
-        sys.stdout.write("".join([emit_graph6(g) + "\n" for g in graphs]))
+        _write("-", ("\n".join(lines) + "\n" for lines in graphs.graph6_chunks()))
     return 0
 
 

@@ -43,10 +43,13 @@ with the chord's two bytes inserted at their sorted place.  A record's
 maximum degree is the most times a label occurs in it, computed only for
 a degree filter or a count, once per class and n.  ``enumerate_trees``
 and ``enumerate_unicyclic`` filter the records by degree when asked and
-return one lazy sequence that builds each graph when it is read, by
-unpacking its record's bytes, with no validation, BFS or sort; memory
-holds the records and not the graphs, so both listings reach the graph
-limit, n = 16 (``graphs.MAX_VERTICES``), as every function here does.
+return one lazy sequence of the records.  A caller that reads graphs
+gets each built when it is read, by unpacking its record's bytes, with
+no validation, BFS or sort; the CLI's listing reads no graph, but the
+records' graph6 lines, encoded a chunk at a time straight from the bytes
+(``graph6.emit_graph6_records``).  Memory holds the records and not the
+graphs, so both listings reach the graph limit, n = 16
+(``graphs.MAX_VERTICES``), as every function here does.
 
 Verification reads both classes as edge-type profiles, packed integers in
 the format ``indices`` defines and values, with no graph and in
@@ -82,6 +85,7 @@ from typing import Callable, Iterator
 from .canon import _DEEPER, _LIFT, code_graph, level_sequence_edges
 from .canon import necklace_code, necklace_max
 from .construct import RANGES
+from .graph6 import emit_graph6_records
 from .graphs import Graph
 from .indices import _UNIT
 
@@ -651,6 +655,12 @@ def _max_degrees(graph_class: str, n: int) -> tuple[int, ...]:
     return tuple(map(_record_max_degree, _RECORDS[graph_class](n)))
 
 
+# Records per ``emit_graph6_records`` call in ``graph6_chunks``: large
+# enough that the calls' own cost vanishes, small enough that a chunk's
+# lines stay a small part of the listing's memory.
+_GRAPH6_CHUNK = 4096
+
+
 class _LazyGraphs(Sequence[Graph]):
     """Records of graphs on n vertices read as graphs: each graph is built
     from its record when it is read, and not kept."""
@@ -671,6 +681,13 @@ class _LazyGraphs(Sequence[Graph]):
 
     def __iter__(self) -> Iterator[Graph]:
         return map(_record_tree, self._records, repeat(self._n))
+
+    def graph6_chunks(self) -> Iterator[list[str]]:
+        """The graph6 strings of the graphs, in order, in lists of at most
+        ``_GRAPH6_CHUNK``, each encoded from the records with no graph."""
+        records, n = self._records, self._n
+        for i in range(0, len(records), _GRAPH6_CHUNK):
+            yield emit_graph6_records(records[i : i + _GRAPH6_CHUNK], n)
 
 
 def _select(graph_class: str, n: int, delta: DeltaFilter) -> _LazyGraphs:
@@ -695,14 +712,15 @@ def _degree_counts(graph_class: str, n: int) -> dict[int, int]:
     return dict(sorted(Counter(_max_degrees(graph_class, n)).items()))
 
 
-def enumerate_trees(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
+def enumerate_trees(n: int, delta: DeltaFilter = None) -> _LazyGraphs:
     """One representative per isomorphism class of free trees on n vertices,
     optionally filtered by maximum degree (exact value in [1, n-1], 0 at
     n = 1, or inclusive range), ordered by canonical code.
 
     The result is a lazy, re-iterable ``Sequence``: the trees are selected
     by degree from their records, and each tree is built from its record's
-    edge bytes when it is read.
+    edge bytes when it is read; ``graph6_chunks()`` encodes the records
+    with no graph.
     """
     return _select("tree", n, delta)
 
@@ -724,13 +742,14 @@ def _tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
         yield top, profile, seq
 
 
-def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> Sequence[Graph]:
+def enumerate_unicyclic(n: int, delta: DeltaFilter = None) -> _LazyGraphs:
     """One representative per isomorphism class of connected unicyclic graphs
     on n vertices, optionally filtered by maximum degree (exact value in
     [2, n-1], or inclusive range), ordered by canonical code.
 
     The result is a lazy, re-iterable ``Sequence``: the classes are
     selected by degree from their records, and each graph is built from
-    its record's edge bytes when it is read.
+    its record's edge bytes when it is read; ``graph6_chunks()`` encodes
+    the records with no graph.
     """
     return _select("unicyclic", n, delta)

@@ -5,12 +5,21 @@ graph6 packs the upper triangle of the adjacency matrix column by column
 multiple of six, and maps each 6-bit group to the ASCII character
 ``value + 63``.  The leading character is ``n + 63``.  Only the short
 form is needed here since n never exceeds 16.
+
+Graphs are encoded from edge records, the format the listings keep: the
+bytes ``u v`` of each edge, u < v, two per edge.  ``emit_graph6_records``
+encodes a run of records on n vertices with one base64 pass, and
+``emit_graph6`` is its one-graph case; ``parse_graph6`` reads through the
+same bit layout (``_layout``).
 """
 
 from __future__ import annotations
 
 from binascii import a2b_base64, b2a_base64
 from functools import lru_cache
+from itertools import chain
+from struct import Struct
+from typing import Callable, Sequence
 
 from .graphs import Graph, MAX_VERTICES, SizeLimitError, graph_from_edges
 
@@ -26,36 +35,54 @@ class Graph6Error(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int) -> tuple[dict[tuple[int, int], int], int, int]:
-    """``(bits, chars, nbytes)`` for n vertices: the integer with only the
-    bit of the pair (i, j) set, for every pair i < j < n; the number of
-    6-bit characters; and the bytes of whole 3-byte base64 blocks that
-    hold them."""
+def _layout(n: int) -> tuple[dict[int, int], int, int]:
+    """``(bits, chars, nbytes)`` for n vertices: for every pair i < j < n,
+    keyed by its record's two-byte edge code ``i << 8 | j``, the integer
+    with only the pair's bit set; the number of 6-bit characters; and the
+    bytes of whole 3-byte base64 blocks that hold them."""
     chars = (n * (n - 1) // 2 + 5) // 6
     nbytes = (chars + 3) // 4 * 3
     top = 8 * nbytes - 1
-    bits = {(i, j): 1 << (top - (j * (j - 1) >> 1) - i) for j in range(n) for i in range(j)}
+    bits = {i << 8 | j: 1 << (top - (j * (j - 1) >> 1) - i) for j in range(n) for i in range(j)}
     return bits, chars, nbytes
 
 
-def emit_graph6(g: Graph) -> str:
-    """graph6 string of ``g``, built from its edge list in O(m) steps.
+@lru_cache(maxsize=None)
+def _edge_codes(m: int) -> Callable[[bytes], tuple[int, ...]]:
+    """The edge codes of a record of m edges, each two bytes read big-endian."""
+    return Struct(f">{m}H").unpack
+
+
+def emit_graph6_records(records: Sequence[bytes], n: int) -> list[str]:
+    """graph6 strings of the graphs on n vertices whose edge records are
+    ``records``, all of one edge count (else ``struct.error``), in order.
 
     The pair (i, j), i < j, is bit ``j*(j-1)/2 + i`` of the column-order
     bit string, counted from its most significant end, so each edge is
-    one bit of a single integer, read from a table per n (``_layout``);
-    the edges are distinct, so the sum of their bits sets each of them.
-    graph6 and base64 both cut a bit string into 6-bit groups, most
-    significant first, and differ only in the alphabet; so the integer,
-    zero-padded to whole 3-byte base64 blocks, is base64-encoded, cut to
-    the needed number of characters (the cut drops only padding), and
-    translated to ``value + 63``.
+    one bit of a single integer, read from a table per n (``_layout``) by
+    the edge's code; the edges are distinct, so the sum of their bits sets
+    each of them.  graph6 and base64 both cut a bit string into 6-bit
+    groups, most significant first, and differ only in the alphabet.  Each
+    graph's integer fills whole 3-byte blocks, so one base64 pass over
+    them all gives each graph the same ``4*nbytes/3`` characters, in
+    order; each is cut to ``chars`` (the cut drops only padding) and the
+    whole is translated to ``value + 63`` once.
     """
-    n = g.n
+    if not records:
+        return []
     bits, chars, nbytes = _layout(n)
-    value = sum(map(bits.__getitem__, g.edges))
-    body = b2a_base64(value.to_bytes(nbytes, "big"), newline=False)[:chars]
-    return chr(n + 63) + body.translate(_FROM_BASE64).decode("ascii")
+    bit = bits.__getitem__
+    codes = _edge_codes(len(records[0]) // 2)
+    values = b"".join([sum(map(bit, codes(r))).to_bytes(nbytes, "big") for r in records])
+    text = b2a_base64(values, newline=False).translate(_FROM_BASE64).decode("ascii")
+    step = nbytes // 3 * 4
+    head = chr(n + 63)
+    return [head + text[i * step : i * step + chars] for i in range(len(records))]
+
+
+def emit_graph6(g: Graph) -> str:
+    """graph6 string of ``g``: ``emit_graph6_records`` of its edges."""
+    return emit_graph6_records([bytes(chain.from_iterable(g.edges))], g.n)[0]
 
 
 def parse_graph6(text: str) -> Graph:
@@ -87,10 +114,10 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"expected {chars} data characters for n={n}, got {len(body)}")
     digits = body.translate(_TO_BASE64).ljust(nbytes // 3 * 4, b"A")
     value = int.from_bytes(a2b_base64(digits), "big")
-    edges = [pair for pair, bit in bits.items() if value & bit]
-    if value != sum(map(bits.__getitem__, edges)):
+    codes = [code for code, bit in bits.items() if value & bit]
+    if value != sum(map(bits.__getitem__, codes)):
         raise Graph6Error("nonzero padding bits")
-    return graph_from_edges(n, edges)
+    return graph_from_edges(n, [divmod(code, 256) for code in codes])
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

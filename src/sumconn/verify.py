@@ -217,10 +217,18 @@ def _admit(
     return group[2]
 
 
+@lru_cache(maxsize=None)
+def _canonical_family(spec: GraphClassSpec) -> tuple[Graph, ...]:
+    """Canonical forms of ``spec``'s extremal family, made once per spec:
+    the unicyclic families of degrees 2 and 3 are read by their own
+    maximum and by top-two alike."""
+    return tuple(map(canonical_form, extremal_family(spec)))
+
+
 def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:
     spec = GraphClassSpec(n=n, delta=delta, graph_class=graph_class)
     # First: extremal_family checks n against the graph limit.
-    expected = tuple(map(canonical_form, extremal_family(spec)))
+    expected = _canonical_family(spec)
     formula = (tree_max_bound if graph_class == "tree" else unicyclic_max_bound)(n, delta)
     class_size, groups = _ranking(graph_class, n)[delta]
     brute, argmax = groups[0]
@@ -335,8 +343,7 @@ def verify_top_two(n: int) -> TopTwoReport:
     TOP_TWO.check_n(n, "graphs")  # from n = 4, so two value groups exist
     expected = unicyclic_top_two(n)
     first_family, second_family = (
-        set(map(canonical_form, extremal_family(GraphClassSpec(n, d, "unicyclic"))))
-        for d in TOP_TWO_DEGREES
+        set(_canonical_family(GraphClassSpec(n, d, "unicyclic"))) for d in TOP_TWO_DEGREES
     )
     total, [(first_value, first), (second_value, second)] = _merge_top_two(
         _ranking("unicyclic", n).values()

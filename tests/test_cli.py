@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sumconn
-from sumconn.cli import dispatch
+from sumconn.cli import _listing_json, dispatch
 from sumconn.graph6 import parse_graph6
 from sumconn.graphs import is_tree, max_degree
 
@@ -139,6 +139,41 @@ def test_enumerate_accepts_the_ends_of_the_degree_range(capsys):
         )
         assert code == 0
         assert out.splitlines()[-1] == f"total={total}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--class", "tree", "--n", "1"],
+        ["--class", "tree", "--n", "2"],
+        ["--class", "tree", "--n", "9"],
+        ["--class", "tree", "--n", "9", "--delta", "3"],
+        ["--class", "tree", "--n", "6", "--delta", "1"],  # no tree: "graphs": []
+        ["--class", "unicyclic", "--n", "3"],
+        ["--class", "unicyclic", "--n", "8"],
+        ["--class", "unicyclic", "--n", "8", "--delta", "2"],
+    ],
+)
+def test_enumerate_json_lists_the_text_lines(capsys, tmp_path, argv):
+    code, text, _ = run(capsys, "enumerate", *argv)
+    assert code == 0
+    code, out, _ = run(capsys, "enumerate", *argv, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["graphs"] == text.splitlines()
+    # The rendering every other JSON output gets, to stdout or to a file.
+    assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    target = tmp_path / "listing.json"
+    assert run(capsys, "enumerate", *argv, "--json", str(target))[0] == 0
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_listing_json_escapes_and_renders_an_empty_list():
+    payload = {"kind": "enumerate", "class": "tree", "n": 4}
+    for chunks in ([["A\\", "B"], [], ["C"]], [], [[]]):
+        graphs = [line for chunk in chunks for line in chunk]
+        expected = json.dumps({**payload, "graphs": graphs}, indent=2, sort_keys=True) + "\n"
+        assert "".join(_listing_json(payload, chunks)) == expected
 
 
 def test_enumerate_unicyclic_13_output_is_pinned(capsys):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumconn.enumeration as enumeration
 from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
-from sumconn.graph6 import Graph6Error, emit_graph6, parse_graph6, to_dot
+from sumconn.graph6 import Graph6Error, emit_graph6, emit_graph6_records, parse_graph6, to_dot
 from sumconn.graphs import SizeLimitError, cycle_graph, graph_from_edges, path_graph
 
 from oracles import graph6_by_pair_probe
@@ -80,6 +81,33 @@ def test_round_trip_on_enumerated_families():
             if n <= 11:
                 assert text == graph6_by_pair_probe(g)
             assert parse_graph6(text).edges == g.edges
+
+
+def _chunked_lines(listing):
+    return [line for chunk in listing.graph6_chunks() for line in chunk]
+
+
+def test_listing_lines_from_records_equal_emit_graph6():
+    # Every degree filter a listing takes, and none: trees n = 1..12 (n = 1
+    # is "@", no data character) and unicyclic graphs n = 3..11.
+    cases = [(enumerate_trees, n, [None, *range(min(1, n - 1), n)]) for n in range(1, 13)]
+    cases += [(enumerate_unicyclic, n, [None, *range(2, n)]) for n in range(3, 12)]
+    for listing, n, deltas in cases:
+        for delta in deltas:
+            graphs = listing(n, delta)
+            assert _chunked_lines(graphs) == [emit_graph6(g) for g in graphs], (n, delta)
+    assert _chunked_lines(enumerate_trees(1)) == ["@"]
+    assert _chunked_lines(enumerate_trees(2)) == ["A_"]
+    assert emit_graph6_records([], 5) == []
+
+
+def test_listing_longer_than_one_chunk():
+    # 7,741 trees on 15 vertices: a full chunk and a partial one.
+    graphs = enumerate_trees(15)
+    sizes = [len(chunk) for chunk in graphs.graph6_chunks()]
+    chunk = enumeration._GRAPH6_CHUNK
+    assert sizes == [chunk] * (len(graphs) // chunk) + [len(graphs) % chunk]
+    assert _chunked_lines(graphs) == [emit_graph6(g) for g in graphs]
 
 
 @settings(max_examples=150, deadline=None)

@@ -364,6 +364,10 @@ def test_a_missing_family_member_fails_the_set_match(monkeypatch):
         return family[:-1] if spec.delta == dropped else family
 
     monkeypatch.setattr(verify, "extremal_family", short)
+    # Canonical families are made once per spec: this test's own, from
+    # ``short``, are kept out of the module's cache, and it keeps none.
+    uncached = verify._canonical_family.__wrapped__
+    monkeypatch.setattr(verify, "_canonical_family", uncached)
     dropped = 3
     report = verify_tree_max(9, 3)  # two spiders
     assert report.value_match and not report.set_match and not report.passed
@@ -372,6 +376,22 @@ def test_a_missing_family_member_fails_the_set_match(monkeypatch):
     dropped = 2
     top = verify_top_two(7)  # the 7-cycle first
     assert not top.first_set_match and top.second_set_match and not top.passed
+
+
+def test_top_two_reads_the_families_its_degrees_verified(monkeypatch):
+    # The degree-2 and degree-3 unicyclic families are built and
+    # canonicalized once, for their own maximum, and top-two reuses them.
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return construct.extremal_family(spec)
+
+    monkeypatch.setattr(verify, "extremal_family", counted)
+    assert verify_unicyclic_max(10, 2).passed and verify_unicyclic_max(10, 3).passed
+    built.clear()
+    assert verify_top_two(10).passed
+    assert built == []
 
 
 def test_monotonicity_suite_vacuous():
