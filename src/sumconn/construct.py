@@ -126,13 +126,12 @@ def attach_path(g: Graph, u: int, r: int) -> Graph:
         raise ValueError(f"path length must be at least 1, got {r}")
     if g.n + r > MAX_VERTICES:
         raise SizeLimitError(f"at most {MAX_VERTICES} vertices supported, got {g.n + r}")
-    edges = list(g.edges)
-    edges.append((u, g.n))
-    edges.extend((g.n + i, g.n + i + 1) for i in range(r - 1))
+    n = g.n
+    edges = [*g.edges, (u, n), *[(n + i, n + i + 1) for i in range(r - 1)]]
     edges.sort()
     # Trusted build: u < g.n is checked and the larger ends of the new edges
     # are the distinct new vertices, so no pair is out of range, a loop or a repeat.
-    return Graph(g.n + r, tuple(edges))
+    return Graph(n + r, tuple(edges))
 
 
 def _grow(g: Graph, legs: Iterable[int]) -> Graph:

@@ -148,15 +148,15 @@ def is_connected(g: Graph) -> bool:
     if g.n == 1:
         return True
     adj = g.adjacency
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
+    seen = [False] * g.n
+    seen[0] = True
+    order = [0]
+    for v in order:  # breadth-first: the loop reads what it appends
         for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+            if not seen[w]:
+                seen[w] = True
+                order.append(w)
+    return len(order) == g.n
 
 
 def is_tree(g: Graph) -> bool:

@@ -2,10 +2,46 @@
 
 Both transforms take explicit witness vertices and refuse anything that
 does not match their preconditions; searching for applicable sites is the
-caller's job.  Vertex and edge counts are always preserved.
+caller's job.  Vertex and edge counts are always preserved.  Each checks
+its preconditions in this order and raises at the first that fails:
+
+``merge_pendant_paths(g, u, p1, p2)``
+
+1. ``u``, ``p1``, ``p2`` in range (``VertexRangeError``);
+2. ``p1 != p2`` (``PathsNotDisjointError``);
+3. ``g`` connected (``TransformError``);
+4. ``deg(u) >= 3`` (``BaseTooSmallError``);
+5. ``p1``, then ``p2``, has degree 1 (``NotPendantError``);
+6. the path from ``p1``, then from ``p2``, attaches at ``u``
+   (``WrongAttachmentError``);
+7. the two paths are disjoint (``PathsNotDisjointError``), and leave at
+   least two vertices (``BaseTooSmallError``).
+
+Step 7 is safety code that no input reaches after steps 1-6.  The walk
+from a pendant stops at the first vertex of degree other than 2; as it
+stops at ``u``, of degree >= 3, the path is the pendant's whole component
+among the vertices of degree <= 2.  Two paths that share a vertex are
+then one component holding both pendants, so the walk from ``p1`` would
+have stopped at ``p2``, of degree 1, not at ``u``.  And ``u`` has exactly
+one neighbour on each path, so with degree >= 3 it keeps a neighbour off
+both: the remainder has two vertices.
+
+``reattach_to_pendant(h, u, u2, u_prime)``
+
+1. ``u``, ``u2``, ``u_prime`` in range (``VertexRangeError``);
+2. ``h`` connected (``TransformError``);
+3. ``deg(u) == 3`` (``DegreeConditionError``);
+4. ``u2`` adjacent to ``u`` (``NotNeighborError``);
+5. ``u_prime`` has degree 1 (``NotPendantError``);
+6. its path attaches at ``u`` (``WrongAttachmentError``);
+7. ``u2`` is not the path's vertex next to ``u`` (``NotNeighborError``);
+8. ``u``'s other base neighbour ``u1`` or ``u2`` has degree at most 4
+   (``DegreeConditionError``).
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 from .graphs import Graph, VertexRangeError, is_connected
 
@@ -43,20 +79,23 @@ def _check_vertex(g: Graph, v: int) -> None:
         raise VertexRangeError(f"vertex {v} out of range for n={g.n}")
 
 
-def _pendant_path(g: Graph, pendant: int) -> tuple[int, list[int]]:
+def _pendant_path(adj: tuple[tuple[int, ...], ...], pendant: int) -> tuple[int, list[int]]:
     """Walk inward from a pendant vertex through degree-2 vertices.
 
     Returns (attachment vertex, path vertices ordered pendant-first).  The
     attachment is the first vertex of degree other than 2.
     """
-    if g.degree(pendant) != 1:
-        raise NotPendantError(f"vertex {pendant} has degree {g.degree(pendant)}, expected 1")
+    row = adj[pendant]
+    if len(row) != 1:
+        raise NotPendantError(f"vertex {pendant} has degree {len(row)}, expected 1")
     path = [pendant]
-    prev, cur = pendant, g.adjacency[pendant][0]
-    while g.degree(cur) == 2:
+    prev, (cur,) = pendant, row
+    row = adj[cur]
+    while len(row) == 2:
         path.append(cur)
-        nxt = next(w for w in g.adjacency[cur] if w != prev)
-        prev, cur = cur, nxt
+        a, b = row
+        prev, cur = cur, b if a == prev else a
+        row = adj[cur]
     return cur, path
 
 
@@ -73,28 +112,29 @@ def merge_pendant_paths(g: Graph, u: int, p1: int, p2: int) -> Graph:
         raise PathsNotDisjointError("the two path ends coincide")
     if not is_connected(g):
         raise TransformError("graph must be connected")
+    adj = g.adjacency
     # two attached paths plus at least one neighbor inside the remainder
-    if g.degree(u) < 3:
+    if len(adj[u]) < 3:
         raise BaseTooSmallError(
-            f"vertex {u} has degree {g.degree(u)}; the remainder would not "
+            f"vertex {u} has degree {len(adj[u])}; the remainder would not "
             "keep a second vertex"
         )
-    attach1, path1 = _pendant_path(g, p1)
-    attach2, path2 = _pendant_path(g, p2)
+    attach1, path1 = _pendant_path(adj, p1)
+    attach2, path2 = _pendant_path(adj, p2)
     if attach1 != u:
         raise WrongAttachmentError(f"path ending at {p1} attaches to {attach1}, not {u}")
     if attach2 != u:
         raise WrongAttachmentError(f"path ending at {p2} attaches to {attach2}, not {u}")
-    if set(path1) & set(path2):
+    removed = {*path1, *path2}
+    if len(removed) < len(path1) + len(path2):
         raise PathsNotDisjointError("pendant paths share vertices")
-    if g.n - len(path1) - len(path2) < 2:
+    if g.n - len(removed) < 2:
         raise BaseTooSmallError("remainder must keep at least two vertices")
-    removed = set(path1) | set(path2)
     edges = [e for e in g.edges if e[0] not in removed and e[1] not in removed]
     # path1 reversed runs u-outward and ends at p1; path2 as walked
     # continues from p1 out to its own attachment-side vertex.
-    chain = [u] + list(reversed(path1)) + path2
-    edges.extend((min(a, b), max(a, b)) for a, b in zip(chain, chain[1:]))
+    chain = [u, *reversed(path1), *path2]
+    edges += [(a, b) if a < b else (b, a) for a, b in zip(chain, chain[1:])]
     edges.sort()
     # Trusted build: the chain's vertices are distinct (u has degree >= 3, so it
     # is on neither disjoint path) and each of its edges touches a removed vertex.
@@ -113,27 +153,27 @@ def reattach_to_pendant(h: Graph, u: int, u2: int, u_prime: int) -> Graph:
         _check_vertex(h, v)
     if not is_connected(h):
         raise TransformError("graph must be connected")
-    if h.degree(u) != 3:
-        raise DegreeConditionError(f"vertex {u} has degree {h.degree(u)}, expected 3")
-    if u2 not in h.adjacency[u]:
+    adj = h.adjacency
+    row = adj[u]
+    if len(row) != 3:
+        raise DegreeConditionError(f"vertex {u} has degree {len(row)}, expected 3")
+    if u2 not in row:
         raise NotNeighborError(f"{u2} is not a neighbor of {u}")
-    if h.degree(u_prime) != 1:
-        raise NotPendantError(f"vertex {u_prime} has degree {h.degree(u_prime)}, expected 1")
-    attach, path = _pendant_path(h, u_prime)
+    attach, path = _pendant_path(adj, u_prime)
     if attach != u:
         raise WrongAttachmentError(f"pendant path from {u_prime} attaches to {attach}, not {u}")
     path_start = path[-1]
     if u2 == path_start:
         raise NotNeighborError(f"{u2} lies on the attached path, not in the base graph")
-    u1 = next(w for w in h.adjacency[u] if w not in (u2, path_start))
-    if min(h.degree(u1), h.degree(u2)) > 4:
+    u1 = sum(row) - u2 - path_start  # row holds u1, u2 and path_start, distinct
+    d1, d2 = len(adj[u1]), len(adj[u2])
+    if d1 > 4 and d2 > 4:
         raise DegreeConditionError(
-            f"both base neighbors of {u} have degree > 4 "
-            f"({h.degree(u1)} and {h.degree(u2)})"
+            f"both base neighbors of {u} have degree > 4 ({d1} and {d2})"
         )
-    edges = [e for e in h.edges if e != (min(u, u2), max(u, u2))]
-    edges.append((min(u_prime, u2), max(u_prime, u2)))
-    edges.sort()
+    edges = list(h.edges)
+    edges.remove((u, u2) if u < u2 else (u2, u))
+    insort(edges, (u_prime, u2) if u_prime < u2 else (u2, u_prime))
     # Trusted build: u2 is off the path (only path_start touches u), so it is
     # neither u_prime nor u_prime's one neighbour: no loop, no repeat.
     return Graph(h.n, tuple(edges))

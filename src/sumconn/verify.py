@@ -29,7 +29,6 @@ one, every n each class accepts, pinned in CI.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections.abc import Sequence
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -405,29 +404,29 @@ def _random_connected_base(rng: Random, n: int) -> Graph:
     """Random tree from a uniform parent array, plus, for n >= 3, a chord
     with probability 1/2: the i-th of the tree's (n - 1)(n - 2)/2 non-edges
     in lexicographic order, i drawn as ``rng.choice`` would draw it from
-    their list, which is not built."""
-    edges = sorted([(rng.randrange(v), v) for v in range(1, n)])
-    # Trusted build: each pair's larger end is its own v, so no pair is out
-    # of range, a loop or a repeat.
-    tree = Graph(n, tuple(edges))
+    their list, which is not built.  The tree's edges are the pairs
+    (parent of v, v), parent < v, so row u's larger neighbours are the
+    vertices whose parent is u: the row's non-edge count and each of its
+    pairs are read off the parent array, and no adjacency is built."""
+    parents = [rng.randrange(v) for v in range(1, n)]  # v's parent is parents[v - 1]
+    edges = sorted(zip(parents, range(1, n)))
     if n >= 3 and rng.random() < 0.5:
         i = rng.randrange((n - 1) * (n - 2) // 2)
-        adj = tree.adjacency
         for u in range(n):  # row u holds the non-edges (u, v), v > u
-            row = adj[u]
-            free = n - 1 - u - (len(row) - bisect(row, u))
+            free = n - 1 - u - parents.count(u)
             if i < free:
                 break
             i -= free
         for v in range(u + 1, n):
-            if v not in row:
+            if parents[v - 1] != u:
                 if not i:
                     break
                 i -= 1
         edges.append((u, v))
         edges.sort()
-        return Graph(n, tuple(edges))
-    return tree
+    # Trusted build: each tree pair's larger end is its own v, so no pair is
+    # out of range, a loop or a repeat; the chord is a non-edge (u, v), u < v.
+    return Graph(n, tuple(edges))
 
 
 def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityReport:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sumconn.canon import canonical_code
 from sumconn.construct import attach_path
 from sumconn.graphs import (
+    VertexRangeError,
     cycle_graph,
     graph_from_edges,
     max_degree,
@@ -20,6 +22,7 @@ from sumconn.transforms import (
     NotNeighborError,
     NotPendantError,
     PathsNotDisjointError,
+    TransformError,
     WrongAttachmentError,
     merge_pendant_paths,
     reattach_to_pendant,
@@ -65,17 +68,39 @@ def test_merge_counts_and_degree_monotonicity():
     assert sum_connectivity(merged) > sum_connectivity(g)
 
 
+def _refuses(rewrite, g, witnesses, error, message):
+    """``rewrite(g, *witnesses)`` raises exactly ``error`` with exactly ``message``."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        rewrite(g, *witnesses)
+    assert info.type is error
+
+
 def test_merge_precondition_errors():
-    g = attach_path(star_graph(4), 0, 2)  # center 0, pendants 1..3, path 4-5
-    with pytest.raises(NotPendantError):
-        merge_pendant_paths(g, 0, 4, 1)  # vertex 4 is internal to a path
-    with pytest.raises(PathsNotDisjointError):
-        merge_pendant_paths(star_graph(4), 0, 2, 2)
+    # Every precondition a merge can fail, in the order it checks them.
+    star = star_graph(4)  # center 0, pendants 1..3
+    star_and_isolated = graph_from_edges(5, star.edges)  # vertex 4 isolated
+    g = attach_path(star, 0, 2)  # and path 4-5 at the center
     two_hubs = graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
-    with pytest.raises(WrongAttachmentError):
-        merge_pendant_paths(two_hubs, 0, 4, 2)  # pendant 4 hangs at 1, not 0
-    with pytest.raises(BaseTooSmallError):
-        merge_pendant_paths(path_graph(3), 1, 0, 2)  # remainder would be one vertex
+    for graph, witnesses, error, message in [
+        (star, (4, 1, 2), VertexRangeError, "vertex 4 out of range for n=4"),
+        (star, (0, 1, -1), VertexRangeError, "vertex -1 out of range for n=4"),
+        (star, (0, 2, 2), PathsNotDisjointError, "the two path ends coincide"),
+        (star_and_isolated, (0, 1, 2), TransformError, "graph must be connected"),
+        (
+            path_graph(3), (1, 0, 2), BaseTooSmallError,  # remainder would be one vertex
+            "vertex 1 has degree 2; the remainder would not keep a second vertex",
+        ),
+        (g, (0, 4, 1), NotPendantError, "vertex 4 has degree 2, expected 1"),  # 4 is inside a path
+        (g, (0, 1, 4), NotPendantError, "vertex 4 has degree 2, expected 1"),
+        (two_hubs, (0, 4, 2), WrongAttachmentError, "path ending at 4 attaches to 1, not 0"),
+        (two_hubs, (0, 2, 4), WrongAttachmentError, "path ending at 4 attaches to 1, not 0"),
+        # The last checks, disjoint paths and a two-vertex remainder, hold
+        # whenever these pass (the module docstring of sumconn.transforms).
+        # Two checks fail, the ends coincide and the graph is disconnected:
+        # the first one checked is the one reported.
+        (star_and_isolated, (0, 1, 1), PathsNotDisjointError, "the two path ends coincide"),
+    ]:
+        _refuses(merge_pendant_paths, graph, witnesses, error, message)
 
 
 def test_reattach_triangle_pendant_to_square():
@@ -109,21 +134,32 @@ def test_reattach_degree_condition_refused():
     base = graph_from_edges(9, edges)
     h = attach_path(base, 0, 1)
     assert h.degree(1) == h.degree(2) == 5
-    with pytest.raises(DegreeConditionError):
-        reattach_to_pendant(h, 0, 2, 9)
+    _refuses(
+        reattach_to_pendant, h, (0, 2, 9), DegreeConditionError,
+        "both base neighbors of 0 have degree > 4 (5 and 5)",
+    )
 
 
 def test_reattach_precondition_errors():
-    h = attach_path(cycle_graph(3), 0, 1)
-    with pytest.raises(DegreeConditionError):
-        reattach_to_pendant(h, 1, 2, 3)  # vertex 1 has degree 2, not 3
-    with pytest.raises(NotNeighborError):
-        reattach_to_pendant(h, 0, 3, 3)  # 3 is the path, not a base neighbor
-    with pytest.raises(NotPendantError):
-        reattach_to_pendant(h, 0, 1, 2)  # 2 is not a pendant
-    h2 = attach_path(attach_path(cycle_graph(4), 0, 2), 2, 1)
-    with pytest.raises(WrongAttachmentError):
-        reattach_to_pendant(h2, 0, 1, 6)  # pendant 6 hangs at 2, not 0
+    # Every precondition a reattachment can fail, in the order it checks them.
+    h = attach_path(cycle_graph(3), 0, 1)  # pendant 3 at triangle vertex 0
+    h_and_isolated = graph_from_edges(5, h.edges)  # vertex 4 isolated
+    h2 = attach_path(attach_path(cycle_graph(4), 0, 2), 2, 1)  # path 4-5 at 0, pendant 6 at 2
+    for graph, witnesses, error, message in [
+        (h, (0, 2, 4), VertexRangeError, "vertex 4 out of range for n=4"),
+        (h, (0, -1, 3), VertexRangeError, "vertex -1 out of range for n=4"),
+        (h_and_isolated, (0, 2, 3), TransformError, "graph must be connected"),
+        (h, (1, 2, 3), DegreeConditionError, "vertex 1 has degree 2, expected 3"),
+        (h2, (0, 2, 5), NotNeighborError, "2 is not a neighbor of 0"),
+        (h, (0, 1, 2), NotPendantError, "vertex 2 has degree 2, expected 1"),
+        (h2, (0, 1, 6), WrongAttachmentError, "pendant path from 6 attaches to 2, not 0"),
+        (h, (0, 3, 3), NotNeighborError, "3 lies on the attached path, not in the base graph"),
+        # the last, the base neighbours' degrees: test_reattach_degree_condition_refused
+        # Two checks fail, the graph is disconnected and vertex 1 has degree
+        # 2: the first one checked is the one reported.
+        (h_and_isolated, (1, 2, 3), TransformError, "graph must be connected"),
+    ]:
+        _refuses(reattach_to_pendant, graph, witnesses, error, message)
 
 
 def test_randomized_strict_increase():

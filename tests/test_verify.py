@@ -412,9 +412,9 @@ def test_monotonicity_suite_rejects_a_negative_seed(seed):
         transform_monotonicity_suite(10, seed=seed)
 
 
-def _instance_digest(monkeypatch, seed: int) -> str:
+def _instance_digest(monkeypatch, seed: int, trials: int) -> str:
     """sha256 of every (graph, witnesses) the suite passes to either rewrite,
-    in call order, over 1000 trials of each."""
+    in call order, over ``trials`` trials of each."""
     digest = hashlib.sha256()
     for name in ("merge_pendant_paths", "reattach_to_pendant"):
         def record(g, *witnesses, _name=name, _rewrite=getattr(verify, name)):
@@ -422,22 +422,30 @@ def _instance_digest(monkeypatch, seed: int) -> str:
             return _rewrite(g, *witnesses)
 
         monkeypatch.setattr(verify, name, record)
-    assert transform_monotonicity_suite(1000, seed).passed
+    assert transform_monotonicity_suite(trials, seed).passed
     monkeypatch.undo()
     return digest.hexdigest()
 
 
+# (seed, trials of each rewrite, sha256 of the instances); a row's test id
+# is its seed and digest.
+PINNED_INSTANCES = [
+    (0, 1000, "2561b34ee58321452c44294ed27ccaf073627bf40fe0f3c362c035c0766d2b9c"),
+    (1, 1000, "ae649f78e93db4228230e880a9093e69e3e5bdf4a44bf1733a0a5cb51b49d707"),
+    # the instances the benchmark's transforms-seeded workload checks
+    (1, 3000, "20fbe9ce4322e57aca5dd9880c2963ba84153435171f646359467f07bf320bef"),
+]
+
+
 @pytest.mark.parametrize(
-    "seed, expected",
-    [
-        (0, "2561b34ee58321452c44294ed27ccaf073627bf40fe0f3c362c035c0766d2b9c"),
-        (1, "ae649f78e93db4228230e880a9093e69e3e5bdf4a44bf1733a0a5cb51b49d707"),
-    ],
+    "seed, trials, expected",
+    PINNED_INSTANCES,
+    ids=[f"{seed}-{expected}" for seed, _, expected in PINNED_INSTANCES],
 )
-def test_monotonicity_suite_instances_are_pinned(monkeypatch, seed, expected):
+def test_monotonicity_suite_instances_are_pinned(monkeypatch, seed, trials, expected):
     # The sampler may change how it finds a chord or a candidate, not which
     # random numbers it draws or in what order: the instances stay these.
-    assert _instance_digest(monkeypatch, seed) == expected
+    assert _instance_digest(monkeypatch, seed, trials) == expected
 
 
 def test_correlation():
