@@ -4,13 +4,12 @@ A code is the byte encoding of a canonically relabeled edge set, prefixed
 by the vertex count.  A rooted tree's code is its canonical level
 sequence, ``bytes`` of depths in preorder (``_rooted_code``), the format
 the generators in ``enumeration`` emit.  Trees are labeled by the
-greatest such sequence over their centers (the tree listing reads it
-off a WROM level sequence, ``enumeration._tree_records``); unicyclic
-graphs canonicalize the cycle under rotation and reflection with the
-codes of the subtrees hanging off each cycle vertex; everything else
-falls back to individualization-refinement search.  No enumerator calls
-``canonical_code``: the listings key their classes by codes their
-generators emit, with ``necklace_code`` and the level-sequence helpers
+greatest such sequence over their centers; unicyclic graphs
+canonicalize the cycle under rotation and reflection with the codes of
+the subtrees hanging off each cycle vertex; everything else falls back
+to individualization-refinement search.  No enumerator calls
+``canonical_code``: the unicyclic listing keys its classes by codes its
+generator emits, with ``necklace_code`` and the level-sequence helpers
 here.  ``verify`` canonicalizes each family member and argmax tree once,
 when it builds a report, and ``export --canonical`` its one graph, so
 ``canonical_code`` keeps no memo; the generic path is a safety net.

@@ -182,12 +182,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    enumerate_fn = enumerate_trees if args.graph_class == "tree" else enumerate_unicyclic
-    graphs = enumerate_fn(args.n, args.delta)
     if args.count_only:
-        # Counted from the records' degrees: no graph is built.
-        counts = _degree_counts(args.graph_class, args.n)
-        counts = {d: c for d, c in counts.items() if args.delta in (None, d)}
+        # Counted from the records' degrees: no listing or graph is built.
+        counts = _degree_counts(args.graph_class, args.n, args.delta)
+        total = sum(counts.values())
         if args.json:
             _emit_json(
                 {
@@ -195,15 +193,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                     "class": args.graph_class,
                     "n": args.n,
                     "counts": {str(d): c for d, c in counts.items()},
-                    "total": len(graphs),
+                    "total": total,
                 },
                 args.json,
             )
         else:
             for d, c in counts.items():
                 print(f"delta={d} count={c}")
-            print(f"total={len(graphs)}")
-    elif args.json:
+            print(f"total={total}")
+        return 0
+    enumerate_fn = enumerate_trees if args.graph_class == "tree" else enumerate_unicyclic
+    graphs = enumerate_fn(args.n, args.delta)
+    if args.json:
         # Written a chunk at a time from the records: no graph is built.
         payload = {"kind": "enumerate", "class": args.graph_class, "n": args.n}
         _write(args.json, _listing_json(payload, graphs.graph6_chunks()))

@@ -120,32 +120,39 @@ def attach_path(g: Graph, u: int, r: int) -> Graph:
     New vertices are labeled ``n .. n+r-1`` outward from ``u``; with
     ``r = 1`` this attaches a pendant vertex.
     """
+    return attach_paths(g, u, (r,))
+
+
+def attach_paths(g: Graph, u: int, lengths: Iterable[int]) -> Graph:
+    """Attach a path on each of ``lengths`` new vertices to ``u``, in
+    order, in one build: the graph ``attach_path`` gives, called once per
+    length, with no graph in between."""
+    lengths = list(lengths)
     if not 0 <= u < g.n:
         raise VertexRangeError(f"vertex {u} out of range for n={g.n}")
-    if r < 1:
-        raise ValueError(f"path length must be at least 1, got {r}")
-    if g.n + r > MAX_VERTICES:
-        raise SizeLimitError(f"at most {MAX_VERTICES} vertices supported, got {g.n + r}")
+    for r in lengths:
+        if r < 1:
+            raise ValueError(f"path length must be at least 1, got {r}")
+    total = g.n + sum(lengths)
+    if total > MAX_VERTICES:
+        raise SizeLimitError(f"at most {MAX_VERTICES} vertices supported, got {total}")
+    edges = [*g.edges]
     n = g.n
-    edges = [*g.edges, (u, n), *[(n + i, n + i + 1) for i in range(r - 1)]]
+    for r in lengths:
+        edges += [(u, n), *[(n + i, n + i + 1) for i in range(r - 1)]]
+        n += r
     edges.sort()
     # Trusted build: u < g.n is checked and the larger ends of the new edges
     # are the distinct new vertices, so no pair is out of range, a loop or a repeat.
-    return Graph(n + r, tuple(edges))
-
-
-def _grow(g: Graph, legs: Iterable[int]) -> Graph:
-    """``g`` with a path on each of ``legs`` vertices attached at vertex 0."""
-    for leg in legs:
-        g = attach_path(g, 0, leg)
-    return g
+    return Graph(n, tuple(edges))
 
 
 def tree_extremal(n: int, delta: int) -> Graph:
     """The unique maximum tree for delta >= ceil(n/2): a center (label 0)
     with 2*delta+1-n pendant vertices and n-delta-1 paths of length two."""
     _check_family("tree_extremal", GraphClassSpec(n, delta, "tree"), True)
-    return _grow(graph_from_edges(1, []), [1] * (2 * delta + 1 - n) + [2] * (n - delta - 1))
+    legs = [1] * (2 * delta + 1 - n) + [2] * (n - delta - 1)
+    return attach_paths(graph_from_edges(1, []), 0, legs)
 
 
 def unicyclic_extremal(n: int, delta: int) -> Graph:
@@ -153,7 +160,7 @@ def unicyclic_extremal(n: int, delta: int) -> Graph:
     triangle vertex (label 0) with 2*delta-n-1 pendants and n-delta-1
     paths of length two."""
     _check_family("unicyclic_extremal", GraphClassSpec(n, delta, "unicyclic"), True)
-    return _grow(cycle_graph(3), [1] * (2 * delta - n - 1) + [2] * (n - delta - 1))
+    return attach_paths(cycle_graph(3), 0, [1] * (2 * delta - n - 1) + [2] * (n - delta - 1))
 
 
 def _leg_multisets(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
@@ -174,7 +181,7 @@ def spider_family(n: int, delta: int) -> list[Graph]:
     _check_family("spider_family", GraphClassSpec(n, delta, "tree"), False)
     center = graph_from_edges(1, [])
     multisets = [(2, n - 3)] if delta == 2 else _leg_multisets(n - 1, delta, 2)
-    return [_grow(center, legs) for legs in multisets]
+    return [attach_paths(center, 0, legs) for legs in multisets]
 
 
 def cycle_spider_family(n: int, delta: int) -> list[Graph]:
@@ -185,7 +192,7 @@ def cycle_spider_family(n: int, delta: int) -> list[Graph]:
     _check_family("cycle_spider_family", GraphClassSpec(n, delta, "unicyclic"), False)
     legs_needed = delta - 2
     return [
-        _grow(cycle_graph(girth), legs)
+        attach_paths(cycle_graph(girth), 0, legs)
         for girth in range(3, n - 2 * legs_needed + 1)
         for legs in _leg_multisets(n - girth, legs_needed, 2)
     ]

@@ -10,7 +10,7 @@ adding chords to free trees.  A chord is deduplicated by the pendant-code
 necklace of the cycle it closes.  A pendant code is the tree's canonical
 level sequence (``canon._rooted_code``), the one rooted-tree format of the
 package: the generators below emit it too, so a bracelet letter's bytes
-are its pendant code.  The trees keyed are the listing's, in WROM
+are its pendant code.  The trees keyed are the tree listing's, in WROM
 labeling, a preorder whose depths are a Beyer-Hedetniemi canonical level
 sequence at vertex 0.  Every subtree of a canonical sequence is canonical,
 and siblings come in non-increasing order, so the code of the lower side
@@ -25,28 +25,44 @@ reads, from the same first end, as an already keyed chord's; no candidate
 graph is built or canonically coded, and the first chord seen for each
 class gives its representative.
 
-The listings order classes by canonical code so that repeated runs and
-CLI output are reproducible; a unicyclic class's code is joined from its
+A tree is kept as the bytes of its sorted edges under the WROM
+labeling, and only the edges of the rewritten suffix are decoded per
+step, since a vertex's parent is the latest vertex before it one level
+up (``_tree_records``).  The tree listing is in generation order, which
+is graph6 order, so it needs no key and no sort.  In the graph6 bit
+string, column v (the pairs (u, v), u < v) holds one 1, at v's parent,
+since v's other neighbours are its children, labeled above it.  WROM
+yields level sequences in decreasing lexicographic order.  Let v be the
+first vertex at which two of them differ, the earlier sequence deeper
+there.  The vertices before v have equal depths, so equal parents, and
+the columns before v are equal.  The latest vertex before v at a depth
+no deeper than v - 1 is the ancestor of v - 1 at that depth, so the
+deeper v has the later parent: the earlier tree's 1 in column v comes
+later, and its graph6 string is the smaller.
+
+The unicyclic listing orders classes by canonical code so that repeated
+runs and CLI output are reproducible; a class's code is joined from its
 key by ``canon.necklace_code`` out of one byte segment per pendant tree,
-with no edge sort.  A tree is kept as the bytes of its sorted edges under
-the WROM labeling, and only the edges of the rewritten suffix are decoded
-per step, since a vertex's parent is the latest vertex before it one
-level up; that record is the edge part of its canonical code unless the
-tree is bicentral and re-rooting it at vertex 1 gives a greater sequence,
-which one comparison of the two halves at the central edge tells.  The
-generator yields the root's second child, where the halves meet, and
-whether they are equally tall, as its own validity test measured them.  Then
-the code's edges are the record's own, relabeled by one ``bytes.translate``
-and joined in another order (``_tree_records``), with no second decode
-or sort.  A unicyclic class is kept in the same format: its tree's record
-with the chord's two bytes inserted at their sorted place.  A record's
-maximum degree is the most times a label occurs in it, computed only for
-a degree filter or a count, once per class and n.  ``enumerate_trees``
-and ``enumerate_unicyclic`` filter the records by degree when asked and
-return one lazy sequence of the records.  A caller that reads graphs
-gets each built when it is read, by unpacking its record's bytes, with
-no validation, BFS or sort; the CLI's listing reads no graph, but the
-records' graph6 lines, encoded a chunk at a time straight from the bytes
+with no edge sort.  Its chord generator visits the trees in
+canonical-code order.  A tree's record is the edge part of its canonical
+code unless the tree is bicentral and re-rooting it at vertex 1 gives a
+greater sequence, which one comparison of the two halves at the central
+edge tells.  The generator yields the root's second child, where the
+halves meet, and whether they are equally tall, as its own validity test
+measured them.  Then the code's edges are the record's own, relabeled by
+one ``bytes.translate`` and joined in another order
+(``_unicyclic_records``), with no second decode or sort.  A unicyclic
+class is kept in the same format: its tree's record with the chord's two
+bytes inserted at their sorted place.  A record's maximum degree is the
+most times a label occurs in it, computed only for a degree filter or a
+count, once per class and n.  ``enumerate_trees`` and
+``enumerate_unicyclic`` filter the records by degree when asked and
+return one lazy sequence of the records; no cache holds the tree
+records, the sequence does, for as long as its caller holds it.  A
+caller that iterates it gets each graph built when it is read, its edges
+unpacked from the joined records in one pass, with no validation, BFS or
+sort; the CLI's listing reads no graph, but the records' graph6 lines,
+encoded a chunk at a time straight from the bytes
 (``graph6.emit_graph6_records``).  Memory holds the records and not the
 graphs, so both listings reach the graph limit, n = 16
 (``graphs.MAX_VERTICES``), as every function here does.
@@ -77,7 +93,7 @@ from bisect import bisect
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress, repeat, tee
 from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterator
@@ -114,7 +130,7 @@ def _free_trees(n: int) -> Iterator[tuple[bytes, int, int, bool]]:
     the one before (1 for the first: the root's depth 0 never changes); the
     root's second child (n if none); and whether the root's first subtree,
     ``seq[1:cut]``, is as tall as the rest, which makes the tree bicentral
-    with centers 0 and 1 (``_tree_records``).
+    with centers 0 and 1 (``_unicyclic_records``).
 
     A rooted successor is kept when the root's first subtree is no larger
     than the rest of the tree: no higher; if as high, with no more
@@ -167,86 +183,19 @@ def _level_sequence_tree(seq: Sequence[int]) -> Graph:
     return Graph(len(seq), tuple(level_sequence_edges(seq)))
 
 
-@lru_cache(maxsize=None)
-def _reroot_table(n: int, cut: int) -> bytes:
-    """``bytes.translate`` table from the labels of a WROM tree on n
-    vertices whose root's second child is ``cut`` to its labels in
-    preorder from vertex 1: vertices 0 and 1 swap, the root's other
-    subtrees, ``cut`` to n - 1, follow as 2 to n - cut + 1, and vertex 1's
-    descendants, 2 to cut - 1, as n - cut + 2 to n - 1."""
-    return bytes([1, 0, *range(n - cut + 2, n), *range(2, n - cut + 2), *range(n, 256)])
-
-
-@lru_cache(maxsize=None)
-def _tree_records(n: int) -> tuple[bytes, ...]:
-    """Every free tree on n vertices as the bytes of its sorted edges under
-    its WROM labeling, each edge (parent, child), in canonical-code order.
+def _tree_records(steps: Iterable[tuple], n: int) -> Iterator[bytes]:
+    """The bytes of each tree's sorted edges under its WROM labeling, each
+    edge (parent, child), for each step ``(seq, p, cut, bicentral)`` of
+    ``_free_trees(n)``, in its order.
 
     A vertex's parent is the latest vertex before it one level up, so a
-    step of the generator changes the parents of the vertices it rewrote
-    and of none before them: only those edges are read again.  A tree's
-    sort key is the edge bytes of its canonical code: the parent-array
-    edges of the greatest canonical level sequence over its centers
-    (``canon._rooted_code``).  Keys are distinct, so the sorted keys are
-    mapped back to their records through the few that differ.
-
-    Which center.  Let ``seq`` be a WROM sequence, ``cut`` the root's
-    second child (n if none), A = ``seq[1:cut]`` one level shallower, the
-    half at vertex 1 of the edge (0, 1), and B = 0 + ``seq[cut:]``, the
-    root's half:
-
-    * The root is a center.  A Beyer-Hedetniemi canonical sequence lists
-      every vertex's subtrees in non-increasing order, and a subtree's
-      sequence starts with its longest root path, so the first root
-      subtree, A, is the tallest.  WROM accepts a sequence only when A is
-      no taller than B.  So either A is lower, and the root is the only
-      center, or both halves have one height, and the centers are the
-      root and vertex 1 (``_free_trees`` yields this as ``bicentral``,
-      with ``cut``, from its own test).
-    * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
-      canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0,
-      that is 0, then A one level deeper, then B's subtrees.
-    * Rooted at vertex 1, a bicentral tree's canonical sequence is 0, then
-      B one level deeper, then A's subtrees: B is as tall as A, so it is
-      taller than every subtree of A and sorts first, and A's subtrees
-      keep their canonical order.  Its preorder labels are
-      ``_reroot_table``'s.
-    * The two sequences first differ where A and B do, one level deeper,
-      and then by the same sign.  If one half is a proper prefix of the
-      other, the longer one goes on deeper than 1 where the shorter one's
-      sequence reaches its next root subtree at depth 1, or ends, so the
-      longer half wins again.  So the re-rooted sequence is greater
-      exactly when B > A, and for equal halves the two are equal.
-
-    The re-rooted key relabels the record.  Its sorted edges come by
-    parent: the new root's, (0, 1) and then vertex 1's child edges; the
-    old root's other child edges, now from 1; the root side's inner
-    edges; vertex 1's side's inner edges.  The record holds each of these
-    runs, in the same order within the run, since the relabeling is
-    increasing on each side: ``(0, 1)``, the root's other child edges,
-    vertex 1's child edges, vertex 1's side's inner edges and then the
-    root side's.  So the key is the bytes 0 and 1, then the record's runs,
-    relabeled, in the new order."""
+    step changes the parents of the vertices it rewrote and of none before
+    them: only those edges are read again."""
     pack = Struct(f">{n - 1}H").pack
     above = [0] * (n - 1)  # above[v - 1]: the edge to v from its parent
-    keys = []
-    rerooted = {}
-    for seq, p, cut, bicentral in _free_trees(n):
+    for seq, p, _, _ in steps:
         above[p - 1 :] = [seq.rfind(seq[v] - 1, 0, v) << 8 | v for v in range(p, n)]
-        record = pack(*sorted(above))
-        if bicentral and b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1]):
-            # Byte offsets where the runs end: the root's edges at r,
-            # vertex 1's child edges at k, vertex 1's side's edges at a.
-            r = 2 * seq.count(1)
-            k = r + 2 * seq.count(2, 2, cut)
-            a = r + 2 * cut - 4
-            t = record.translate(_reroot_table(n, cut))
-            key = b"\x00\x01" + t[r:k] + t[2:r] + t[a:] + t[k:a]
-            rerooted[key] = record
-            record = key
-        keys.append(record)
-    keys.sort()
-    return tuple(map(rerooted.get, keys, keys))
+        yield pack(*sorted(above))
 
 
 _EDGE = Struct("BB")
@@ -429,19 +378,88 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes
 
 
 @lru_cache(maxsize=None)
+def _reroot_table(n: int, cut: int) -> bytes:
+    """``bytes.translate`` table from the labels of a WROM tree on n
+    vertices whose root's second child is ``cut`` to its labels in
+    preorder from vertex 1: vertices 0 and 1 swap, the root's other
+    subtrees, ``cut`` to n - 1, follow as 2 to n - cut + 1, and vertex 1's
+    descendants, 2 to cut - 1, as n - cut + 2 to n - 1."""
+    return bytes([1, 0, *range(n - cut + 2, n), *range(2, n - cut + 2), *range(n, 256)])
+
+
+@lru_cache(maxsize=None)
 def _unicyclic_records(n: int) -> tuple[bytes, ...]:
-    """Every class as the bytes of its sorted edges: a tree's record of
-    ``_tree_records(n)`` with a chord (u, v), ``u < v``, inserted at its
+    """Every class as the bytes of its sorted edges: a tree's record
+    (``_tree_records``) with a chord (u, v), ``u < v``, inserted at its
     sorted place.  Each tree's graph is built to key its chords and
     dropped after.
 
-    Trees and chords are visited in a fixed order and a class keeps the
-    first chord found for it, so the representatives do not depend on how
-    keys are computed.  Classes are ordered by the canonical code built
-    from their key; the keys are dropped once sorted.
-    """
+    Trees are visited in canonical-code order, chords in lexicographic
+    order, and a class keeps the first chord found for it, so the
+    representatives do not depend on how keys are computed.  Classes are
+    ordered by the canonical code built from their key; the keys are
+    dropped once sorted.
+
+    A tree's sort key is the edge bytes of its canonical code: the
+    parent-array edges of the greatest canonical level sequence over its
+    centers (``canon._rooted_code``).  Keys are distinct, so the sorted
+    keys are mapped back to their records through the few that differ.
+
+    Which center.  Let ``seq`` be a WROM sequence, ``cut`` the root's
+    second child (n if none), A = ``seq[1:cut]`` one level shallower, the
+    half at vertex 1 of the edge (0, 1), and B = 0 + ``seq[cut:]``, the
+    root's half:
+
+    * The root is a center.  A Beyer-Hedetniemi canonical sequence lists
+      every vertex's subtrees in non-increasing order, and a subtree's
+      sequence starts with its longest root path, so the first root
+      subtree, A, is the tallest.  WROM accepts a sequence only when A is
+      no taller than B.  So either A is lower, and the root is the only
+      center, or both halves have one height, and the centers are the
+      root and vertex 1 (``_free_trees`` yields this as ``bicentral``,
+      with ``cut``, from its own test).
+    * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
+      canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0,
+      that is 0, then A one level deeper, then B's subtrees.
+    * Rooted at vertex 1, a bicentral tree's canonical sequence is 0, then
+      B one level deeper, then A's subtrees: B is as tall as A, so it is
+      taller than every subtree of A and sorts first, and A's subtrees
+      keep their canonical order.  Its preorder labels are
+      ``_reroot_table``'s.
+    * The two sequences first differ where A and B do, one level deeper,
+      and then by the same sign.  If one half is a proper prefix of the
+      other, the longer one goes on deeper than 1 where the shorter one's
+      sequence reaches its next root subtree at depth 1, or ends, so the
+      longer half wins again.  So the re-rooted sequence is greater
+      exactly when B > A, and for equal halves the two are equal.
+
+    The re-rooted key relabels the record.  Its sorted edges come by
+    parent: the new root's, (0, 1) and then vertex 1's child edges; the
+    old root's other child edges, now from 1; the root side's inner
+    edges; vertex 1's side's inner edges.  The record holds each of these
+    runs, in the same order within the run, since the relabeling is
+    increasing on each side: ``(0, 1)``, the root's other child edges,
+    vertex 1's child edges, vertex 1's side's inner edges and then the
+    root side's.  So the key is the bytes 0 and 1, then the record's runs,
+    relabeled, in the new order."""
+    keys = []
+    rerooted = {}
+    steps, again = tee(_free_trees(n))
+    for (seq, _, cut, bicentral), record in zip(steps, _tree_records(again, n)):
+        if bicentral and b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1]):
+            # Byte offsets where the runs end: the root's edges at r,
+            # vertex 1's child edges at k, vertex 1's side's edges at a.
+            r = 2 * seq.count(1)
+            k = r + 2 * seq.count(2, 2, cut)
+            a = r + 2 * cut - 4
+            t = record.translate(_reroot_table(n, cut))
+            key = b"\x00\x01" + t[r:k] + t[2:r] + t[a:] + t[k:a]
+            rerooted[key] = record
+            record = key
+        keys.append(record)
+    keys.sort()
     found: dict[tuple[bytes, ...], bytes] = {}
-    for record in _tree_records(n):
+    for record in map(rerooted.get, keys, keys):
         tree = _record_tree(record, n)
         for (u, v), key in _chord_necklaces(tree):
             if key not in found:
@@ -645,14 +663,23 @@ def bracelet_graph(word: Sequence[_Letter]) -> Graph:
     return code_graph(necklace_code(sum(map(len, seqs)), seqs))
 
 
-_RECORDS = {"tree": _tree_records, "unicyclic": _unicyclic_records}
+# Each class's records on n vertices, in listing order: trees as the
+# generator yields them, held by no cache; unicyclic classes from theirs.
+_RECORDS = {"tree": lambda n: _tree_records(_free_trees(n), n), "unicyclic": _unicyclic_records}
+
+# Each class's maximum degrees by n, in record order: ints, not records, so
+# a filter or count asked again in one process reads no record.
+_DEGREES: dict[tuple[str, int], tuple[int, ...]] = {}
 
 
-@lru_cache(maxsize=None)
-def _max_degrees(graph_class: str, n: int) -> tuple[int, ...]:
+def _max_degrees(graph_class: str, n: int, records: Iterable[bytes]) -> tuple[int, ...]:
     """The maximum degree of each record of the class on n vertices, in
-    order, computed only for a degree filter or a count."""
-    return tuple(map(_record_max_degree, _RECORDS[graph_class](n)))
+    order, computed only for a degree filter or a count, and only once:
+    ``records``, the class's own in order, are read only the first time."""
+    degrees = _DEGREES.get((graph_class, n))
+    if degrees is None:
+        degrees = _DEGREES[graph_class, n] = tuple(map(_record_max_degree, records))
+    return degrees
 
 
 # Records per ``emit_graph6_records`` call in ``graph6_chunks``: large
@@ -680,7 +707,14 @@ class _LazyGraphs(Sequence[Graph]):
         return _record_tree(self._records[i], self._n)
 
     def __iter__(self) -> Iterator[Graph]:
-        return map(_record_tree, self._records, repeat(self._n))
+        """Each graph, built when it is read: the records are unpacked in
+        one pass, and each graph's edges are its record's pairs, grouped by
+        ``zip`` into a tuple of known length."""
+        records, n = self._records, self._n
+        if n == 1 or not records:  # no pairs to group
+            return map(_record_tree, records, repeat(n))
+        pairs = _EDGE.iter_unpack(b"".join(records))
+        return map(Graph, repeat(n), zip(*[pairs] * (len(records[0]) // 2)))
 
     def graph6_chunks(self) -> Iterator[list[str]]:
         """The graph6 strings of the graphs, in order, in lists of at most
@@ -690,32 +724,46 @@ class _LazyGraphs(Sequence[Graph]):
             yield emit_graph6_records(records[i : i + _GRAPH6_CHUNK], n)
 
 
-def _select(graph_class: str, n: int, delta: DeltaFilter) -> _LazyGraphs:
-    """The class's records on n vertices whose maximum degree ``delta``
-    admits, read as graphs; ``RANGES`` checks n and a degree."""
+def _span(graph_class: str, n: int, delta: DeltaFilter) -> tuple[int, int] | None:
+    """The inclusive range of maximum degrees ``delta`` admits, None for
+    every degree, once ``RANGES`` has checked n and an exact degree."""
     limits = RANGES[graph_class]
     limits.check_n(n, "graphs")
-    records = _RECORDS[graph_class](n)
-    if delta is None:
+    if delta is None or isinstance(delta, tuple):
+        return delta
+    limits.check_delta(n, delta)
+    return delta, delta
+
+
+def _select(graph_class: str, n: int, delta: DeltaFilter) -> _LazyGraphs:
+    """The class's records on n vertices whose maximum degree ``delta``
+    admits, read as graphs."""
+    span = _span(graph_class, n, delta)
+    records = tuple(_RECORDS[graph_class](n))
+    if span is None:
         return _LazyGraphs(records, n)
-    if not isinstance(delta, tuple):
-        limits.check_delta(n, delta)
-        delta = (delta, delta)
-    lo, hi = delta
-    degrees = _max_degrees(graph_class, n)
+    lo, hi = span
+    degrees = _max_degrees(graph_class, n, records)
     return _LazyGraphs(tuple(compress(records, [lo <= d <= hi for d in degrees])), n)
 
 
-def _degree_counts(graph_class: str, n: int) -> dict[int, int]:
-    """The class count at each maximum degree on n vertices (already
-    checked), ascending, from the degrees filters read."""
-    return dict(sorted(Counter(_max_degrees(graph_class, n)).items()))
+def _degree_counts(graph_class: str, n: int, delta: int | None) -> dict[int, int]:
+    """The class count at each maximum degree on n vertices that ``delta``
+    admits, ascending, from the degrees filters read: a tree count holds
+    no record."""
+    span = _span(graph_class, n, delta)
+    counts = Counter(_max_degrees(graph_class, n, _RECORDS[graph_class](n)))
+    return {d: c for d, c in sorted(counts.items()) if span is None or span[0] <= d <= span[1]}
 
 
 def enumerate_trees(n: int, delta: DeltaFilter = None) -> _LazyGraphs:
     """One representative per isomorphism class of free trees on n vertices,
     optionally filtered by maximum degree (exact value in [1, n-1], 0 at
-    n = 1, or inclusive range), ordered by canonical code.
+    n = 1, or inclusive range), in the generator's order, which is the
+    order of their graph6 strings (module docstring): WROM yields level
+    sequences in decreasing order, and at the first vertex where two
+    differ, the earlier tree's vertex has the later parent.  Its labels
+    are the WROM labels, a preorder.
 
     The result is a lazy, re-iterable ``Sequence``: the trees are selected
     by degree from their records, and each tree is built from its record's
@@ -730,9 +778,8 @@ def tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
     vertices, read with no graph; ``_level_sequence_tree`` builds a tree's
     graph.
 
-    The trees come straight off the generator, in its order, with no
-    canonical code and no sort: unlike the listing, a caller must not
-    depend on their order."""
+    The trees come straight off the generator, in the tree listing's
+    order, with no canonical code and no sort."""
     RANGES["tree"].check_n(n, "graphs")
     return _tree_profiles(n)
 

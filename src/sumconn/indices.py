@@ -67,13 +67,17 @@ _memoized_value = lru_cache(maxsize=1 << 14)(profile_value)
 
 
 def connectivity_index(g: Graph, kind: IndexKind) -> RadicalValue:
-    if g.m == 0:
+    edges = g.edges
+    if not edges:
         raise EdgelessGraphError("graph has no edges")
-    deg = g.degrees()
+    deg = [0] * g.n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
     if kind is IndexKind.SUM:
-        profile = sum([_UNIT[deg[u] + deg[v]] for u, v in g.edges])
+        profile = sum([_UNIT[deg[u] + deg[v]] for u, v in edges])
     else:
-        profile = sum([_UNIT[deg[u] * deg[v]] for u, v in g.edges])
+        profile = sum([_UNIT[deg[u] * deg[v]] for u, v in edges])
     return _memoized_value(profile)
 
 

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from .bounds import tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_form
 from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, DeltaRangeError, GraphClassSpec
-from .construct import attach_path, extremal_family
+from .construct import attach_path, attach_paths, extremal_family
 from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
 from .enumeration import unicyclic_bracelets
 from .graph6 import emit_graph6
@@ -456,7 +456,7 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
         budget = REWRITE_MAX_VERTICES - base_n
         a = rng.randint(1, budget - 1)
         b = rng.randint(1, budget - a)
-        g = attach_path(attach_path(base, u, a), u, b)
+        g = attach_paths(base, u, (a, b))
         p1 = base_n + a - 1
         p2 = base_n + a + b - 1
         merged = merge_pendant_paths(g, u, p1, p2)

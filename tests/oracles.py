@@ -28,11 +28,11 @@ and degrees whole, where the package steps them along the generator;
 each prefix's sums.  ``free_tree_level_sequences``
 runs the WROM generator on lists, with a full successor, subtree split
 and validity check per step; ``level_sequence_trees`` builds the tree of
-each of its sequences through ``graph_from_edges`` and sorts by the
-package's ``canonical_code``; ``eager_level_sequence_trees`` builds the
-same trees with the enumerator's own ``_level_sequence_tree``, all at
-once, and sorts them the same way; ``chord_dedup_unicyclic`` builds every tree-plus-chord
-graph and deduplicates by ``canonical_code``; ``chord_necklaces_unpruned``
+each of its sequences through ``graph_from_edges``, in its order;
+``eager_level_sequence_trees`` builds the same trees with the
+enumerator's own ``_level_sequence_tree``, all at once;
+``chord_dedup_unicyclic`` builds every tree-plus-chord graph, trees in
+the order of the package's ``canonical_code``, and deduplicates by it; ``chord_necklaces_unpruned``
 keys every chord of a tree, with no orbit pruning, in AHU strings;
 ``squarefree_by_trial_division`` trial-divides up to the square root;
 ``graph6_by_pair_probe`` tests every vertex pair for an edge and packs the
@@ -44,7 +44,7 @@ edge list;
 cell, twins included; ``canonical_level_sequence`` re-roots a bicentral
 WROM sequence at vertex 1 by splitting, sorting and joining its blocks,
 and ``level_sequence_code`` writes the canonical code of its edges, the
-key the tree listing sorts by.
+key the unicyclic generator sorts its trees by.
 
 The Fraction-term functions (``fraction_terms`` and ``reciprocal_sqrt_terms``
 with ``terms_hash``, ``terms_str``, ``terms_json`` and ``mp_terms``) keep
@@ -390,31 +390,21 @@ def free_tree_level_sequences(n: int) -> Iterator[list[int]]:
 
 def level_sequence_trees(n: int) -> list[tuple[Edge, ...]]:
     """Free trees (edge tuples) on n vertices: the tree of every WROM level
-    sequence, built by ``graph_from_edges`` and sorted by canonical code."""
-    from sumconn.canon import canonical_code
+    sequence, in generation order, built by ``graph_from_edges``."""
     from sumconn.graphs import graph_from_edges
 
-    if n == 1:
-        return [()]
-    graphs = [
-        graph_from_edges(n, _level_sequence_edges(seq)) for seq in free_tree_level_sequences(n)
+    return [
+        graph_from_edges(n, _level_sequence_edges(seq)).edges
+        for seq in free_tree_level_sequences(n)
     ]
-    graphs.sort(key=canonical_code)
-    return [g.edges for g in graphs]
 
 
 def eager_level_sequence_trees(n: int) -> list:
     """Free trees (graphs) on n vertices as one eager list: every WROM level
-    sequence's tree built by ``_level_sequence_tree``, sorted by canonical
-    code."""
-    from sumconn.canon import canonical_code
+    sequence's tree, in generation order, built by ``_level_sequence_tree``."""
     from sumconn.enumeration import _level_sequence_tree
 
-    if n == 1:
-        return [_level_sequence_tree([0])]
-    trees = [_level_sequence_tree(seq) for seq in free_tree_level_sequences(n)]
-    trees.sort(key=canonical_code)
-    return trees
+    return [_level_sequence_tree(seq) for seq in free_tree_level_sequences(n)]
 
 
 def level_profile(seq, root_edges: int) -> tuple[int, int, int]:
@@ -490,14 +480,14 @@ def leading_groups_by_value(graphs, k: int) -> tuple[int, list[tuple[RadicalValu
 
 def chord_dedup_unicyclic(n: int) -> list[tuple[Edge, ...]]:
     """Unicyclic representatives (edge tuples) by building every free tree
-    plus every chord and keeping the first graph per canonical code, in
-    canonical-code order."""
+    plus every chord, trees in canonical-code order, and keeping the first
+    graph per canonical code, in canonical-code order."""
     from sumconn.canon import canonical_code
     from sumconn.enumeration import enumerate_trees
     from sumconn.graphs import graph_from_edges
 
     found = {}
-    for tree in enumerate_trees(n):
+    for tree in sorted(enumerate_trees(n), key=canonical_code):
         present = set(tree.edges)
         for u, v in combinations(range(n), 2):
             if (u, v) in present:

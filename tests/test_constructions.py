@@ -9,6 +9,7 @@ from sumconn.construct import (
     DeltaRangeError,
     GraphClassSpec,
     attach_path,
+    attach_paths,
     cycle_spider_family,
     extremal_family,
     is_large_delta,
@@ -51,6 +52,24 @@ def test_attach_path():
         attach_path(cycle_graph(3), 0, 0)
     with pytest.raises(SizeLimitError):
         attach_path(cycle_graph(14), 0, 3)
+
+
+def test_attach_paths_is_attach_path_once_per_length():
+    # One build gives the graph of one attach_path call per length, in
+    # order, labels included, and refuses what one of those calls would.
+    for g in (path_graph(2), cycle_graph(5), star_graph(4)):
+        for u in range(g.n):
+            for lengths in [(), (1,), (2, 1), (1, 3, 2)]:
+                expected = g
+                for r in lengths:
+                    expected = attach_path(expected, u, r)
+                assert attach_paths(g, u, lengths) == expected
+    with pytest.raises(VertexRangeError, match="^vertex 3 out of range for n=3$"):
+        attach_paths(cycle_graph(3), 3, (1, 1))
+    with pytest.raises(ValueError, match="^path length must be at least 1, got 0$"):
+        attach_paths(cycle_graph(3), 0, (2, 0))
+    with pytest.raises(SizeLimitError, match="^at most 16 vertices supported, got 17$"):
+        attach_paths(cycle_graph(14), 0, (1, 2))
 
 
 def test_tree_extremal():

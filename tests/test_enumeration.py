@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ import sumconn
 import sumconn.enumeration as enumeration
 from sumconn.canon import _rooted_code, canonical_code, canonical_form, level_sequence_edges
 from sumconn.cli import dispatch
+from sumconn.graph6 import emit_graph6
 from sumconn.enumeration import (
     _chord_necklaces,
     _level_sequence_tree,
@@ -91,11 +93,18 @@ def test_trees_match_level_sequence_reference():
         assert all(g == graph_from_edges(g.n, g.edges) for g in trees)
 
 
-def test_free_trees_match_the_list_reference():
+def test_free_trees_match_the_list_reference(monkeypatch):
     # The bytes generator against the list one it replaced, step for step,
-    # and the records against the sort and edges of its sequences.  The
-    # cut and equal-height flag, taken from the generator's own test and
-    # measured again only where a step rewrote them, are each tree's.
+    # and the records against the edges of its sequences, in both orders:
+    # the listing's, as generated, and the canonical-code order in which
+    # the unicyclic generator visits the trees, seen by running it with no
+    # chord keyed.  The cut and equal-height flag, taken from the
+    # generator's own test and measured again only where a step rewrote
+    # them, are each tree's.
+    visited = []
+    build = enumeration._record_tree
+    monkeypatch.setattr(enumeration, "_record_tree", lambda rec, n: visited.append(rec) or build(rec, n))
+    monkeypatch.setattr(enumeration, "_chord_necklaces", lambda tree: ())
     for n in range(1, 17):
         reference = list(map(bytes, free_tree_level_sequences(n)))
         steps = list(enumeration._free_trees(n))
@@ -106,9 +115,12 @@ def test_free_trees_match_the_list_reference():
             second = seq.find(1, 2)
             assert cut == (n if second < 0 else second)
             assert bicentral == (max(seq[1:cut], default=0) > max(seq[cut:], default=0))
-        assert list(enumeration._tree_records(n)) == [
-            bytes(chain.from_iterable(level_sequence_edges(seq)))
-            for seq in sorted(reference, key=level_sequence_code)
+        records = [bytes(chain.from_iterable(level_sequence_edges(seq))) for seq in reference]
+        assert list(enumeration._tree_records(iter(steps), n)) == records
+        visited.clear()
+        enumeration._unicyclic_records.__wrapped__(n)
+        assert visited == [
+            record for _, record in sorted(zip(map(level_sequence_code, reference), records))
         ]
 
 
@@ -155,6 +167,23 @@ def test_lazy_trees_match_the_eager_reference():
         assert list(enumerate_trees(n)) == eager_level_sequence_trees(n)
 
 
+# sha256 of the tree listings' graph6 lines for n = 1..16, each line ending
+# in a newline, each listing sorted: taken from the listings in
+# canonical-code order that preceded generation order.
+SORTED_TREE_LISTINGS = "47e38e8cbb05621b981be3db64e4c40baaaf2117108503b64ce301b5dc0e7559"
+
+
+def test_tree_listings_are_the_sorted_canonical_listings():
+    # Generation order is graph6 order, and the trees are the ones the
+    # canonical-code listing held, with the same labels.
+    digest = hashlib.sha256()
+    for n in range(1, 17):
+        lines = [line for chunk in enumerate_trees(n).graph6_chunks() for line in chunk]
+        assert lines == sorted(lines)
+        digest.update("".join(line + "\n" for line in lines).encode())
+    assert digest.hexdigest() == SORTED_TREE_LISTINGS
+
+
 # Both listings share one record format, decoder and lazy sequence; each
 # is checked at a size where it is quick: (listing, n, classes, classes of
 # maximum degree 4).
@@ -168,8 +197,8 @@ def _check_lazy_sequence(monkeypatch, graph_class):
     listing, n, count, _ = _LISTINGS[graph_class]
     enumeration._RECORDS[graph_class](n)  # generated, and chords keyed, before the watch
     built = []
-    build = enumeration._record_tree
-    monkeypatch.setattr(enumeration, "_record_tree", lambda rec, size: built.append(rec) or build(rec, size))
+    build = enumeration.Graph
+    monkeypatch.setattr(enumeration, "Graph", lambda size, edges: built.append(edges) or build(size, edges))
     graphs = listing(n)
     assert len(graphs) == count
     assert not built  # len builds no graph
@@ -206,7 +235,7 @@ def _check_unfiltered_listing_computes_no_degree(monkeypatch, graph_class):
     def refuse(record):
         raise AssertionError(f"a {graph_class} degree was computed")
 
-    enumeration._max_degrees.cache_clear()
+    monkeypatch.setattr(enumeration, "_DEGREES", {})
     monkeypatch.setattr(enumeration, "_record_max_degree", refuse)
     graphs = listing(n)
     assert len(list(graphs)) == len(graphs) == count
@@ -230,7 +259,7 @@ def _check_counts_compute_each_degree_once(monkeypatch, capsys, graph_class):
     monkeypatch.setattr(
         enumeration, "_record_max_degree", lambda rec: seen.append(rec) or degree(rec)
     )
-    enumeration._max_degrees.cache_clear()
+    monkeypatch.setattr(enumeration, "_DEGREES", {})
     for argv in (["--count-only"], ["--count-only", "--delta", "4"], ["--delta", "4"]):
         assert dispatch(["enumerate", "--class", graph_class, "--n", str(n), *argv]) == 0
         assert sorted(seen) == sorted(enumeration._RECORDS[graph_class](n))
@@ -240,6 +269,19 @@ def _check_counts_compute_each_degree_once(monkeypatch, capsys, graph_class):
 
 def test_tree_counts_compute_each_degree_once(monkeypatch, capsys):
     _check_counts_compute_each_degree_once(monkeypatch, capsys, "tree")
+
+
+def test_a_tree_count_or_filter_generates_the_trees_once(monkeypatch, capsys):
+    # No cache holds tree records, so each run generates them, once.
+    calls = []
+    free_trees = enumeration._free_trees
+    monkeypatch.setattr(enumeration, "_free_trees", lambda n: calls.append(n) or free_trees(n))
+    for argv in (["--count-only"], ["--count-only", "--delta", "4"], ["--delta", "4"]):
+        monkeypatch.setattr(enumeration, "_DEGREES", {})
+        calls.clear()
+        assert dispatch(["enumerate", "--class", "tree", "--n", "12", *argv]) == 0
+        assert calls == [12]
+    capsys.readouterr()
 
 
 def test_unicyclic_counts_compute_each_degree_once(monkeypatch, capsys):
@@ -493,7 +535,8 @@ def test_all_yields_are_valid_and_distinct():
         trees = enumerate_trees(n)
         codes = [canonical_code(g) for g in trees]
         assert len(set(codes)) == len(codes)
-        assert codes == sorted(codes)  # deterministic canonical-code order
+        lines = [emit_graph6(g) for g in trees]
+        assert lines == sorted(lines)  # generation order is graph6 order
         assert all(is_tree(g) and g.n == n for g in trees)
     for n in range(3, 9):
         unis = enumerate_unicyclic(n)

@@ -24,7 +24,7 @@ from sumconn.graphs import (
     unique_cycle,
 )
 from sumconn.construct import attach_path, tree_extremal, unicyclic_extremal
-from sumconn.enumeration import _max_degrees, enumerate_trees, enumerate_unicyclic
+from sumconn.enumeration import _max_degrees, _unicyclic_records, enumerate_trees, enumerate_unicyclic
 from sumconn.verify import transform_monotonicity_suite
 
 from oracles import _centers, _cycle_by_dfs, adjacency_from_edges
@@ -166,7 +166,8 @@ def test_adjacency_and_degrees_match_the_eager_build(monkeypatch):
         for g in enumerate_trees(n):
             _check_derived(g)
     for n in range(3, 10):
-        for top, g in zip(_max_degrees("unicyclic", n), enumerate_unicyclic(n)):
+        tops = _max_degrees("unicyclic", n, _unicyclic_records(n))
+        for top, g in zip(tops, enumerate_unicyclic(n)):
             assert max(g.degrees()) == top
             _check_derived(g)
     # Every graph the transform suite makes for one seed.
