@@ -3,8 +3,10 @@
 Vertices are labeled ``0..n-1``.  Graphs are values: construction
 normalizes and validates the edge set once, after which a graph can be
 shared freely (including across threads).  Its value is its vertex count
-and sorted edge tuple; the adjacency lists are filled on first read.  All
-structural transforms in this package build new graphs rather than mutating.
+and sorted edge tuple.  Each field is set once, through its slot's
+descriptor; the rows slot starts ``None`` and the adjacency rows are
+filled on first read.  All structural transforms in this package build new
+graphs rather than mutating.
 """
 
 from __future__ import annotations
@@ -47,19 +49,24 @@ class Graph:
     pairs ``(u, v)``, ``0 <= u < v < n`` (``graph_from_edges`` checks).
     Appending them in order fills each ``adjacency`` list sorted, smaller
     neighbours (pairs ending in v) before larger ones (pairs starting at v);
-    two threads reading it first may both build it, to equal tuples."""
+    two threads reading it first may both build it, to equal tuples.
+
+    ``__setattr__`` refuses every assignment, so ``__init__`` and the first
+    ``adjacency`` read set the slots through their descriptors' ``__set__``
+    (``_set_n``, ``_set_edges``, ``_set_adjacency``).  The rows slot starts
+    ``None``, so the first read tests it and raises nothing."""
 
     __slots__ = ("n", "edges", "_adjacency")
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
+        _set_n(self, n)
+        _set_edges(self, edges)
+        _set_adjacency(self, None)
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        try:
-            return self._adjacency
-        except AttributeError:
+        rows = self._adjacency
+        if rows is None:
             adj: list[list[int]] = [[] for _ in range(self.n)]
             for u, v in self.edges:
                 adj[u].append(v)
@@ -67,8 +74,9 @@ class Graph:
             # The outer tuple goes through a list: a tuple of known length
             # is taken from the interpreter's free list, where one grown
             # from an iterator is allocated anew and, once freed, left there.
-            object.__setattr__(self, "_adjacency", tuple([*map(tuple, adj)]))
-            return self._adjacency
+            rows = tuple([*map(tuple, adj)])
+            _set_adjacency(self, rows)
+        return rows
 
     @property
     def m(self) -> int:
@@ -103,6 +111,11 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges)})"
+
+
+_set_n = Graph.n.__set__
+_set_edges = Graph.edges.__set__
+_set_adjacency = Graph._adjacency.__set__
 
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
@@ -186,6 +199,7 @@ def peel_leaves(g: Graph) -> list[int]:
     connected graph layer by layer while more than two vertices remain and
     some leaf is left: a tree's one or two centers, a unicyclic graph's
     cycle."""
+    adj = g.adjacency
     deg = list(g.degrees())
     alive = [True] * g.n
     layer = [v for v in range(g.n) if deg[v] == 1]
@@ -195,7 +209,7 @@ def peel_leaves(g: Graph) -> list[int]:
         nxt = []
         for u in layer:
             alive[u] = False
-            for w in g.adjacency[u]:
+            for w in adj[u]:
                 if alive[w]:
                     deg[w] -= 1
                     if deg[w] == 1:
@@ -207,9 +221,10 @@ def peel_leaves(g: Graph) -> list[int]:
 def peel_to_cycle(g: Graph) -> tuple[int, ...]:
     """``unique_cycle`` for a graph already known to be unicyclic (unchecked)."""
     cycle = peel_leaves(g)
+    adj = g.adjacency
     # Deterministic orientation: from the least label, step to the smaller
     # cycle neighbour, then on to the cycle neighbour not just left.
-    order = [cycle[0], min(w for w in g.adjacency[cycle[0]] if w in cycle)]
+    order = [cycle[0], min(w for w in adj[cycle[0]] if w in cycle)]
     while len(order) < len(cycle):
-        order.append(next(w for w in g.adjacency[order[-1]] if w in cycle and w != order[-2]))
+        order.append(next(w for w in adj[order[-1]] if w in cycle and w != order[-2]))
     return tuple(order)

@@ -29,7 +29,7 @@ one, every n each class accepts, pinned in CI.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -63,6 +63,7 @@ def degree_two_attachment_count(g: Graph) -> int:
     count reflects attached paths only.  With several maximum-degree
     vertices the largest count is reported.
     """
+    adj = g.adjacency
     deg = g.degrees()
     top = max(deg)
     cycle = set(peel_leaves(g)) if is_unicyclic(g) else set()
@@ -71,7 +72,7 @@ def degree_two_attachment_count(g: Graph) -> int:
         if deg[v] != top:
             continue
         skip = cycle if v in cycle else set()
-        k = sum(1 for w in g.adjacency[v] if deg[w] == 2 and w not in skip)
+        k = sum(1 for w in adj[v] if deg[w] == 2 and w not in skip)
         best = max(best, k)
     return best
 
@@ -400,18 +401,47 @@ class MonotonicityReport(NamedTuple):
         return f"{text}\nwarning: {self.warning}" if self.warning else text
 
 
-def _random_connected_base(rng: Random, n: int) -> Graph:
+def _uniform_below(rng: Random) -> Callable[[int], int]:
+    """``below``, where ``below(k)`` draws uniformly from ``range(k)``,
+    k >= 1, off ``rng``'s one Mersenne Twister stream: w = k.bit_length(),
+    then w-bit words from ``rng.getrandbits`` until one is below k.
+
+    This is ``Random._randbelow_with_getrandbits``, which CPython 3.10 to
+    3.13 use for ``randrange(k)``, for ``randint(a, b)`` as
+    ``a + _randbelow(b - a + 1)`` and for ``choice(s)`` as
+    ``s[_randbelow(len(s))]``.  So ``below`` reads the stream word for word
+    as those calls do, less their argument handling, and ``rng.random()``
+    reads the same stream in between: a seed draws the same instances as
+    through those calls, on each of those versions.  A lockstep test
+    against a twin ``Random`` checks this on every Python the tests run
+    on.  ``below(0)`` never returns (no 0-bit word is below 0); no caller
+    passes it."""
+    bits = rng.getrandbits
+
+    def below(k: int) -> int:
+        w = k.bit_length()
+        r = bits(w)
+        while r >= k:
+            r = bits(w)
+        return r
+
+    return below
+
+
+def _random_connected_base(rng: Random, below: Callable[[int], int], n: int) -> Graph:
     """Random tree from a uniform parent array, plus, for n >= 3, a chord
-    with probability 1/2: the i-th of the tree's (n - 1)(n - 2)/2 non-edges
-    in lexicographic order, i drawn as ``rng.choice`` would draw it from
-    their list, which is not built.  The tree's edges are the pairs
-    (parent of v, v), parent < v, so row u's larger neighbours are the
-    vertices whose parent is u: the row's non-edge count and each of its
-    pairs are read off the parent array, and no adjacency is built."""
-    parents = [rng.randrange(v) for v in range(1, n)]  # v's parent is parents[v - 1]
+    with probability 1/2 (``rng.random() < 0.5``): the i-th of the tree's
+    (n - 1)(n - 2)/2 non-edges in lexicographic order, i = ``below`` of
+    their count, as ``rng.choice`` would draw it from their list, which is
+    not built.  Every integer comes from ``below`` (``_uniform_below``).
+    The tree's edges are the pairs (parent of v, v), parent < v, so row
+    u's larger neighbours are the vertices whose parent is u: the row's
+    non-edge count and each of its pairs are read off the parent array,
+    and no adjacency is built."""
+    parents = [below(v) for v in range(1, n)]  # v's parent is parents[v - 1]
     edges = sorted(zip(parents, range(1, n)))
     if n >= 3 and rng.random() < 0.5:
-        i = rng.randrange((n - 1) * (n - 2) // 2)
+        i = below((n - 1) * (n - 2) // 2)
         for u in range(n):  # row u holds the non-edges (u, v), v > u
             free = n - 1 - u - parents.count(u)
             if i < free:
@@ -434,6 +464,13 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
     ``REWRITE_MAX_VERTICES`` vertices and check that each rewrite strictly
     increases the exact sum-connectivity index.
 
+    Every integer, in the suite and in ``_random_connected_base``, is drawn
+    by one ``_uniform_below`` over ``Random(seed)``, and each chord coin is
+    ``random() < 0.5`` on the same generator.  A draw written below as
+    ``a + below(b - a + 1)`` is ``randint(a, b)``, and ``s[below(len(s))]``
+    is ``choice(s)``, word for word on CPython 3.10 to 3.13, so a seed
+    gives the same instances on each of them.
+
     With ``trials = 0`` the report passes vacuously and carries a warning.
     A negative ``seed`` raises ValueError: ``random.Random(-s)`` draws
     exactly as ``Random(s)``, so it would rerun seed s.
@@ -448,14 +485,15 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
         return MonotonicityReport(0, warning="no trials requested; vacuous pass")
 
     rng = Random(seed)
+    below = _uniform_below(rng)
     merge_violations = []
     for _ in range(trials):
-        base_n = rng.randint(2, REWRITE_MAX_VERTICES - 2)
-        base = _random_connected_base(rng, base_n)
-        u = rng.randrange(base_n)
+        base_n = 2 + below(REWRITE_MAX_VERTICES - 3)  # randint(2, REWRITE_MAX_VERTICES - 2)
+        base = _random_connected_base(rng, below, base_n)
+        u = below(base_n)
         budget = REWRITE_MAX_VERTICES - base_n
-        a = rng.randint(1, budget - 1)
-        b = rng.randint(1, budget - a)
+        a = 1 + below(budget - 1)  # randint(1, budget - 1)
+        b = 1 + below(budget - a)  # randint(1, budget - a)
         g = attach_paths(base, u, (a, b))
         p1 = base_n + a - 1
         p2 = base_n + a + b - 1
@@ -467,8 +505,8 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
     for _ in range(trials):
         h = None
         for _attempt in range(200):
-            base_n = rng.randint(3, REWRITE_MAX_VERTICES - 1)
-            base = _random_connected_base(rng, base_n)
+            base_n = 3 + below(REWRITE_MAX_VERTICES - 3)  # randint(3, REWRITE_MAX_VERTICES - 1)
+            base = _random_connected_base(rng, below, base_n)
             adj = base.adjacency
             deg = [len(row) for row in adj]
             candidates = [
@@ -476,11 +514,12 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
             ]
             if not candidates:
                 continue
-            u = rng.choice(candidates)
-            a = rng.randint(1, REWRITE_MAX_VERTICES - base_n)
+            u = candidates[below(len(candidates))]
+            a = 1 + below(REWRITE_MAX_VERTICES - base_n)  # randint(1, REWRITE_MAX_VERTICES - base_n)
             h = attach_path(base, u, a)
             u_prime = base_n + a - 1
-            u2 = rng.choice(adj[u])  # rows are sorted
+            row = adj[u]  # sorted
+            u2 = row[below(len(row))]
             break
         if h is None:
             raise RuntimeError("failed to sample a rewrite instance")

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from sumconn.graphs import (
     unique_cycle,
 )
 from sumconn.construct import attach_path, tree_extremal, unicyclic_extremal
-from sumconn.enumeration import _max_degrees, _unicyclic_records, enumerate_trees, enumerate_unicyclic
+from sumconn.enumeration import _max_degrees, _record_tree, _unicyclic_records, enumerate_trees
+from sumconn.enumeration import enumerate_unicyclic
 from sumconn.verify import transform_monotonicity_suite
 
 from oracles import _centers, _cycle_by_dfs, adjacency_from_edges
@@ -142,7 +144,7 @@ def test_graph_attributes_cannot_be_set():
     for name, value in (("n", 4), ("edges", ()), ("adjacency", ()), ("_adjacency", ()), ("label", 1)):
         with pytest.raises(AttributeError):
             setattr(g, name, value)
-    for name in ("n", "edges"):
+    for name in ("n", "edges", "_adjacency", "adjacency"):
         with pytest.raises(AttributeError):
             delattr(g, name)
     assert g == graph_from_edges(3, [(0, 1), (1, 2)])
@@ -154,6 +156,51 @@ def test_graphs_copy_and_pickle():
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
         assert twin == g and hash(twin) == hash(g)
         assert twin.adjacency == g.adjacency
+
+
+def _traced_first_read(g):
+    """``g.adjacency`` and the trace events of the property's own frame."""
+    events = []
+    code = Graph.adjacency.fget.__code__
+
+    def local(frame, event, arg):
+        events.append(event)
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code is code:
+            events.append(event)
+            return local
+        return None
+
+    outer = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        rows = g.adjacency
+    finally:
+        sys.settrace(outer)
+    return rows, events
+
+
+def test_the_first_adjacency_read_raises_nothing():
+    # The rows slot starts None: the first read tests it, where reading an
+    # unset slot would raise and catch an AttributeError per graph.
+    g = graph_from_edges(5, [(3, 4), (0, 1), (1, 2), (2, 0)])
+    fresh = [
+        Graph(1, ()),
+        Graph(4, ((0, 1), (1, 2), (1, 3))),
+        graph_from_edges(5, [(3, 4), (0, 1), (1, 2), (2, 0)]),
+        _record_tree(bytes([0, 1, 0, 2, 2, 3]), 4),
+        copy.copy(g),
+        copy.deepcopy(g),
+        pickle.loads(pickle.dumps(g)),
+    ]
+    for h in fresh:
+        rows, events = _traced_first_read(h)
+        assert events[0] == "call" and events[-1] == "return", events
+        assert "exception" not in events, h
+        assert rows == tuple(map(tuple, adjacency_from_edges(h.n, h.edges)))
+        assert h.adjacency is rows
 
 
 def _check_derived(g):

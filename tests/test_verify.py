@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import mpmath
 import pytest
@@ -410,6 +411,22 @@ def test_monotonicity_suite_rejects_a_negative_seed(seed):
     # random.Random(-s) is seeded exactly as Random(s): -5 would rerun seed 5.
     with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
         transform_monotonicity_suite(10, seed=seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_uniform_below_draws_as_randrange_randint_and_choice(seed):
+    # The suite's one draw primitive, run in lockstep against a twin
+    # generator with coins in between: on a Python whose randrange, randint
+    # or choice read the stream otherwise, this fails by name, before any
+    # pinned digest does.
+    rng, twin = Random(seed), Random(seed)
+    below = verify._uniform_below(rng)
+    for k in [*range(1, 131), 2**31 - 1, 2**31 + 1, 10**12]:
+        assert below(k) == twin.randrange(k), k
+        assert -3 + below(k) == twin.randint(-3, k - 4), k
+        s = range(7, 7 + 3 * k, 3)
+        assert s[below(len(s))] == twin.choice(s), k
+        assert rng.random() == twin.random(), k
 
 
 def _instance_digest(monkeypatch, seed: int, trials: int) -> str:
