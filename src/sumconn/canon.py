@@ -1,18 +1,19 @@
-"""Canonical codes for connected graphs: equal codes iff isomorphic.
+"""Canonical codes for trees and unicyclic graphs: equal codes iff isomorphic.
 
-A code is the byte encoding of a canonically relabeled edge set, prefixed
-by the vertex count.  A rooted tree's code is its canonical level
-sequence, ``bytes`` of depths in preorder (``_rooted_code``), the format
-the generators in ``enumeration`` emit.  Trees are labeled by the
-greatest such sequence over their centers; unicyclic graphs
-canonicalize the cycle under rotation and reflection with the codes of
-the subtrees hanging off each cycle vertex; everything else falls back
-to individualization-refinement search.  No enumerator calls
-``canonical_code``: the unicyclic listing keys its classes by codes its
-generator emits, with ``necklace_code`` and the level-sequence helpers
-here.  ``verify`` canonicalizes each family member and argmax tree once,
-when it builds a report, and ``export --canonical`` its one graph, so
-``canonical_code`` keeps no memo; the generic path is a safety net.
+These are the two classes the paper studies, and the only ones coded:
+``canonical_code`` refuses any other connected graph with
+``NotTreeOrUnicyclicError``.  A code is the byte encoding of a
+canonically relabeled edge set, prefixed by the vertex count.  A rooted
+tree's code is its canonical level sequence, ``bytes`` of depths in
+preorder (``_rooted_code``), the format the generators in ``enumeration``
+emit.  Trees are labeled by the greatest such sequence over their
+centers; unicyclic graphs canonicalize the cycle under rotation and
+reflection with the codes of the subtrees hanging off each cycle vertex.
+No enumerator calls ``canonical_code``: the unicyclic listing keys its
+classes by codes its generator emits, with ``necklace_code`` and the
+level-sequence helpers here.  ``verify`` canonicalizes each family member
+and argmax tree once, when it builds a report, and ``export --canonical``
+its one graph, so ``canonical_code`` keeps no memo.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Sequence
 
 from .graphs import (
     Graph,
+    GraphError,
     MAX_VERTICES,
     NotConnectedError,
     SizeLimitError,
@@ -40,8 +42,18 @@ _DEEPER = bytes([*range(1, 256), 255])
 _LIFT = [bytes(d) + bytes(range(256 - d)) for d in range(MAX_VERTICES)]
 
 
+class NotTreeOrUnicyclicError(GraphError):
+    """A connected graph with more edges than vertices: neither a tree nor
+    unicyclic, so it has no canonical code."""
+
+
 def canonical_code(g: Graph) -> CanonicalCode:
-    """Label-invariant identifier of the isomorphism class of ``g``."""
+    """Label-invariant identifier of the isomorphism class of ``g``, a tree
+    or a unicyclic graph on at most ``MAX_VERTICES`` vertices.
+
+    Raises ``SizeLimitError`` past the size limit, ``NotConnectedError`` for
+    a disconnected graph and ``NotTreeOrUnicyclicError`` for a connected one
+    with m > n, checked in that order."""
     if g.n > MAX_VERTICES:
         raise SizeLimitError(f"canonical codes support at most {MAX_VERTICES} vertices")
     if not is_connected(g):
@@ -50,16 +62,11 @@ def canonical_code(g: Graph) -> CanonicalCode:
     if g.m == g.n:
         return necklace_code(g.n, necklace_max(_pendant_codes(g)))
     if g.m == g.n - 1:
-        edges = _tree_canonical_edges(g)
-    else:
-        edges = _generic_canonical_edges(g)
-    return _encode(g.n, edges)
-
-
-def _encode(n: int, edges: list[tuple[int, int]]) -> CanonicalCode:
-    """The byte n, then each edge's two ends; ``edges`` come sorted, as
-    ``level_sequence_edges`` and ``_generic_canonical_edges`` return them."""
-    return bytes([n, *chain.from_iterable(edges)])
+        return _tree_code(g)
+    raise NotTreeOrUnicyclicError(
+        "canonical codes are defined for trees and unicyclic graphs only,"
+        f" got a connected graph with n={g.n} and m={g.m}"
+    )
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -102,8 +109,12 @@ def _rooted_code(adj, root: int, skip) -> bytes:
     return b"\x00" + b"".join(sorted(children, reverse=True)).translate(_DEEPER)
 
 
-def _tree_canonical_edges(g: Graph) -> list[tuple[int, int]]:
-    return level_sequence_edges(max(_rooted_code(g.adjacency, c, ()) for c in peel_leaves(g)))
+def _tree_code(g: Graph) -> CanonicalCode:
+    """The tree's code: the byte n, then each edge's two ends, the tree
+    labeled by its greatest level sequence over its centers and its edges
+    sorted, as ``level_sequence_edges`` returns them."""
+    seq = max(_rooted_code(g.adjacency, c, ()) for c in peel_leaves(g))
+    return bytes([g.n, *chain.from_iterable(level_sequence_edges(seq))])
 
 
 def level_sequence_edges(seq: Sequence[int]) -> list[tuple[int, int]]:
@@ -233,69 +244,3 @@ def necklace_code(n: int, necklace: tuple[bytes, ...]) -> CanonicalCode:
     segment = segment.translate(_SHIFT[at])
     out += [bytes((at, 0)), segment[:cut], segment[cut + 2 :]]
     return b"".join(out)
-
-
-# -- generic connected graphs ----------------------------------------------
-
-
-def _refine(adj, colors: list[int]) -> list[int]:
-    """Equitable refinement: repeatedly split classes by neighbor colors."""
-    n = len(adj)
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[w] for w in adj[v])))
-            for v in range(n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[sig[v]] for v in range(n)]
-        if new == colors:
-            return new
-        colors = new
-
-
-def _generic_canonical_edges(g: Graph) -> list[tuple[int, int]]:
-    """Least relabeled edge list over the leaves of an individualization-
-    refinement search, skipping the twins of vertices already tried.
-
-    Soundness of the twin pruning.  u and v are twins when
-    N(u) - {v} == N(v) - {u}; then the transposition s = (u v) is an
-    automorphism of g.  Where u and v share the target cell, s also keeps
-    the node's colouring, so individualizing v gives the colouring that
-    individualizing u gives, composed with s.  ``_refine`` and the choice of
-    target cell read colours, never vertex numbers, so the unpruned search
-    below v reaches exactly the leaves c o s for the leaves c below u.  An
-    automorphism maps the edge set onto itself, so c o s relabels it to the
-    same edge list as c: both branches hold the same least list, and by
-    induction on depth the pruned search returns the unpruned one's code.
-    Graphs made of twins (K_n, K_{a,b}) thus take one branch per level.
-    """
-    adj = g.adjacency
-    n = g.n
-    nbrs = [frozenset(a) for a in adj]
-    best: list[tuple[int, int]] | None = None
-
-    def search(colors: list[int]) -> None:
-        nonlocal best
-        if len(set(colors)) == n:
-            relabeled = sorted(
-                (min(colors[u], colors[v]), max(colors[u], colors[v]))
-                for u, v in g.edges
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-            return
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, k in counts.items() if k > 1)
-        tried: list[int] = []
-        for v in range(n):
-            if colors[v] == target and not any(nbrs[u] - {v} == nbrs[v] - {u} for u in tried):
-                tried.append(v)
-                branched = list(colors)
-                branched[v] = -1
-                search(_refine(adj, branched))
-
-    search(_refine(adj, [0] * n))
-    assert best is not None
-    return best

@@ -369,7 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="convert a graph between formats")
     _add_graph_input(p)
-    p.add_argument("--canonical", action="store_true", help="canonically relabel first")
+    p.add_argument(
+        "--canonical",
+        action="store_true",
+        help="canonically relabel first (trees and unicyclic graphs only)",
+    )
     _add_dot_or_json(p)
     p.set_defaults(fn=_cmd_export)
 

@@ -17,7 +17,7 @@ The counting oracles ``rooted_tree_counts``, ``free_tree_counts`` and
 from generating functions in integer arithmetic (Euler transform, Otter's
 formula, the dihedral cycle index).
 
-Fifteen references are kept for a different purpose: they are the earlier,
+Fourteen references are kept for a different purpose: they are the earlier,
 slower production algorithms, and tests compare the fast ones against them
 output for output.  ``bracelet_compositions_by_scan`` tests every
 composition of n for dihedral leastness, where the package generates only
@@ -39,9 +39,7 @@ keys every chord of a tree, with no orbit pruning, in AHU strings;
 bits six at a time; ``necklace_min_all_readings`` takes the least of all 2k
 readings of a cyclic sequence; ``necklace_code_by_parse`` parses every
 pendant AHU string of a necklace with its own parser and sorts the whole
-edge list;
-``generic_canonical_edges_unpruned`` branches on every vertex of the target
-cell, twins included; ``canonical_level_sequence`` re-roots a bicentral
+edge list; ``canonical_level_sequence`` re-roots a bicentral
 WROM sequence at vertex 1 by splitting, sorting and joining its blocks,
 and ``level_sequence_code`` writes the canonical code of its edges, the
 key the unicyclic generator sorts its trees by.
@@ -866,38 +864,6 @@ def top_two_as_printed(n: int) -> tuple[RadicalValue, RadicalValue]:
     if n == 4:
         return first, RadicalValue.from_rational(1) + _rsqrt(5) * 2
     return first, RadicalValue.from_rational(Fraction(n - 4, 2)) + _rsqrt(3) + _rsqrt(5) * 3
-
-
-def generic_canonical_edges_unpruned(g) -> list[Edge]:
-    """Least relabeled edge list over every leaf of the individualization-
-    refinement search, branching on every vertex of the target cell."""
-    from sumconn.canon import _refine
-
-    n = g.n
-    best: list[Edge] | None = None
-
-    def search(colors: list[int]) -> None:
-        nonlocal best
-        if len(set(colors)) == n:
-            relabeled = sorted(
-                (min(colors[u], colors[v]), max(colors[u], colors[v])) for u, v in g.edges
-            )
-            if best is None or relabeled < best:
-                best = relabeled
-            return
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, k in counts.items() if k > 1)
-        for v in range(n):
-            if colors[v] == target:
-                branched = list(colors)
-                branched[v] = -1
-                search(_refine(g.adjacency, branched))
-
-    search(_refine(g.adjacency, [0] * n))
-    assert best is not None
-    return best
 
 
 def packed_counts_by_shift(packed: int) -> dict[int, int]:

@@ -365,11 +365,19 @@ def test_export_canonical_normalizes(capsys):
     assert out1 == out2
 
 
-def test_export_canonical_complete_graph_on_16_vertices(capsys):
-    k16 = "O" + "~" * 20
-    code, out, _ = run(capsys, "export", "--g6", k16, "--canonical")
+@pytest.mark.parametrize("g6, n, m", [("C~", 4, 6), ("O" + "~" * 20, 16, 120)])
+def test_export_canonical_refuses_graphs_with_more_edges_than_vertices(capsys, g6, n, m):
+    # Canonical forms exist for trees and unicyclic graphs only; plain
+    # export still takes the graph.
+    code, out, err = run(capsys, "export", "--g6", g6, "--canonical")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: canonical codes are defined for trees and unicyclic graphs only,"
+        f" got a connected graph with n={n} and m={m}\n"
+    )
+    code, out, _ = run(capsys, "export", "--g6", g6)
     assert code == 0
-    assert out == k16 + "\n"
+    assert out == g6 + "\n"
 
 
 def test_usage_errors(capsys):
