@@ -85,10 +85,14 @@ def degree_order_failures(graph_class: str) -> list[tuple[int, int]]:
 
 def unicyclic_bound_profile(n: int, x: float) -> float:
     """Small-degree unicyclic bound with the maximum degree relaxed to a
-    real x >= 2: (x-2)/sqrt(3) + x/sqrt(x+2) + (n-2x+2)/2.
+    real x >= 2: f(x) = (x-2)/sqrt(3) + x/sqrt(x+2) + (n-2x+2)/2.
 
     Strictly decreasing in x, which is what makes the n-cycle (x = 2) the
-    overall maximum and the degree-3 family the runner-up.
+    overall maximum and the degree-3 family the runner-up.  The derivative
+    is f'(x) = 1/sqrt(3) - 1 + (x+4)/(2(x+2)^(3/2)), and its last term
+    falls for x > -8 (its own derivative is -(x+8)/(4(x+2)^(5/2))).  So
+    for x >= 2, f'(x) <= f'(2) = 1/sqrt(3) - 5/8, which is negative since
+    1/sqrt(3) < 5/8 means 8 < 5*sqrt(3), that is 64 < 75.
     """
     if x < 2:
         raise ValueError(f"profile is defined for x >= 2, got {x}")

@@ -48,7 +48,7 @@ def edge_contribution(d_u: int, d_v: int, kind: IndexKind) -> RadicalValue:
     if d_u < 1 or d_v < 1:
         raise ValueError("endpoint degrees must be at least 1")
     s = d_u + d_v if kind is IndexKind.SUM else d_u * d_v
-    return RadicalValue.reciprocal_sqrt(s)
+    return RadicalValue.reciprocal_sqrt_sum({s: 1})
 
 
 # ``{s: c_s}``: the nonzero counts of a packed profile, byte s being c_s.
@@ -58,8 +58,8 @@ profile_counts = packed_counts
 def profile_value(profile: int) -> RadicalValue:
     """Exact ``sum c_s/sqrt(s)`` over the counts of a packed profile, made
     exact when first read: it compares by a float enclosure of the counts
-    and builds its exact fields only when a comparison, its text or its
-    arithmetic reads them (``RadicalValue.reciprocal_sqrt_packed``)."""
+    and builds its exact fields only when a comparison or its text reads
+    them (``RadicalValue.reciprocal_sqrt_packed``)."""
     return RadicalValue.reciprocal_sqrt_packed(profile)
 
 

@@ -1,8 +1,8 @@
-"""Exact arithmetic on rational combinations of square roots.
+"""Exact values of radical sums, compared exactly.
 
-Connectivity-index values are finite sums of reciprocal square roots of
-small integers, i.e. numbers of the form ``sum q_b * sqrt(b)`` with
-rational ``q_b``.  Keeping every ``b`` squarefree makes such sums a
+Connectivity-index values are finite sums ``sum c_s/sqrt(s)`` over a
+histogram of radicands, i.e. numbers of the form ``sum q_b * sqrt(b)``
+with rational ``q_b``.  Keeping every ``b`` squarefree makes such sums a
 canonical form: square roots of distinct squarefree integers are linearly
 independent over the rationals, so two values are equal exactly when
 their terms coincide, and the sign of a nonzero value can always be
@@ -14,13 +14,18 @@ histograms, below: two of them compare by their float enclosures when
 the difference lies outside a proven error bound (see the soundness
 argument in ``_decide``), and by their exact forms otherwise.
 
+A value is built from a histogram, by ``reciprocal_sqrt_sum`` or
+``reciprocal_sqrt_packed``, and is then compared, printed or written as
+JSON; there is no arithmetic on values.  A difference is a histogram too:
+``{3: 1, 1: Fraction(-5, 8)}`` is 1/sqrt(3) - 5/8.
+
 Representation.  A value keeps its terms as integer coordinates over one
 denominator: q_b = n_b/den, with ``_coords`` the pairs ``(b, n_b)``
 sorted by b, each b squarefree and each n_b a nonzero int, and ``_den``
 the int den >= 1, where gcd(den, every n_b) = 1.  The form is unique, so
-equal values have equal fields: equality reads integers, and arithmetic
-takes one lcm and one gcd and no ``Fraction``.
-``terms`` and iteration give the q_b back as Fractions in lowest terms.
+equal values have equal fields: equality reads integers, and a
+comparison takes one lcm and one gcd and no ``Fraction``.  Iteration
+gives the q_b back as Fractions in lowest terms.
 
 ``float()`` sums n_b / den * sqrt(b), and is bit-identical to summing
 float(q_b) * sqrt(b): n_b / den is Python's int/int true division, which
@@ -28,16 +33,18 @@ rounds the exact rational correctly, and float(Fraction(n_b, den)) is the
 correctly rounded value of the same rational, whether or not n_b/den is
 in lowest terms; so the two are the same double.
 
-A value equal to a rational hashes like that rational, and any other
-like the tuple of its (b, q_b) pairs with Fraction q_b: both hashes are
-Python's own, of the ``Fraction`` q_b.
+A value hashes like the tuple of its (b, q_b) pairs with Fraction q_b,
+and a value whose one term has b = 1 like that rational q_1: both hashes
+are Python's own, of the ``Fraction`` q_b.  Values compare only with
+values: no value equals an int or a ``Fraction``, even one it hashes
+like.
 
-Values are normalized once, by one builder (``_from_reciprocals``) that
-the public constructor and ``reciprocal_sqrt_sum`` share: it splits each
+Values are normalized once, by ``reciprocal_sqrt_sum``: it splits each
 radicand once, scales every coefficient's numerator to one denominator
-and divides out one gcd (``_reduced``).  Arithmetic merges operands that
-are already canonical: it scales them to a common denominator, adds
-integers and divides out one gcd, with no squarefree factoring.
+and divides out one gcd (``_reduced``).  A comparison that needs the
+exact sign merges two values that are already canonical: it scales them
+to a common denominator, subtracts integers and divides out one gcd, with
+no squarefree factoring.
 
 A value built from a packed histogram of radicands
 (``reciprocal_sqrt_packed``, an index value from its edge-type profile)
@@ -55,7 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, isqrt, lcm, sqrt
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
 
@@ -101,11 +108,11 @@ def squarefree_decompose(value: int) -> tuple[int, int]:
 
 
 class RadicalValue:
-    """An exact number ``sum q_b * sqrt(b)`` with squarefree ``b``.
+    """An exact number ``sum q_b * sqrt(b)`` with squarefree ``b``, built
+    from a histogram of radicands.
 
-    Immutable.  Supports exact addition, subtraction, scaling by
-    rationals, and exact comparison against other values or rationals.
-    A value equal to a rational hashes like it.
+    Immutable.  Compares exactly with other values, and only with them;
+    it also gives its sign, ``float()``, text and JSON form.
 
     ``_coords`` and ``_den`` hold the terms, as the module docstring sets
     out, in the slots ``_c`` and ``_d``.  A value from
@@ -121,40 +128,29 @@ class RadicalValue:
 
     __slots__ = ("_c", "_d", "_enc", "_profile")
 
-    def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
-        """``sum q * sqrt(s)`` over the pairs ``(s, q)``, or the items of
-        ``{s: q}``: q*sqrt(s) is (q*s)/sqrt(s)."""
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        value = _from_reciprocals((s, q * s) for s, q in items)
-        self._c = value._c
-        self._d = value._d
-        self._enc = None
-
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RadicalValue":
-        return cls()
+    def reciprocal_sqrt_sum(cls, counts: Mapping[int, Rational]) -> "RadicalValue":
+        """Exact ``sum c/sqrt(s)`` over a histogram ``{s: c}``, each s >= 1
+        and each c an int or a ``Fraction`` of either sign.
 
-    @classmethod
-    def from_rational(cls, q: Rational) -> "RadicalValue":
-        q = Fraction(q)
-        return _from_canonical(((1, q.numerator),) if q else (), q.denominator)
-
-    @classmethod
-    def sqrt(cls, s: int) -> "RadicalValue":
-        return cls(((s, 1),))
-
-    @classmethod
-    def reciprocal_sqrt(cls, s: int) -> "RadicalValue":
-        """Exact ``1/sqrt(s)``, stored as ``(1/(a*b))*sqrt(b)`` for ``s = a*a*b``."""
-        return cls.reciprocal_sqrt_sum({s: 1})
-
-    @classmethod
-    def reciprocal_sqrt_sum(cls, counts: Mapping[int, int]) -> "RadicalValue":
-        """Exact ``sum k/sqrt(s)`` over a histogram ``{s: k}``, by
-        ``_from_reciprocals``."""
-        return _from_reciprocals(counts.items())
+        ``c/sqrt(a*a*b)`` is ``(c/(a*b))*sqrt(b)``, split once per s.  Over
+        den, the lcm of the denominators d = c.denominator*a*b, coordinate b
+        is the integer sum of c.numerator*(den/d) over the s that reduce to
+        it; ``_reduced`` brings them to lowest terms.
+        """
+        split: list[tuple[int, int, int]] = []
+        den = 1
+        for s, c in counts.items():
+            a, b = squarefree_decompose(s)
+            d = c.denominator * a * b
+            split.append((b, c.numerator, d))
+            den = lcm(den, d)
+        coords: dict[int, int] = {}
+        for b, p, d in split:
+            coords[b] = coords.get(b, 0) + p * (den // d)
+        return _reduced(coords, den)
 
     @classmethod
     def reciprocal_sqrt_packed(cls, packed: int) -> "RadicalValue":
@@ -193,64 +189,9 @@ class RadicalValue:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def terms(self) -> dict[int, Fraction]:
-        """Term map ``{b: q_b}`` (a fresh dict; the value is immutable)."""
-        return dict(self)
-
-    def is_zero(self) -> bool:
-        return not self._coords
-
     def __float__(self) -> float:
         den = self._den
         return fsum(n / den * sqrt(b) for b, n in self._coords)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(other: "RadicalValue" | Rational) -> "RadicalValue | None":
-        if isinstance(other, RadicalValue):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RadicalValue.from_rational(other)
-        return None
-
-    def __add__(self, other: "RadicalValue" | Rational) -> "RadicalValue":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        den = lcm(self._den, rhs._den)
-        scale = den // self._den
-        acc = {b: n * scale for b, n in self._coords}
-        scale = den // rhs._den
-        for b, n in rhs._coords:
-            acc[b] = acc.get(b, 0) + n * scale
-        return _reduced(acc, den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RadicalValue":
-        return _from_canonical(tuple((b, -n) for b, n in self._coords), self._den)
-
-    def __sub__(self, other: "RadicalValue" | Rational) -> "RadicalValue":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: Rational) -> "RadicalValue":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
-
-    def __mul__(self, scalar: Rational) -> "RadicalValue":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        p = scalar.numerator
-        return _reduced({b: n * p for b, n in self._coords}, self._den * scalar.denominator)
-
-    __rmul__ = __mul__
 
     # -- exact comparison ----------------------------------------------------
 
@@ -260,19 +201,29 @@ class RadicalValue:
         coords = self._coords
         return _exact_sign(coords) if coords else 0
 
-    def _cmp(self, other: "RadicalValue" | Rational) -> int | None:
-        """Sign of ``self - other``: by ``_decide`` when both sides are
-        packed and their enclosures are far enough apart, else 0 for equal
-        fields and the exact sign of the difference for the rest."""
-        rhs = other if type(other) is RadicalValue else self._coerce(other)
-        if rhs is None:
+    def _cmp(self, other: object) -> int | None:
+        """Sign of ``self - other``, or None when ``other`` is not a value:
+        by ``_decide`` when both sides are packed and their enclosures are
+        far enough apart, else 0 for equal fields, and for the rest the
+        ``sign`` of the difference, its coordinates merged over the lcm of
+        the two denominators."""
+        if type(other) is not RadicalValue:
             return None
-        if self is rhs:
+        if self is other:
             return 0
-        sa, sb = self._enc, rhs._enc
-        return (sa is not None and sb is not None and _decide(sa, sb)) or (
-            0 if self._den == rhs._den and self._coords == rhs._coords else (self - rhs).sign()
-        )
+        sa, sb = self._enc, other._enc
+        decided = sa is not None and sb is not None and _decide(sa, sb)
+        if decided:
+            return decided
+        if self._den == other._den and self._coords == other._coords:
+            return 0
+        den = lcm(self._den, other._den)
+        scale = den // self._den
+        merged = {b: n * scale for b, n in self._coords}
+        scale = den // other._den
+        for b, n in other._coords:
+            merged[b] = merged.get(b, 0) - n * scale
+        return _reduced(merged, den).sign()
 
     def __eq__(self, other: object) -> bool:
         """Equal terms, or early: the same object is equal, and, when both
@@ -281,9 +232,7 @@ class RadicalValue:
         Values whose terms are both built compare them alone: that is
         cheaper than the float test."""
         if type(other) is not RadicalValue:
-            if not isinstance(other, (RadicalValue, int, Fraction)):
-                return NotImplemented
-            other = self._coerce(other)
+            return NotImplemented
         if self is other:
             return True
         if (
@@ -295,33 +244,33 @@ class RadicalValue:
             return False
         return self._den == other._den and self._coords == other._coords
 
-    def __lt__(self, other: "RadicalValue" | Rational) -> bool:
+    def __lt__(self, other: "RadicalValue") -> bool:
         c = self._cmp(other)
         if c is None:
             return NotImplemented
         return c < 0
 
-    def __le__(self, other: "RadicalValue" | Rational) -> bool:
+    def __le__(self, other: "RadicalValue") -> bool:
         c = self._cmp(other)
         if c is None:
             return NotImplemented
         return c <= 0
 
-    def __gt__(self, other: "RadicalValue" | Rational) -> bool:
+    def __gt__(self, other: "RadicalValue") -> bool:
         c = self._cmp(other)
         if c is None:
             return NotImplemented
         return c > 0
 
-    def __ge__(self, other: "RadicalValue" | Rational) -> bool:
+    def __ge__(self, other: "RadicalValue") -> bool:
         c = self._cmp(other)
         if c is None:
             return NotImplemented
         return c >= 0
 
     def __hash__(self) -> int:
-        # Equal to the hash of the rational a value equals, if it is one,
-        # else of the tuple of its (b, Fraction q_b) pairs.
+        # The hash of the rational q_1 when that is the one term, else of
+        # the tuple of the (b, Fraction q_b) pairs.
         pairs = tuple(self)
         if not pairs:
             return 0
@@ -364,10 +313,6 @@ class RadicalValue:
             terms.append([b, f"{n // g}/{den // g}"])
         return {"terms": terms, "float": float(self)}
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RadicalValue":
-        return cls(tuple((int(s), Fraction(q)) for s, q in data["terms"]))
-
 
 def _from_canonical(coords: tuple[tuple[int, int], ...], den: int) -> RadicalValue:
     """A value from fields already in canonical form.
@@ -381,28 +326,6 @@ def _from_canonical(coords: tuple[tuple[int, int], ...], den: int) -> RadicalVal
     value._d = den
     value._enc = None
     return value
-
-
-def _from_reciprocals(terms: Iterable[tuple[int, Rational]]) -> RadicalValue:
-    """The value ``sum c/sqrt(s)`` over the pairs ``(s, c)``, each s >= 1
-    and each c an int or a ``Fraction``.
-
-    ``c/sqrt(a*a*b)`` is ``(c/(a*b))*sqrt(b)``, split once per s.  Over
-    den, the lcm of the denominators d = c.denominator*a*b, coordinate b
-    is the integer sum of c.numerator*(den/d) over the s that reduce to
-    it; ``_reduced`` brings them to lowest terms.
-    """
-    split: list[tuple[int, int, int]] = []
-    den = 1
-    for s, c in terms:
-        a, b = squarefree_decompose(s)
-        d = c.denominator * a * b
-        split.append((b, c.numerator, d))
-        den = lcm(den, d)
-    coords: dict[int, int] = {}
-    for b, p, d in split:
-        coords[b] = coords.get(b, 0) + p * (den // d)
-    return _reduced(coords, den)
 
 
 def _reduced(coords: dict[int, int], den: int) -> RadicalValue:

@@ -44,11 +44,12 @@ WROM sequence at vertex 1 by splitting, sorting and joining its blocks,
 and ``level_sequence_code`` writes the canonical code of its edges, the
 key the unicyclic generator sorts its trees by.
 
-The Fraction-term functions (``fraction_terms`` and ``reciprocal_sqrt_terms``
-with ``terms_hash``, ``terms_str``, ``terms_json`` and ``mp_terms``) keep
-an exact value as ``RadicalValue`` once stored it, a dict of Fraction
-coefficients, and write its hash, text, JSON and mpmath value from that;
-they share no code with the package's integer coordinates.
+The Fraction-term functions (``fraction_terms``, ``count_terms`` and
+``reciprocal_sqrt_terms`` with ``terms_hash``, ``terms_str``, ``terms_json``
+and ``mp_terms``) keep an exact value as ``RadicalValue`` once stored it, a
+dict of Fraction coefficients, and write its hash, text, JSON and mpmath
+value from that; they share no code with the package's integer
+coordinates.
 
 ``leading_groups_by_value`` is the ranking reference: it values every
 graph through ``sum_connectivity``, sorts all distinct values and takes the
@@ -56,9 +57,10 @@ first k, with no streaming and no eviction, so it shares no code with
 ``verify._ranking``.
 
 The ``*_as_printed`` functions are the paper's closed forms written term by
-term, in ``RadicalValue`` arithmetic (the real-relaxed profile in floats)
-and with the branch thresholds spelled out again; tests compare the
-package's bounds, which are stated as edge types, against them.
+term, as Fraction-term dicts from ``count_terms`` (the real-relaxed profile
+in floats) and with the branch thresholds spelled out again; tests compare
+the terms of the package's bounds, which are stated as edge types, against
+them.
 """
 
 from __future__ import annotations
@@ -675,10 +677,15 @@ def fraction_terms(pairs) -> dict[int, Fraction]:
     return {b: q for b, q in sorted(terms.items()) if q}
 
 
+def count_terms(pairs) -> dict[int, Fraction]:
+    """``{b: q_b}`` for sum c/sqrt(s) over ``(s, c)`` pairs: c/sqrt(s) is
+    (c/s)*sqrt(s) before squarefree splitting."""
+    return fraction_terms((s, Fraction(c) / s) for s, c in pairs)
+
+
 def reciprocal_sqrt_terms(radicands) -> dict[int, Fraction]:
-    """``{b: q_b}`` for sum 1/sqrt(s) over ``radicands``: 1/sqrt(s) is
-    (1/s)*sqrt(s) before squarefree splitting."""
-    return fraction_terms((s, Fraction(1, s)) for s in radicands)
+    """``{b: q_b}`` for sum 1/sqrt(s) over ``radicands``."""
+    return count_terms((s, 1) for s in radicands)
 
 
 def terms_hash(terms: dict[int, Fraction]) -> int:
@@ -813,41 +820,29 @@ def rooted_paren_codes(s: int) -> tuple[str, ...]:
     return tuple(sorted("(" + forest + ")" for forest in forests(s - 1, "")))
 
 
-def _rsqrt(s: int) -> RadicalValue:
-    return RadicalValue.reciprocal_sqrt(s)
-
-
-def tree_bound_as_printed(n: int, delta: int) -> RadicalValue:
-    """The paper's tree maximum as printed, term by term in ``RadicalValue``
-    arithmetic: large delta means delta >= ceil(n/2)."""
+def tree_bound_as_printed(n: int, delta: int) -> dict[int, Fraction]:
+    """The paper's tree maximum as printed, term by term, as Fraction
+    terms: large delta means delta >= ceil(n/2)."""
     if delta >= (n + 1) // 2:
-        return (
-            _rsqrt(delta + 1) * (2 * delta - n + 1)
-            + _rsqrt(delta + 2) * (n - delta - 1)
-            + _rsqrt(3) * (n - delta - 1)
+        return count_terms(
+            [(delta + 1, 2 * delta - n + 1), (delta + 2, n - delta - 1), (3, n - delta - 1)]
         )
-    return (
-        RadicalValue.from_rational(Fraction(n - 1 - 2 * delta, 2))
-        + _rsqrt(3) * delta
-        + _rsqrt(delta + 2) * delta
-    )
+    return count_terms([(1, Fraction(n - 1 - 2 * delta, 2)), (3, delta), (delta + 2, delta)])
 
 
-def unicyclic_bound_as_printed(n: int, delta: int) -> RadicalValue:
-    """The paper's unicyclic maximum as printed: large delta means
-    delta >= ceil((n+2)/2)."""
+def unicyclic_bound_as_printed(n: int, delta: int) -> dict[int, Fraction]:
+    """The paper's unicyclic maximum as printed, as Fraction terms: large
+    delta means delta >= ceil((n+2)/2)."""
     if delta >= (n + 3) // 2:
-        return (
-            _rsqrt(3) * (n - delta - 1)
-            + _rsqrt(delta + 2) * (n - delta + 1)
-            + _rsqrt(delta + 1) * (2 * delta - n - 1)
-            + RadicalValue.from_rational(Fraction(1, 2))
+        return count_terms(
+            [
+                (3, n - delta - 1),
+                (delta + 2, n - delta + 1),
+                (delta + 1, 2 * delta - n - 1),
+                (1, Fraction(1, 2)),
+            ]
         )
-    return (
-        _rsqrt(3) * (delta - 2)
-        + _rsqrt(delta + 2) * delta
-        + RadicalValue.from_rational(Fraction(n - 2 * delta + 2, 2))
-    )
+    return count_terms([(3, delta - 2), (delta + 2, delta), (1, Fraction(n - 2 * delta + 2, 2))])
 
 
 def unicyclic_profile_as_printed(n: int, x: float) -> float:
@@ -856,14 +851,14 @@ def unicyclic_profile_as_printed(n: int, x: float) -> float:
     return (x - 2) / math.sqrt(3.0) + x / math.sqrt(x + 2.0) + (n - 2.0 * x + 2.0) / 2.0
 
 
-def top_two_as_printed(n: int) -> tuple[RadicalValue, RadicalValue]:
-    """The paper's top-two unicyclic values as printed, for n >= 4: n/2 for
-    the n-cycle, then 1 + 2/sqrt(5) at n = 4 and
+def top_two_as_printed(n: int) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """The paper's top-two unicyclic values as printed, as Fraction terms,
+    for n >= 4: n/2 for the n-cycle, then 1 + 2/sqrt(5) at n = 4 and
     (n-4)/2 + 1/sqrt(3) + 3/sqrt(5) for n >= 5."""
-    first = RadicalValue.from_rational(Fraction(n, 2))
+    first = count_terms([(1, Fraction(n, 2))])
     if n == 4:
-        return first, RadicalValue.from_rational(1) + _rsqrt(5) * 2
-    return first, RadicalValue.from_rational(Fraction(n - 4, 2)) + _rsqrt(3) + _rsqrt(5) * 3
+        return first, count_terms([(1, 1), (5, 2)])
+    return first, count_terms([(1, Fraction(n - 4, 2)), (3, 1), (5, 3)])
 
 
 def packed_counts_by_shift(packed: int) -> dict[int, int]:

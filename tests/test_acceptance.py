@@ -1,7 +1,8 @@
 """Acceptance suite: every headline claim, checked at its stated tolerance.
 
 Each test prints one [PASS]/[FAIL] line (run with ``pytest -s`` to see them
-all).  Exact claims are compared as RadicalValue terms; the quoted float
+all).  Exact claims are compared as RadicalValue values built from radicand
+histograms; the quoted float
 values are frozen from the independent derivations in this repository's
 tests and oracles.
 """
@@ -36,8 +37,7 @@ def _report(ok: bool, label: str) -> None:
     assert ok, label
 
 
-def _rs(s: int) -> RadicalValue:
-    return RadicalValue.reciprocal_sqrt(s)
+_value = RadicalValue.reciprocal_sqrt_sum
 
 
 def test_criterion_1_tree_maximum_sweep():
@@ -70,15 +70,15 @@ def test_criterion_3_top_two_ranking():
     ok = True
     for n in range(4, 12):
         report = verify_top_two(n)
-        ok &= report.first_value == Fraction(n, 2)
+        ok &= report.first_value == _value({1: Fraction(n, 2)})
         ok &= {canonical_code(g) for g in report.first} == {canonical_code(cycle_graph(n))}
         if n == 4:
-            ok &= report.second_value == 1 + _rs(5) * 2
+            ok &= report.second_value == _value({1: 1, 5: 2})
             ok &= {canonical_code(g) for g in report.second} == {
                 canonical_code(unicyclic_extremal(4, 3))
             }
         else:
-            ok &= report.second_value == Fraction(n - 4, 2) + _rs(3) + _rs(5) * 3
+            ok &= report.second_value == _value({1: Fraction(n - 4, 2), 3: 1, 5: 3})
             ok &= {canonical_code(g) for g in report.second} == {
                 canonical_code(g) for g in cycle_spider_family(n, 3)
             }
@@ -90,13 +90,13 @@ def test_criterion_3_top_two_ranking():
 def test_criterion_4_spot_values():
     ok = True
     u43 = sum_connectivity(unicyclic_extremal(4, 3))
-    ok &= u43 == 1 + _rs(5) * 2
+    ok &= u43 == _value({1: 1, 5: 2})
     ok &= abs(float(u43) - 1.8944271909999157) <= 1e-9
     for n in range(3, 17):
-        ok &= sum_connectivity(cycle_graph(n)) == Fraction(n, 2)
-        ok &= sum_connectivity(path_graph(n)) == Fraction(n - 3, 2) + _rs(3) * 2
+        ok &= sum_connectivity(cycle_graph(n)) == _value({1: Fraction(n, 2)})
+        ok &= sum_connectivity(path_graph(n)) == _value({1: Fraction(n - 3, 2), 3: 2})
     t74 = sum_connectivity(tree_extremal(7, 4))
-    ok &= t74 == _rs(5) * 2 + _rs(6) * 2 + _rs(3) * 2
+    ok &= t74 == _value({5: 2, 6: 2, 3: 2})
     ok &= abs(float(t74) - 2.8656243103068935) <= 1e-6
     _report(ok, "criterion 4: spot values for the named graphs")
 

@@ -34,20 +34,19 @@ from oracles import (
 )
 
 
-def _rs(s):
-    return RadicalValue.reciprocal_sqrt(s)
+_value = RadicalValue.reciprocal_sqrt_sum
 
 
 def test_tree_bound_path_case():
     for n in range(3, 17):
-        assert tree_max_bound(n, 2) == Fraction(n - 3, 2) + _rs(3) * 2
+        assert tree_max_bound(n, 2) == _value({1: Fraction(n - 3, 2), 3: 2})
         assert tree_max_bound(n, 2) == sum_connectivity(path_graph(n))
 
 
 def test_tree_bound_spot_values():
-    assert tree_max_bound(7, 4) == _rs(5) * 2 + _rs(6) * 2 + _rs(3) * 2
+    assert tree_max_bound(7, 4) == _value({5: 2, 6: 2, 3: 2})
     assert float(tree_max_bound(7, 4)) == pytest.approx(2.86562, abs=5e-6)
-    assert tree_max_bound(9, 3) == 1 + RadicalValue.sqrt(3) + _rs(5) * 3
+    assert tree_max_bound(9, 3) == _value({1: 1, 3: 3, 5: 3})  # 1 + sqrt(3) + 3/sqrt(5)
     assert float(tree_max_bound(9, 3)) == pytest.approx(4.07369, abs=5e-6)
 
 
@@ -68,15 +67,15 @@ def test_tree_bound_range_errors():
 
 def test_unicyclic_bound_cycle_case():
     for n in range(3, 17):
-        assert unicyclic_max_bound(n, 2) == Fraction(n, 2)
+        assert unicyclic_max_bound(n, 2) == _value({1: Fraction(n, 2)})
         if n >= 3:
             assert unicyclic_max_bound(n, 2) == sum_connectivity(cycle_graph(n))
 
 
 def test_unicyclic_bound_spot_values():
-    assert unicyclic_max_bound(7, 5) == _rs(3) + _rs(7) * 3 + _rs(6) * 2 + Fraction(1, 2)
+    assert unicyclic_max_bound(7, 5) == _value({3: 1, 7: 3, 6: 2, 1: Fraction(1, 2)})
     assert float(unicyclic_max_bound(7, 5)) == pytest.approx(3.02774, abs=5e-6)
-    assert unicyclic_max_bound(7, 3) == _rs(3) + _rs(5) * 3 + Fraction(3, 2)
+    assert unicyclic_max_bound(7, 3) == _value({3: 1, 5: 3, 1: Fraction(3, 2)})
     assert float(unicyclic_max_bound(7, 3)) == pytest.approx(3.41899, abs=5e-6)
 
 
@@ -123,8 +122,8 @@ def test_extremal_graphs_have_exactly_the_bound_edge_types(monkeypatch):
 def test_bounds_equal_the_printed_closed_forms():
     for n in range(3, 41):
         for delta in range(2, n):
-            assert tree_max_bound(n, delta).terms == tree_bound_as_printed(n, delta).terms
-            assert unicyclic_max_bound(n, delta).terms == unicyclic_bound_as_printed(n, delta).terms
+            assert dict(tree_max_bound(n, delta)) == tree_bound_as_printed(n, delta)
+            assert dict(unicyclic_max_bound(n, delta)) == unicyclic_bound_as_printed(n, delta)
         for x in [k / 10 for k in range(20, 10 * n)]:
             assert unicyclic_bound_profile(n, x) == unicyclic_profile_as_printed(n, x)
 
@@ -132,8 +131,8 @@ def test_bounds_equal_the_printed_closed_forms():
 def test_bounds_are_valued_up_to_the_profile_capacity():
     # A count must fit a profile's byte: at most 255 edges, all but two of
     # them at sum 4 in the tree bound at delta = 2 and all in the cycle.
-    assert tree_max_bound(256, 2).terms == tree_bound_as_printed(256, 2).terms
-    assert unicyclic_max_bound(255, 2).terms == unicyclic_bound_as_printed(255, 2).terms
+    assert dict(tree_max_bound(256, 2)) == tree_bound_as_printed(256, 2)
+    assert dict(unicyclic_max_bound(255, 2)) == unicyclic_bound_as_printed(255, 2)
     with pytest.raises(SizeLimitError):
         tree_max_bound(257, 2)
     with pytest.raises(SizeLimitError):
@@ -143,8 +142,8 @@ def test_bounds_are_valued_up_to_the_profile_capacity():
 def test_top_two_equals_the_printed_closed_forms():
     for n in range(4, 41):
         first, second = top_two_as_printed(n)
-        assert unicyclic_max_bound(n, 2).terms == first.terms
-        assert unicyclic_max_bound(n, 3).terms == second.terms
+        assert dict(unicyclic_max_bound(n, 2)) == first
+        assert dict(unicyclic_max_bound(n, 3)) == second
     for n in range(4, 17):  # graphs stop at 16 vertices
         first_graphs, second_graphs = (
             extremal_family(GraphClassSpec(n, d, "unicyclic")) for d in (2, 3)
@@ -159,7 +158,7 @@ def test_top_two_values_reach_the_profile_capacity():
     for n in range(4, 256):
         first, second = top_two_as_printed(n)
         t = unicyclic_top_two(n)
-        assert (t.n, t.first_value.terms, t.second_value.terms) == (n, first.terms, second.terms)
+        assert (t.n, dict(t.first_value), dict(t.second_value)) == (n, first, second)
     with pytest.raises(SizeLimitError, match="top-two.*256"):
         unicyclic_top_two(256)
 
@@ -181,6 +180,14 @@ def test_profile_monotone_decreasing():
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
+def test_profile_slope_at_two_is_negative():
+    # f'(2) = 1/sqrt(3) - 5/8 < 0, the bound ``unicyclic_bound_profile``'s
+    # docstring derives: 1/sqrt(3) < 5/8 exactly when 8 < 5*sqrt(3), that
+    # is 64 < 75; and the exact sign of that histogram agrees.
+    assert 8**2 == 64 < 75 == 5**2 * 3
+    assert _value({3: 1, 1: Fraction(-5, 8)}).sign() == -1
+
+
 def test_profile_domain_error():
     with pytest.raises(ValueError):
         unicyclic_bound_profile(8, 1.9)
@@ -192,11 +199,11 @@ def _second_graphs(n):
 
 def test_top_two_closed_form():
     t4 = unicyclic_top_two(4)
-    assert t4.first_value == Fraction(2)
-    assert t4.second_value == 1 + _rs(5) * 2
+    assert t4.first_value == _value({1: 2})
+    assert t4.second_value == _value({1: 1, 5: 2})
     assert len(_second_graphs(4)) == 1
     t5 = unicyclic_top_two(5)
-    assert t5.second_value == Fraction(1, 2) + _rs(3) + _rs(5) * 3
+    assert t5.second_value == _value({1: Fraction(1, 2), 3: 1, 5: 3})
     assert float(t5.second_value) == pytest.approx(2.41899, abs=5e-6)
     assert {canonical_code(g) for g in _second_graphs(5)} == {
         canonical_code(g) for g in cycle_spider_family(5, 3)

@@ -402,7 +402,7 @@ def test_verify_mismatch_exit_code(monkeypatch, capsys):
     from sumconn.radicals import RadicalValue
 
     monkeypatch.setattr(
-        verify_mod, "tree_max_bound", lambda n, d: RadicalValue.from_rational(999)
+        verify_mod, "tree_max_bound", lambda n, d: RadicalValue.reciprocal_sqrt_sum({1: 999})
     )
     code, out, _ = run(capsys, "verify", "--class", "tree", "--n", "5", "--delta", "2", "--json")
     assert code == 1

@@ -77,12 +77,7 @@ def test_tree_extremal():
     assert _iso(tree_extremal(4, 2), path_graph(4))
     t74 = tree_extremal(7, 4)
     assert is_tree(t74) and max_degree(t74) == 4 and t74.degree(0) == 4
-    expected = (
-        RadicalValue.reciprocal_sqrt(5) * 2
-        + RadicalValue.reciprocal_sqrt(6) * 2
-        + RadicalValue.reciprocal_sqrt(3) * 2
-    )
-    assert sum_connectivity(t74) == expected
+    assert sum_connectivity(t74) == RadicalValue.reciprocal_sqrt_sum({5: 2, 6: 2, 3: 2})
     for bad in ((7, 3), (7, 7), (6, 2)):
         with pytest.raises(DeltaRangeError):
             tree_extremal(*bad)
@@ -90,17 +85,12 @@ def test_tree_extremal():
 
 def test_unicyclic_extremal():
     u43 = unicyclic_extremal(4, 3)
-    assert sum_connectivity(u43) == 1 + RadicalValue.reciprocal_sqrt(5) * 2
+    assert sum_connectivity(u43) == RadicalValue.reciprocal_sqrt_sum({1: 1, 5: 2})
     u54 = unicyclic_extremal(5, 4)
     assert u54.degree(0) == 4 and u54.m == 5  # triangle plus two pendants
     u75 = unicyclic_extremal(7, 5)
     assert is_unicyclic(u75) and max_degree(u75) == 5
-    expected = (
-        RadicalValue.reciprocal_sqrt(3)
-        + RadicalValue.reciprocal_sqrt(7) * 3
-        + RadicalValue.reciprocal_sqrt(6) * 2
-        + Fraction(1, 2)
-    )
+    expected = RadicalValue.reciprocal_sqrt_sum({3: 1, 7: 3, 6: 2, 1: Fraction(1, 2)})
     assert sum_connectivity(u75) == expected
     for bad in ((7, 3), (7, 4), (4, 2)):
         with pytest.raises(DeltaRangeError):

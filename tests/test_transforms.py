@@ -29,26 +29,25 @@ from sumconn.transforms import (
 )
 
 
-def _rs(s):
-    return RadicalValue.reciprocal_sqrt(s)
+_value = RadicalValue.reciprocal_sqrt_sum
 
 
 def test_merge_star_into_path():
     g = star_graph(4)
-    assert sum_connectivity(g) == Fraction(3, 2)
+    assert sum_connectivity(g) == _value({1: Fraction(3, 2)})
     merged = merge_pendant_paths(g, 0, 2, 3)
     assert canonical_code(merged) == canonical_code(path_graph(4))
-    assert sum_connectivity(merged) == Fraction(1, 2) + _rs(3) * 2
+    assert sum_connectivity(merged) == _value({1: Fraction(1, 2), 3: 2})
     assert sum_connectivity(merged) > sum_connectivity(g)
 
 
 def test_merge_two_pendants_on_triangle():
     g = attach_path(attach_path(cycle_graph(3), 0, 1), 0, 1)
-    assert sum_connectivity(g) == _rs(5) * 2 + _rs(6) * 2 + Fraction(1, 2)
+    assert sum_connectivity(g) == _value({5: 2, 6: 2, 1: Fraction(1, 2)})
     assert float(sum_connectivity(g)) == pytest.approx(2.21092, abs=5e-6)
     merged = merge_pendant_paths(g, 0, 3, 4)
     assert canonical_code(merged) == canonical_code(attach_path(cycle_graph(3), 0, 2))
-    assert sum_connectivity(merged) == _rs(5) * 3 + _rs(3) + Fraction(1, 2)
+    assert sum_connectivity(merged) == _value({5: 3, 3: 1, 1: Fraction(1, 2)})
     assert float(sum_connectivity(merged)) == pytest.approx(2.41899, abs=5e-6)
 
 
@@ -107,16 +106,16 @@ def test_reattach_triangle_pendant_to_square():
     h = unicyclic = attach_path(cycle_graph(3), 0, 1)
     out = reattach_to_pendant(h, 0, 2, 3)
     assert canonical_code(out) == canonical_code(cycle_graph(4))
-    assert sum_connectivity(out) == Fraction(2)
+    assert sum_connectivity(out) == _value({1: 2})
     assert sum_connectivity(out) > sum_connectivity(h)
 
 
 def test_reattach_square_pendant_to_pentagon():
     h = attach_path(cycle_graph(4), 0, 1)
-    assert sum_connectivity(h) == Fraction(3, 2) + _rs(5) * 2
+    assert sum_connectivity(h) == _value({1: Fraction(3, 2), 5: 2})
     out = reattach_to_pendant(h, 0, 3, 4)
     assert canonical_code(out) == canonical_code(cycle_graph(5))
-    assert sum_connectivity(out) == Fraction(5, 2)
+    assert sum_connectivity(out) == _value({1: Fraction(5, 2)})
 
 
 def test_reattach_longer_path():
