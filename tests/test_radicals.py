@@ -499,7 +499,7 @@ def test_representation_matches_the_fraction_term_formula(counts, other_counts):
 
 
 @pytest.mark.parametrize(
-    "counts",
+    "terms",
     [
         {1: Fraction(1, _BIG_PRIME)},
         {1: Fraction(-3, 2 * _BIG_PRIME)},
@@ -507,11 +507,12 @@ def test_representation_matches_the_fraction_term_formula(counts, other_counts):
         {2: Fraction(10, 3), 3: Fraction(-7, _BIG_PRIME * _BIG_PRIME)},
     ],
 )
-def test_hash_with_a_denominator_divisible_by_the_hash_modulus(counts):
+def test_hash_with_a_denominator_divisible_by_the_hash_modulus(terms):
     # 2**61 - 1 is the modulus on 64-bit builds: such a denominator has no
     # inverse modulo it, and Python hashes the Fraction as infinity.
-    value = _value(counts)
-    assert hash(value) == terms_hash(count_terms(counts.items()))
+    # ``terms`` is a radicand histogram, as for reciprocal_sqrt_sum.
+    value = _value(terms)
+    assert hash(value) == terms_hash(count_terms(terms.items()))
 
 
 def test_zero_hashes_like_the_rational_zero():
