@@ -3,6 +3,8 @@
 Both indices sum a reciprocal square root over the edges: of the endpoint
 degree sum for the former, of the degree product for the latter.  Values
 are exact ``RadicalValue`` numbers; call ``float()`` on them for a view.
+Each index has a kernel that adds the edges' unit profiles (below) over
+``Graph.degrees``, edge by edge, and reads no ``IndexKind`` member.
 
 So an index is a function of the edge-type profile, the count c_s of the
 edges with radicand s, written one way: the integer ``sum c_s << (8*s)``,
@@ -67,23 +69,24 @@ _memoized_value = lru_cache(maxsize=1 << 14)(profile_value)
 
 
 def connectivity_index(g: Graph, kind: IndexKind) -> RadicalValue:
-    edges = g.edges
-    if not edges:
-        raise EdgelessGraphError("graph has no edges")
-    deg = [0] * g.n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    if kind is IndexKind.SUM:
-        profile = sum([_UNIT[deg[u] + deg[v]] for u, v in edges])
-    else:
-        profile = sum([_UNIT[deg[u] * deg[v]] for u, v in edges])
-    return _memoized_value(profile)
+    return sum_connectivity(g) if kind is IndexKind.SUM else product_connectivity(g)
 
 
 def sum_connectivity(g: Graph) -> RadicalValue:
-    return connectivity_index(g, IndexKind.SUM)
+    if not g.edges:
+        raise EdgelessGraphError("graph has no edges")
+    deg = g.degrees()
+    profile = 0
+    for u, v in g.edges:
+        profile += _UNIT[deg[u] + deg[v]]
+    return _memoized_value(profile)
 
 
 def product_connectivity(g: Graph) -> RadicalValue:
-    return connectivity_index(g, IndexKind.PRODUCT)
+    if not g.edges:
+        raise EdgelessGraphError("graph has no edges")
+    deg = g.degrees()
+    profile = 0
+    for u, v in g.edges:
+        profile += _UNIT[deg[u] * deg[v]]
+    return _memoized_value(profile)

@@ -337,9 +337,9 @@ def _reduced(coords: dict[int, int], den: int) -> RadicalValue:
 
 
 # The width of one count in a packed histogram: one byte per radicand, as
-# ``packed_counts`` decodes it with ``int.to_bytes``.  Every packer shifts
-# by it, and its largest count, 255, is the k <= 255 that
-# ``_packed_enclosure`` assumes.
+# ``packed_counts`` and ``_packed_enclosure`` read it with ``int.to_bytes``.
+# Every packer shifts by it, and its largest count, 255, is the k <= 255
+# that ``_packed_enclosure`` assumes.
 _PACKED_BITS = 8
 
 
@@ -351,8 +351,9 @@ def packed_counts(packed: int) -> dict[int, int]:
 
 
 def _packed_enclosure(packed: int) -> float:
-    """Float enclosure of x = sum k/sqrt(s) over ``packed_counts(packed)``:
-    S = the ``fsum`` of the doubles k / sqrt(s), and |S - x| <= 3.01u*S
+    """Float enclosure of x = sum k/sqrt(s) over ``packed_counts(packed)``,
+    read off the bytes with no dict: S = the ``fsum`` of the doubles
+    k / sqrt(s), rounded correctly in any order, and |S - x| <= 3.01u*S
     (u = 2**-53), the bound ``_decide`` assumes.
 
     Soundness.  A radicand s is a byte's index, far below 2**53, so it is
@@ -365,7 +366,8 @@ def _packed_enclosure(packed: int) -> float:
     sum(f) <= S/(1-u).  Hence |S - x| <= (2u(1+u)/(1-u)**2 + u)/(1-u) * S
     <= 3.01u*S.  The empty histogram gives 0, exact.
     """
-    return fsum([k / sqrt(s) for s, k in packed_counts(packed).items()])
+    counts = packed.to_bytes((packed.bit_length() + 7) // 8, "little")
+    return fsum([k / sqrt(s) for s, k in enumerate(counts) if k])
 
 
 def _decide(sa: float, sb: float) -> int:

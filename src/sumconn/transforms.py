@@ -13,18 +13,16 @@ its preconditions in this order and raises at the first that fails:
 4. ``deg(u) >= 3`` (``BaseTooSmallError``);
 5. ``p1``, then ``p2``, has degree 1 (``NotPendantError``);
 6. the path from ``p1``, then from ``p2``, attaches at ``u``
-   (``WrongAttachmentError``);
-7. the two paths are disjoint (``PathsNotDisjointError``), and leave at
-   least two vertices (``BaseTooSmallError``).
+   (``WrongAttachmentError``).
 
-Step 7 is safety code that no input reaches after steps 1-6.  The walk
-from a pendant stops at the first vertex of degree other than 2; as it
-stops at ``u``, of degree >= 3, the path is the pendant's whole component
-among the vertices of degree <= 2.  Two paths that share a vertex are
-then one component holding both pendants, so the walk from ``p1`` would
-have stopped at ``p2``, of degree 1, not at ``u``.  And ``u`` has exactly
-one neighbour on each path, so with degree >= 3 it keeps a neighbour off
-both: the remainder has two vertices.
+Steps 1-6 imply that the two paths are disjoint and leave at least two
+vertices, so neither is checked.  A walk from a pendant stops at the first
+vertex of degree other than 2, so a path that stops at ``u``, of degree
+>= 3, is its pendant's whole component among the vertices of degree <= 2.
+Two paths that shared a vertex would be one component holding both
+pendants, and the walk from ``p1`` would have stopped at ``p2``, not at
+``u``.  And ``u`` has one neighbour on each path and degree >= 3, so it
+keeps a neighbour off both: the remainder has two vertices.
 
 ``reattach_to_pendant(h, u, u2, u_prime)``
 
@@ -126,10 +124,6 @@ def merge_pendant_paths(g: Graph, u: int, p1: int, p2: int) -> Graph:
     if attach2 != u:
         raise WrongAttachmentError(f"path ending at {p2} attaches to {attach2}, not {u}")
     removed = {*path1, *path2}
-    if len(removed) < len(path1) + len(path2):
-        raise PathsNotDisjointError("pendant paths share vertices")
-    if g.n - len(removed) < 2:
-        raise BaseTooSmallError("remainder must keep at least two vertices")
     edges = [e for e in g.edges if e[0] not in removed and e[1] not in removed]
     # path1 reversed runs u-outward and ends at p1; path2 as walked
     # continues from p1 out to its own attachment-side vertex.

@@ -79,6 +79,9 @@ def test_edgeless_graph_rejected():
         sum_connectivity(graph_from_edges(1, []))
     with pytest.raises(EdgelessGraphError):
         product_connectivity(graph_from_edges(3, []))
+    for kind in IndexKind:
+        with pytest.raises(EdgelessGraphError):
+            connectivity_index(graph_from_edges(2, []), kind)
 
 
 def test_additivity_over_edges():
@@ -329,6 +332,20 @@ def test_profile_values_hold_their_enclosures_and_compare_as_exact_values():
         assert hash(value) == hash(reference)
         assert (value._coords, value._den) == (reference._coords, reference._den)
         assert value == reference and str(value) == str(reference)
+
+
+def test_packed_enclosure_is_the_fsum_of_the_counts_read_apart():
+    # The enclosure reads the counts off the bytes; it must be the very
+    # double that the counts read by shift and mask give, radicands past
+    # 255 included: the bound profiles at every n, at both ends of the
+    # degree range, reach 256.
+    profiles = _listed_profiles() + _capacity_profiles()
+    profiles += [tree_max_bound(n, d)._profile for n in range(3, 257) for d in (2, n - 1)]
+    profiles += [unicyclic_max_bound(n, d)._profile for n in range(3, 256) for d in (2, n - 1)]
+    assert max(max(packed_counts_by_shift(p)) for p in profiles) > 255
+    for p in profiles:
+        counts = packed_counts_by_shift(p).items()
+        assert radicals._packed_enclosure(p) == math.fsum(k / math.sqrt(s) for s, k in counts)
 
 
 def test_profile_values_are_made_exact_only_when_read(monkeypatch, capsys):

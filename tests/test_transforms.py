@@ -6,10 +6,12 @@ import pytest
 
 from sumconn.canon import canonical_code
 from sumconn.construct import attach_path
+from sumconn.enumeration import enumerate_trees, enumerate_unicyclic
 from sumconn.graphs import (
     VertexRangeError,
     cycle_graph,
     graph_from_edges,
+    is_connected,
     max_degree,
     path_graph,
     star_graph,
@@ -93,13 +95,37 @@ def test_merge_precondition_errors():
         (g, (0, 1, 4), NotPendantError, "vertex 4 has degree 2, expected 1"),
         (two_hubs, (0, 4, 2), WrongAttachmentError, "path ending at 4 attaches to 1, not 0"),
         (two_hubs, (0, 2, 4), WrongAttachmentError, "path ending at 4 attaches to 1, not 0"),
-        # The last checks, disjoint paths and a two-vertex remainder, hold
-        # whenever these pass (the module docstring of sumconn.transforms).
+        # Disjoint paths and a two-vertex remainder follow from these, and
+        # are not checked (the module docstring of sumconn.transforms).
         # Two checks fail, the ends coincide and the graph is disconnected:
         # the first one checked is the one reported.
         (star_and_isolated, (0, 1, 1), PathsNotDisjointError, "the two path ends coincide"),
     ]:
         _refuses(merge_pendant_paths, graph, witnesses, error, message)
+
+
+def test_merge_every_witness_triple_on_small_trees_and_unicyclic_graphs():
+    # Every tree and unicyclic graph with n <= 8 and every (u, p1, p2) in
+    # range: the merges the preconditions admit keep a valid, connected
+    # graph of the same order and size, with a larger index, although the
+    # disjointness and remainder are not checked.
+    accepted = 0
+    for n in range(2, 9):
+        graphs = [*enumerate_trees(n), *(enumerate_unicyclic(n) if n >= 3 else ())]
+        for g in graphs:
+            before = sum_connectivity(g)
+            for u in range(n):
+                for p1 in range(n):
+                    for p2 in range(n):
+                        try:
+                            merged = merge_pendant_paths(g, u, p1, p2)
+                        except TransformError:
+                            continue
+                        accepted += 1
+                        assert merged == graph_from_edges(merged.n, merged.edges)
+                        assert (merged.n, merged.m) == (g.n, g.m) and is_connected(merged)
+                        assert sum_connectivity(merged) > before
+    assert accepted == 772
 
 
 def test_reattach_triangle_pendant_to_square():
