@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -105,26 +106,24 @@ def test_merge_precondition_errors():
 
 
 def test_merge_every_witness_triple_on_small_trees_and_unicyclic_graphs():
-    # Every tree and unicyclic graph with n <= 8 and every (u, p1, p2) in
-    # range: the merges the preconditions admit keep a valid, connected
-    # graph of the same order and size, with a larger index, although the
-    # disjointness and remainder are not checked.
+    # Every tree and unicyclic graph with 3 <= n <= 8 (smaller graphs have
+    # no vertex of degree 3) and every (u, p1, p2) in range: the merges the
+    # preconditions admit keep a valid, connected graph of the same order
+    # and size, with a larger index, although the disjointness and the
+    # remainder are not checked.
     accepted = 0
-    for n in range(2, 9):
-        graphs = [*enumerate_trees(n), *(enumerate_unicyclic(n) if n >= 3 else ())]
-        for g in graphs:
+    for n in range(3, 9):
+        for g in [*enumerate_trees(n), *enumerate_unicyclic(n)]:
             before = sum_connectivity(g)
-            for u in range(n):
-                for p1 in range(n):
-                    for p2 in range(n):
-                        try:
-                            merged = merge_pendant_paths(g, u, p1, p2)
-                        except TransformError:
-                            continue
-                        accepted += 1
-                        assert merged == graph_from_edges(merged.n, merged.edges)
-                        assert (merged.n, merged.m) == (g.n, g.m) and is_connected(merged)
-                        assert sum_connectivity(merged) > before
+            for u, p1, p2 in product(range(n), repeat=3):
+                try:
+                    merged = merge_pendant_paths(g, u, p1, p2)
+                except TransformError:
+                    continue
+                accepted += 1
+                assert merged == graph_from_edges(merged.n, merged.edges)
+                assert (merged.n, merged.m) == (g.n, g.m) and is_connected(merged)
+                assert sum_connectivity(merged) > before
     assert accepted == 772
 
 
