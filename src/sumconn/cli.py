@@ -27,7 +27,7 @@ from .graphs import Graph, GraphError, graph_from_edges, max_degree
 from .indices import IndexKind, connectivity_index
 from .radicals import RadicalValue
 from .verify import (
-    chi_r_correlation,
+    _correlation,
     run_sweeps,
     transform_monotonicity_suite,
     verify_top_two,
@@ -244,8 +244,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
-    r = chi_r_correlation(args.n, args.max_delta)
-    count = len(enumerate_trees(args.n, None if args.max_delta is None else (0, args.max_delta)))
+    r, count = _correlation(args.n, args.max_delta)
     if args.json:
         _emit_json(
             {

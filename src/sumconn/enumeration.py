@@ -55,9 +55,9 @@ one ``bytes.translate`` and joined in another order
 class is kept in the same format: its tree's record with the chord's two
 bytes inserted at their sorted place.  A record's maximum degree is the
 most times a label occurs in it, computed only for a degree filter or a
-count, once per class and n.  ``enumerate_trees`` and
+count, as the records are generated.  ``enumerate_trees`` and
 ``enumerate_unicyclic`` filter the records by degree when asked and
-return one lazy sequence of the records; no cache holds the tree
+return one lazy sequence of the records; no cache holds either class's
 records, the sequence does, for as long as its caller holds it.  A
 caller that iterates it gets each graph built when it is read, its edges
 unpacked from the joined records in one pass, with no validation, BFS or
@@ -93,7 +93,7 @@ from bisect import bisect
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import compress, repeat, tee
+from itertools import repeat, tee
 from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterator
@@ -377,7 +377,6 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes
                 yield (u, v), necklace_max(reading)
 
 
-@lru_cache(maxsize=None)
 def _reroot_table(n: int, cut: int) -> bytes:
     """``bytes.translate`` table from the labels of a WROM tree on n
     vertices whose root's second child is ``cut`` to its labels in
@@ -387,7 +386,6 @@ def _reroot_table(n: int, cut: int) -> bytes:
     return bytes([1, 0, *range(n - cut + 2, n), *range(2, n - cut + 2), *range(n, 256)])
 
 
-@lru_cache(maxsize=None)
 def _unicyclic_records(n: int) -> tuple[bytes, ...]:
     """Every class as the bytes of its sorted edges: a tree's record
     (``_tree_records``) with a chord (u, v), ``u < v``, inserted at its
@@ -663,23 +661,10 @@ def bracelet_graph(word: Sequence[_Letter]) -> Graph:
     return code_graph(necklace_code(sum(map(len, seqs)), seqs))
 
 
-# Each class's records on n vertices, in listing order: trees as the
-# generator yields them, held by no cache; unicyclic classes from theirs.
+# Each class's records on n vertices, in listing order, generated anew
+# per call and held by no cache: trees as the generator yields them,
+# unicyclic classes from theirs.
 _RECORDS = {"tree": lambda n: _tree_records(_free_trees(n), n), "unicyclic": _unicyclic_records}
-
-# Each class's maximum degrees by n, in record order: ints, not records, so
-# a filter or count asked again in one process reads no record.
-_DEGREES: dict[tuple[str, int], tuple[int, ...]] = {}
-
-
-def _max_degrees(graph_class: str, n: int, records: Iterable[bytes]) -> tuple[int, ...]:
-    """The maximum degree of each record of the class on n vertices, in
-    order, computed only for a degree filter or a count, and only once:
-    ``records``, the class's own in order, are read only the first time."""
-    degrees = _DEGREES.get((graph_class, n))
-    if degrees is None:
-        degrees = _DEGREES[graph_class, n] = tuple(map(_record_max_degree, records))
-    return degrees
 
 
 # Records per ``emit_graph6_records`` call in ``graph6_chunks``: large
@@ -737,22 +722,23 @@ def _span(graph_class: str, n: int, delta: DeltaFilter) -> tuple[int, int] | Non
 
 def _select(graph_class: str, n: int, delta: DeltaFilter) -> _LazyGraphs:
     """The class's records on n vertices whose maximum degree ``delta``
-    admits, read as graphs."""
+    admits, read as graphs: each record's degree is computed as it is
+    generated, only under a filter, and the sequence returned holds the
+    only reference to the records it admits."""
     span = _span(graph_class, n, delta)
-    records = tuple(_RECORDS[graph_class](n))
+    records = _RECORDS[graph_class](n)
     if span is None:
-        return _LazyGraphs(records, n)
+        return _LazyGraphs(tuple(records), n)
     lo, hi = span
-    degrees = _max_degrees(graph_class, n, records)
-    return _LazyGraphs(tuple(compress(records, [lo <= d <= hi for d in degrees])), n)
+    return _LazyGraphs(tuple(r for r in records if lo <= _record_max_degree(r) <= hi), n)
 
 
 def _degree_counts(graph_class: str, n: int, delta: int | None) -> dict[int, int]:
     """The class count at each maximum degree on n vertices that ``delta``
-    admits, ascending, from the degrees filters read: a tree count holds
-    no record."""
+    admits, ascending, each record's degree counted as it is generated: a
+    tree count holds no record, and no count is kept after it returns."""
     span = _span(graph_class, n, delta)
-    counts = Counter(_max_degrees(graph_class, n, _RECORDS[graph_class](n)))
+    counts = Counter(map(_record_max_degree, _RECORDS[graph_class](n)))
     return {d: c for d, c in sorted(counts.items()) if span is None or span[0] <= d <= span[1]}
 
 

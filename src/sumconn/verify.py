@@ -536,6 +536,12 @@ def transform_monotonicity_suite(trials: int, seed: int = 0) -> MonotonicityRepo
 def chi_r_correlation(n: int, max_delta: int | None = None) -> float:
     """Pearson correlation of the two indices over enumerated trees on n
     vertices with maximum degree at most ``max_delta``."""
+    return _correlation(n, max_delta)[0]
+
+
+def _correlation(n: int, max_delta: int | None) -> tuple[float, int]:
+    """``chi_r_correlation``'s value and the number of trees it is taken
+    over, from one listing."""
     least = RANGES["tree"].least_delta
     if max_delta is not None and max_delta < least:
         raise DeltaRangeError(f"tree max_delta must be at least {least}, got {max_delta}")
@@ -551,7 +557,7 @@ def chi_r_correlation(n: int, max_delta: int | None = None) -> float:
         rs.append(float(product_connectivity(g)))
     from statistics import correlation  # here, its one use, as ``random`` above
 
-    return correlation(chis, rs)
+    return correlation(chis, rs), len(members)
 
 
 # -- sweeps --------------------------------------------------------------------

@@ -10,8 +10,10 @@ import pytest
 
 import sumconn
 from sumconn.cli import _listing_json, dispatch
+from sumconn.enumeration import enumerate_trees
 from sumconn.graph6 import parse_graph6
 from sumconn.graphs import is_tree, max_degree
+from sumconn.verify import chi_r_correlation
 
 
 def run(capsys, *argv):
@@ -314,8 +316,11 @@ def test_correlate(capsys):
     code, out, _ = run(capsys, "correlate", "--n", "8", "--max-delta", "4", "--json")
     assert code == 0
     data = json.loads(out)
+    # The count and the value come from one filtered listing: the count is
+    # the unfiltered listing's trees of maximum degree at most 4.
+    assert data["graphs"] == sum(max_degree(g) <= 4 for g in enumerate_trees(8))
+    assert data["pearson"] == chi_r_correlation(8, 4)
     assert -1.0 <= data["pearson"] <= 1.0
-    assert data["graphs"] > 3
 
 
 def test_export_edges_file(tmp_path, capsys):

@@ -87,7 +87,7 @@ def _chunked_lines(listing):
     return [line for chunk in listing.graph6_chunks() for line in chunk]
 
 
-def test_listing_lines_from_records_equal_emit_graph6():
+def test_listing_lines_from_records_equal_emit_graph6(held_records):
     # Every degree filter a listing takes, and none: trees n = 1..12 (n = 1
     # is "@", no data character) and unicyclic graphs n = 3..11.
     cases = [(enumerate_trees, n, [None, *range(min(1, n - 1), n)]) for n in range(1, 13)]

@@ -25,7 +25,7 @@ from sumconn.graphs import (
     unique_cycle,
 )
 from sumconn.construct import attach_path, tree_extremal, unicyclic_extremal
-from sumconn.enumeration import _max_degrees, _record_tree, _unicyclic_records, enumerate_trees
+from sumconn.enumeration import _record_max_degree, _record_tree, _unicyclic_records, enumerate_trees
 from sumconn.enumeration import enumerate_unicyclic
 from sumconn.verify import transform_monotonicity_suite
 
@@ -213,7 +213,7 @@ def test_adjacency_and_degrees_match_the_eager_build(monkeypatch):
         for g in enumerate_trees(n):
             _check_derived(g)
     for n in range(3, 10):
-        tops = _max_degrees("unicyclic", n, _unicyclic_records(n))
+        tops = map(_record_max_degree, _unicyclic_records(n))
         for top, g in zip(tops, enumerate_unicyclic(n)):
             assert max(g.degrees()) == top
             _check_derived(g)

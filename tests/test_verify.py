@@ -108,7 +108,7 @@ def _codes(graphs):
     return sorted(map(canonical_code, graphs))
 
 
-def test_verification_reaches_the_enumeration_limits():
+def test_verification_reaches_the_enumeration_limits(held_records):
     # one delta on each side of is_large_delta at the larger sizes
     for n, d in ((16, 5), (16, 9)):
         assert verify_tree_max(n, d).passed
@@ -130,7 +130,7 @@ def test_verification_reaches_the_enumeration_limits():
     assert -1.0 <= chi_r_correlation(16, 4) <= 1.0
 
 
-def test_degree_ranking_matches_the_listing():
+def test_degree_ranking_matches_the_listing(held_records):
     for graph_class, listing, ns in (
         ("tree", enumerate_trees, range(3, 13)),
         ("unicyclic", enumerate_unicyclic, range(3, 12)),
