@@ -11,9 +11,12 @@ centers; unicyclic graphs canonicalize the cycle under rotation and
 reflection with the codes of the subtrees hanging off each cycle vertex.
 No enumerator calls ``canonical_code``: the unicyclic listing keys its
 classes by codes its generator emits, with ``necklace_code`` and the
-level-sequence helpers here.  ``verify`` canonicalizes each family member
-and argmax tree once, when it builds a report, and ``export --canonical``
-its one graph, so ``canonical_code`` keeps no memo.
+level-sequence helpers here.  ``verify`` canonicalizes each extremal
+family member once, when it builds a report, and ``export --canonical``
+its one graph, so ``canonical_code`` keeps no memo; the argmax groups it
+compares them with are built canonical from the generators' own sequences
+(``enumeration.free_tree_graph``, and ``bracelet_graph`` through
+``code_graph``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .graphs import (
     MAX_VERTICES,
     NotConnectedError,
     SizeLimitError,
-    graph_from_edges,
     is_connected,
     peel_leaves,
     peel_to_cycle,
@@ -75,9 +77,20 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def code_graph(code: CanonicalCode) -> Graph:
-    """The graph a code spells: its vertex count, then its edges' ends,
-    normalized, as ``necklace_code`` writes the wrap edge larger end first."""
-    return graph_from_edges(code[0], zip(code[1::2], code[2::2]))
+    """The graph a code spells: its vertex count, then its edges' ends.
+
+    Codes are written only by ``_tree_code`` and ``necklace_code``, as the
+    sorted edges of a relabeled tree or unicyclic graph on n <= 16
+    vertices, each pair ``(a, b)`` with ``a < b``, so they need no
+    validation: the labels are below n, and no edge is a loop or a repeat.
+    The one exception is the unicyclic wrap edge, written ``(r_(k-1), 0)``,
+    the only pair that ends in 0; it is flipped, and the edges sorted."""
+    edges = [*zip(code[1::2], code[2::2])]
+    if len(edges) == code[0]:  # unicyclic: one wrap edge
+        i = code[2::2].index(0)
+        edges[i] = (0, edges[i][0])
+        edges.sort()
+    return Graph(code[0], tuple(edges))
 
 
 # -- trees ---------------------------------------------------------------

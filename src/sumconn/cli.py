@@ -83,7 +83,8 @@ def _write(target: str, pieces: Iterable[str]) -> None:
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # No cycle check: every payload is a fresh tree of dicts and lists.
+    return json.dumps(payload, indent=2, sort_keys=True, check_circular=False) + "\n"
 
 
 def _emit_json(payload: dict, target: str) -> None:

@@ -47,10 +47,11 @@ with no edge sort.  Its chord generator visits the trees in
 canonical-code order.  A tree's record is the edge part of its canonical
 code unless the tree is bicentral and re-rooting it at vertex 1 gives a
 greater sequence, which one comparison of the two halves at the central
-edge tells.  The generator yields the root's second child, where the
-halves meet, and whether they are equally tall, as its own validity test
-measured them.  Then the code's edges are the record's own, relabeled by
-one ``bytes.translate`` and joined in another order
+edge tells (``_reroots``; the "Which center" argument is
+``free_tree_graph``'s).  The generator yields the root's second child,
+where the halves meet, and whether they are equally tall, as its own
+validity test measured them.  Then the code's edges are the record's
+own, relabeled by one ``bytes.translate`` and joined in another order
 (``_unicyclic_records``), with no second decode or sort.  A unicyclic
 class is kept in the same format: its tree's record with the chord's two
 bytes inserted at their sorted place.  A record's maximum degree is the
@@ -71,7 +72,8 @@ Verification reads both classes as edge-type profiles, packed integers in
 the format ``indices`` defines and values, with no graph and in
 generation order, as no report depends on order.  ``tree_profiles``
 reads each tree's profile and maximum degree off its level sequence as
-the generator emits it, with no canonical code and no sort.
+the generator emits it, with no canonical code and no sort, and
+``free_tree_graph`` reads a tree's canonical form off the same sequence.
 ``unicyclic_bracelets`` lists each unicyclic class once, as a bracelet
 of rooted trees (orderly generation after Read, "Every one a winner",
 1978, and Sawada's bracelets, SIAM J. Comput. 2001), and reads its
@@ -130,7 +132,7 @@ def _free_trees(n: int) -> Iterator[tuple[bytes, int, int, bool]]:
     the one before (1 for the first: the root's depth 0 never changes); the
     root's second child (n if none); and whether the root's first subtree,
     ``seq[1:cut]``, is as tall as the rest, which makes the tree bicentral
-    with centers 0 and 1 (``_unicyclic_records``).
+    with centers 0 and 1 (``free_tree_graph``, "Which center").
 
     A rooted successor is kept when the root's first subtree is no larger
     than the rest of the tree: no higher; if as high, with no more
@@ -402,34 +404,9 @@ def _unicyclic_records(n: int) -> tuple[bytes, ...]:
     parent-array edges of the greatest canonical level sequence over its
     centers (``canon._rooted_code``).  Keys are distinct, so the sorted
     keys are mapped back to their records through the few that differ.
-
-    Which center.  Let ``seq`` be a WROM sequence, ``cut`` the root's
-    second child (n if none), A = ``seq[1:cut]`` one level shallower, the
-    half at vertex 1 of the edge (0, 1), and B = 0 + ``seq[cut:]``, the
-    root's half:
-
-    * The root is a center.  A Beyer-Hedetniemi canonical sequence lists
-      every vertex's subtrees in non-increasing order, and a subtree's
-      sequence starts with its longest root path, so the first root
-      subtree, A, is the tallest.  WROM accepts a sequence only when A is
-      no taller than B.  So either A is lower, and the root is the only
-      center, or both halves have one height, and the centers are the
-      root and vertex 1 (``_free_trees`` yields this as ``bicentral``,
-      with ``cut``, from its own test).
-    * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
-      canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0,
-      that is 0, then A one level deeper, then B's subtrees.
-    * Rooted at vertex 1, a bicentral tree's canonical sequence is 0, then
-      B one level deeper, then A's subtrees: B is as tall as A, so it is
-      taller than every subtree of A and sorts first, and A's subtrees
-      keep their canonical order.  Its preorder labels are
-      ``_reroot_table``'s.
-    * The two sequences first differ where A and B do, one level deeper,
-      and then by the same sign.  If one half is a proper prefix of the
-      other, the longer one goes on deeper than 1 where the shorter one's
-      sequence reaches its next root subtree at depth 1, or ends, so the
-      longer half wins again.  So the re-rooted sequence is greater
-      exactly when B > A, and for equal halves the two are equal.
+    That sequence is rooted at vertex 1 exactly when the tree is
+    bicentral and ``_reroots``, by ``free_tree_graph``'s "Which center";
+    ``_free_trees`` yields ``bicentral`` and ``cut`` from its own test.
 
     The re-rooted key relabels the record.  Its sorted edges come by
     parent: the new root's, (0, 1) and then vertex 1's child edges; the
@@ -444,7 +421,7 @@ def _unicyclic_records(n: int) -> tuple[bytes, ...]:
     rerooted = {}
     steps, again = tee(_free_trees(n))
     for (seq, _, cut, bicentral), record in zip(steps, _tree_records(again, n)):
-        if bicentral and b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1]):
+        if bicentral and _reroots(seq, cut):
             # Byte offsets where the runs end: the root's edges at r,
             # vertex 1's child edges at k, vertex 1's side's edges at a.
             r = 2 * seq.count(1)
@@ -661,6 +638,58 @@ def bracelet_graph(word: Sequence[_Letter]) -> Graph:
     return code_graph(necklace_code(sum(map(len, seqs)), seqs))
 
 
+def _reroots(seq: bytes, cut: int) -> bool:
+    """Whether the canonical sequence of a bicentral WROM tree is rooted
+    at vertex 1: its root's half B, 0 + ``seq[cut:]``, is greater than
+    vertex 1's, A, ``seq[1:cut]`` one level shallower (``free_tree_graph``,
+    "Which center")."""
+    return b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1])
+
+
+def free_tree_graph(seq: bytes) -> Graph:
+    """The canonical form of the free tree whose WROM level sequence is
+    ``seq``: the tree labeled in preorder by its greatest level sequence
+    over its centers, as ``canonical_code`` labels it, read off ``seq``
+    with no search, no AHU recursion and no validation.
+
+    Which center.  Let ``cut`` be the root's second child (n if none),
+    A = ``seq[1:cut]`` one level shallower, the half at vertex 1 of the
+    edge (0, 1), and B = 0 + ``seq[cut:]``, the root's half:
+
+    * The root is a center.  A Beyer-Hedetniemi canonical sequence lists
+      every vertex's subtrees in non-increasing order, and a subtree's
+      sequence starts with its longest root path, so the first root
+      subtree, A, is the tallest.  WROM accepts a sequence only when A is
+      no taller than B.  So either A is lower, and the root is the only
+      center, or both halves have one height, ``max(seq[1:cut]) - 1``
+      and ``max(seq[cut:])``, and the centers are the root and vertex 1.
+    * ``seq`` is canonical at the root: WROM emits Beyer-Hedetniemi
+      canonical sequences, so ``seq`` is ``_rooted_code`` at vertex 0,
+      that is 0, then A one level deeper, then B's subtrees.
+    * Rooted at vertex 1, a bicentral tree's canonical sequence is 0, then
+      B one level deeper, then A's subtrees: B is as tall as A, so it is
+      taller than every subtree of A and sorts first, and A's subtrees
+      keep their canonical order.  Its preorder labels are
+      ``_reroot_table``'s.
+    * The two sequences first differ where A and B do, one level deeper,
+      and then by the same sign.  If one half is a proper prefix of the
+      other, the longer one goes on deeper than 1 where the shorter one's
+      sequence reaches its next root subtree at depth 1, or ends, so the
+      longer half wins again.  So the re-rooted sequence is greater
+      exactly when B > A (``_reroots``), and for equal halves the two are
+      equal.
+
+    Both centers' sequences are canonical, so the greater is the tree's
+    code, and its edges, read by ``level_sequence_edges``, are sorted
+    pairs of distinct labels below n: the graph is built unchecked."""
+    n = len(seq)
+    cut = seq.find(1, 2)
+    # For n <= 2 the root has no second child, and re-rooting changes nothing.
+    if cut > 0 and max(seq[1:cut]) - 1 == max(seq[cut:]) and _reroots(seq, cut):
+        seq = b"\x00\x01" + seq[cut:].translate(_DEEPER) + seq[2:cut].translate(_LIFT[1])
+    return Graph(n, tuple(level_sequence_edges(seq)))
+
+
 # Each class's records on n vertices, in listing order, generated anew
 # per call and held by no cache: trees as the generator yields them,
 # unicyclic classes from theirs.
@@ -761,8 +790,8 @@ def enumerate_trees(n: int, delta: DeltaFilter = None) -> _LazyGraphs:
 
 def tree_profiles(n: int) -> Iterator[tuple[int, int, bytes]]:
     """``(max degree, profile, level sequence)`` of every free tree on n
-    vertices, read with no graph; ``_level_sequence_tree`` builds a tree's
-    graph.
+    vertices, read with no graph; ``free_tree_graph`` builds a tree's
+    canonical form.
 
     The trees come straight off the generator, in the tree listing's
     order, with no canonical code and no sort."""

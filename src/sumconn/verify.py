@@ -13,10 +13,12 @@ Both classes are ranked the same way: one cached pass per class and n
 packed edge-type profiles, not graphs (``indices.profile_value``), groups
 classes by value and keeps each maximum degree's two leading groups.  The
 per-degree maxima read it, and top-two merges the unicyclic groups
-(``_merge_top_two``).  A report holds canonical forms, made once when it
-is built, so rendering canonicalizes nothing.  No report depends on the
-order in which classes arrive: graph6 strings and ``k_profile`` are
-serialized sorted, and argmax sets are compared as sets of canonical forms.
+(``_merge_top_two``).  A report holds canonical forms and their graph6
+strings, made once when it is built, the graph6 in one
+``emit_graph6_records`` pass, so rendering canonicalizes and encodes
+nothing.  No report depends on the order in which classes arrive: graph6
+strings and ``k_profile`` are serialized sorted, and argmax sets are
+compared as sets of canonical forms.
 
 Verification reaches n = 16 (``graphs.MAX_VERTICES``) for trees,
 unicyclic graphs and top-two.  No range is written here: each is read from
@@ -31,15 +33,16 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import lru_cache
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .bounds import tree_max_bound, unicyclic_max_bound, unicyclic_top_two
 from .canon import canonical_form
 from .construct import RANGES, TOP_TWO, TOP_TWO_DEGREES, DeltaRangeError, GraphClassSpec
 from .construct import attach_path, attach_paths, extremal_family
-from .enumeration import _level_sequence_tree, bracelet_graph, enumerate_trees, tree_profiles
+from .enumeration import bracelet_graph, enumerate_trees, free_tree_graph, tree_profiles
 from .enumeration import unicyclic_bracelets
-from .graph6 import emit_graph6
+from .graph6 import emit_graph6, emit_graph6_records
 from .graphs import Graph, is_unicyclic, peel_leaves
 from .indices import product_connectivity, profile_value, sum_connectivity
 from .radicals import RadicalValue
@@ -77,9 +80,15 @@ def degree_two_attachment_count(g: Graph) -> int:
     return best
 
 
-def _graph6_lines(graphs: Iterable[Graph]) -> list[str]:
-    """Sorted graph6 of canonical forms, which name classes, not labelings."""
-    return sorted(map(emit_graph6, graphs))
+def _graph6_lines(
+    n: int, first: Sequence[Graph], second: Sequence[Graph]
+) -> tuple[list[str], list[str]]:
+    """The graph6 strings of two groups of canonical forms, which name
+    classes, not labelings, each in its order: one ``emit_graph6_records``
+    pass over every graph's edges, as a report's graphs are all on n
+    vertices and of one edge count."""
+    lines = emit_graph6_records([bytes(chain.from_iterable(g.edges)) for g in (*first, *second)], n)
+    return lines[: len(first)], lines[len(first) :]
 
 
 def _approx(value: RadicalValue) -> str:
@@ -92,7 +101,8 @@ def _verdict(passed: bool) -> str:
 
 
 class ExtremalReport(NamedTuple):
-    """Outcome of one family verification; ``k_profile``'s keys are the argmax graph6."""
+    """Outcome of one family verification; ``k_profile``'s keys are the
+    argmax graph6, and ``expected_graph6`` holds the family's, sorted."""
 
     spec: GraphClassSpec
     class_size: int
@@ -104,6 +114,7 @@ class ExtremalReport(NamedTuple):
     set_match: bool
     bound_holds: bool
     k_profile: dict[str, int]
+    expected_graph6: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -119,7 +130,7 @@ class ExtremalReport(NamedTuple):
             "formula": self.formula_value.to_json_dict(),
             "brute_max": self.brute_max.to_json_dict(),
             "argmax": sorted(self.k_profile),
-            "expected": _graph6_lines(self.expected),
+            "expected": list(self.expected_graph6),
             "match": {"value": self.value_match, "set": self.set_match},
             "bound_holds": self.bound_holds,
             "k_profile": dict(sorted(self.k_profile.items())),
@@ -128,7 +139,7 @@ class ExtremalReport(NamedTuple):
 
     def to_text(self) -> str:
         spec = self.spec
-        argmax, expected = sorted(self.k_profile), _graph6_lines(self.expected)
+        argmax, expected = sorted(self.k_profile), self.expected_graph6
         return "\n".join([
             f"class: {spec.graph_class}  n={spec.n}  delta={spec.delta}  "
             f"class size: {self.class_size}",
@@ -167,10 +178,13 @@ def _ranking(
     arrives, or is later evicted, is never kept again, and a kept group
     holds every class of its value.  Only the classes of kept groups are
     held, and graphs are made only for the groups that lead at the end,
-    as canonical forms (``bracelet_graph`` builds one).
+    as canonical forms read off what the listing yields, with no
+    ``canonical_code``: ``free_tree_graph`` builds one from a tree's WROM
+    level sequence, re-rooted only at the central edge of a bicentral
+    tree, and ``bracelet_graph`` one from a unicyclic word.
     """
     if graph_class == "tree":
-        classes, build = tree_profiles(n), lambda seq: canonical_form(_level_sequence_tree(seq))
+        classes, build = tree_profiles(n), free_tree_graph
     else:
         classes, build = unicyclic_bracelets(n), bracelet_graph
     counts = dict.fromkeys(range(2, n), 0)
@@ -232,6 +246,7 @@ def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:
     formula = (tree_max_bound if graph_class == "tree" else unicyclic_max_bound)(n, delta)
     class_size, groups = _ranking(graph_class, n)[delta]
     brute, argmax = groups[0]
+    argmax_lines, expected_lines = _graph6_lines(n, argmax, expected)
     return ExtremalReport(
         spec=spec,
         class_size=class_size,
@@ -242,7 +257,8 @@ def _verify_max(graph_class: str, n: int, delta: int) -> ExtremalReport:
         value_match=brute == formula,
         set_match=set(argmax) == set(expected),
         bound_holds=brute <= formula,
-        k_profile={emit_graph6(g): degree_two_attachment_count(g) for g in argmax},
+        k_profile=dict(zip(argmax_lines, map(degree_two_attachment_count, argmax))),
+        expected_graph6=tuple(sorted(expected_lines)),
     )
 
 
@@ -261,7 +277,8 @@ def verify_unicyclic_max(n: int, delta: int) -> ExtremalReport:
 
 
 class TopTwoReport(NamedTuple):
-    """Outcome of the exhaustive top-two ranking check."""
+    """Outcome of the exhaustive top-two ranking check; ``first_graph6``
+    and ``second_graph6`` hold the two groups' graph6, sorted."""
 
     n: int
     total: int
@@ -273,6 +290,8 @@ class TopTwoReport(NamedTuple):
     first_set_match: bool
     second_value_match: bool
     second_set_match: bool
+    first_graph6: tuple[str, ...]
+    second_graph6: tuple[str, ...]
 
     @property
     def passed(self) -> bool:
@@ -290,11 +309,11 @@ class TopTwoReport(NamedTuple):
             "total": self.total,
             "first": {
                 "value": self.first_value.to_json_dict(),
-                "graphs": _graph6_lines(self.first),
+                "graphs": list(self.first_graph6),
             },
             "second": {
                 "value": self.second_value.to_json_dict(),
-                "graphs": _graph6_lines(self.second),
+                "graphs": list(self.second_graph6),
             },
             "match": {
                 "first_value": self.first_value_match,
@@ -348,6 +367,7 @@ def verify_top_two(n: int) -> TopTwoReport:
     total, [(first_value, first), (second_value, second)] = _merge_top_two(
         _ranking("unicyclic", n).values()
     )
+    first_lines, second_lines = _graph6_lines(n, first, second)
     return TopTwoReport(
         n=n,
         total=total,
@@ -359,6 +379,8 @@ def verify_top_two(n: int) -> TopTwoReport:
         first_set_match=set(first) == first_family,
         second_value_match=second_value == expected.second_value,
         second_set_match=set(second) == second_family,
+        first_graph6=tuple(sorted(first_lines)),
+        second_graph6=tuple(sorted(second_lines)),
     )
 
 

@@ -10,6 +10,7 @@ from sumconn.canon import (
     _rooted_code,
     canonical_code,
     canonical_form,
+    code_graph,
     necklace_code,
     necklace_max,
 )
@@ -20,6 +21,7 @@ from sumconn.enumeration import (
     _rooted_letters,
     enumerate_trees,
     enumerate_unicyclic,
+    free_tree_graph,
 )
 from sumconn.graphs import (
     MAX_VERTICES,
@@ -44,6 +46,12 @@ from oracles import (
 
 def _permuted(g: Graph, perm) -> Graph:
     return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def _validated_code_graph(code) -> Graph:
+    """The graph a code spells, built through the validating constructor,
+    which also puts the wrap edge's ends in order."""
+    return graph_from_edges(code[0], zip(code[1::2], code[2::2]))
 
 
 def test_relabeling_gives_equal_codes():
@@ -96,17 +104,21 @@ def test_exhaustive_ground_truth_small(n):
             continue
         rep_code = canonical_code(g)
         assert rep_code not in codes, "distinct orbits must get distinct codes"
+        assert code_graph(rep_code) == _validated_code_graph(rep_code)
         codes.add(rep_code)
         for h in {_permuted(g, perm) for perm in permutations(range(n))}:
             assert canonical_code(h) == rep_code
 
 
 def test_level_sequence_codes_are_canonical_codes():
-    # Every free tree the enumerator generates, unicentral and bicentral.
-    assert level_sequence_code([0]) == canonical_code(graph_from_edges(1, []))
-    for n in range(2, 17):
+    # Every free tree the enumerator generates: unicentral, and bicentral
+    # with the root's half greater than, less than or equal to vertex 1's.
+    # Its canonical form read off the sequence is the oracle code's graph.
+    for n in range(1, 17):
         for seq, *_ in _free_trees(n):
-            assert level_sequence_code(seq) == canonical_code(_level_sequence_tree(seq))
+            code = level_sequence_code(seq)
+            assert code == canonical_code(_level_sequence_tree(seq))
+            assert free_tree_graph(seq) == code_graph(code)
 
 
 @pytest.mark.parametrize("n", [7])
@@ -117,6 +129,7 @@ def test_exhaustive_permutation_invariance_supported_classes(n):
     codes = [canonical_code(g) for g in classes]
     assert len(set(codes)) == len(codes)
     for g, code in zip(classes, codes):
+        assert code_graph(code) == _validated_code_graph(code)
         for h in {_permuted(g, perm) for perm in permutations(range(n))}:
             assert canonical_code(h) == code
 

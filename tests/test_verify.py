@@ -320,8 +320,11 @@ def test_every_report_is_immutable():
 
 def test_reports_hold_canonical_forms_each_made_once(monkeypatch):
     # From a cold ranking, each graph is canonicalized once, when its report
-    # is built: bracelets are built canonical, and rendering codes nothing.
+    # is built, and only family members are: argmax trees and bracelets are
+    # built canonical, and rendering codes nothing.  Each report's graph6
+    # is encoded when it is built, so rendering encodes nothing either.
     _ranking.cache_clear()
+    verify._canonical_family.cache_clear()
     code = canon.canonical_code
     coded = []
 
@@ -332,8 +335,9 @@ def test_reports_hold_canonical_forms_each_made_once(monkeypatch):
     monkeypatch.setattr(canon, "canonical_code", counted)
     sweep = verify.run_sweeps(range(4, 9), range(4, 8), range(4, 8))
     assert coded and len({id(g) for g in coded}) == len(coded)
-    assert all(g in _families(g.n) for g in coded if g.m == g.n)
+    assert all(g in _families(g.n, "unicyclic" if g.m == g.n else "tree") for g in coded)
     built = len(coded)
+    monkeypatch.setattr(verify, "emit_graph6_records", None)
     sweep.to_json_dict()
     sweep.to_text()
     for r in sweep.tree_reports + sweep.unicyclic_reports + sweep.top_two_reports:
@@ -348,12 +352,12 @@ def test_reports_hold_canonical_forms_each_made_once(monkeypatch):
     assert held and all(canonical_form(g) == g for g in held)
 
 
-def _families(n):
-    """Every member of the unicyclic extremal families on n vertices."""
+def _families(n, graph_class="unicyclic"):
+    """Every member of the class's extremal families on n vertices."""
     return {
         g
         for d in range(2, n)
-        for g in construct.extremal_family(construct.GraphClassSpec(n, d, "unicyclic"))
+        for g in construct.extremal_family(construct.GraphClassSpec(n, d, graph_class))
     }
 
 
