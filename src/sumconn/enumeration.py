@@ -681,13 +681,13 @@ def free_tree_graph(seq: bytes) -> Graph:
 
     Both centers' sequences are canonical, so the greater is the tree's
     code, and its edges, read by ``level_sequence_edges``, are sorted
-    pairs of distinct labels below n: the graph is built unchecked."""
-    n = len(seq)
+    pairs of distinct labels below n: the graph is built unchecked
+    (``_level_sequence_tree``)."""
     cut = seq.find(1, 2)
     # For n <= 2 the root has no second child, and re-rooting changes nothing.
     if cut > 0 and max(seq[1:cut]) - 1 == max(seq[cut:]) and _reroots(seq, cut):
         seq = b"\x00\x01" + seq[cut:].translate(_DEEPER) + seq[2:cut].translate(_LIFT[1])
-    return Graph(n, tuple(level_sequence_edges(seq)))
+    return _level_sequence_tree(seq)
 
 
 # Each class's records on n vertices, in listing order, generated anew
