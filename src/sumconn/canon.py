@@ -176,7 +176,9 @@ def necklace_max(codes: Sequence[bytes]) -> tuple[bytes, ...]:
     or their reverse.  When the greatest code occurs once, at i, exactly
     two readings start there: forwards, ``t[i:] + t[:i]``, and backwards,
     ``t[i::-1] + t[:i:-1]``, which is ``t[i], ..., t[0]`` and then
-    ``t[k-1], ..., t[i+1]``.  Only those two are compared.
+    ``t[k-1], ..., t[i+1]``.  Their second elements are i's two
+    neighbours: when those differ, only the reading that goes on to the
+    greater one is built; when equal, both are built and compared.
 
     Three codes are sorted.  The three rotations and three reflections of
     a triangle are all six permutations of its positions, so the readings
@@ -189,6 +191,9 @@ def necklace_max(codes: Sequence[bytes]) -> tuple[bytes, ...]:
     top = max(forward)
     if forward.count(top) == 1:
         i = forward.index(top)
+        ahead, back = forward[i + 1 - len(forward)], forward[i - 1]
+        if ahead != back:
+            return forward[i:] + forward[:i] if ahead > back else forward[i::-1] + forward[:i:-1]
         return max(forward[i:] + forward[:i], forward[i::-1] + forward[:i:-1])
     backward = forward[::-1]
     return max(
@@ -201,19 +206,19 @@ _SHIFT = [bytes(range(f, 256)) + bytes(f) for f in range(MAX_VERTICES)]
 
 
 @lru_cache(maxsize=1 << 8)
-def _segment(seq: bytes) -> bytes:
-    """Edge bytes of the pendant tree with level sequence ``seq``, its
-    vertices labeled 0.. in preorder: the sorted edges at the root, then
-    the cycle edge to the next root, ``(0, s)`` for a tree of s vertices,
-    then the other edges, sorted.  So the bytes are 2s long and the byte s
-    occurs once, in the cycle edge.
+def _segments(seq: bytes) -> dict[int, bytes]:
+    """Edge bytes of the pendant tree with level sequence ``seq``, keyed by
+    its root's label f, its vertices labeled f.. in preorder: the sorted
+    edges at the root, then the cycle edge to the next root, ``(f, f + s)``
+    for a tree of s vertices, then the other edges, sorted.  The dict holds
+    f = 0, and ``necklace_code`` adds each f it reads the tree at.
 
     The memo keeps the latest 256 codes: small pendant trees recur in
     nearly every key, while most large ones occur in one key only (at
     n = 13, each of the 1,842 trees on 11 vertices)."""
     edges = level_sequence_edges(seq)
     edges.insert(seq.count(1), (0, len(seq)))  # after the root's child edges
-    return bytes([x for edge in edges for x in edge])
+    return {0: bytes([x for edge in edges for x in edge])}
 
 
 def necklace_code(n: int, necklace: tuple[bytes, ...]) -> CanonicalCode:
@@ -225,9 +230,9 @@ def necklace_code(n: int, necklace: tuple[bytes, ...]) -> CanonicalCode:
 
     The code is the byte n, then the sorted edges ``(a, b)``: a tree's
     edges and the cycle edges ``(r_i, r_(i+1))`` with ``a < b``, and the
-    wrap edge as ``(r_(k-1), 0)``, r_i being the i-th root's label.  It is joined from one ``_segment`` per
-    pendant, shifted by its root's label r_i, with no sort.  Why that
-    order is sorted:
+    wrap edge as ``(r_(k-1), 0)``, r_i being the i-th root's label.  It is
+    joined from one ``_segments`` entry per pendant, its tree's edges
+    shifted by its root's label r_i, with no sort.  Why that order is sorted:
 
     * Edges sort by their first end.  Every edge's first end lies in the
       labels of one pendant tree, r_i up to r_(i+1) - 1: a tree edge's, as
@@ -240,20 +245,20 @@ def necklace_code(n: int, necklace: tuple[bytes, ...]) -> CanonicalCode:
       wrap edge ``(r_(k-1), 0)`` has second end 0, below every child, so
       it comes right before the last root's child edges.
     * Shifting every label of a tree by r_i keeps its own edges' order,
-      which ``_segment`` sorted, and turns its cycle edge ``(0, s)``,
+      which ``_segments`` sorted, and turns its cycle edge ``(0, s)``,
       right after the root's child edges, into ``(r_i, r_(i+1))``.  The
       last pendant's is dropped and the wrap edge put before its root's
       child edges.
     """
     out = [bytes((n,))]
     at = 0
-    *path, last = necklace
-    for code in path:
-        segment = _segment(code)
-        out.append(segment.translate(_SHIFT[at]))
-        at += len(segment) >> 1
-    segment = _segment(last)
-    cut = segment.index(len(segment) >> 1) - 1  # the cycle edge, dropped
-    segment = segment.translate(_SHIFT[at])
-    out += [bytes((at, 0)), segment[:cut], segment[cut + 2 :]]
+    for code in necklace:
+        shifted = _segments(code)
+        segment = shifted.get(at)
+        if segment is None:
+            segment = shifted[at] = shifted[0].translate(_SHIFT[at])
+        out.append(segment)
+        at += len(code)
+    cut = 2 * code.count(1)  # the last pendant's cycle edge, dropped
+    out[-1:] = [bytes((at - len(code), 0)), segment[:cut], segment[cut + 2 :]]
     return b"".join(out)

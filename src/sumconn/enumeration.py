@@ -12,10 +12,11 @@ level sequence (``canon._rooted_code``), the one rooted-tree format of the
 package: the generators below emit it too, so a bracelet letter's bytes
 are its pendant code.  The trees keyed are the tree listing's, in WROM
 labeling, a preorder whose depths are a Beyer-Hedetniemi canonical level
-sequence at vertex 0.  Every subtree of a canonical sequence is canonical,
-and siblings come in non-increasing order, so the code of the lower side
-of each tree edge is a slice of the sequence, and one pass from the root
-down joins the upper sides (``_tree_sides``).  From each first end u, a
+sequence at vertex 0, read with no graph.  Every subtree of a canonical
+sequence is canonical, and siblings come in non-increasing order, so the
+code of the lower side of each tree edge is a slice of the sequence, and
+one pass from the root down joins the upper sides (``_tree_sides``).
+From each first end u, a
 walk reaches every larger label v through the path to v's parent plus one
 code, entering only sides that hold a label above u: a side holding none
 holds no second end, so every chord and its reading are as in a walk of
@@ -43,18 +44,18 @@ later, and its graph6 string is the smaller.
 The unicyclic listing orders classes by canonical code so that repeated
 runs and CLI output are reproducible; a class's code is joined from its
 key by ``canon.necklace_code`` out of one byte segment per pendant tree,
-with no edge sort.  Its chord generator visits the trees in
-canonical-code order.  A tree's record is the edge part of its canonical
-code unless the tree is bicentral and re-rooting it at vertex 1 gives a
-greater sequence, which one comparison of the two halves at the central
-edge tells (``_reroots``; the "Which center" argument is
-``free_tree_graph``'s).  The generator yields the root's second child,
-where the halves meet, and whether they are equally tall, as its own
-validity test measured them.  Then the code's edges are the record's
-own, relabeled by one ``bytes.translate`` and joined in another order
-(``_unicyclic_records``), with no second decode or sort.  A unicyclic
-class is kept in the same format: its tree's record with the chord's two
-bytes inserted at their sorted place.  A record's maximum degree is the
+with no edge sort.  A count reads the classes before they are ordered.
+The chord generator visits the trees in canonical-code order.  A tree's
+record is the edge part of its canonical code unless the tree is
+bicentral and re-rooting it at vertex 1 gives a greater sequence, which
+one comparison of the two halves at the central edge tells (``_reroots``;
+the "Which center" argument is ``free_tree_graph``'s).  The generator
+yields the root's second child, where the halves meet, and whether they
+are equally tall, as its own validity test measured them.  Then the
+code's edges are those of the re-rooted sequence (``_rerooted``), the
+one ``free_tree_graph`` builds (``_tree_keys``).  A unicyclic class is
+kept in the same format: its tree's record with the chord's two bytes
+inserted at their sorted place.  A record's maximum degree is the
 most times a label occurs in it, computed only for a degree filter or a
 count, as the records are generated.  ``enumerate_trees`` and
 ``enumerate_unicyclic`` filter the records by degree when asked and
@@ -95,7 +96,7 @@ from bisect import bisect
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
-from itertools import repeat, tee
+from itertools import chain, repeat, tee
 from operator import add, itemgetter
 from struct import Struct
 from typing import Callable, Iterator
@@ -230,57 +231,57 @@ def _rooted_join(around: dict[int, bytes], a: int, b: int = -1) -> bytes:
     return b"\x00" + below.translate(_DEEPER)
 
 
-def _tree_sides(tree: Graph) -> tuple[list[int], list[int], list[dict[int, bytes]]]:
-    """``(parent, end, around)`` of a tree in WROM labeling, as the tree
-    listing emits it: ``parent[v]`` is v's parent (-1 at the root 0),
-    ``end[v]`` the first label after v's subtree, and ``around[w]`` maps
-    each neighbour c of w to ``branch(c, w)``, the canonical level
-    sequence of c's side of the edge (c, w) rooted at c, in non-increasing
-    order of the codes.
+def _tree_sides(seq: bytes) -> tuple[list[int], list[int], list[dict[int, bytes]]]:
+    """``(parent, end, around)`` of the tree whose WROM level sequence is
+    ``seq``, labeled in preorder as the tree listing emits it:
+    ``parent[v]`` is v's parent (-1 at the root 0), ``end[v]`` the first
+    label after v's subtree, and ``around[w]`` maps each neighbour c of w
+    to ``branch(c, w)``, the canonical level sequence of c's side of the
+    edge (c, w) rooted at c, in non-increasing order of the codes.
 
-    The labels are a preorder, so a vertex's parent is its one smaller
-    neighbour, and its subtree is the labels from it up to ``end``.  The
-    depths in label order are the tree's WROM level sequence, which is
+    A vertex's parent is the latest vertex before it one level up, and its
+    subtree is the labels from it up to ``end``.  ``seq`` is
     Beyer-Hedetniemi canonical at vertex 0: every vertex's subtrees follow
     in non-increasing order, and each subtree's own sequence is canonical
     too.  So the branch code of a child c is its slice, ``seq[c:end[c]]``
-    lifted by c's depth, and children come in non-increasing order.  The
-    code of a parent's side, ``branch(p, c)``, is p's depth 0 and then the
-    codes around p but c's, one level deeper: it is joined when c's turn
-    comes, p's codes being done, and put in its place among c's."""
-    n = tree.n
-    adj = tree.adjacency
-    parent = [-1] + [a[0] for a in adj[1:]]
-    depth = [0] * n
+    lifted by c's depth, and a vertex's children, in label order, come in
+    non-increasing order of their codes.  The code of a parent's side,
+    ``branch(p, c)``, is p's depth 0 and then the codes around p but c's,
+    one level deeper: it is joined when c's turn comes, p's codes being
+    done, and it comes before the children's.
+
+    Why first.  A canonical sequence starts with its longest root path,
+    so of two codes the taller is the greater.  Let h be the tree's height
+    at the root.  The root is a center (``free_tree_graph``, "Which
+    center"), so besides the root subtree that holds a vertex x at depth
+    d >= 1, another reaches depth h - 1.  So the side of x's parent is at
+    least d + h - 2 tall, through the root, and each of x's children's
+    sides at most h - d - 1, which is lower."""
+    n = len(seq)
+    parent = [-1] + [seq.rfind(seq[v] - 1, 0, v) for v in range(1, n)]
     end = list(range(1, n + 1))
-    for v in range(1, n):
-        depth[v] = depth[parent[v]] + 1
     for v in range(n - 1, 0, -1):  # each subtree before its parent
         p = parent[v]
         if end[v] > end[p]:
             end[p] = end[v]
-    seq = bytes(depth)
-    around: list[dict[int, bytes]] = []
-    for x in range(n):
-        # A leaf's code is the one constant b"\x00" rather than a new
-        # object per leaf, which the kept keys would each hold on to.
-        sides = [
-            (seq[c : end[c]].translate(_LIFT[depth[c]]) if end[c] > c + 1 else b"\x00", c)
-            for c in adj[x]
-            if c > x
-        ]
-        if x:
-            sides.append((_rooted_join(around[parent[x]], x), parent[x]))
-            sides.sort(reverse=True)
-        around.append({c: code for code, c in sides})
+    # Each vertex's children's codes, in label order.  A leaf's code is the
+    # one constant b"\x00" rather than a new object per leaf, which the kept
+    # keys would each hold on to.
+    below: list[dict[int, bytes]] = [{} for _ in range(n)]
+    for c in range(1, n):
+        code = seq[c : end[c]].translate(_LIFT[seq[c]]) if end[c] > c + 1 else b"\x00"
+        below[parent[c]][c] = code
+    around = below[:1]
+    for x in range(1, n):
+        around.append({parent[x]: _rooted_join(around[parent[x]], x), **below[x]})
     return parent, end, around
 
 
-def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes, ...]]]:
-    """Chords ``(u, v)``, ``u < v``, of ``tree`` in lexicographic order,
-    with the necklace key of ``tree + (u, v)``, skipping chords whose key
-    an earlier chord is sure to have.  ``tree`` must be in WROM labeling
-    (``_tree_sides``).
+def _chord_necklaces(seq: bytes) -> Iterator[tuple[tuple[int, int], tuple[bytes, ...]]]:
+    """Chords ``(u, v)``, ``u < v``, of the tree whose WROM level sequence
+    is ``seq``, labeled in preorder (``_tree_sides``), in lexicographic
+    order, with the necklace key of the tree plus (u, v), skipping chords
+    whose key an earlier chord is sure to have.
 
     The chord closes the cycle formed by the tree path from u to v.  The
     pendant code of a cycle vertex w is the depth 0 and then, one level
@@ -340,8 +341,8 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes
     the first chord per key keeps the same chords, in the same order, as
     it would without the pruning.
     """
-    n = tree.n
-    parent, end, around = _tree_sides(tree)
+    n = len(seq)
+    parent, end, around = _tree_sides(seq)
     mid = [b""] + [_rooted_join(around[parent[v]], v, parent[parent[v]]) for v in range(1, n)]
     forks: dict[tuple[int, int], bytes] = {}  # (c, v): their parent between them
     came = [-1] * n  # came[y]: the child of y the climb entered it from
@@ -379,67 +380,49 @@ def _chord_necklaces(tree: Graph) -> Iterator[tuple[tuple[int, int], tuple[bytes
                 yield (u, v), necklace_max(reading)
 
 
-def _reroot_table(n: int, cut: int) -> bytes:
-    """``bytes.translate`` table from the labels of a WROM tree on n
-    vertices whose root's second child is ``cut`` to its labels in
-    preorder from vertex 1: vertices 0 and 1 swap, the root's other
-    subtrees, ``cut`` to n - 1, follow as 2 to n - cut + 1, and vertex 1's
-    descendants, 2 to cut - 1, as n - cut + 2 to n - 1."""
-    return bytes([1, 0, *range(n - cut + 2, n), *range(2, n - cut + 2), *range(n, 256)])
+def _tree_keys(n: int) -> Iterator[tuple[bytes, bytes, bytes]]:
+    """``(key, record, seq)`` for every free tree on n vertices, in
+    generation order: the edge bytes of its canonical code, its record
+    (``_tree_records``) and its WROM level sequence.  The code's sequence
+    is the greatest over the tree's centers (``canon._rooted_code``):
+    ``seq``, whose edges are the record, unless the tree is bicentral and
+    ``_reroots``, and then ``_rerooted``'s (``free_tree_graph``, "Which
+    center").  ``_free_trees`` yields ``bicentral`` and ``cut`` from its
+    own test."""
+    steps, again = tee(_free_trees(n))
+    for (seq, _, cut, bicentral), record in zip(steps, _tree_records(again, n)):
+        key = record
+        if bicentral and _reroots(seq, cut):
+            key = bytes(chain.from_iterable(level_sequence_edges(_rerooted(seq, cut))))
+        yield key, record, seq
+
+
+def _unicyclic_classes(n: int) -> dict[tuple[bytes, ...], bytes]:
+    """Every class's necklace key, mapped to its record: the bytes of its
+    sorted edges, a tree's record (``_tree_records``) with a chord (u, v),
+    ``u < v``, inserted at its sorted place, found by one ``bisect`` over
+    the record's big-endian edge codes.  Each tree's chords are keyed from
+    its level sequence, with no graph.
+
+    Trees are visited in canonical-code order, by ``_tree_keys``' key,
+    chords in lexicographic order, and a class keeps the first chord found
+    for it, so the representatives do not depend on how keys are
+    computed."""
+    unpack = Struct(f">{n - 1}H").unpack
+    found: dict[tuple[bytes, ...], bytes] = {}
+    for _, record, seq in sorted(_tree_keys(n), key=itemgetter(0)):
+        edges = unpack(record)
+        for (u, v), key in _chord_necklaces(seq):
+            if key not in found:
+                at = 2 * bisect(edges, u << 8 | v)
+                found[key] = record[:at] + bytes((u, v)) + record[at:]
+    return found
 
 
 def _unicyclic_records(n: int) -> tuple[bytes, ...]:
-    """Every class as the bytes of its sorted edges: a tree's record
-    (``_tree_records``) with a chord (u, v), ``u < v``, inserted at its
-    sorted place.  Each tree's graph is built to key its chords and
-    dropped after.
-
-    Trees are visited in canonical-code order, chords in lexicographic
-    order, and a class keeps the first chord found for it, so the
-    representatives do not depend on how keys are computed.  Classes are
-    ordered by the canonical code built from their key; the keys are
-    dropped once sorted.
-
-    A tree's sort key is the edge bytes of its canonical code: the
-    parent-array edges of the greatest canonical level sequence over its
-    centers (``canon._rooted_code``).  Keys are distinct, so the sorted
-    keys are mapped back to their records through the few that differ.
-    That sequence is rooted at vertex 1 exactly when the tree is
-    bicentral and ``_reroots``, by ``free_tree_graph``'s "Which center";
-    ``_free_trees`` yields ``bicentral`` and ``cut`` from its own test.
-
-    The re-rooted key relabels the record.  Its sorted edges come by
-    parent: the new root's, (0, 1) and then vertex 1's child edges; the
-    old root's other child edges, now from 1; the root side's inner
-    edges; vertex 1's side's inner edges.  The record holds each of these
-    runs, in the same order within the run, since the relabeling is
-    increasing on each side: ``(0, 1)``, the root's other child edges,
-    vertex 1's child edges, vertex 1's side's inner edges and then the
-    root side's.  So the key is the bytes 0 and 1, then the record's runs,
-    relabeled, in the new order."""
-    keys = []
-    rerooted = {}
-    steps, again = tee(_free_trees(n))
-    for (seq, _, cut, bicentral), record in zip(steps, _tree_records(again, n)):
-        if bicentral and _reroots(seq, cut):
-            # Byte offsets where the runs end: the root's edges at r,
-            # vertex 1's child edges at k, vertex 1's side's edges at a.
-            r = 2 * seq.count(1)
-            k = r + 2 * seq.count(2, 2, cut)
-            a = r + 2 * cut - 4
-            t = record.translate(_reroot_table(n, cut))
-            key = b"\x00\x01" + t[r:k] + t[2:r] + t[a:] + t[k:a]
-            rerooted[key] = record
-            record = key
-        keys.append(record)
-    keys.sort()
-    found: dict[tuple[bytes, ...], bytes] = {}
-    for record in map(rerooted.get, keys, keys):
-        tree = _record_tree(record, n)
-        for (u, v), key in _chord_necklaces(tree):
-            if key not in found:
-                at = 2 * bisect(tree.edges, (u, v))
-                found[key] = record[:at] + bytes((u, v)) + record[at:]
+    """Every class's record (``_unicyclic_classes``), ordered by the
+    canonical code built from its key; the keys are dropped once sorted."""
+    found = _unicyclic_classes(n)
     return tuple(found[key] for key in sorted(found, key=lambda key: necklace_code(n, key)))
 
 
@@ -646,6 +629,14 @@ def _reroots(seq: bytes, cut: int) -> bool:
     return b"\x00" + seq[cut:] > seq[1:cut].translate(_LIFT[1])
 
 
+def _rerooted(seq: bytes, cut: int) -> bytes:
+    """The level sequence at vertex 1 of the bicentral tree whose WROM
+    level sequence is ``seq`` and whose root's second child is ``cut``: 0,
+    then the root's half B one level deeper, then the subtrees of vertex
+    1's half A (``free_tree_graph``, "Which center")."""
+    return b"\x00\x01" + seq[cut:].translate(_DEEPER) + seq[2:cut].translate(_LIFT[1])
+
+
 def free_tree_graph(seq: bytes) -> Graph:
     """The canonical form of the free tree whose WROM level sequence is
     ``seq``: the tree labeled in preorder by its greatest level sequence
@@ -669,8 +660,7 @@ def free_tree_graph(seq: bytes) -> Graph:
     * Rooted at vertex 1, a bicentral tree's canonical sequence is 0, then
       B one level deeper, then A's subtrees: B is as tall as A, so it is
       taller than every subtree of A and sorts first, and A's subtrees
-      keep their canonical order.  Its preorder labels are
-      ``_reroot_table``'s.
+      keep their canonical order (``_rerooted``).
     * The two sequences first differ where A and B do, one level deeper,
       and then by the same sign.  If one half is a proper prefix of the
       other, the longer one goes on deeper than 1 where the shorter one's
@@ -686,7 +676,7 @@ def free_tree_graph(seq: bytes) -> Graph:
     cut = seq.find(1, 2)
     # For n <= 2 the root has no second child, and re-rooting changes nothing.
     if cut > 0 and max(seq[1:cut]) - 1 == max(seq[cut:]) and _reroots(seq, cut):
-        seq = b"\x00\x01" + seq[cut:].translate(_DEEPER) + seq[2:cut].translate(_LIFT[1])
+        seq = _rerooted(seq, cut)
     return _level_sequence_tree(seq)
 
 
@@ -694,6 +684,8 @@ def free_tree_graph(seq: bytes) -> Graph:
 # per call and held by no cache: trees as the generator yields them,
 # unicyclic classes from theirs.
 _RECORDS = {"tree": lambda n: _tree_records(_free_trees(n), n), "unicyclic": _unicyclic_records}
+# The same records in any order, for a count: unicyclic ones unordered.
+_UNORDERED = {**_RECORDS, "unicyclic": lambda n: _unicyclic_classes(n).values()}
 
 
 # Records per ``emit_graph6_records`` call in ``graph6_chunks``: large
@@ -764,10 +756,11 @@ def _select(graph_class: str, n: int, delta: DeltaFilter) -> _LazyGraphs:
 
 def _degree_counts(graph_class: str, n: int, delta: int | None) -> dict[int, int]:
     """The class count at each maximum degree on n vertices that ``delta``
-    admits, ascending, each record's degree counted as it is generated: a
-    tree count holds no record, and no count is kept after it returns."""
+    admits, ascending, each record's degree counted as it is generated and
+    in any order (``_UNORDERED``): a tree count holds no record, a
+    unicyclic count orders none, and no count is kept after it returns."""
     span = _span(graph_class, n, delta)
-    counts = Counter(map(_record_max_degree, _RECORDS[graph_class](n)))
+    counts = Counter(map(_record_max_degree, _UNORDERED[graph_class](n)))
     return {d: c for d, c in sorted(counts.items()) if span is None or span[0] <= d <= span[1]}
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from sumconn.enumeration import (
     _free_trees,
     _level_sequence_tree,
     _rooted_letters,
+    _tree_keys,
     enumerate_trees,
     enumerate_unicyclic,
     free_tree_graph,
@@ -113,12 +114,14 @@ def test_exhaustive_ground_truth_small(n):
 def test_level_sequence_codes_are_canonical_codes():
     # Every free tree the enumerator generates: unicentral, and bicentral
     # with the root's half greater than, less than or equal to vertex 1's.
-    # Its canonical form read off the sequence is the oracle code's graph.
+    # Its canonical form read off the sequence is the oracle code's graph,
+    # and that graph's edge bytes are the unicyclic listing's tree key.
     for n in range(1, 17):
-        for seq, *_ in _free_trees(n):
+        for key, _, seq in _tree_keys(n):
             code = level_sequence_code(seq)
             assert code == canonical_code(_level_sequence_tree(seq))
             assert free_tree_graph(seq) == code_graph(code)
+            assert key == bytes(chain.from_iterable(free_tree_graph(seq).edges))
 
 
 @pytest.mark.parametrize("n", [7])
@@ -244,9 +247,8 @@ def test_necklace_codes_match_the_parse_on_every_listed_key():
     keys = 0
     for n in range(3, 12):
         for seq, *_ in _free_trees(n):
-            tree = _level_sequence_tree(seq)
-            parens = dict(chord_necklaces_unpruned(tree))
-            for chord, key in _chord_necklaces(tree):
+            parens = dict(chord_necklaces_unpruned(_level_sequence_tree(seq)))
+            for chord, key in _chord_necklaces(seq):
                 assert necklace_code(n, key) == necklace_code_by_parse(n, parens[chord])
                 keys += 1
     assert keys == 9_111

@@ -104,9 +104,11 @@ def test_free_trees_match_the_list_reference(monkeypatch):
     # generator's own test and measured again only where a step rewrote
     # them, are each tree's.
     visited = []
-    build = enumeration._record_tree
-    monkeypatch.setattr(enumeration, "_record_tree", lambda rec, n: visited.append(rec) or build(rec, n))
-    monkeypatch.setattr(enumeration, "_chord_necklaces", lambda tree: ())
+    monkeypatch.setattr(
+        enumeration,
+        "_chord_necklaces",
+        lambda seq: visited.append(bytes(chain.from_iterable(level_sequence_edges(seq)))) or (),
+    )
     for n in range(1, 17):
         reference = list(map(bytes, free_tree_level_sequences(n)))
         steps = list(enumeration._free_trees(n))
@@ -290,7 +292,7 @@ def test_unicyclic_counts_compute_each_degree_once(monkeypatch, capsys):
 
 
 # Blocks allocated in enumeration.py that may outlive the listings below:
-# at most the 256 pendant codes ``canon._segment``'s memo keeps as keys,
+# at most the 256 pendant codes ``canon._segments``' memo keeps as keys,
 # with room to spare.  Holding the 1,806 unicyclic records on 11 vertices
 # alone would take 1,806 more.
 _LEFT_BEHIND = 512
@@ -493,8 +495,8 @@ def test_orbit_pruning_keeps_every_key_and_its_first_chord():
     # The reference keys in AHU strings; each converted key must be the
     # production key, so the order reversal is checked on every key.
     for n in range(1, 13):
-        for tree in enumerate_trees(n):
-            pruned = list(_chord_necklaces(tree))
+        for (seq, *_), tree in zip(enumeration._free_trees(n), enumerate_trees(n)):
+            pruned = list(_chord_necklaces(seq))
             full = [
                 (chord, tuple(map(paren_to_level_sequence, key)))
                 for chord, key in chord_necklaces_unpruned(tree)
@@ -510,9 +512,8 @@ def test_branch_codes_from_slices_are_the_rooted_codes():
     edges = 0
     for n in range(1, 13):
         for seq, *_ in enumeration._free_trees(n):
-            tree = _level_sequence_tree(seq)
-            adj = tree.adjacency
-            parent, end, around = _tree_sides(tree)
+            adj = _level_sequence_tree(seq).adjacency
+            parent, end, around = _tree_sides(seq)
             assert parent == [-1] + [seq.rfind(seq[v] - 1, 0, v) for v in range(1, n)]
             assert end == [next((i for i in range(v + 1, n) if seq[i] <= seq[v]), n) for v in range(n)]
             for w, sides in enumerate(around):
@@ -532,7 +533,7 @@ def test_pruning_keys_no_more_chords_than_the_path_rule():
     keyed = sum(
         1
         for seq, *_ in enumeration._free_trees(13)
-        for _ in _chord_necklaces(_level_sequence_tree(seq))
+        for _ in _chord_necklaces(seq)
     )
     assert keyed <= 49_985
 
